@@ -89,7 +89,7 @@ def _run_one(
         cluster.add_server(cap * scale, boot_seconds=0.0)
     # Warm the caches before the measurement starts, as the testbed would be.
     for server in cluster.servers.values():
-        server.serving_since = -config.warmup_seconds
+        server.prewarm(-config.warmup_seconds)
 
     for idx in REVOKED_INDICES:
         cluster.schedule_revocation(idx, REVOKE_AT)

@@ -209,7 +209,7 @@ def run_episode(
             cluster.add_server(cap, boot_seconds=0.0)
         # Warm caches: the episode starts from steady state, not a cold boot.
         for server in cluster.servers.values():
-            server.serving_since = -config.warmup_seconds
+            server.prewarm(-config.warmup_seconds)
         for storm in spec.storms:
             cluster.schedule_storm(
                 list(storm.servers),

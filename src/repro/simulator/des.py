@@ -50,6 +50,10 @@ class Simulator:
         self._heap: list[Event] = []
         self._seq = itertools.count()
         self._processed = 0
+        #: Bumped by every :class:`~repro.simulator.server.SimServer`
+        #: lifecycle change on this clock; the fluid tier rebuilds its
+        #: columns only when it moves.
+        self.fleet_epoch = 0
 
     @property
     def now(self) -> float:

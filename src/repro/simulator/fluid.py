@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.devtools.contracts import field_units, shapes, units
+from repro.simulator.des import Simulator
 from repro.simulator.server import ServerPhase, SimServer
 
 __all__ = [
@@ -172,13 +173,21 @@ class FluidEngine:
     """Columnar fluid-flow state over a live :class:`SimServer` fleet.
 
     Queue mass is keyed by server id in :attr:`_mass` (the persistent
-    truth); :meth:`sync` rebuilds the columnar arrays from the fleet each
-    step, so composition changes (boots, kills, launches) can never leave
-    stale rows.  All mutating math lives in loop-free helpers — the hot
-    path allocates nothing inside Python loops.
+    truth); the columnar arrays are a cache of the fleet.  A server's
+    columns change only when its ``phase`` or ``serving_since`` does, and
+    every such write bumps ``sim.fleet_epoch``: ``SimServer.__init__``,
+    ``_on_boot``, ``drain``, ``kill`` and ``prewarm``.  ``serving_since``
+    is read-only so no caller can change it without that bump.
+    :meth:`sync` therefore rebuilds only when ``(id(servers),
+    len(servers), sim.fleet_epoch)`` differs from the last rebuild;
+    :meth:`withdraw` and :meth:`deposit` edit mass outside the step and
+    clear the key.  All mutating math lives in loop-free helpers — the
+    hot path allocates nothing inside Python loops.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, sim: Simulator) -> None:
+        self._sim = sim
+        self._synced: tuple[int, int, int] | None = None
         self._mass: dict[int, float] = {}
         self._order: list[int] = []
         self._cols: dict[str, np.ndarray] = {}
@@ -204,7 +213,12 @@ class FluidEngine:
         Mass parked on a server that died since the last step is removed
         and returned so the caller can record it as failed requests (the
         fluid analogue of ``SimServer.kill`` failing in-flight work).
+        An unchanged fleet returns 0.0 and keeps the current columns.
         """
+        key = (id(servers), len(servers), self._sim.fleet_epoch)
+        if key == self._synced:
+            return 0.0
+        self._synced = key
         order: list[int] = []
         capacity: list[float] = []
         workers: list[float] = []
@@ -361,6 +375,7 @@ class FluidEngine:
         tier (they re-enter the flow at the next fluid step), so total
         work is conserved exactly across the fluid-to-request handoff.
         """
+        self._synced = None
         counts: dict[int, int] = {}
         for sid in sorted(self._mass):
             n = int(self._mass[sid])
@@ -376,6 +391,7 @@ class FluidEngine:
             raise ValueError("count must be non-negative")
         if count == 0:
             return
+        self._synced = None
         self._mass[server_id] = self._mass.get(server_id, 0.0) + count
         self.deposited_total += count
 

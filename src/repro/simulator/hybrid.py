@@ -169,7 +169,7 @@ class HybridClusterSimulation(ClusterSimulation):
         super().__init__(config, balancer_factory, keep_raw=keep_raw)
         self.engine = engine
         self.hybrid = hybrid or HybridConfig()
-        self.fluid = FluidEngine()
+        self.fluid = FluidEngine(self.sim)
         self._tier: str | None = None
         self._window_until = float("-inf")
         self._window_cause: str | None = None

@@ -93,8 +93,9 @@ class SimServer:
         self.workers = max(1, int(round(capacity_rps * service_time)))
         self._rng = np.random.default_rng(seed + server_id)
         self.phase = ServerPhase.BOOTING
+        sim.fleet_epoch += 1
         self.launched_at = sim.now
-        self.serving_since: float | None = None
+        self._serving_since: float | None = None
         # Earliest idle time per worker slot (heap-free: keep sorted lazily).
         self._worker_free = np.zeros(self.workers)
         self._in_flight = 0
@@ -114,11 +115,31 @@ class SimServer:
             self._on_boot()
 
     # ------------------------------------------------------------- lifecycle
+    # Every write to ``phase`` or ``_serving_since`` bumps the simulator's
+    # ``fleet_epoch``: the fluid tier's columns are a cache keyed on it.
+    @property
+    def serving_since(self) -> float | None:
+        """Sim time the server started serving (``None`` until booted).
+
+        Read-only: set it through :meth:`prewarm`, which tells the fluid
+        tier its cached columns are stale.
+        """
+        return self._serving_since
+
+    def prewarm(self, since: float) -> None:
+        """Treat the cache as warming since ``since`` (e.g. a warm fleet)."""
+        self._serving_since = float(since)
+        self.sim.fleet_epoch += 1
+
     def _on_boot(self) -> None:
         if self.phase is ServerPhase.DEAD:
             return
-        self.phase = ServerPhase.RUNNING
-        self.serving_since = self.sim.now
+        # A server drained while booting stays DRAINING: only a booting
+        # server is promoted to RUNNING.
+        if self.phase is ServerPhase.BOOTING:
+            self.phase = ServerPhase.RUNNING
+        self._serving_since = self.sim.now
+        self.sim.fleet_epoch += 1
         self._worker_free[:] = self.sim.now
         ev = get_events()
         if ev.enabled:
@@ -134,6 +155,7 @@ class SimServer:
         """Revocation warning: stop accepting new requests."""
         if self.phase in (ServerPhase.RUNNING, ServerPhase.BOOTING):
             self.phase = ServerPhase.DRAINING
+            self.sim.fleet_epoch += 1
 
     def kill(self) -> int:
         """Server reclaimed: everything still queued/in-flight fails.
@@ -145,6 +167,7 @@ class SimServer:
             self.recorder.record_failed(self.sim.now)
         self._in_flight = 0
         self.phase = ServerPhase.DEAD
+        self.sim.fleet_epoch += 1
         return lost
 
     # -------------------------------------------------------------- serving
@@ -162,12 +185,12 @@ class SimServer:
 
     def _current_service_time(self) -> float:
         """Base service time inflated while the cache is cold."""
-        if self.serving_since is None:
+        if self._serving_since is None:
             mult = self.cold_multiplier
         elif self.warmup_seconds <= 0:
             mult = 1.0
         else:
-            age = self.sim.now - self.serving_since
+            age = self.sim.now - self._serving_since
             frac = min(1.0, age / self.warmup_seconds)
             mult = self.cold_multiplier + (1.0 - self.cold_multiplier) * frac
         # Exponential service-time variation around the (possibly inflated)

@@ -192,7 +192,7 @@ class SpotWebSystem:
         self._served_this_interval = 0.0
         self._revocations = 0
         # Hybrid-engine state (idle when engine == "request").
-        self._fluid = FluidEngine()
+        self._fluid = FluidEngine(self.sim)
         self._tier: str | None = None
         self._window_until = float("-inf")
         self._window_cause: str | None = None

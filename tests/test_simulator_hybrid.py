@@ -36,7 +36,7 @@ def build(engine="hybrid", *, servers=4, capacity=100.0, seed=0, **hybrid_kw):
     for _ in range(servers):
         cluster.add_server(capacity, boot_seconds=0.0)
     for server in cluster.servers.values():
-        server.serving_since = -config.warmup_seconds
+        server.prewarm(-config.warmup_seconds)
     return cluster
 
 
@@ -76,7 +76,7 @@ class TestFluidHelpers:
 
 class TestFluidEngineConservation:
     def run_steps(self, cluster, steps=50, rate=300.0):
-        fluid = FluidEngine()
+        fluid = FluidEngine(cluster.sim)
         for k in range(steps):
             fluid.sync(cluster.servers, float(k))
             fluid.step(float(k), 1.0, rate)
@@ -118,6 +118,108 @@ class TestFluidEngineConservation:
         fluid = self.run_steps(cluster, steps=100, rate=300.0)
         mass = fluid.total_mass()
         assert 300.0 * 0.05 < mass < 300.0 * 1.0
+
+
+def assert_same_engine(cached, fresh):
+    """Bitwise equality of two engines' columns, order, mass and ledger."""
+    assert cached._order == fresh._order
+    assert cached._cols.keys() == fresh._cols.keys()
+    for name, col in cached._cols.items():
+        assert col.dtype == fresh._cols[name].dtype, name
+        assert col.tobytes() == fresh._cols[name].tobytes(), name
+    assert cached._mass == fresh._mass
+    for total in ("offered", "served", "dropped", "failed", "deposited", "withdrawn"):
+        attr = f"{total}_total"
+        assert getattr(cached, attr) == getattr(fresh, attr), attr
+
+
+def assert_same_step(a, b):
+    for name in ("t", "dt", "offered", "served", "dropped", "queue_mass", "max_rho"):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("latencies", "weights"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+class TestFluidSyncCache:
+    def test_unchanged_fleet_reuses_columns(self):
+        cluster = build()
+        fluid = FluidEngine(cluster.sim)
+        fluid.sync(cluster.servers, 0.0)
+        fluid.step(0.0, 1.0, 300.0)
+        cols = fluid._cols
+        arrays = {name: col for name, col in cols.items() if name != "mass"}
+        assert fluid.sync(cluster.servers, 1.0) == 0.0
+        assert fluid._cols is cols
+        assert all(cols[name] is col for name, col in arrays.items())
+        # A lifecycle change invalidates the cache.
+        cluster.servers[0].drain()
+        fluid.sync(cluster.servers, 2.0)
+        assert fluid._cols is not cols
+        assert fluid._cols["draining"].tolist() == [True, False, False, False]
+
+    def test_cached_sync_matches_rebuild_every_step(self):
+        # A seeded random mix of fleet events, steps and handoffs: the
+        # cached engine must match, bit for bit, one that rebuilds on
+        # every sync.
+        config = ClusterConfig(seed=0)
+        cluster = HybridClusterSimulation(config, engine="fluid")
+        sim, servers = cluster.sim, cluster.servers
+        cached, fresh = FluidEngine(sim), FluidEngine(sim)
+        rng = np.random.default_rng(42)
+        for _ in range(3):
+            cluster.add_server(100.0, boot_seconds=0.0)
+        hits = rebuilds = 0
+        for _ in range(400):
+            event = rng.integers(0, 10)
+            live = [sid for sid in sorted(servers) if servers[sid].alive]
+            if event == 0:
+                cluster.add_server(
+                    float(rng.uniform(50.0, 150.0)),
+                    boot_seconds=float(rng.choice([0.0, 3.0, 7.5])),
+                )
+            elif event == 1 and live:
+                servers[int(rng.choice(live))].drain()
+            elif event == 2 and live:
+                servers[int(rng.choice(live))].kill()
+            elif event == 3 and live:
+                servers[int(rng.choice(live))].prewarm(
+                    sim.now - float(rng.uniform(0.0, 90.0))
+                )
+            elif event == 4 and live:
+                # Revocation: warning now, kill when the window closes.
+                victim = servers[int(rng.choice(live))]
+                victim.drain()
+                sim.schedule(float(rng.uniform(0.5, 4.0)), victim.kill)
+            elif event == 5:
+                counts = cached.withdraw()
+                assert counts == fresh.withdraw()
+                for sid in sorted(counts):
+                    keep = counts[sid] // 2
+                    cached.deposit(sid, keep)
+                    fresh.deposit(sid, keep)
+            elif event == 6 and live:
+                sid = int(rng.choice(live))
+                n = int(rng.integers(1, 20))
+                cached.deposit(sid, n)
+                fresh.deposit(sid, n)
+            t0 = sim.now
+            dt = float(rng.choice([0.5, 1.0]))
+            sim.advance(t0 + dt)  # boots and scheduled kills fire here
+            before = cached._cols
+            fresh._synced = None
+            assert cached.sync(servers, t0 + dt) == fresh.sync(servers, t0 + dt)
+            if cached._cols is before:
+                hits += 1
+            else:
+                rebuilds += 1
+            assert_same_engine(cached, fresh)
+            rate = float(rng.uniform(0.0, 1.2)) * sum(
+                s.capacity_rps for s in servers.values() if s.alive
+            )
+            assert_same_step(cached.step(t0, dt, rate), fresh.step(t0, dt, rate))
+            assert_same_engine(cached, fresh)
+        assert hits > 50 and rebuilds > 50
+        assert cached.balance_error() < 1e-6
 
 
 class TestHandoffs:

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.simulator import LatencyRecorder, ServerPhase, SimServer, Simulator
+from repro.simulator import (
+    FluidEngine,
+    LatencyRecorder,
+    ServerPhase,
+    SimServer,
+    Simulator,
+)
 
 
 def make_server(sim=None, recorder=None, **kwargs):
@@ -41,6 +47,62 @@ class TestLifecycle:
         assert server.phase is ServerPhase.DRAINING
         assert not server.submit()
         assert server.submit(migrated=True)
+
+    def test_drained_while_booting_stays_draining(self):
+        # A replacement revoked mid-boot must not come back to life when
+        # its boot event fires: no new requests, no fluid traffic share.
+        sim = Simulator()
+        rec = LatencyRecorder()
+        doomed = SimServer(
+            sim, rec, server_id=0, capacity_rps=100.0, boot_seconds=10.0
+        )
+        healthy = SimServer(
+            sim, rec, server_id=1, capacity_rps=100.0, boot_seconds=0.0
+        )
+        sim.run_until(1.0)
+        doomed.drain()
+        sim.run_until(20.0)
+        assert doomed.phase is ServerPhase.DRAINING
+        assert doomed.serving_since == 10.0
+        assert not doomed.submit()
+        assert doomed.submit(migrated=True)
+        fluid = FluidEngine(sim)
+        fluid.sync({0: doomed, 1: healthy}, sim.now)
+        step = fluid.step(sim.now, 1.0, 50.0)
+        assert step.dropped == 0.0
+        assert fluid._mass[0] == 0.0
+        assert fluid._mass[1] == step.queue_mass == 50.0
+
+    def test_serving_since_is_read_only(self):
+        sim, rec, server = make_server()
+        with pytest.raises(AttributeError):
+            server.serving_since = -60.0
+        epoch = sim.fleet_epoch
+        server.prewarm(-60.0)
+        assert server.serving_since == -60.0
+        assert sim.fleet_epoch > epoch
+
+    def test_lifecycle_changes_bump_fleet_epoch(self):
+        sim = Simulator()
+        rec = LatencyRecorder()
+        epochs = [sim.fleet_epoch]
+        server = SimServer(
+            sim, rec, server_id=0, capacity_rps=100.0, boot_seconds=5.0
+        )
+        epochs.append(sim.fleet_epoch)
+        sim.run_until(5.0)  # boot
+        epochs.append(sim.fleet_epoch)
+        server.drain()
+        epochs.append(sim.fleet_epoch)
+        server.kill()
+        epochs.append(sim.fleet_epoch)
+        assert all(b > a for a, b in zip(epochs, epochs[1:]))
+        # Serving a request changes no fluid column: the epoch stays put.
+        _, _, busy = make_server(sim, rec, server_id=1)
+        before = sim.fleet_epoch
+        assert busy.submit()
+        sim.run_until(10.0)
+        assert sim.fleet_epoch == before
 
     def test_kill_fails_in_flight(self):
         sim, rec, server = make_server()
