@@ -1,10 +1,9 @@
 """Result accounting and report formatting."""
 
-from repro.analysis.report import format_table, format_histogram
 from repro.analysis.costs import CostLedger
-from repro.analysis.ascii import sparkline, timeseries_plot
 from repro.analysis.stats import BootstrapCI, bootstrap_mean_ci, paired_savings
 from repro.analysis.serialize import load_report, save_report
+from repro.textfmt import format_histogram, format_table, sparkline, timeseries_plot
 
 __all__ = [
     "format_table",

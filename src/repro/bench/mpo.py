@@ -17,9 +17,9 @@ import numpy as np
 
 from repro.bench.report import SCHEMA_MPO
 from repro.core import CostModel, MPOOptimizer
-from repro.core.units import MS_PER_SECOND
 from repro.experiments.fig7b_scalability import _replicated_markets
 from repro.markets import generate_market_dataset
+from repro.units import MS_PER_SECOND
 
 __all__ = ["bench_mpo"]
 

@@ -27,7 +27,6 @@ from repro.core.discretize import refine_counts
 from repro.core.overprovision import CapacityPlanner, ShortfallTracker
 from repro.core.portfolio import Allocation
 from repro.core.reactive import ReactiveFallback
-from repro.core.units import MS_PER_SECOND
 from repro.devtools.contracts import field_units, units
 from repro.markets.catalog import Market
 from repro.markets.revocation import event_covariance
@@ -35,6 +34,7 @@ from repro.obs import get_events, get_metrics, get_tracer
 from repro.predictors.base import WorkloadPredictor
 from repro.predictors.failure import FailurePredictor
 from repro.predictors.price import PricePredictor
+from repro.units import MS_PER_SECOND
 
 __all__ = ["SpotWebController", "ControllerDecision"]
 

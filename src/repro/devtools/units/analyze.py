@@ -23,7 +23,7 @@ Rule inventory
   without an explicit conversion.
 - ``SW304`` — a bare numeric literal (``3600``, ``1000``, ...) used to
   rescale a value that provably carries a time/request unit; the fix is
-  the named constant in :mod:`repro.core.units`.
+  the named constant in :mod:`repro.units`.
 
 ``SW000``/``SW009`` are the engine pseudo-rules shared with spotlint,
 spotgraph and spotshape (unreadable file; unknown rule id in a
@@ -105,17 +105,14 @@ for _helper, _unit in (
     _TAGGED_HELPERS[f"repro.devtools.contracts.{_helper}"] = _unit
     _TAGGED_HELPERS[f"repro.devtools.{_helper}"] = _unit
 
-#: dotted constant -> its unit, from the shared registry (both the
-#: foundation package and its control-plane re-export spelling).
-_CONSTANT_UNITS: dict[str, UnitSpec] = {}
-for _name, _unit in UNIT_OF.items():
-    _spec = parse_unit(_unit)
-    _CONSTANT_UNITS[f"repro.units.{_name}"] = _spec
-    _CONSTANT_UNITS[f"repro.core.units.{_name}"] = _spec
+#: dotted constant -> its unit, from the shared registry.
+_CONSTANT_UNITS: dict[str, UnitSpec] = {
+    f"repro.units.{name}": parse_unit(unit) for name, unit in UNIT_OF.items()
+}
 
 #: bare literals that are (almost) always a forgotten unit conversion
 #: when they scale a value already carrying a time/request unit.  The
-#: hint names the :mod:`repro.core.units` replacement.
+#: hint names the :mod:`repro.units` replacement.
 _CONVERSION_LITERALS: dict[float, str] = {
     60.0: "SECONDS_PER_MINUTE (or MINUTES_PER_HOUR)",
     3600.0: "SECONDS_PER_HOUR",
@@ -600,7 +597,7 @@ class _FunctionUnitAnalyzer:
                 node,
                 f"bare literal {shown} rescales a `{format_unit(known)}` "
                 f"value in `{self.qualname}`; name the conversion with "
-                f"repro.core.units.{hint}",
+                f"repro.units.{hint}",
             )
             return None
         if not known_is_left and invert:

@@ -69,7 +69,7 @@ def run_fig3(
 
 
 def format_fig3(results: dict[str, WorkloadCharacterization]) -> str:
-    from repro.analysis.report import format_table
+    from repro.textfmt import format_table
 
     rows = [
         [

@@ -93,7 +93,7 @@ def run_fig6a(
 
 
 def format_fig6a(result: Fig6aResult) -> str:
-    from repro.analysis.report import format_table
+    from repro.textfmt import format_table
 
     rows = [
         [

@@ -119,7 +119,7 @@ def run_fig7b(
 
 
 def format_fig7b(result: Fig7bResult) -> str:
-    from repro.analysis.report import format_table
+    from repro.textfmt import format_table
 
     rows = []
     for nm in result.market_counts:

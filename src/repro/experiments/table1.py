@@ -244,7 +244,7 @@ def run_table1_costs(
 
 
 def format_table1_costs(result: Table1Costs) -> str:
-    from repro.analysis.report import format_table
+    from repro.textfmt import format_table
 
     baseline = result.policies[-1]
     rows = []
@@ -270,7 +270,7 @@ def format_table1_costs(result: Table1Costs) -> str:
 
 
 def format_table1() -> str:
-    from repro.analysis.report import format_table
+    from repro.textfmt import format_table
 
     def yn(v: bool) -> str:
         return "Yes" if v else "No"

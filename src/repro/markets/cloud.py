@@ -174,7 +174,9 @@ class TransientCloud:
         if not market.revocable:
             raise ValueError("cannot revoke an on-demand market")
         warned = []
-        for vm in self._vms.values():
+        # A snapshot: a warning callback may lease a replacement, which
+        # this revocation does not cover.
+        for vm in list(self._vms.values()):
             if (
                 vm.market.name == market.name
                 and vm.state in (VMState.STARTING, VMState.RUNNING)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.units import SECONDS_PER_HOUR
 from repro.loadbalancer import TransiencyAwareLoadBalancer
 from repro.obs.anomaly import AnomalyMonitor
 from repro.obs.events import EventLog, get_events, set_events
@@ -31,6 +30,7 @@ from repro.parallel import derive_seed
 from repro.simulator import HybridClusterSimulation
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.hybrid import ENGINES
+from repro.units import SECONDS_PER_HOUR
 from repro.workloads.flashcrowd import compose_flash_crowds
 from repro.workloads.trace import WorkloadTrace
 

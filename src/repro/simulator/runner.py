@@ -34,12 +34,12 @@ from typing import Protocol
 import numpy as np
 
 from repro.core.costs import CostModel
-from repro.core.units import SECONDS_PER_HOUR
 from repro.devtools.contracts import field_units, shapes, units
 from repro.markets.dataset import MarketDataset
 from repro.markets.revocation import CorrelatedRevocationSampler
 from repro.obs import get_bus, get_events, get_metrics, get_tracer
 from repro.simulator.fluid import stochastic_wait
+from repro.units import SECONDS_PER_HOUR
 from repro.workloads.trace import WorkloadTrace
 
 __all__ = [

@@ -34,14 +34,9 @@ from repro.markets.revocation import CorrelatedRevocationSampler
 from repro.monitoring import MonitoringHub
 from repro.obs import get_events
 from repro.simulator.des import Simulator
-from repro.simulator.fluid import FluidEngine
-from repro.simulator.hybrid import (
-    ENGINES,
-    TIER_FLUID,
-    TIER_REQUEST,
-    absorb_fleet,
-    materialize_fleet,
-)
+from repro.simulator.hybrid import TIER_FLUID, TIER_REQUEST
+# Unused here, but benchmarks/e2e/test_harness.py asserts its ledger rebinds it.
+from repro.simulator.hybrid import materialize_fleet  # noqa: F401
 from repro.simulator.metrics import LatencyRecorder
 from repro.simulator.server import SimServer
 from repro.workloads.trace import WorkloadTrace
@@ -60,10 +55,6 @@ logger = logging.getLogger(__name__)
     queue_limit_seconds="s",
     slo_threshold="s",
     drain_before_terminate_seconds="s",
-    fluid_step_seconds="s",
-    settle_seconds="s",
-    spike_threshold="frac",
-    overload_utilization="frac",
 )
 @dataclass
 class SystemConfig:
@@ -84,26 +75,12 @@ class SystemConfig:
     slo_threshold: float = 1.0
     drain_before_terminate_seconds: float = 30.0
     seed: int = 0
-    # Simulation engine: "request" is the original per-request closed loop
-    # (bit-for-bit unchanged); "hybrid" runs the fluid tier between
-    # revocation windows/spikes; "fluid" never drops to request level.
-    engine: str = "request"
-    fluid_step_seconds: float = 1.0
-    settle_seconds: float = 30.0
-    spike_threshold: float = 0.3
-    overload_utilization: float = 0.9
 
     def __post_init__(self) -> None:
         if self.interval_seconds <= 0:
             raise ValueError("interval_seconds must be positive")
         if self.warning_seconds < 0 or self.startup_seconds < 0:
             raise ValueError("durations must be non-negative")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.fluid_step_seconds <= 0:
-            raise ValueError("fluid_step_seconds must be positive")
-        if self.settle_seconds < 0:
-            raise ValueError("settle_seconds must be non-negative")
 
 
 @field_units(total_cost="usd")
@@ -117,8 +94,8 @@ class SystemReport:
     fleet_timeline: list[tuple[float, int, float]] = field(default_factory=list)
     # entries are (sim_time, live_server_count, live_capacity_rps)
     interval_observed_rps: list[float] = field(default_factory=list)
-    # ticks executed per tier ({"fluid": n, "request": m}; request-engine
-    # runs report every tick as request)
+    # cloud ticks per tier, keyed like HybridClusterSimulation.tier_steps;
+    # the closed loop runs every tick at request level, so "fluid" stays 0
     tier_steps: dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> dict[str, float]:
@@ -191,13 +168,6 @@ class SpotWebSystem:
         self._vms: dict[int, VMInstance] = {}
         self._served_this_interval = 0.0
         self._revocations = 0
-        # Hybrid-engine state (idle when engine == "request").
-        self._fluid = FluidEngine(self.sim)
-        self._tier: str | None = None
-        self._window_until = float("-inf")
-        self._window_cause: str | None = None
-        self._window_trigger = "start"
-        self._last_rate: float | None = None
         self.tier_steps = {TIER_FLUID: 0, TIER_REQUEST: 0}
         self._fleet_timeline: list[tuple[float, int, float]] = []
         self._observed: list[float] = []
@@ -226,20 +196,18 @@ class SpotWebSystem:
                 cold_multiplier=self.config.cold_multiplier,
                 queue_limit_seconds=self.config.queue_limit_seconds,
                 seed=self.config.seed,
-                track_completions=self.config.engine != "request",
             )
             self._servers[vm.vm_id] = server
             self._vms[vm.vm_id] = vm
             self.balancer.add_backend(server)
 
-    def _terminate_surplus(self, market_index: int, count: int) -> None:
-        """Relinquish ``count`` servers of a market (drain, then release)."""
-        market = self.markets[market_index]
-        victims = [
-            vm
-            for vm in self.cloud.live_vms(market)
-            if self._servers[vm.vm_id].alive
-        ][:count]
+    def _terminate_surplus(self, victims: list[VMInstance]) -> None:
+        """Relinquish servers (drain, then release).
+
+        Only booting or running servers may be victims.  One already
+        draining under a revocation warning is reclaimed at its deadline;
+        releasing it earlier would fail the requests it is still finishing.
+        """
         for vm in victims:
             server = self._servers[vm.vm_id]
             server.drain()
@@ -267,11 +235,6 @@ class SpotWebSystem:
         self.monitor.relay_warning(vm.vm_id, now)
         deadline = vm.warning_deadline or (now + self.config.warning_seconds)
         self.sim.schedule_at(deadline, self._kill_server, vm.vm_id)
-        self._open_window(
-            deadline + self.config.settle_seconds,
-            cause=get_events().warning_for(vm.vm_id),
-            trigger="warning",
-        )
 
     def _on_cloud_termination(self, vm: VMInstance, _now: float) -> None:
         self._kill_server(vm.vm_id)
@@ -353,7 +316,7 @@ class SpotWebSystem:
             if target > len(live):
                 self._launch(j, target - len(live))
             elif target < len(live):
-                self._terminate_surplus(j, len(live) - target)
+                self._terminate_surplus(live[: len(live) - target])
         self._fleet_timeline.append(
             (now, self._live_count(), self._live_capacity())
         )
@@ -370,95 +333,6 @@ class SpotWebSystem:
             self.sim.schedule(
                 offset, self.cloud.revoke_market, self.markets[j], now + offset
             )
-
-    # --------------------------------------------------------- hybrid engine
-    def _open_window(
-        self, until: float, *, cause: str | None, trigger: str
-    ) -> None:
-        """Extend the request-level fidelity window (hybrid engine only)."""
-        if self.config.engine != "hybrid":
-            return
-        if until > self._window_until:
-            self._window_until = until
-        self._window_cause = cause
-        self._window_trigger = trigger
-
-    @units("s", "req/s")
-    def _detect_spike(self, now: float, rate: float) -> None:
-        previous, self._last_rate = self._last_rate, rate
-        if self.config.engine != "hybrid" or previous is None:
-            return
-        if abs(rate - previous) <= self.config.spike_threshold * max(
-            previous, 1e-9
-        ):
-            return
-        ev = get_events()
-        spike_id = ev.unique_id("spike")
-        if ev.enabled:
-            ev.emit(
-                "sim.spike", t=now, event_id=spike_id, rate=rate, previous=previous
-            )
-        self._open_window(
-            now + self.config.settle_seconds, cause=spike_id, trigger="spike"
-        )
-
-    def _select_tier(self, now: float) -> str:
-        if self.config.engine == "fluid":
-            return TIER_FLUID
-        return TIER_REQUEST if now < self._window_until else TIER_FLUID
-
-    @units(None, "s")
-    def _switch_tier(self, tier: str, now: float) -> None:
-        previous, self._tier = self._tier, tier
-        moved = 0
-        if previous is None:
-            if tier == TIER_FLUID:
-                self._fluid.sync(self._servers, now)
-        elif tier == TIER_REQUEST:
-            moved = materialize_fleet(self._fluid, self._servers, self.recorder, now)
-        else:
-            moved = absorb_fleet(self._fluid, self._servers, self.recorder, now)
-        ev = get_events()
-        if ev.enabled:
-            if tier == TIER_REQUEST and previous is not None:
-                cause, trigger = self._window_cause, self._window_trigger
-            elif previous is None:
-                cause, trigger = None, "start"
-            else:
-                cause, trigger = None, "settled"
-            ev.emit(
-                "sim.tier_switch",
-                t=now,
-                cause=cause,
-                tier=tier,
-                trigger=trigger,
-                moved=moved,
-            )
-
-    @units("s", "s", "req/s")
-    def _fluid_span(self, t0: float, t1: float, rate: float) -> None:
-        """Advance ``[t0, t1]`` with fluid rate steps (DES events interleave)."""
-        cfg = self.config
-        now = t0
-        while now < t1 - 1e-9:
-            step_end = min(now + cfg.fluid_step_seconds, t1)
-            self.sim.advance(step_end)
-            failed = self._fluid.sync(self._servers, step_end)
-            if failed > 0:
-                self.recorder.record_failed_mass(step_end, failed)
-            step = self._fluid.step(now, step_end - now, rate)
-            if step.weights.size:
-                self.recorder.record_served_mass(
-                    step_end, step.latencies, step.weights
-                )
-            if step.dropped > 0:
-                self.recorder.record_dropped_mass(step_end, step.dropped)
-            self._served_this_interval += step.served
-            if step.max_rho >= cfg.overload_utilization:
-                self._open_window(
-                    step_end + cfg.settle_seconds, cause=None, trigger="overload"
-                )
-            now = step_end
 
     @units("req/s", "s")
     def _arrival(self, rate: float, t_end: float) -> None:
@@ -477,32 +351,16 @@ class SpotWebSystem:
         """Run the closed loop over ``intervals`` control intervals.
 
         ``trace.rates[t]`` is the offered request rate during interval ``t``
-        (in requests/second of simulated time).
+        (in requests/second of simulated time).  Every request is simulated
+        individually; :class:`~repro.simulator.hybrid.HybridClusterSimulation`
+        is the engine with a fluid tier.
         """
         cfg = self.config
         n = intervals if intervals is not None else len(trace)
         n = min(n, len(trace), self.dataset.num_intervals)
         if n < 1:
             raise ValueError("need at least one interval")
-        if cfg.engine == "request":
-            self._run_request_intervals(trace, n)
-        else:
-            self._run_hybrid_intervals(trace, n)
-        self.sim.run_until(n * cfg.interval_seconds)
-        self.cloud.advance(self.sim.now)
-        self.cloud.accrue(self.sim.now)
-        return SystemReport(
-            recorder=self.recorder,
-            total_cost=self.cloud.total_cost(),
-            revocation_events=self._revocations,
-            fleet_timeline=self._fleet_timeline,
-            interval_observed_rps=self._observed,
-            tier_steps=dict(self.tier_steps),
-        )
-
-    def _run_request_intervals(self, trace: WorkloadTrace, n: int) -> None:
-        """The original per-request closed loop (every tick is tier B)."""
-        cfg = self.config
+        ticks = 10
         for t in range(n):
             self._interval_index = t
             start = t * cfg.interval_seconds
@@ -515,43 +373,18 @@ class SpotWebSystem:
             if start + first_gap < t_end:
                 self.sim.schedule(first_gap, self._arrival, rate, t_end)
             # Progress the cloud state machine at a coarse tick.
-            ticks = 10
             for k in range(1, ticks + 1):
                 self.sim.run_until(start + k * cfg.interval_seconds / ticks)
                 self.cloud.advance(self.sim.now)
             self.tier_steps[TIER_REQUEST] += ticks
-
-    def _run_hybrid_intervals(self, trace: WorkloadTrace, n: int) -> None:
-        """The two-tier loop: tier choice at cloud-tick granularity.
-
-        Revocation warnings (via :meth:`_on_cloud_warning`), detected rate
-        spikes, and fluid-reported overload open request-level fidelity
-        windows; everything else advances as vectorized fluid steps of
-        ``fluid_step_seconds``.
-        """
-        cfg = self.config
-        ticks = 10
-        tick_len = cfg.interval_seconds / ticks
-        for t in range(n):
-            self._interval_index = t
-            start = t * cfg.interval_seconds
-            self.sim.run_until(start)
-            self._control_step(trace, t)
-            rate = float(trace.rates[t])
-            self._detect_spike(start, rate)
-            for k in range(ticks):
-                tick_start = start + k * tick_len
-                tick_end = start + (k + 1) * tick_len
-                tier = self._select_tier(tick_start)
-                if tier != self._tier:
-                    self._switch_tier(tier, tick_start)
-                if tier == TIER_REQUEST:
-                    self.tier_steps[TIER_REQUEST] += 1
-                    gap = float(self._rng.exponential(1.0 / max(rate, 1e-9)))
-                    if tick_start + gap < tick_end:
-                        self.sim.schedule(gap, self._arrival, rate, tick_end)
-                    self.sim.run_until(tick_end)
-                else:
-                    self.tier_steps[TIER_FLUID] += 1
-                    self._fluid_span(tick_start, tick_end, rate)
-                self.cloud.advance(self.sim.now)
+        self.sim.run_until(n * cfg.interval_seconds)
+        self.cloud.advance(self.sim.now)
+        self.cloud.accrue(self.sim.now)
+        return SystemReport(
+            recorder=self.recorder,
+            total_cost=self.cloud.total_cost(),
+            revocation_events=self._revocations,
+            fleet_timeline=self._fleet_timeline,
+            interval_observed_rps=self._observed,
+            tier_steps=dict(self.tier_steps),
+        )

@@ -14,8 +14,8 @@ Every constant's value is exactly ``1 / scale(unit)`` — e.g.
 which ``tests/test_core_units.py`` asserts through the grammar itself.
 
 This package sits in the *foundation* layer (it imports nothing) so
-every layer may use the constants; :mod:`repro.core.units` re-exports
-them as the conventional spelling in control-plane code.
+every layer may use the constants, and it is the one spelling that
+code and the SW304 hints use.
 """
 
 from __future__ import annotations

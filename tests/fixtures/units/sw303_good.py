@@ -1,6 +1,6 @@
 """SW303 negative fixture: the same sums with the conversions written out."""
 
-from repro.core.units import MS_PER_SECOND, SECONDS_PER_HOUR
+from repro.units import MS_PER_SECOND, SECONDS_PER_HOUR
 from repro.devtools.contracts import units
 
 __all__ = ["horizon", "latency_sum", "rate_gap"]

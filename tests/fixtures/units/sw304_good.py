@@ -1,6 +1,6 @@
 """SW304 negative fixture: named constants, or non-convertible dimensions."""
 
-from repro.core.units import MS_PER_SECOND, SECONDS_PER_HOUR
+from repro.units import MS_PER_SECOND, SECONDS_PER_HOUR
 from repro.devtools.contracts import units
 
 __all__ = ["thousands", "to_ms", "to_seconds"]

@@ -4,9 +4,7 @@
 exactly ``1 / scale(unit)`` for its :data:`~repro.units.UNIT_OF` entry —
 multiplying a ``y`` quantity by the constant yields an ``x`` quantity
 with the scales cancelling exactly.  These tests enforce that promise
-through the grammar itself, plus the re-export parity of
-``repro.core.units`` (the control-plane spelling spotunits' SW304 hints
-cite).
+through the grammar itself.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 
-import repro.core.units as core_units
 import repro.units as units
 from repro.devtools.specs import parse_unit
 
@@ -51,8 +48,3 @@ def test_derived_constants_compose():
         units.SECONDS_PER_DAY * units.DAYS_PER_WEEK
     )
 
-
-def test_core_units_reexports_the_foundation_constants():
-    assert core_units.__all__ == units.__all__
-    for name in units.__all__:
-        assert getattr(core_units, name) is getattr(units, name)

@@ -263,11 +263,11 @@ def test_sw303_reports_the_exact_scale_factor():
 
 def test_sw304_names_the_replacement_constant():
     messages = [f.message for f in analyze_one("sw304_bad.py")]
-    assert any("repro.core.units.SECONDS_PER_HOUR" in m for m in messages)
-    assert any("repro.core.units.MS_PER_SECOND" in m for m in messages)
+    assert any("repro.units.SECONDS_PER_HOUR" in m for m in messages)
+    assert any("repro.units.MS_PER_SECOND" in m for m in messages)
     # The hint is dimension-aware: 1000 on a req count is a kreq
     # conversion, not ms<->s.
-    assert any("repro.core.units.REQUESTS_PER_KREQ" in m for m in messages)
+    assert any("repro.units.REQUESTS_PER_KREQ" in m for m in messages)
 
 
 def test_violation_inside_pytest_raises_is_expected(tmp_path):

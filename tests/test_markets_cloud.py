@@ -90,6 +90,20 @@ class TestRevocations:
         expected = market.instance.ondemand_price * (120.0 / 3600.0)
         assert vm.accrued_cost == pytest.approx(expected)
 
+    def test_vm_leased_by_a_warning_callback_is_not_revoked(self, cloud, market):
+        """A warning callback may lease a replacement mid-revocation."""
+        vms = cloud.request(market, 2, now=0.0)
+        replacements = []
+
+        def replace_once(_vm, t):
+            if not replacements:
+                replacements.extend(cloud.request(market, 1, now=t))
+
+        cloud.on_warning(replace_once)
+        assert cloud.revoke_market(market, 10.0) == vms
+        assert all(vm.state is VMState.WARNED for vm in vms)
+        assert [vm.state for vm in replacements] == [VMState.STARTING]
+
     def test_warning_during_boot(self, cloud, market):
         """A VM warned while still booting dies without ever serving."""
         (vm,) = cloud.request(market, 1, now=0.0)

@@ -1,5 +1,7 @@
 """Closed-loop system tests: controller + cloud + LB + request-level DES."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,17 @@ def build_system(markets, *, intervals=8, seed=2, rate_padding=0.2):
     )
     config = SystemConfig(interval_seconds=INTERVAL, seed=seed)
     return SpotWebSystem(controller, dataset, config)
+
+
+class _ScriptedController:
+    """Stands in for the controller: one fixed fleet decision per interval."""
+
+    def __init__(self, markets, counts_per_interval):
+        self.markets = markets
+        self._counts = iter(counts_per_interval)
+
+    def step(self, *_feeds):
+        return SimpleNamespace(counts=np.asarray(next(self._counts)))
 
 
 class TestClosedLoop:
@@ -111,3 +124,30 @@ class TestClosedLoop:
             SystemConfig(interval_seconds=0.0)
         with pytest.raises(ValueError):
             SystemConfig(warning_seconds=-1.0)
+
+    def test_scale_down_spares_a_server_draining_under_warning(self, small_markets):
+        """One warned and one running server, and the controller wants none:
+        the running server is drained and released, the warned VM lives
+        until its deadline."""
+        dataset = generate_market_dataset(
+            small_markets, intervals=2, seed=0, interval_seconds=INTERVAL
+        )
+        dataset.failure_probs[:] = 0.0  # only the scripted warning below
+        two = [2] + [0] * (len(small_markets) - 1)
+        none = [0] * len(small_markets)
+        config = SystemConfig(interval_seconds=INTERVAL, seed=0)
+        system = SpotWebSystem(
+            _ScriptedController(small_markets, [two, none]), dataset, config
+        )
+        # Warn the first VM 50 s before the scale-down at t = INTERVAL.
+        warn_at = INTERVAL - 50.0
+        system.sim.schedule_at(
+            warn_at, lambda: system.cloud.revoke_vm(system.cloud.vms[0], warn_at)
+        )
+        system.run(constant_workload(2, 0.0, interval_seconds=INTERVAL))
+        warned, running = system.cloud.vms
+        assert warned.warning_deadline == warn_at + config.warning_seconds
+        assert warned.terminated_at == warned.warning_deadline
+        assert running.terminated_at == (
+            INTERVAL + config.drain_before_terminate_seconds
+        )
