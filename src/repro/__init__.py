@@ -24,7 +24,9 @@ Package map
 - :mod:`repro.baselines` — ExoSphere-in-a-loop, constant portfolio,
   on-demand, Qu-style threshold over-provisioning.
 - :mod:`repro.experiments` — one runner per table/figure of the paper.
-- :mod:`repro.devtools` — ``spotlint`` static analysis + runtime
+- :mod:`repro.devtools` — ``spotlint`` (one driver over four static
+  analyzers: lint rules, import layering/determinism/purity, array
+  shapes, units of measure; ``python -m repro.devtools``) + runtime
   shape/sign/unit contracts guarding the invariants above.
 - :mod:`repro.obs` — span tracing, metrics registry, and trace analysis
   threaded through the control loop (off by default).

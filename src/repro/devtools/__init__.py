@@ -3,16 +3,23 @@
 Two halves, both enforcing the same domain invariants from different
 directions:
 
-- :mod:`repro.devtools.rules` + :mod:`repro.devtools.lint` — ``spotlint``,
-  an AST-based static-analysis pass with SpotWeb-specific rules
-  (``SW001``–``SW008``): seeded-``Generator`` RNG threading, no wall-clock
-  inside the DES, no float ``==``, genuinely immutable frozen dataclasses,
-  explicit ``__all__`` per module, and more.  Run it with
-  ``python -m repro.devtools.lint src/`` or the ``spotlint`` console
-  script; CI gates on a clean tree.
+- ``spotlint`` — static analysis with SpotWeb-specific rules, run by one
+  driver (:mod:`repro.devtools.check`) over four analyzers: per-file
+  lint rules (:mod:`repro.devtools.rules`, SW001–SW012: seeded
+  ``Generator`` RNG threading, no wall-clock inside the DES, no float
+  ``==``, genuinely immutable frozen dataclasses, explicit ``__all__``),
+  whole-program layering/determinism/purity (:mod:`repro.devtools.graph`),
+  symbolic array shapes (:mod:`repro.devtools.shape`) and units of
+  measure (:mod:`repro.devtools.units`).  Run it with
+  ``python -m repro.devtools src/ tests/ --exclude tests/fixtures`` or the
+  ``spotlint`` console script; CI gates on no findings beyond the
+  committed ``spotlint-baseline.json``.
 - :mod:`repro.devtools.contracts` — runtime shape/sign/unit contracts
   (``@shapes``, ``@nonneg``, unit-tagged scalars) applied at the hot
   seams and toggled by the ``SPOTWEB_CONTRACTS`` environment variable.
+
+Importing this package loads only the runtime half (plus the rule and
+spec tables it shares); the analyzers load when the driver runs.
 """
 
 from __future__ import annotations
@@ -40,18 +47,6 @@ from repro.devtools.contracts import (
 # units`` for the decorator.
 from repro.devtools.rules import RULES, Finding, Rule
 
-# The lint engine is re-exported lazily (PEP 562) so that running
-# ``python -m repro.devtools.lint`` does not import the module twice.
-_LINT_EXPORTS = ("lint_file", "lint_paths", "lint_source")
-
-
-def __getattr__(name: str):
-    if name in _LINT_EXPORTS:
-        from repro.devtools import lint
-
-        return getattr(lint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "ContractError",
     "UnitScalar",
@@ -66,9 +61,6 @@ __all__ = [
     "shapes",
     "usd_per_hour",
     "usd_per_hour_per_rps",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "RULES",
     "Finding",
     "Rule",

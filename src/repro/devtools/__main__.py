@@ -1,7 +1,7 @@
-"""``python -m repro.devtools`` — alias for the spotlint CLI."""
+"""``python -m repro.devtools`` — the ``spotlint`` driver."""
 
 import sys
 
-from repro.devtools.lint import main
+from repro.devtools.check import main
 
 sys.exit(main())

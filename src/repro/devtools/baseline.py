@@ -1,4 +1,4 @@
-"""Finding baselines, shared by every SpotWeb static checker.
+"""The findings baseline: accepted debt that the gate does not report.
 
 A baseline file records the **fingerprints** of accepted findings so CI
 can gate on "no *new* findings" while the backlog is burned down.  A
@@ -6,17 +6,17 @@ fingerprint hashes ``rule|path|message`` — deliberately *not* the line
 number, so unrelated edits to the same file do not churn the baseline
 (messages themselves contain no line numbers for the same reason).
 
-Each tool owns its own baseline file and schema tag
-(``spotgraph-baseline/1``, ``spotshape-baseline/1``); the mechanics —
-fingerprinting, loading, writing, and new-vs-accepted partitioning —
-live here once.  Workflow, for any tool::
+One file, ``spotlint-baseline.json`` (schema ``spotlint-baseline/1``),
+covers every analyzer.  Workflow::
 
-    <tool> src/ --update-baseline      # accept current findings
-    git add <tool>-baseline.json       # review the justifications!
-    <tool> src/                        # exits 0 until a NEW finding
+    spotlint src/ tests/ --exclude tests/fixtures --update-baseline
+    git add spotlint-baseline.json      # review the justification!
+    spotlint src/ tests/ --exclude tests/fixtures   # exits 0 until a NEW finding
 
 Entries keep the human-readable ``rule``/``path``/``message`` next to the
 fingerprint so a reviewer can see exactly what debt is being accepted.
+An update keeps the file's reviewed ``justification``; the default text
+is written only into a new file.
 """
 
 from __future__ import annotations
@@ -29,13 +29,15 @@ from pathlib import Path
 from repro.devtools.rules import Finding
 
 __all__ = [
+    "BASELINE_SCHEMA",
     "fingerprint",
     "load_baseline",
     "write_baseline",
     "split_findings",
-    "BaselineSchema",
-    "make_baseline",
 ]
+
+BASELINE_SCHEMA = "spotlint-baseline/1"
+_DEFAULT_JUSTIFICATION = "accepted by --update-baseline; burn down, do not grow"
 
 
 def fingerprint(finding: Finding) -> str:
@@ -45,61 +47,64 @@ def fingerprint(finding: Finding) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def load_baseline(path: Path | str | None, *, schema: str) -> set[str]:
-    """The accepted fingerprints in ``path`` (empty for missing files)."""
-    if path is None:
-        return set()
-    path = Path(path)
-    if not path.exists():
-        return set()
+def _read(path: Path) -> dict:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"unreadable baseline {path}: {exc}") from exc
-    if data.get("schema") != schema:
+    if not isinstance(data, dict) or data.get("schema") != BASELINE_SCHEMA:
+        schema = data.get("schema") if isinstance(data, dict) else None
         raise ValueError(
-            f"baseline {path} has schema {data.get('schema')!r}; "
-            f"expected {schema!r}"
+            f"baseline {path} has schema {schema!r}; "
+            f"expected {BASELINE_SCHEMA!r}"
         )
+    return data
+
+
+def load_baseline(path: Path | str | None) -> set[str]:
+    """The accepted fingerprints in ``path`` (empty for missing files)."""
+    if path is None or not Path(path).exists():
+        return set()
     return {
         entry["fingerprint"]
-        for entry in data.get("findings", [])
+        for entry in _read(Path(path)).get("findings", [])
         if isinstance(entry, dict) and "fingerprint" in entry
     }
 
 
-def write_baseline(
-    path: Path | str,
-    findings: Iterable[Finding],
-    *,
-    schema: str,
-    justification: str = "accepted by --update-baseline; burn down, do not grow",
-) -> None:
-    """Write ``findings`` as the new accepted baseline at ``path``."""
-    entries = sorted(
-        (
+def write_baseline(path: Path | str, findings: Iterable[Finding]) -> None:
+    """Write ``findings`` as the accepted baseline at ``path``.
+
+    The justification already in ``path`` is kept; a new file gets the
+    default one.
+    """
+    path = Path(path)
+    justification = _DEFAULT_JUSTIFICATION
+    if path.exists():
+        try:
+            justification = _read(path).get("justification", justification)
+        except ValueError:
+            pass  # replacing an unreadable file: nothing reviewed to keep
+    entries: dict[str, dict] = {}
+    for f in findings:
+        entries.setdefault(
+            fingerprint(f),
             {
                 "fingerprint": fingerprint(f),
                 "rule": f.rule,
                 "path": Path(f.path).as_posix(),
                 "message": f.message,
-            }
-            for f in findings
-        ),
-        key=lambda e: (e["path"], e["rule"], e["fingerprint"]),
-    )
-    deduped: list[dict] = []
-    seen: set[str] = set()
-    for entry in entries:
-        if entry["fingerprint"] not in seen:
-            seen.add(entry["fingerprint"])
-            deduped.append(entry)
+            },
+        )
     payload = {
-        "schema": schema,
+        "schema": BASELINE_SCHEMA,
         "justification": justification,
-        "findings": deduped,
+        "findings": sorted(
+            entries.values(),
+            key=lambda e: (e["path"], e["rule"], e["fingerprint"]),
+        ),
     }
-    Path(path).write_text(
+    path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
@@ -116,41 +121,3 @@ def split_findings(
         else:
             new.append(finding)
     return new, accepted
-
-
-class BaselineSchema:
-    """The shared baseline mechanics bound to one tool's schema tag.
-
-    Each checker binds its tag once via :func:`make_baseline`; the bound
-    ``load``/``write`` drop the ``schema=`` argument so tool CLIs cannot
-    accidentally read another tool's baseline file.
-    """
-
-    def __init__(self, schema: str) -> None:
-        self.schema = schema
-
-    fingerprint = staticmethod(fingerprint)
-    split = staticmethod(split_findings)
-
-    def load(self, path: Path | str | None) -> set[str]:
-        """The accepted fingerprints in ``path`` (empty for missing files)."""
-        return load_baseline(path, schema=self.schema)
-
-    def write(
-        self,
-        path: Path | str,
-        findings: Iterable[Finding],
-        *,
-        justification: str = (
-            "accepted by --update-baseline; burn down, do not grow"
-        ),
-    ) -> None:
-        """Write ``findings`` as the new accepted baseline at ``path``."""
-        write_baseline(
-            path, findings, schema=self.schema, justification=justification
-        )
-
-
-def make_baseline(schema: str) -> BaselineSchema:
-    """Bind the shared baseline mechanics to ``schema`` (one per tool)."""
-    return BaselineSchema(schema)

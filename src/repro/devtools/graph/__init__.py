@@ -1,8 +1,8 @@
 """``spotgraph`` — whole-program static analysis for the reproduction.
 
-Where :mod:`repro.devtools.lint` (spotlint) checks one file at a time,
-spotgraph links every module's facts into a project-wide view and runs
-three passes that no per-file rule can express:
+Where the lint rules check one file at a time, spotgraph links every
+module's facts (:mod:`repro.devtools.graph.facts`) into a project-wide
+view and runs three passes that no per-file rule can express:
 
 - **layering** (:mod:`repro.devtools.graph.layers`, SW101–SW103) — the
   declared import-layer map for ``repro`` plus cycle detection;
@@ -13,19 +13,21 @@ three passes that no per-file rule can express:
   shared-state and seed-discipline checks on every callable handed to
   ``repro.parallel.pmap``.
 
-Run as ``spotgraph`` or ``python -m repro.devtools.graph``; findings
-share spotlint's format, suppression grammar (``# spotgraph: disable=``)
-and JSON serializer, and gate CI against a committed baseline.
+The driver (:mod:`repro.devtools.check`, ``spotlint``) runs it next to
+the other analyzers; ``spotlint --layers`` prints the layer map.
 """
 
 from __future__ import annotations
 
-from repro.devtools.graph.baseline import fingerprint, load_baseline
-from repro.devtools.graph.cli import GRAPH_RULES, analyze_project, main
-from repro.devtools.graph.facts import Project, extract_module_facts, load_project
-from repro.devtools.graph.layers import LAYER_ALLOWED, render_layer_map
+from repro.devtools.graph.facts import Project, extract_module_facts
+from repro.devtools.graph.layers import (
+    LAYER_ALLOWED,
+    layer_findings,
+    render_layer_map,
+)
 from repro.devtools.graph.purity import purity_findings
 from repro.devtools.graph.taint import DETERMINISTIC_PREFIXES, taint_findings
+from repro.devtools.rules import Finding
 
 __all__ = [
     "GRAPH_RULES",
@@ -34,11 +36,29 @@ __all__ = [
     "Project",
     "analyze_project",
     "extract_module_facts",
-    "fingerprint",
-    "load_baseline",
-    "load_project",
-    "main",
     "purity_findings",
     "render_layer_map",
     "taint_findings",
 ]
+
+GRAPH_RULES = {
+    "SW101": "import violates the declared layer map",
+    "SW102": "runtime import cycle between project modules",
+    "SW103": "package missing from the declared layer map",
+    "SW110": "deterministic scope reaches a nondeterminism source",
+    "SW111": "unseeded default_rng() in deterministic scope",
+    "SW112": "unordered-collection iteration in deterministic scope",
+    "SW120": "pmap worker reads a mutated module-level global",
+    "SW121": "pmap worker writes module/global state",
+    "SW122": "pmap worker RNG seed not derived via derive_seed",
+    "SW123": "pmap callable is not a resolvable module-level function",
+}
+
+
+def analyze_project(project: Project) -> list[Finding]:
+    """The three whole-program passes over a linked project."""
+    return [
+        *layer_findings(project),
+        *taint_findings(project),
+        *purity_findings(project),
+    ]

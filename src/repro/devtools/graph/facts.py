@@ -1,10 +1,10 @@
-"""Per-file fact extraction for ``spotgraph``, with mtime+hash caching.
+"""Per-file fact extraction for ``spotgraph``.
 
 The whole-program passes in :mod:`repro.devtools.graph` (layering, taint,
 purity) never touch the AST directly — they run over :class:`ModuleFacts`
 records extracted here, one per file.  Facts are JSON-serializable on
-purpose: a cache file keyed by ``(mtime, sha256)`` lets a CI re-run skip
-re-parsing every unchanged file.
+purpose: the driver (:mod:`repro.devtools.check`) caches them by file
+content, so a re-run only re-parses the files that changed.
 
 Extracted per module:
 
@@ -17,36 +17,26 @@ Extracted per module:
   reads/writes of module-level mutable globals, and unordered-iteration
   hazards (``set``/``os.listdir``/``Path.iterdir`` without ``sorted``);
 - ``pmap`` dispatch sites and the worker callable each resolves to;
-- ``# spotgraph:`` annotations and suppression comments.
+- the ``# spotlint:`` annotations below.
 
 Annotation grammar (trailing comment on the ``def`` line or the line
 directly above it; ``-file`` forms apply to the whole module)::
 
-    # spotgraph: deterministic          declare a determinism sink
-    # spotgraph: deterministic-file
-    # spotgraph: allow-nondeterminism   intentional wall-clock/RNG seam
-    # spotgraph: allow-shared-state     sanctioned shared-state mechanism
-    # spotgraph: disable=SW110          suppress findings (spotlint grammar)
+    # spotlint: deterministic          declare a determinism sink
+    # spotlint: deterministic-file
+    # spotlint: allow-nondeterminism   intentional wall-clock/RNG seam
+    # spotlint: allow-shared-state     sanctioned shared-state mechanism
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import io
-import json
-import re
-import tokenize
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from repro.devtools.lint import iter_python_files, scan_suppressions
-from repro.devtools.rules import module_name_for
+from repro.devtools.rules import ModuleContext
 
 __all__ = [
-    "FACTS_VERSION",
-    "CACHE_SCHEMA",
     "ANNOT_DETERMINISTIC",
     "ANNOT_DETERMINISTIC_FILE",
     "ANNOT_ALLOW_NONDET",
@@ -61,13 +51,7 @@ __all__ = [
     "ModuleFacts",
     "Project",
     "extract_module_facts",
-    "load_project",
 ]
-
-# Bump whenever extraction output changes shape or semantics: stale cache
-# entries from older extractors are discarded by version mismatch.
-FACTS_VERSION = 1
-CACHE_SCHEMA = "spotgraph-cache/1"
 
 ANNOT_DETERMINISTIC = "deterministic"
 ANNOT_DETERMINISTIC_FILE = "deterministic-file"
@@ -82,8 +66,6 @@ _KNOWN_ANNOTATIONS = frozenset(
         ANNOT_ALLOW_SHARED,
     }
 )
-
-_ANNOT_RE = re.compile(r"#\s*spotgraph:\s*(?P<body>[a-z][a-z\-]*)\b")
 
 _MUTABLE_FACTORIES = frozenset(
     {"dict", "list", "set", "bytearray", "defaultdict", "deque", "Counter",
@@ -185,12 +167,7 @@ class ModuleFacts:
     mutable_globals: tuple[str, ...]
     export_aliases: dict[str, str] = field(default_factory=dict)
     annotations: tuple[str, ...] = ()
-    file_suppressions: tuple[str, ...] = ()
-    line_suppressions: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    suppression_refs: tuple[tuple[int, str], ...] = ()
     pmap_dispatches: tuple[PmapDispatch, ...] = ()
-    error: str | None = None
-    error_line: int = 1
 
     # ------------------------------------------------------- serialization
     def to_dict(self) -> dict:
@@ -224,17 +201,9 @@ class ModuleFacts:
             "mutable_globals": list(self.mutable_globals),
             "export_aliases": dict(self.export_aliases),
             "annotations": list(self.annotations),
-            "file_suppressions": list(self.file_suppressions),
-            "line_suppressions": {
-                str(line): list(rules)
-                for line, rules in self.line_suppressions.items()
-            },
-            "suppression_refs": [[line, rule] for line, rule in self.suppression_refs],
             "pmap_dispatches": [
                 [d.worker, d.line, d.col, d.detail] for d in self.pmap_dispatches
             ],
-            "error": self.error,
-            "error_line": self.error_line,
         }
 
     @classmethod
@@ -267,44 +236,15 @@ class ModuleFacts:
             mutable_globals=tuple(data["mutable_globals"]),
             export_aliases=dict(data["export_aliases"]),
             annotations=tuple(data["annotations"]),
-            file_suppressions=tuple(data["file_suppressions"]),
-            line_suppressions={
-                int(line): tuple(rules)
-                for line, rules in data["line_suppressions"].items()
-            },
-            suppression_refs=tuple(
-                (line, rule) for line, rule in data["suppression_refs"]
-            ),
             pmap_dispatches=tuple(
                 PmapDispatch(w, ln, c, d) for w, ln, c, d in data["pmap_dispatches"]
             ),
-            error=data["error"],
-            error_line=data["error_line"],
         )
 
 
 # --------------------------------------------------------------------------
 # Comment annotations
 # --------------------------------------------------------------------------
-
-
-def _annotation_lines(source: str) -> dict[int, set[str]]:
-    """Map source line -> the spotgraph annotation tokens on that line."""
-    out: dict[int, set[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        comments = [
-            (tok.start[0], tok.string)
-            for tok in tokens
-            if tok.type == tokenize.COMMENT
-        ]
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return out
-    for line, text in comments:
-        match = _ANNOT_RE.search(text)
-        if match and match.group("body") in _KNOWN_ANNOTATIONS:
-            out.setdefault(line, set()).add(match.group("body"))
-    return out
 
 
 def _def_annotations(node: ast.AST, annot: dict[int, set[str]]) -> set[str]:
@@ -699,29 +639,16 @@ def _analyze_function(
 # --------------------------------------------------------------------------
 
 
-def extract_module_facts(source: str, path: Path, *, module: str | None = None) -> ModuleFacts:
-    """Extract the whole-program facts for one module's source text."""
-    if module is None:
-        module = module_name_for(path)
-    str_path = str(path)
-    try:
-        tree = ast.parse(source, filename=str_path)
-    except SyntaxError as exc:
-        return ModuleFacts(
-            path=str_path,
-            module=module,
-            imports=(),
-            functions=(),
-            mutable_globals=(),
-            error=f"syntax error: {exc.msg}",
-            error_line=exc.lineno or 1,
-        )
-
-    is_pkg = path.name == "__init__.py"
-    collector = _ImportCollector(module, is_pkg)
+def extract_module_facts(ctx: ModuleContext) -> ModuleFacts:
+    """Extract the whole-program facts for one parsed module."""
+    module, tree = ctx.module, ctx.tree
+    collector = _ImportCollector(module, ctx.is_package_init)
     collector.visit(tree)
-    annot = _annotation_lines(source)
-    file_rules, line_rules, refs = scan_suppressions(source, tool="spotgraph")
+    annot = {
+        line: set(words & _KNOWN_ANNOTATIONS)
+        for line, words in ctx.annotations.items()
+        if words & _KNOWN_ANNOTATIONS
+    }
 
     module_symbols: set[str] = set()
     mutable_globals: set[str] = set()
@@ -784,18 +711,13 @@ def extract_module_facts(source: str, path: Path, *, module: str | None = None) 
                     handle(inner, f"{stmt.name}.{inner.name}", stmt.name)
 
     return ModuleFacts(
-        path=str_path,
+        path=str(ctx.path),
         module=module,
         imports=tuple(collector.edges),
         functions=tuple(functions),
         mutable_globals=tuple(sorted(mutable_globals)),
         export_aliases=collector.export_aliases,
         annotations=tuple(sorted(module_annots)),
-        file_suppressions=tuple(sorted(file_rules)),
-        line_suppressions={
-            line: tuple(sorted(rules)) for line, rules in line_rules.items()
-        },
-        suppression_refs=tuple(refs),
         pmap_dispatches=tuple(dispatches),
     )
 
@@ -815,7 +737,6 @@ class Project:
         self.by_module: dict[str, ModuleFacts] = {
             m.module: m for m in self.modules if m.module
         }
-        self.by_path: dict[str, ModuleFacts] = {m.path: m for m in self.modules}
         # Global function table: "module.qualname" -> (ModuleFacts, FunctionFacts)
         self.symbols: dict[str, tuple[ModuleFacts, FunctionFacts]] = {}
         # Re-export chains: "module.local" -> "target_module.attr"
@@ -866,116 +787,3 @@ class Project:
             for callee, _site in callees:
                 reverse.setdefault(callee, set()).add(caller)
         return {k: sorted(v) for k, v in reverse.items()}
-
-
-# --------------------------------------------------------------------------
-# Cache + project loading
-# --------------------------------------------------------------------------
-
-
-def _load_cache(cache_path: Path | None) -> dict:
-    if cache_path is None or not cache_path.exists():
-        return {}
-    try:
-        data = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return {}
-    if data.get("schema") != CACHE_SCHEMA or data.get("version") != FACTS_VERSION:
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(cache_path: Path | None, files: dict) -> None:
-    if cache_path is None:
-        return
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "version": FACTS_VERSION,
-        "files": files,
-    }
-    try:
-        cache_path.write_text(
-            json.dumps(payload, sort_keys=True), encoding="utf-8"
-        )
-    except OSError:
-        # A read-only checkout (CI artifact stage) must not fail the run.
-        return
-
-
-def _iter_sources(
-    paths: Iterable[Path | str], exclude: Iterable[Path | str]
-) -> Iterator[Path]:
-    yield from iter_python_files(paths, exclude=exclude)
-
-
-def load_project(
-    paths: Iterable[Path | str],
-    *,
-    exclude: Iterable[Path | str] = (),
-    cache_path: Path | str | None = None,
-    stats: dict | None = None,
-) -> Project:
-    """Extract (or reuse cached) facts for every ``.py`` file under ``paths``.
-
-    ``cache_path=None`` disables caching.  A cache entry is reused when the
-    file's mtime matches; on mtime mismatch the SHA-256 of the content
-    decides (so ``touch`` does not force re-extraction).  ``stats`` (when
-    given) receives ``cached``/``extracted`` counters.
-    """
-    cache_file = Path(cache_path) if cache_path is not None else None
-    cached_files = _load_cache(cache_file)
-    next_files: dict = {}
-    modules: list[ModuleFacts] = []
-    n_cached = n_extracted = 0
-
-    for path in _iter_sources(paths, exclude):
-        key = str(path.resolve())
-        try:
-            stat = path.stat()
-            mtime = stat.st_mtime_ns
-        except OSError:
-            mtime = -1
-        entry = cached_files.get(key)
-        source: str | None = None
-        digest: str | None = None
-        if entry is not None and entry.get("mtime") == mtime:
-            facts = ModuleFacts.from_dict(entry["facts"])
-            modules.append(facts)
-            next_files[key] = entry
-            n_cached += 1
-            continue
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            facts = ModuleFacts(
-                path=str(path),
-                module=module_name_for(path),
-                imports=(),
-                functions=(),
-                mutable_globals=(),
-                error=f"unreadable file: {exc}",
-            )
-            modules.append(facts)
-            continue
-        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        if entry is not None and entry.get("sha256") == digest:
-            facts = ModuleFacts.from_dict(entry["facts"])
-            modules.append(facts)
-            next_files[key] = {
-                "mtime": mtime, "sha256": digest, "facts": entry["facts"]
-            }
-            n_cached += 1
-            continue
-        facts = extract_module_facts(source, path)
-        modules.append(facts)
-        next_files[key] = {
-            "mtime": mtime, "sha256": digest, "facts": facts.to_dict()
-        }
-        n_extracted += 1
-
-    _save_cache(cache_file, next_files)
-    if stats is not None:
-        stats["cached"] = n_cached
-        stats["extracted"] = n_extracted
-    return Project(modules)

@@ -16,7 +16,7 @@ Every callable passed to ``pmap`` is resolved statically (see
 :mod:`repro.devtools.graph.facts`), then the checks run over the worker
 and everything it transitively calls.  The sanctioned shared-state
 mechanism (``repro.parallel.shared_setup``'s per-process cache) is
-annotated ``# spotgraph: allow-shared-state``, which both silences the
+annotated ``# spotlint: allow-shared-state``, which both silences the
 function and stops traversal into it.
 
 Rules

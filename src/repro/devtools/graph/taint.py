@@ -11,8 +11,8 @@ function of ``(config, seed)``.  This pass checks it statically:
    a tainted function become tainted), with path tracking;
 3. functions inside the **deterministic scope** — the packages listed in
    :data:`DETERMINISTIC_PREFIXES`, any module annotated
-   ``# spotgraph: deterministic-file``, or any function annotated
-   ``# spotgraph: deterministic`` — are reported when they can reach a
+   ``# spotlint: deterministic-file``, or any function annotated
+   ``# spotlint: deterministic`` — are reported when they can reach a
    source.
 
 Only the deterministic function *nearest* the source along a call chain
@@ -20,7 +20,7 @@ is reported: if ``a`` calls ``b`` calls ``time.time()`` and both are in
 scope, fixing ``b`` fixes ``a``, so only ``b`` gets a finding.
 
 Intentional seams (the ``*_ms`` timing fields reported next to results)
-are annotated ``# spotgraph: allow-nondeterminism`` — on a source call's
+are annotated ``# spotlint: allow-nondeterminism`` — on a source call's
 line it excuses that call, on a ``def`` it makes the whole function an
 accepted seam that neither reports nor propagates taint.
 

@@ -1,331 +1,20 @@
-"""``spotlint`` — the lint engine and CLI over :mod:`repro.devtools.rules`.
+"""The lint analyzer: every :mod:`repro.devtools.rules` rule, file by file.
 
-Usage::
-
-    python -m repro.devtools.lint src/
-    spotlint src/ --select SW001,SW006
-    spotlint tests/ --ignore SW003,SW007,SW008 --exclude tests/fixtures
-    spotlint --list-rules
-
-Exit status is 0 when the tree is clean, 1 when findings remain, 2 on
-usage errors.  Findings print as ``path:line:col: SWxxx message`` so they
-are clickable in editors and greppable in CI logs.
-
-Suppressions
-------------
-- Per line: a trailing ``# spotlint: disable=SW001`` (comma-separate for
-  several rules, or ``disable=all``) silences findings on that line.
-- Per file: a comment line ``# spotlint: disable-file=SW007`` anywhere in
-  the file silences the rule for the whole file.
-
-Unparseable files are reported as ``SW000`` findings rather than crashing
-the run, so a syntax error in one module cannot mask findings elsewhere.
+Each rule sees one parsed module at a time, so this analyzer has no
+whole-program pass and nothing to cache (SW007 on a package
+``__init__.py`` also reads its directory listing, which no per-file
+content key would capture).  File discovery, suppression comments, rule
+selection, the baseline and reporting belong to the one driver,
+:mod:`repro.devtools.check`.
 """
 
 from __future__ import annotations
 
-import argparse
-import ast
-import io
-import re
-import sys
-import tokenize
-from collections.abc import Iterable, Iterator
-from pathlib import Path
+from repro.devtools.rules import RULES, Finding, ModuleContext
 
-from repro.devtools.rules import RULES, Finding, ModuleContext, module_name_for
-
-__all__ = [
-    "lint_source",
-    "lint_file",
-    "lint_paths",
-    "iter_python_files",
-    "parse_suppressions",
-    "scan_suppressions",
-    "main",
-]
-
-# Engine-level pseudo-rules: SW000 marks unreadable/unparseable files,
-# SW009 flags suppression comments that reference rule ids that do not
-# exist (a typo'd suppression silently suppresses nothing).
-ENGINE_RULES = {
-    "SW000": "unreadable or syntactically invalid file",
-    "SW009": "suppression comment references an unknown rule id",
-}
+__all__ = ["lint_module"]
 
 
-def _suppress_re(tool: str) -> re.Pattern[str]:
-    return re.compile(
-        rf"#\s*{tool}:\s*disable(?P<scope>-file)?\s*=\s*(?P<rules>[A-Za-z0-9_,\s]+)"
-    )
-
-
-def scan_suppressions(
-    source: str, *, tool: str = "spotlint"
-) -> tuple[set[str], dict[int, set[str]], list[tuple[int, str]]]:
-    """Extract suppression directives for ``tool`` from comments.
-
-    Returns ``(file_rules, line_rules, references)`` where ``references``
-    records every ``(comment line, rule id)`` mentioned — including
-    file-scoped ones — so the engine can warn about unknown ids.  Rule IDs
-    are upper-cased; the sentinel ``ALL`` suppresses every rule.
-    """
-    file_rules: set[str] = set()
-    line_rules: dict[int, set[str]] = {}
-    references: list[tuple[int, str]] = []
-    pattern = _suppress_re(tool)
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        comments = [
-            (tok.start[0], tok.string)
-            for tok in tokens
-            if tok.type == tokenize.COMMENT
-        ]
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return file_rules, line_rules, references
-    for line, text in comments:
-        match = pattern.search(text)
-        if not match:
-            continue
-        rules = {r.strip().upper() for r in match.group("rules").split(",") if r.strip()}
-        references.extend((line, rule) for rule in sorted(rules))
-        if match.group("scope"):
-            file_rules |= rules
-        else:
-            line_rules.setdefault(line, set()).update(rules)
-    return file_rules, line_rules, references
-
-
-def parse_suppressions(source: str) -> tuple[set[str], dict[int, set[str]]]:
-    """Extract (file-level, per-line) spotlint suppression sets from comments.
-
-    Rule IDs are upper-cased; the sentinel ``ALL`` suppresses every rule.
-    """
-    file_rules, line_rules, _ = scan_suppressions(source)
-    return file_rules, line_rules
-
-
-def _is_suppressed(
-    finding: Finding, file_rules: set[str], line_rules: dict[int, set[str]]
-) -> bool:
-    if "ALL" in file_rules or finding.rule in file_rules:
-        return True
-    on_line = line_rules.get(finding.line, set())
-    return "ALL" in on_line or finding.rule in on_line
-
-
-def lint_source(
-    source: str,
-    path: Path,
-    *,
-    module: str | None = None,
-    select: set[str] | None = None,
-    ignore: set[str] | None = None,
-) -> list[Finding]:
-    """Lint one module's source text; returns unsuppressed findings."""
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [
-            Finding(
-                "SW000",
-                str(path),
-                exc.lineno or 1,
-                exc.offset or 0,
-                f"syntax error: {exc.msg}",
-            )
-        ]
-    ctx = ModuleContext(path=path, module=module, tree=tree)
-    file_rules, line_rules, references = scan_suppressions(source)
-    findings: list[Finding] = []
-    for rule in RULES.values():
-        if select is not None and rule.id not in select:
-            continue
-        if ignore is not None and rule.id in ignore:
-            continue
-        for finding in rule.check(ctx):
-            if not _is_suppressed(finding, file_rules, line_rules):
-                findings.append(finding)
-    if (select is None or "SW009" in select) and not (ignore and "SW009" in ignore):
-        known = set(RULES) | set(ENGINE_RULES) | {"ALL"}
-        for line, rule_id in references:
-            finding = Finding(
-                "SW009",
-                str(path),
-                line,
-                0,
-                f"suppression references unknown rule id `{rule_id}` "
-                "(see --list-rules); it suppresses nothing",
-            )
-            if rule_id not in known and not _is_suppressed(
-                finding, file_rules, line_rules
-            ):
-                findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def lint_file(
-    path: Path | str,
-    *,
-    select: set[str] | None = None,
-    ignore: set[str] | None = None,
-) -> list[Finding]:
-    """Lint one file from disk, deriving its module name from the layout."""
-    path = Path(path)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return [Finding("SW000", str(path), 1, 0, f"unreadable file: {exc}")]
-    return lint_source(
-        source, path, module=module_name_for(path), select=select, ignore=ignore
-    )
-
-
-def iter_python_files(
-    paths: Iterable[Path | str],
-    *,
-    exclude: Iterable[Path | str] = (),
-) -> Iterator[Path]:
-    """Expand files/directories into a sorted stream of ``.py`` files.
-
-    ``exclude`` entries (files or directory prefixes, resolved the same way
-    as ``paths``) are skipped — e.g. lint ``tests/`` minus the deliberately
-    bad ``tests/fixtures/`` corpus.
-
-    Each file is yielded **once** even when the arguments overlap
-    (``spotlint src src/repro``) or reach the same file through a symlink:
-    entries are deduplicated by fully resolved path, first spelling wins.
-    """
-    excluded = [Path(e) for e in exclude]
-    seen: set[Path] = set()
-
-    def _skip(path: Path) -> bool:
-        return any(ex == path or ex in path.parents for ex in excluded)
-
-    def _emit(path: Path) -> Iterator[Path]:
-        resolved = path.resolve()
-        if resolved not in seen:
-            seen.add(resolved)
-            yield path
-
-    for entry in paths:
-        entry = Path(entry)
-        if entry.is_dir():
-            for p in sorted(
-                p
-                for p in entry.rglob("*.py")
-                if "__pycache__" not in p.parts
-                and not any(part.startswith(".") for part in p.parts)
-                and not _skip(p)
-            ):
-                yield from _emit(p)
-        elif not _skip(entry):
-            yield from _emit(entry)
-
-
-def lint_paths(
-    paths: Iterable[Path | str],
-    *,
-    select: set[str] | None = None,
-    ignore: set[str] | None = None,
-    exclude: Iterable[Path | str] = (),
-) -> list[Finding]:
-    """Lint every Python file under ``paths`` (minus ``exclude``).
-
-    The result is globally sorted ``(path, line, col, rule)`` so output is
-    byte-identical regardless of argument order.
-    """
-    from repro.devtools.report import sort_findings
-
-    findings: list[Finding] = []
-    for path in iter_python_files(paths, exclude=exclude):
-        findings.extend(lint_file(path, select=select, ignore=ignore))
-    return sort_findings(findings)
-
-
-def _rule_set(spec: str | None) -> set[str] | None:
-    if spec is None:
-        return None
-    return {part.strip().upper() for part in spec.split(",") if part.strip()}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spotlint",
-        description="Domain-aware static analysis for the SpotWeb reproduction.",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--select", metavar="RULES", help="comma-separated rule IDs to run"
-    )
-    parser.add_argument(
-        "--ignore", metavar="RULES", help="comma-separated rule IDs to skip"
-    )
-    parser.add_argument(
-        "--exclude",
-        metavar="PATH",
-        action="append",
-        default=[],
-        help="file or directory to skip (repeatable)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule table and exit"
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (json shares the spotgraph serializer)",
-    )
-    parser.add_argument(
-        "-q", "--quiet", action="store_true", help="suppress per-finding output"
-    )
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    from repro.devtools.report import render_findings
-
-    args = _build_parser().parse_args(argv)
-    if args.list_rules:
-        for rule in RULES.values():
-            print(f"{rule.id}  {rule.summary}")
-        for rule_id, summary in sorted(ENGINE_RULES.items()):
-            print(f"{rule_id}  {summary}")
-        return 0
-    select, ignore = _rule_set(args.select), _rule_set(args.ignore)
-    unknown = (
-        ((select or set()) | (ignore or set())) - set(RULES) - set(ENGINE_RULES)
-    )
-    if unknown:
-        print(
-            f"spotlint: unknown rule id(s): {', '.join(sorted(unknown))}"
-            " (see --list-rules)",
-            file=sys.stderr,
-        )
-        return 2
-    findings = lint_paths(
-        args.paths, select=select, ignore=ignore, exclude=args.exclude
-    )
-    if args.format == "json":
-        print(render_findings(findings, tool="spotlint", fmt="json"))
-    elif not args.quiet:
-        for finding in findings:
-            print(finding.format())
-    if findings:
-        print(f"spotlint: {len(findings)} finding(s)", file=sys.stderr)
-        return 1
-    if not args.quiet and args.format == "text":
-        print("spotlint: clean")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def lint_module(ctx: ModuleContext, _table: object = None) -> list[Finding]:
+    """Every lint rule's findings for one parsed module."""
+    return [finding for rule in RULES.values() for finding in rule.check(ctx)]

@@ -1,7 +1,7 @@
-"""Shared finding serialization for ``spotlint`` and ``spotgraph``.
+"""Finding serialization for the ``spotlint`` driver.
 
-Both tools emit :class:`repro.devtools.rules.Finding` records; this module
-owns the two output formats so their reports stay interchangeable:
+Every analyzer emits :class:`repro.devtools.rules.Finding` records; this
+module owns the two output formats:
 
 - **text** — one ``path:line:col: RULE message`` line per finding
   (clickable in editors, greppable in CI logs);

@@ -8,8 +8,8 @@ simulator owns time (no wall-clock reads inside ``repro.simulator`` /
 "frozen" snapshots must actually be immutable down to their arrays.
 
 Rules are pure functions over a parsed module (:class:`ModuleContext`)
-yielding :class:`Finding` records.  The engine in
-:mod:`repro.devtools.lint` handles file walking, suppression comments and
+yielding :class:`Finding` records.  The driver in
+:mod:`repro.devtools.check` handles file walking, suppression comments and
 reporting.
 
 Rule inventory
@@ -22,6 +22,10 @@ Rule inventory
 - ``SW006`` — bare ``except`` or ``except Exception``.
 - ``SW007`` — missing, incomplete, or stale ``__all__``.
 - ``SW008`` — ``assert`` in library code (stripped under ``python -O``).
+
+SW003, SW007 and SW008 skip pytest modules (``test_*.py``,
+``conftest.py``): bitwise-equality assertions are the point of many
+tests, and ``assert`` plus an implicit API are pytest idiom.
 - ``SW011`` — builtin-type ``dtype=`` argument (``float``/``int``/``bool``)
   on a NumPy call; spell the width explicitly (``np.float64``/``np.int64``/
   ``np.bool_``) — bare ``int`` is platform-dependent (int32 on Windows).
@@ -40,8 +44,8 @@ reserved; the SW2xx range belongs to ``spotshape`` and SW3xx to
 from __future__ import annotations
 
 import ast
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Mapping
+from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = [
@@ -74,6 +78,8 @@ class ModuleContext:
     path: Path
     module: str | None  # dotted module name, e.g. "repro.simulator.des"
     tree: ast.Module
+    # source line -> the ``# spotlint: <word>`` annotations on it
+    annotations: Mapping[int, frozenset[str]] = field(default_factory=dict)
 
     @property
     def is_package_init(self) -> bool:
@@ -82,6 +88,13 @@ class ModuleContext:
     @property
     def is_entry_script(self) -> bool:
         return self.path.name == "__main__.py"
+
+    @property
+    def is_test_module(self) -> bool:
+        name = self.path.name
+        return name == "conftest.py" or (
+            name.startswith("test_") and name.endswith(".py")
+        )
 
 
 @dataclass(frozen=True)
@@ -265,6 +278,8 @@ def _is_floatish(node: ast.expr) -> bool:
 
 
 def _check_float_eq(ctx: ModuleContext) -> Iterator[Finding]:
+    if ctx.is_test_module:
+        return
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Compare):
             continue
@@ -497,7 +512,7 @@ def _top_level_statements(tree: ast.Module) -> Iterator[ast.stmt]:
 
 
 def _check_all_exports(ctx: ModuleContext) -> Iterator[Finding]:
-    if ctx.is_entry_script:
+    if ctx.is_entry_script or ctx.is_test_module:
         return
     all_node: ast.expr | None = None
     all_line = 1
@@ -602,6 +617,8 @@ def _check_all_exports(ctx: ModuleContext) -> Iterator[Finding]:
 
 
 def _check_asserts(ctx: ModuleContext) -> Iterator[Finding]:
+    if ctx.is_test_module:
+        return
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Assert):
             yield Finding(

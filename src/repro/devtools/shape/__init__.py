@@ -5,18 +5,15 @@ shapes (``(H,N)``, ``(N,)``) and dtypes flow through allocations,
 elementwise broadcasting, matmul, reshapes and slicing, and the declared
 ``@shapes`` contracts (:mod:`repro.devtools.contracts`) serve as
 interprocedural call summaries.  See
-:mod:`repro.devtools.shape.analyze` for the SW200-series rule inventory
-and :mod:`repro.devtools.shape.cli` for the command-line interface.
+:mod:`repro.devtools.shape.analyze` for the SW200-series rule inventory;
+the driver (:mod:`repro.devtools.check`, ``spotlint``) runs it.
 """
 
 from repro.devtools.shape.analyze import (
-    ENGINE_RULES,
     HOT_PREFIXES,
     SHAPE_RULES,
     analyze_module,
-    analyze_paths,
 )
-from repro.devtools.shape.cli import main
 from repro.devtools.shape.domain import ArrayVal
 from repro.devtools.shape.summaries import (
     ContractSummary,
@@ -25,14 +22,11 @@ from repro.devtools.shape.summaries import (
 )
 
 __all__ = [
-    "ENGINE_RULES",
     "HOT_PREFIXES",
     "SHAPE_RULES",
     "ArrayVal",
     "ContractSummary",
     "SummaryTable",
     "analyze_module",
-    "analyze_paths",
     "extract_summaries",
-    "main",
 ]

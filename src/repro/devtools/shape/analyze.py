@@ -25,21 +25,16 @@ Rule inventory
   (``for x in arr`` / ``for i in range(len(arr))``): the interpreter
   overhead NumPy vectorization exists to avoid.
 
-``SW000``/``SW009`` are the engine pseudo-rules shared with spotlint and
-spotgraph (unreadable file; unknown rule id in a ``# spotshape:``
-suppression comment).
+Parsing, suppression comments, the ``SW000``/``SW009`` engine rules and
+the two-pass cache belong to the driver, :mod:`repro.devtools.check`.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from pathlib import Path
-from typing import Iterable
+from collections.abc import Iterable
 
-from repro.devtools.lint import iter_python_files, scan_suppressions
-from repro.devtools.rules import Finding, module_name_for
+from repro.devtools.rules import Finding, ModuleContext
 from repro.devtools.shape.domain import (
     UNKNOWN_DIM,
     UNKNOWN_DTYPE,
@@ -55,23 +50,16 @@ from repro.devtools.shape.domain import (
 )
 from repro.devtools.shape.summaries import (
     ContractSummary,
-    ModuleSummaries,
     SummaryTable,
     collect_aliases,
     dotted_target,
-    extract_summaries,
-    summary_digest,
 )
 from repro.devtools.specs import DTYPE_CODES, ShapeSpec
 
 __all__ = [
     "SHAPE_RULES",
-    "ENGINE_RULES",
     "HOT_PREFIXES",
-    "CACHE_SCHEMA",
-    "ANALYSIS_VERSION",
     "analyze_module",
-    "analyze_paths",
 ]
 
 SHAPE_RULES = {
@@ -82,19 +70,11 @@ SHAPE_RULES = {
     "SW204": "Python-level scalar loop over an array in a hot module",
 }
 
-ENGINE_RULES = {
-    "SW000": "unreadable or syntactically invalid file",
-    "SW009": "suppression comment references an unknown rule id",
-}
 
 #: Modules whose loops run once per control interval (or per simulated
 #: event) — the paper's hot paths, where SW203/SW204 apply.
 HOT_PREFIXES = ("repro.solvers", "repro.simulator", "repro.core")
 
-# Bump whenever analysis output changes shape or semantics: stale cache
-# entries from older analyzers are discarded by version mismatch.
-ANALYSIS_VERSION = 1
-CACHE_SCHEMA = "spotshape-cache/1"
 
 _NUMPY_DTYPE_ATTRS = {
     "float64": "float64",
@@ -1224,39 +1204,10 @@ class _FunctionAnalyzer:
 # --------------------------------------------------------------------------
 
 
-def _is_suppressed(
-    finding: Finding, file_rules: set[str], line_rules: dict[int, set[str]]
-) -> bool:
-    if "ALL" in file_rules or finding.rule in file_rules:
-        return True
-    on_line = line_rules.get(finding.line, set())
-    return "ALL" in on_line or finding.rule in on_line
-
-
-def analyze_module(
-    source: str,
-    path: Path,
-    table: SummaryTable,
-    *,
-    module: str | None = None,
-) -> list[Finding]:
-    """All spotshape findings for one module, suppressions applied."""
-    if module is None:
-        module = module_name_for(path)
-    str_path = str(path)
-    try:
-        tree = ast.parse(source, filename=str_path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                "SW000", str_path, exc.lineno or 1, 0,
-                f"syntax error: {exc.msg}",
-            )
-        ]
-
-    file_rules, line_rules, refs = scan_suppressions(source, tool="spotshape")
-    is_pkg = path.name == "__init__.py"
-    aliases, _exports = collect_aliases(tree, module, is_pkg)
+def analyze_module(ctx: ModuleContext, table: SummaryTable) -> list[Finding]:
+    """Pass B for one parsed module: every function against the table."""
+    module, tree, path = ctx.module, ctx.tree, str(ctx.path)
+    aliases, _exports = collect_aliases(tree, module, ctx.is_package_init)
     module_symbols = {
         stmt.name
         for stmt in tree.body
@@ -1264,22 +1215,12 @@ def analyze_module(
     }
 
     findings: list[Finding] = []
-    known = set(SHAPE_RULES) | set(ENGINE_RULES) | {"ALL"}
-    for line, rule_id in refs:
-        if rule_id not in known:
-            findings.append(
-                Finding(
-                    "SW009", str_path, line, 0,
-                    f"suppression references unknown rule id `{rule_id}` "
-                    f"(see --list-rules); it suppresses nothing",
-                )
-            )
 
     def analyze_fn(fn, qualname: str) -> None:
         analyzer = _FunctionAnalyzer(
             fn,
             qualname,
-            path=str_path,
+            path=path,
             module=module,
             aliases=aliases,
             module_symbols=module_symbols,
@@ -1294,152 +1235,4 @@ def analyze_module(
             for inner in stmt.body:
                 if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     analyze_fn(inner, f"{stmt.name}.{inner.name}")
-
-    return [
-        f for f in findings if not _is_suppressed(f, file_rules, line_rules)
-    ]
-
-
-# --------------------------------------------------------------------------
-# Two-pass cached pipeline
-# --------------------------------------------------------------------------
-
-
-def _load_cache(cache_path: Path | None) -> dict:
-    if cache_path is None or not cache_path.exists():
-        return {}
-    try:
-        data = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return {}
-    if data.get("schema") != CACHE_SCHEMA or data.get("version") != ANALYSIS_VERSION:
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(cache_path: Path | None, files: dict) -> None:
-    if cache_path is None:
-        return
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "version": ANALYSIS_VERSION,
-        "files": files,
-    }
-    try:
-        cache_path.write_text(
-            json.dumps(payload, sort_keys=True), encoding="utf-8"
-        )
-    except OSError:
-        # A read-only checkout (CI artifact stage) must not fail the run.
-        return
-
-
-def analyze_paths(
-    paths: Iterable[Path | str],
-    *,
-    exclude: Iterable[Path | str] = (),
-    cache_path: Path | str | None = None,
-    stats: dict | None = None,
-) -> list[Finding]:
-    """Run both passes over every ``.py`` file under ``paths``, cached.
-
-    Pass A (contract summaries) is cached per file by ``(mtime, sha256)``;
-    pass B (the interpreter) is cached by the same file key **plus** the
-    digest of the whole project's summaries, so editing a contract in one
-    file correctly re-analyzes every file that might call it.  ``stats``
-    (when given) receives ``cached``/``analyzed`` counters for pass B.
-    """
-    cache_file = Path(cache_path) if cache_path is not None else None
-    cached_files = _load_cache(cache_file)
-    next_files: dict = {}
-
-    entries: list[tuple[Path, str | None, str | None]] = []
-    modules: list[ModuleSummaries] = []
-    findings: list[Finding] = []
-
-    for path in iter_python_files(paths, exclude=exclude):
-        key = str(path.resolve())
-        try:
-            mtime = path.stat().st_mtime_ns
-        except OSError:
-            mtime = -1
-        cached = cached_files.get(key)
-        source: str | None = None
-        digest: str | None = None
-        if cached is not None and cached.get("mtime") != mtime:
-            # mtime changed: fall back to content hash before re-extracting.
-            try:
-                source = path.read_text(encoding="utf-8")
-                digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            except (OSError, UnicodeDecodeError):
-                source = None
-            if digest is not None and cached.get("sha256") == digest:
-                cached = dict(cached, mtime=mtime)
-            else:
-                cached = None
-        if cached is not None:
-            summaries = ModuleSummaries.from_dict(cached["summaries"])
-            next_files[key] = dict(cached)
-            modules.append(summaries)
-            entries.append((path, key, source))
-            continue
-        if source is None:
-            try:
-                source = path.read_text(encoding="utf-8")
-                digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            except (OSError, UnicodeDecodeError) as exc:
-                findings.append(
-                    Finding("SW000", str(path), 1, 0, f"unreadable file: {exc}")
-                )
-                entries.append((path, None, None))
-                continue
-        summaries = extract_summaries(source, path)
-        modules.append(summaries)
-        next_files[key] = {
-            "mtime": mtime,
-            "sha256": digest,
-            "summaries": summaries.to_dict(),
-        }
-        entries.append((path, key, source))
-
-    table = SummaryTable(modules)
-    digest_all = summary_digest(table)
-    n_cached = n_analyzed = 0
-
-    for path, key, source in entries:
-        if key is None:
-            continue  # unreadable: SW000 already recorded
-        entry = next_files[key]
-        analysis = entry.get("analysis")
-        if analysis is not None and analysis.get("digest") == digest_all:
-            findings.extend(
-                Finding(rule, p, line, col, msg)
-                for rule, p, line, col, msg in analysis["findings"]
-            )
-            n_cached += 1
-            continue
-        if source is None:
-            try:
-                source = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                findings.append(
-                    Finding("SW000", str(path), 1, 0, f"unreadable file: {exc}")
-                )
-                continue
-        file_findings = analyze_module(source, path, table)
-        findings.extend(file_findings)
-        entry["analysis"] = {
-            "digest": digest_all,
-            "findings": [
-                [f.rule, f.path, f.line, f.col, f.message]
-                for f in file_findings
-            ],
-        }
-        n_analyzed += 1
-
-    _save_cache(cache_file, next_files)
-    if stats is not None:
-        stats["cached"] = n_cached
-        stats["analyzed"] = n_analyzed
     return findings

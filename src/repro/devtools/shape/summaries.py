@@ -19,10 +19,9 @@ import ast
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
-from repro.devtools.rules import module_name_for
+from repro.devtools.rules import ModuleContext
 from repro.devtools.specs import ShapeSpec, parse_spec
 
 __all__ = [
@@ -270,21 +269,10 @@ def _summarize_function(
     return None
 
 
-def extract_summaries(
-    source: str, path: Path, *, module: str | None = None
-) -> ModuleSummaries:
-    """Pass A for one file: contracts plus re-export aliases."""
-    if module is None:
-        module = module_name_for(path)
-    str_path = str(path)
-    try:
-        tree = ast.parse(source, filename=str_path)
-    except SyntaxError:
-        # Pass B reports SW000 for this file; pass A just has no facts.
-        return ModuleSummaries(path=str_path, module=module, summaries=())
-
-    is_pkg = path.name == "__init__.py"
-    aliases, exports = collect_aliases(tree, module, is_pkg)
+def extract_summaries(ctx: ModuleContext) -> ModuleSummaries:
+    """Pass A for one parsed file: contracts plus re-export aliases."""
+    module, tree = ctx.module, ctx.tree
+    aliases, exports = collect_aliases(tree, module, ctx.is_package_init)
     module_symbols = {
         stmt.name
         for stmt in tree.body
@@ -313,7 +301,7 @@ def extract_summaries(
                     if summary is not None:
                         found.append(summary)
     return ModuleSummaries(
-        path=str_path,
+        path=str(ctx.path),
         module=module,
         summaries=tuple(found),
         export_aliases=exports,

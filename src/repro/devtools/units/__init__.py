@@ -8,20 +8,14 @@ every value carries a rational-exponent dimension vector over
 (:mod:`repro.devtools.contracts`) serve as interprocedural summaries —
 the same spec strings, parsed by the same grammar
 (:mod:`repro.devtools.specs`), that the runtime checker enforces.  See
-:mod:`repro.devtools.units.analyze` for the SW300-series rule inventory
-and :mod:`repro.devtools.units.cli` for the command-line interface.
+:mod:`repro.devtools.units.analyze` for the SW300-series rule inventory;
+the driver (:mod:`repro.devtools.check`, ``spotlint``) runs it.
 
 Note: the ``@units`` *decorator* lives in
 :mod:`repro.devtools.contracts`; this package is the static analyzer.
 """
 
-from repro.devtools.units.analyze import (
-    ENGINE_RULES,
-    UNIT_RULES,
-    analyze_module,
-    analyze_paths,
-)
-from repro.devtools.units.cli import main
+from repro.devtools.units.analyze import UNIT_RULES, analyze_module
 from repro.devtools.units.domain import classify_mismatch
 from repro.devtools.units.summaries import (
     ClassUnits,
@@ -31,14 +25,11 @@ from repro.devtools.units.summaries import (
 )
 
 __all__ = [
-    "ENGINE_RULES",
     "UNIT_RULES",
     "ClassUnits",
     "UnitContract",
     "UnitTable",
     "analyze_module",
-    "analyze_paths",
     "classify_mismatch",
     "extract_unit_summaries",
-    "main",
 ]

@@ -25,22 +25,17 @@ Rule inventory
   rescale a value that provably carries a time/request unit; the fix is
   the named constant in :mod:`repro.units`.
 
-``SW000``/``SW009`` are the engine pseudo-rules shared with spotlint,
-spotgraph and spotshape (unreadable file; unknown rule id in a
-``# spotunits:`` suppression comment).
+Parsing, suppression comments, the ``SW000``/``SW009`` engine rules and
+the two-pass cache belong to the driver, :mod:`repro.devtools.check`.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
+from collections.abc import Iterable
 from fractions import Fraction
-from pathlib import Path
-from typing import Iterable
 
-from repro.devtools.lint import iter_python_files, scan_suppressions
-from repro.devtools.rules import Finding, module_name_for
+from repro.devtools.rules import Finding, ModuleContext
 from repro.devtools.shape.summaries import collect_aliases, dotted_target
 from repro.devtools.specs import UnitSpec, format_unit, parse_unit
 from repro.devtools.units.domain import (
@@ -51,22 +46,12 @@ from repro.devtools.units.domain import (
     unit_mul,
     unit_pow,
 )
-from repro.devtools.units.summaries import (
-    UnitContract,
-    UnitModuleSummaries,
-    UnitTable,
-    extract_unit_summaries,
-    unit_summary_digest,
-)
+from repro.devtools.units.summaries import UnitContract, UnitTable
 from repro.units import UNIT_OF
 
 __all__ = [
     "UNIT_RULES",
-    "ENGINE_RULES",
-    "CACHE_SCHEMA",
-    "ANALYSIS_VERSION",
     "analyze_module",
-    "analyze_paths",
 ]
 
 UNIT_RULES = {
@@ -77,15 +62,7 @@ UNIT_RULES = {
     "SW304": "bare numeric literal used as a unit-conversion factor",
 }
 
-ENGINE_RULES = {
-    "SW000": "unreadable or syntactically invalid file",
-    "SW009": "suppression comment references an unknown rule id",
-}
 
-# Bump whenever analysis output changes shape or semantics: stale cache
-# entries from older analyzers are discarded by version mismatch.
-ANALYSIS_VERSION = 1
-CACHE_SCHEMA = "spotunits-cache/1"
 
 _WALL_SECONDS = parse_unit("wall_s")
 
@@ -753,39 +730,10 @@ class _FunctionUnitAnalyzer:
 # --------------------------------------------------------------------------
 
 
-def _is_suppressed(
-    finding: Finding, file_rules: set[str], line_rules: dict[int, set[str]]
-) -> bool:
-    if "ALL" in file_rules or finding.rule in file_rules:
-        return True
-    on_line = line_rules.get(finding.line, set())
-    return "ALL" in on_line or finding.rule in on_line
-
-
-def analyze_module(
-    source: str,
-    path: Path,
-    table: UnitTable,
-    *,
-    module: str | None = None,
-) -> list[Finding]:
-    """All spotunits findings for one module, suppressions applied."""
-    if module is None:
-        module = module_name_for(path)
-    str_path = str(path)
-    try:
-        tree = ast.parse(source, filename=str_path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                "SW000", str_path, exc.lineno or 1, 0,
-                f"syntax error: {exc.msg}",
-            )
-        ]
-
-    file_rules, line_rules, refs = scan_suppressions(source, tool="spotunits")
-    is_pkg = path.name == "__init__.py"
-    aliases, _exports = collect_aliases(tree, module, is_pkg)
+def analyze_module(ctx: ModuleContext, table: UnitTable) -> list[Finding]:
+    """Pass B for one parsed module: every function against the table."""
+    module, tree, path = ctx.module, ctx.tree, str(ctx.path)
+    aliases, _exports = collect_aliases(tree, module, ctx.is_package_init)
     module_symbols = {
         stmt.name
         for stmt in tree.body
@@ -795,22 +743,12 @@ def analyze_module(
     }
 
     findings: list[Finding] = []
-    known = set(UNIT_RULES) | set(ENGINE_RULES) | {"ALL"}
-    for line, rule_id in refs:
-        if rule_id not in known:
-            findings.append(
-                Finding(
-                    "SW009", str_path, line, 0,
-                    f"suppression references unknown rule id `{rule_id}` "
-                    f"(see --list-rules); it suppresses nothing",
-                )
-            )
 
     def analyze_fn(fn, qualname: str, own_class: str | None) -> None:
         analyzer = _FunctionUnitAnalyzer(
             fn,
             qualname,
-            path=str_path,
+            path=path,
             module=module,
             aliases=aliases,
             module_symbols=module_symbols,
@@ -827,153 +765,4 @@ def analyze_module(
             for inner in stmt.body:
                 if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     analyze_fn(inner, f"{stmt.name}.{inner.name}", own_class)
-
-    return [
-        f for f in findings if not _is_suppressed(f, file_rules, line_rules)
-    ]
-
-
-# --------------------------------------------------------------------------
-# Two-pass cached pipeline (the spotshape driver, bound to units facts)
-# --------------------------------------------------------------------------
-
-
-def _load_cache(cache_path: Path | None) -> dict:
-    if cache_path is None or not cache_path.exists():
-        return {}
-    try:
-        data = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return {}
-    if data.get("schema") != CACHE_SCHEMA or data.get("version") != ANALYSIS_VERSION:
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(cache_path: Path | None, files: dict) -> None:
-    if cache_path is None:
-        return
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "version": ANALYSIS_VERSION,
-        "files": files,
-    }
-    try:
-        cache_path.write_text(
-            json.dumps(payload, sort_keys=True), encoding="utf-8"
-        )
-    except OSError:
-        # A read-only checkout (CI artifact stage) must not fail the run.
-        return
-
-
-def analyze_paths(
-    paths: Iterable[Path | str],
-    *,
-    exclude: Iterable[Path | str] = (),
-    cache_path: Path | str | None = None,
-    stats: dict | None = None,
-) -> list[Finding]:
-    """Run both passes over every ``.py`` file under ``paths``, cached.
-
-    Pass A (unit declarations) is cached per file by ``(mtime, sha256)``;
-    pass B (the interpreter) is cached by the same file key **plus** the
-    digest of the whole project's unit facts, so editing a contract in
-    one file correctly re-analyzes every file that might call it.
-    ``stats`` (when given) receives ``cached``/``analyzed`` counters for
-    pass B.
-    """
-    cache_file = Path(cache_path) if cache_path is not None else None
-    cached_files = _load_cache(cache_file)
-    next_files: dict = {}
-
-    entries: list[tuple[Path, str | None, str | None]] = []
-    modules: list[UnitModuleSummaries] = []
-    findings: list[Finding] = []
-
-    for path in iter_python_files(paths, exclude=exclude):
-        key = str(path.resolve())
-        try:
-            mtime = path.stat().st_mtime_ns
-        except OSError:
-            mtime = -1
-        cached = cached_files.get(key)
-        source: str | None = None
-        digest: str | None = None
-        if cached is not None and cached.get("mtime") != mtime:
-            # mtime changed: fall back to content hash before re-extracting.
-            try:
-                source = path.read_text(encoding="utf-8")
-                digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            except (OSError, UnicodeDecodeError):
-                source = None
-            if digest is not None and cached.get("sha256") == digest:
-                cached = dict(cached, mtime=mtime)
-            else:
-                cached = None
-        if cached is not None:
-            summaries = UnitModuleSummaries.from_dict(cached["summaries"])
-            next_files[key] = dict(cached)
-            modules.append(summaries)
-            entries.append((path, key, source))
-            continue
-        if source is None:
-            try:
-                source = path.read_text(encoding="utf-8")
-                digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-            except (OSError, UnicodeDecodeError) as exc:
-                findings.append(
-                    Finding("SW000", str(path), 1, 0, f"unreadable file: {exc}")
-                )
-                entries.append((path, None, None))
-                continue
-        summaries = extract_unit_summaries(source, path)
-        modules.append(summaries)
-        next_files[key] = {
-            "mtime": mtime,
-            "sha256": digest,
-            "summaries": summaries.to_dict(),
-        }
-        entries.append((path, key, source))
-
-    table = UnitTable(modules)
-    digest_all = unit_summary_digest(table)
-    n_cached = n_analyzed = 0
-
-    for path, key, source in entries:
-        if key is None:
-            continue  # unreadable: SW000 already recorded
-        entry = next_files[key]
-        analysis = entry.get("analysis")
-        if analysis is not None and analysis.get("digest") == digest_all:
-            findings.extend(
-                Finding(rule, p, line, col, msg)
-                for rule, p, line, col, msg in analysis["findings"]
-            )
-            n_cached += 1
-            continue
-        if source is None:
-            try:
-                source = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                findings.append(
-                    Finding("SW000", str(path), 1, 0, f"unreadable file: {exc}")
-                )
-                continue
-        file_findings = analyze_module(source, path, table)
-        findings.extend(file_findings)
-        entry["analysis"] = {
-            "digest": digest_all,
-            "findings": [
-                [f.rule, f.path, f.line, f.col, f.message]
-                for f in file_findings
-            ],
-        }
-        n_analyzed += 1
-
-    _save_cache(cache_file, next_files)
-    if stats is not None:
-        stats["cached"] = n_cached
-        stats["analyzed"] = n_analyzed
     return findings

@@ -22,10 +22,9 @@ import ast
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
-from repro.devtools.rules import module_name_for
+from repro.devtools.rules import ModuleContext
 from repro.devtools.shape.summaries import (
     collect_aliases,
     dotted_target,
@@ -259,21 +258,10 @@ def _summarize_class(
     return None
 
 
-def extract_unit_summaries(
-    source: str, path: Path, *, module: str | None = None
-) -> UnitModuleSummaries:
-    """Pass A for one file: unit contracts, class tables, re-exports."""
-    if module is None:
-        module = module_name_for(path)
-    str_path = str(path)
-    try:
-        tree = ast.parse(source, filename=str_path)
-    except SyntaxError:
-        # Pass B reports SW000 for this file; pass A just has no facts.
-        return UnitModuleSummaries(path=str_path, module=module, contracts=())
-
-    is_pkg = path.name == "__init__.py"
-    aliases, exports = collect_aliases(tree, module, is_pkg)
+def extract_unit_summaries(ctx: ModuleContext) -> UnitModuleSummaries:
+    """Pass A for one parsed file: unit contracts, class tables, re-exports."""
+    module, tree = ctx.module, ctx.tree
+    aliases, exports = collect_aliases(tree, module, ctx.is_package_init)
     module_symbols = {
         stmt.name
         for stmt in tree.body
@@ -311,7 +299,7 @@ def extract_unit_summaries(
                     if summary is not None:
                         contracts.append(summary)
     return UnitModuleSummaries(
-        path=str_path,
+        path=str(ctx.path),
         module=module,
         contracts=tuple(contracts),
         classes=tuple(classes),

@@ -57,7 +57,7 @@ def derive_seed(base_seed: int, *components: object) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-# spotgraph: allow-shared-state -- sanctioned per-process setup cache
+# spotlint: allow-shared-state -- sanctioned per-process setup cache
 def shared_setup(key: Hashable, factory: Callable[[], T]) -> T:
     """Build-once accessor for expensive read-only sweep inputs.
 

@@ -79,7 +79,7 @@ def run_scenario(
     return run_episode(scenario.spec, engine=engine, seed=seed)
 
 
-# spotgraph: allow-shared-state -- each cell swaps in its own private
+# spotlint: allow-shared-state -- each cell swaps in its own private
 # event log (via the episode/portfolio runners) and restores the global
 # one before returning; results depend only on the cell key.
 def run_cell(cell: tuple[str, str, int]) -> ScenarioRun:

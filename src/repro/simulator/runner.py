@@ -252,11 +252,11 @@ class CostSimulator:
             prices = self.dataset.prices[t]
             fprobs = self.dataset.failure_probs[t]
 
-            t0_s = time.perf_counter()  # spotgraph: allow-nondeterminism
+            t0_s = time.perf_counter()  # spotlint: allow-nondeterminism
             counts = np.asarray(
                 policy.decide(t, observed, prices, fprobs), dtype=np.float64
             )
-            decision_time += time.perf_counter() - t0_s  # spotgraph: allow-nondeterminism
+            decision_time += time.perf_counter() - t0_s  # spotlint: allow-nondeterminism
             if counts.shape != (N,):
                 raise ValueError("policy must return one count per market")
             if np.any(counts < 0):

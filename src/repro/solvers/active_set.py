@@ -80,7 +80,7 @@ def solve_qp_active_set(
         raise ValueError("inconsistent problem dimensions")
     if np.any(l > u + 1e-12):
         raise ValueError("infeasible box: some l > u")
-    start_s = time.perf_counter()  # spotgraph: allow-nondeterminism
+    start_s = time.perf_counter()  # spotlint: allow-nondeterminism
 
     # Ensure strict convexity for the KKT solves.
     w_min = float(np.linalg.eigvalsh(P).min())
@@ -189,5 +189,5 @@ def solve_qp_active_set(
         objective=objective,
         status=status,
         iterations=it,
-        solve_time=time.perf_counter() - start_s,  # spotgraph: allow-nondeterminism
+        solve_time=time.perf_counter() - start_s,  # spotlint: allow-nondeterminism
     )

@@ -266,7 +266,7 @@ class ADMMCore:
         if np.any(l > u + 1e-12):
             raise ValueError("infeasible box: some l > u")
 
-        start_s = time.perf_counter()  # spotgraph: allow-nondeterminism
+        start_s = time.perf_counter()  # spotlint: allow-nondeterminism
         tracer = get_tracer()
         solve_span = tracer.span("qp.solve", n=n, m=m)
         solve_span.__enter__()
@@ -326,7 +326,7 @@ class ADMMCore:
 
         iterate_span.tag(iterations=it).__exit__(None, None, None)
         self._x, self._z, self._y = x, z, y
-        elapsed = time.perf_counter() - start_s  # spotgraph: allow-nondeterminism
+        elapsed = time.perf_counter() - start_s  # spotlint: allow-nondeterminism
         solve_span.tag(iterations=it, status=status.value).__exit__(
             None, None, None
         )

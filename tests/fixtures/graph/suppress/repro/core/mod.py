@@ -4,12 +4,12 @@ __all__ = ["suppressed", "reported"]
 
 
 def suppressed():
-    return [k for k in {1, 2}]  # spotgraph: disable=SW112
+    return [k for k in {1, 2}]  # spotlint: disable=SW112
 
 
 def reported():
     return [k for k in {3, 4}]
 
 
-# spotgraph: disable=SW999
-# spotgraph: disable-file=SW777
+# spotlint: disable=SW999
+# spotlint: disable-file=SW777

@@ -5,6 +5,6 @@ import time
 __all__ = ["stamp"]
 
 
-# spotgraph: allow-nondeterminism
+# spotlint: allow-nondeterminism
 def stamp():
     return time.time()

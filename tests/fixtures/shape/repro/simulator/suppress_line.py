@@ -8,6 +8,6 @@ __all__ = ["walk"]
 def walk():
     xs = np.arange(5)
     out = 0
-    for x in xs:  # spotshape: disable=SW204
+    for x in xs:  # spotlint: disable=SW204
         out += int(x)
     return out

@@ -9,4 +9,4 @@ __all__ = ["elapsed"]
 
 @units("s")
 def elapsed(sim_now_s):
-    return time.time() - sim_now_s  # spotunits: disable=SW302
+    return time.time() - sim_now_s  # spotlint: disable=SW302

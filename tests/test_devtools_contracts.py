@@ -193,6 +193,9 @@ def test_shapes_rejects_bad_dtype_suffix_at_decoration():
 def test_declared_contracts_roundtrip_to_static_summaries(tmp_path):
     # The same decorator text the runtime checker enforces must parse
     # into spotshape's interprocedural summary table unchanged.
+    import ast
+
+    from repro.devtools.rules import ModuleContext
     from repro.devtools.shape.summaries import extract_summaries
     from repro.devtools.specs import format_spec, parse_spec
 
@@ -204,7 +207,8 @@ def test_declared_contracts_roundtrip_to_static_summaries(tmp_path):
     )
     path = tmp_path / "mod.py"
     path.write_text(source)
-    (summary,) = extract_summaries(source, path).summaries
+    ctx = ModuleContext(path, "mod", ast.parse(source))
+    (summary,) = extract_summaries(ctx).summaries
     assert summary.args == ("plan", "prices")
     assert dict(summary.params) == {"plan": "(H,N)", "prices": "(N,) f8"}
     assert summary.ret == "(H,)"

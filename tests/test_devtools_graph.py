@@ -1,34 +1,42 @@
 """Tests for spotgraph: per-rule fixtures (positive + negative), the
-transitive taint path, suppressions, caching, baselines, and the CLI."""
+transitive taint path, suppressions, and the graph analyzer's share of
+the driver's cache, baseline and CLI."""
 
 from __future__ import annotations
 
+import ast
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.graph.baseline import (
+from repro.devtools.baseline import (
     fingerprint,
     load_baseline,
     split_findings,
     write_baseline,
 )
-from repro.devtools.graph.cli import GRAPH_RULES, analyze_project, main
-from repro.devtools.graph.facts import extract_module_facts, load_project
+from repro.devtools.check import ENGINE_RULES, analyze, main
+from repro.devtools.graph import GRAPH_RULES
+from repro.devtools.graph.facts import extract_module_facts
 from repro.devtools.graph.layers import LAYER_ALLOWED, render_layer_map
+from repro.devtools.rules import ModuleContext, module_name_for
 
 FIXTURES = Path(__file__).parent / "fixtures" / "graph"
 SRC = Path(__file__).parents[1] / "src"
+GRAPH_SELECT = set(GRAPH_RULES) | set(ENGINE_RULES)
 
 
 def graph_findings(tree, select=None):
-    project = load_project([FIXTURES / tree])
-    findings = analyze_project(project)
-    if select is not None:
-        findings = [f for f in findings if f.rule in select]
-    return findings
+    return analyze(
+        [FIXTURES / tree], select=GRAPH_SELECT if select is None else select
+    )
+
+
+def parsed(path, text=None):
+    text = path.read_text() if text is None else text
+    return ModuleContext(path, module_name_for(path), ast.parse(text))
 
 
 # ---------------------------------------------------------------- rule table
@@ -147,9 +155,11 @@ def test_unseeded_rng_is_sw111_only_not_sw110():
 )
 def test_none_seed_counts_as_unseeded(call):
     facts = extract_module_facts(
-        "from numpy.random import default_rng\n\n"
-        f"def f():\n    return {call}\n",
-        Path("m.py"),
+        parsed(
+            Path("m.py"),
+            "from numpy.random import default_rng\n\n"
+            f"def f():\n    return {call}\n",
+        )
     )
     (fn,) = facts.functions
     (rng,) = fn.rng_calls
@@ -158,9 +168,11 @@ def test_none_seed_counts_as_unseeded(call):
 
 def test_expression_seed_counts_as_seeded():
     facts = extract_module_facts(
-        "from numpy.random import default_rng\n\n"
-        "def f(seed):\n    return default_rng(seed)\n",
-        Path("m.py"),
+        parsed(
+            Path("m.py"),
+            "from numpy.random import default_rng\n\n"
+            "def f(seed):\n    return default_rng(seed)\n",
+        )
     )
     (rng,) = facts.functions[0].rng_calls
     assert rng.seeded is True
@@ -203,48 +215,52 @@ def _copy_tree(tmp_path, tree):
     return dest
 
 
+def _cached_run(dest, cache):
+    stats: dict = {}
+    findings = analyze(
+        [dest], select=GRAPH_SELECT, cache_path=cache, stats=stats
+    )
+    return findings, stats["graph"]
+
+
 def test_cache_roundtrip_and_invalidation(tmp_path):
     dest = _copy_tree(tmp_path, "taint_bad")
     cache = tmp_path / "cache.json"
 
-    stats: dict = {}
-    load_project([dest], cache_path=cache, stats=stats)
-    n_files = stats["extracted"]
+    first, stats = _cached_run(dest, cache)
+    n_files = stats["analyzed"]
     assert n_files == 5 and stats["cached"] == 0
 
-    stats = {}
-    project = load_project([dest], cache_path=cache, stats=stats)
-    assert stats == {"cached": n_files, "extracted": 0}
+    second, stats = _cached_run(dest, cache)
+    assert stats == {"cached": n_files, "analyzed": 0}
     # Cached facts must produce identical findings.
-    assert [f.rule for f in analyze_project(project) if f.rule == "SW110"]
+    assert second == first
+    assert [f.rule for f in second if f.rule == "SW110"]
 
     target = dest / "repro" / "core" / "engine.py"
     target.write_text(target.read_text() + "\n# touched\n")
-    stats = {}
-    load_project([dest], cache_path=cache, stats=stats)
-    assert stats == {"cached": n_files - 1, "extracted": 1}
+    _, stats = _cached_run(dest, cache)
+    assert stats == {"cached": n_files - 1, "analyzed": 1}
 
 
 def test_cache_schema_mismatch_forces_reextraction(tmp_path):
     dest = _copy_tree(tmp_path, "taint_bad")
     cache = tmp_path / "cache.json"
     cache.write_text(json.dumps({"schema": "something/9", "files": {}}))
-    stats: dict = {}
-    load_project([dest], cache_path=cache, stats=stats)
-    assert stats["cached"] == 0 and stats["extracted"] == 5
+    _, stats = _cached_run(dest, cache)
+    assert stats["cached"] == 0 and stats["analyzed"] == 5
 
 
 def test_syntax_error_becomes_sw000(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def oops(:\n")
-    project = load_project([tmp_path])
-    findings = analyze_project(project)
+    findings = analyze([tmp_path], select=GRAPH_SELECT)
     assert [f.rule for f in findings] == ["SW000"]
 
 
 def test_extract_module_facts_records_imports_and_functions():
     path = FIXTURES / "taint_bad" / "repro" / "core" / "engine.py"
-    facts = extract_module_facts(path.read_text(), path)
+    facts = extract_module_facts(parsed(path))
     assert facts.module == "repro.core.engine"
     assert {fn.qualname for fn in facts.functions} == {
         "step",
@@ -284,11 +300,13 @@ def test_load_baseline_rejects_wrong_schema(tmp_path):
 
 
 def test_committed_repo_baseline_is_empty():
-    committed = Path(__file__).parents[1] / "spotgraph-baseline.json"
+    # The graph rules' share of the one committed baseline is empty:
+    # intentional seams are annotated in place, never baselined.
+    committed = Path(__file__).parents[1] / "spotlint-baseline.json"
     data = json.loads(committed.read_text())
-    assert data["schema"] == "spotgraph-baseline/1"
-    assert data["findings"] == []
-    assert data["justification"]
+    assert data["schema"] == "spotlint-baseline/1"
+    assert not [f for f in data["findings"] if f["rule"] in GRAPH_RULES]
+    assert "allow-nondeterminism" in data["justification"]
 
 
 # ---------------------------------------------------------------------- CLI
@@ -305,7 +323,12 @@ def test_cli_exits_nonzero_with_findings(tmp_path, capsys):
 
 
 def test_cli_exits_zero_on_clean_tree(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES / "layer_clean"))
+    code = _cli(
+        tmp_path,
+        str(FIXTURES / "layer_clean"),
+        "--select",
+        ",".join(GRAPH_SELECT),
+    )
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
@@ -328,9 +351,10 @@ def test_cli_json_format(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == "spotweb-findings/1"
-    assert payload["tool"] == "spotgraph"
+    assert payload["tool"] == "spotlint"
     assert payload["count"] == 2
     assert payload["baselined"] == 0
+    assert set(payload["cache"]) == {"graph"}
 
 
 def test_cli_update_baseline_then_clean(tmp_path, capsys):
@@ -360,7 +384,7 @@ def test_cli_update_baseline_rejects_filters(tmp_path, capsys):
 
 
 def test_cli_layers_diagram(capsys):
-    assert main(["--layers", "--no-cache"]) == 0
+    assert main([str(FIXTURES / "layer_bad"), "--layers", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "foundation" in out and "observed package dependencies" in out
 
@@ -372,10 +396,3 @@ def test_cli_list_rules(capsys):
         assert rule_id in out
     assert "SW009" in out
 
-
-# ----------------------------------------------------------- the real tree
-def test_real_src_is_clean_with_empty_baseline():
-    # The acceptance gate: spotgraph over the actual repo source exits with
-    # zero findings, the intentional seams being annotated in place.
-    project = load_project([SRC])
-    assert analyze_project(project) == []

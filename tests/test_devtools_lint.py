@@ -1,4 +1,4 @@
-"""Unit tests for every spotlint rule: one positive and one negative each,
+"""Unit tests for every lint rule: one positive and one negative each,
 plus suppression comments, module-name scoping, and the CLI contract."""
 
 from __future__ import annotations
@@ -8,17 +8,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import (
-    ENGINE_RULES,
-    iter_python_files,
-    lint_file,
-    lint_paths,
-    lint_source,
-    main,
-)
+from repro.devtools.check import ENGINE_RULES, analyze, iter_python_files, main
 from repro.devtools.rules import RULES, module_name_for
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
+LINT_SELECT = set(RULES) | set(ENGINE_RULES)
+
+
+def lint_file(path, select=None, ignore=None):
+    """The driver's findings for one file; lint and engine rules by default."""
+    return analyze(
+        [path], select=LINT_SELECT if select is None else select, ignore=ignore
+    )
+
+
+def _cli(tmp_path, *argv):
+    return main([*argv, "--no-cache", "--baseline", str(tmp_path / "none.json")])
 
 
 # ---------------------------------------------------------------- rule table
@@ -197,14 +202,13 @@ def test_disable_all_silences_everything_on_line():
 
 
 def test_lint_source_respects_ignore():
-    src = (FIXTURES / "sw006_bad.py").read_text()
-    findings = lint_source(src, FIXTURES / "sw006_bad.py", ignore={"SW006"})
+    findings = analyze([FIXTURES / "sw006_bad.py"], ignore={"SW006"})
     assert all(f.rule != "SW006" for f in findings)
 
 
 # --------------------------------------------------------------------- CLI
-def test_cli_exits_nonzero_with_findings(capsys):
-    code = main([str(FIXTURES / "sw006_bad.py"), "--select", "SW006"])
+def test_cli_exits_nonzero_with_findings(tmp_path, capsys):
+    code = _cli(tmp_path, str(FIXTURES / "sw006_bad.py"), "--select", "SW006")
     out = capsys.readouterr().out
     assert code == 1
     assert "SW006" in out
@@ -212,14 +216,14 @@ def test_cli_exits_nonzero_with_findings(capsys):
     assert "sw006_bad.py:" in out
 
 
-def test_cli_exits_zero_on_clean_input(capsys):
-    code = main([str(FIXTURES / "sw006_good.py"), "--select", "SW006"])
+def test_cli_exits_zero_on_clean_input(tmp_path, capsys):
+    code = _cli(tmp_path, str(FIXTURES / "sw006_good.py"), "--select", "SW006")
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
 
-def test_cli_rejects_unknown_rule_ids(capsys):
-    code = main([str(FIXTURES / "sw006_bad.py"), "--select", "SW999"])
+def test_cli_rejects_unknown_rule_ids(tmp_path, capsys):
+    code = _cli(tmp_path, str(FIXTURES / "sw006_bad.py"), "--select", "SW999")
     assert code == 2
     assert "SW999" in capsys.readouterr().err
 
@@ -232,16 +236,21 @@ def test_cli_list_rules(capsys):
 
 
 def test_lint_paths_walks_directories():
-    findings = lint_paths([FIXTURES], select={"SW006"})
+    findings = analyze([FIXTURES], select={"SW006"})
     files = {Path(f.path).name for f in findings}
     assert "sw006_bad.py" in files
     assert "suppress_wrong.py" in files
     assert "suppress_file.py" not in files
 
 
-def test_cli_format_json(capsys):
-    code = main(
-        [str(FIXTURES / "sw006_bad.py"), "--select", "SW006", "--format", "json"]
+def test_cli_format_json(tmp_path, capsys):
+    code = _cli(
+        tmp_path,
+        str(FIXTURES / "sw006_bad.py"),
+        "--select",
+        "SW006",
+        "--format",
+        "json",
     )
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
@@ -269,8 +278,8 @@ def test_iter_python_files_dedups_overlapping_args():
 def test_lint_paths_order_is_arg_order_independent():
     a = FIXTURES / "sw006_bad.py"
     b = FIXTURES / "sw005_bad.py"
-    forward = lint_paths([a, b])
-    backward = lint_paths([b, a])
+    forward = analyze([a, b])
+    backward = analyze([b, a])
     assert [f.format() for f in forward] == [f.format() for f in backward]
     assert forward == sorted(
         forward, key=lambda f: (f.path, f.line, f.col, f.rule)

@@ -1,9 +1,10 @@
 """Tests for spotshape: the abstract domain, contract summaries, per-rule
-fixtures (positive + negative), suppressions, the two-pass cache, the
-baseline workflow, the CLI, and the real-tree gate."""
+fixtures (positive + negative), suppressions, and the shape analyzer's
+share of the driver's two-pass cache, baseline workflow and CLI."""
 
 from __future__ import annotations
 
+import ast
 import json
 import shutil
 from pathlib import Path
@@ -11,19 +12,19 @@ from pathlib import Path
 import pytest
 
 from repro.devtools.baseline import (
+    BASELINE_SCHEMA,
     fingerprint,
     load_baseline,
     split_findings,
     write_baseline,
 )
+from repro.devtools.check import ENGINE_RULES, analyze, main
+from repro.devtools.rules import ModuleContext, module_name_for
 from repro.devtools.shape.analyze import (
-    ENGINE_RULES,
     HOT_PREFIXES,
     SHAPE_RULES,
     analyze_module,
-    analyze_paths,
 )
-from repro.devtools.shape.cli import BASELINE_SCHEMA, main
 from repro.devtools.shape.domain import (
     ArrayVal,
     broadcast_dims,
@@ -41,25 +42,30 @@ from repro.devtools.shape.summaries import (
 
 FIXTURES = Path(__file__).parent / "fixtures" / "shape"
 REPO = Path(__file__).resolve().parents[1]
-SRC = REPO / "src"
+SHAPE_SELECT = set(SHAPE_RULES) | set(ENGINE_RULES)
 
 
-def shape_findings(paths=None, select=None):
-    findings = analyze_paths(paths if paths is not None else [FIXTURES])
-    if select is not None:
-        findings = [f for f in findings if f.rule in select]
-    return findings
+def shape_findings(paths=None, select=None, **kwargs):
+    return analyze(
+        paths if paths is not None else [FIXTURES],
+        select=SHAPE_SELECT if select is None else select,
+        **kwargs,
+    )
+
+
+def parsed(path, text=None):
+    text = path.read_text() if text is None else text
+    return ModuleContext(path, module_name_for(path), ast.parse(text))
 
 
 def analyze_one(name, *, with_seam=True):
     """Analyze a single fixture file against the seam's contract table."""
     mods = []
     if with_seam:
-        seam = FIXTURES / "contracts_seam.py"
-        mods.append(extract_summaries(seam.read_text(), seam))
-    path = FIXTURES / name
-    mods.append(extract_summaries(path.read_text(), path))
-    return analyze_module(path.read_text(), path, SummaryTable(mods))
+        mods.append(extract_summaries(parsed(FIXTURES / "contracts_seam.py")))
+    ctx = parsed(FIXTURES / name)
+    mods.append(extract_summaries(ctx))
+    return analyze_module(ctx, SummaryTable(mods))
 
 
 # ------------------------------------------------------------------- domain
@@ -125,8 +131,7 @@ def test_arrayval_rank_and_scalar():
 
 # ---------------------------------------------------------------- summaries
 def test_extract_summaries_reads_the_seam_contracts():
-    seam = FIXTURES / "contracts_seam.py"
-    mod = extract_summaries(seam.read_text(), seam)
+    mod = extract_summaries(parsed(FIXTURES / "contracts_seam.py"))
     assert mod.module == "contracts_seam"
     by_qualname = {s.qualname: s for s in mod.summaries}
     assert set(by_qualname) == {"scale_rows", "weight_vector", "total_cost"}
@@ -137,8 +142,7 @@ def test_extract_summaries_reads_the_seam_contracts():
 
 
 def test_summary_roundtrip_and_digest_stability():
-    seam = FIXTURES / "contracts_seam.py"
-    mod = extract_summaries(seam.read_text(), seam)
+    mod = extract_summaries(parsed(FIXTURES / "contracts_seam.py"))
     table = SummaryTable([mod])
     digest = summary_digest(table)
     assert digest == summary_digest(SummaryTable([mod]))
@@ -152,10 +156,8 @@ def test_digest_changes_when_a_contract_changes(tmp_path):
     original = seam.read_text()
     edited_path = tmp_path / "contracts_seam.py"
     edited_path.write_text(original.replace('"(H,N)", "(N,)"', '"(H,K)", "(K,)"'))
-    d1 = summary_digest(SummaryTable([extract_summaries(original, seam)]))
-    d2 = summary_digest(
-        SummaryTable([extract_summaries(edited_path.read_text(), edited_path)])
-    )
+    d1 = summary_digest(SummaryTable([extract_summaries(parsed(seam))]))
+    d2 = summary_digest(SummaryTable([extract_summaries(parsed(edited_path))]))
     assert d1 != d2
 
 
@@ -237,10 +239,10 @@ def test_violation_inside_pytest_raises_is_expected(tmp_path):
         "        scale_rows(np.zeros((4, 3)), np.zeros((4, 3)))\n"
     )
     seam = FIXTURES / "contracts_seam.py"
-    table = SummaryTable([extract_summaries(seam.read_text(), seam)])
+    table = SummaryTable([extract_summaries(parsed(seam))])
     path = tmp_path / "test_mod.py"
     path.write_text(src)
-    assert analyze_module(src, path, table) == []
+    assert analyze_module(parsed(path), table) == []
 
 
 # ---------------------------------------------------------------- hot scope
@@ -258,28 +260,29 @@ def test_sw203_sw204_only_fire_in_hot_modules(tmp_path):
     )
     cold = tmp_path / "coldmod.py"
     cold.write_text(loops)
-    assert analyze_module(loops, cold, SummaryTable([])) == []
+    assert analyze_module(parsed(cold), SummaryTable([])) == []
 
 
 # ------------------------------------------------------------- suppressions
 def test_spotshape_line_suppression():
-    findings = analyze_one("repro/simulator/suppress_line.py", with_seam=False)
-    assert findings == []
+    suppressed = FIXTURES / "repro" / "simulator" / "suppress_line.py"
+    # The interpreter proves the loop; the driver honours the comment.
+    found = analyze_module(parsed(suppressed), SummaryTable([]))
+    assert [f.rule for f in found] == ["SW204"]
+    assert shape_findings([suppressed]) == []
 
 
 def test_unknown_suppression_rule_becomes_sw009(tmp_path):
     path = tmp_path / "m.py"
-    src = "x = 1  # spotshape: disable=SW998\n"
-    path.write_text(src)
-    (finding,) = analyze_module(src, path, SummaryTable([]))
+    path.write_text("x = 1  # spotlint: disable=SW998\n")
+    (finding,) = shape_findings([path])
     assert finding.rule == "SW009" and "SW998" in finding.message
 
 
 def test_syntax_error_becomes_sw000(tmp_path):
     path = tmp_path / "broken.py"
-    src = "def oops(:\n"
-    path.write_text(src)
-    (finding,) = analyze_module(src, path, SummaryTable([]))
+    path.write_text("def oops(:\n")
+    (finding,) = shape_findings([path])
     assert finding.rule == "SW000"
     assert "SW000" in ENGINE_RULES and "SW009" in ENGINE_RULES
 
@@ -291,27 +294,28 @@ def _copy_tree(tmp_path):
     return dest
 
 
+def _cached_run(dest, cache):
+    stats: dict = {}
+    findings = shape_findings([dest], cache_path=cache, stats=stats)
+    return findings, stats["shape"]
+
+
 def test_cache_roundtrip_and_file_invalidation(tmp_path):
     dest = _copy_tree(tmp_path)
     cache = tmp_path / "cache.json"
 
-    stats: dict = {}
-    first = analyze_paths([dest], cache_path=cache, stats=stats)
+    first, stats = _cached_run(dest, cache)
     n_files = stats["analyzed"]
     assert n_files > 0 and stats["cached"] == 0
 
-    stats = {}
-    second = analyze_paths([dest], cache_path=cache, stats=stats)
+    second, stats = _cached_run(dest, cache)
     assert stats == {"cached": n_files, "analyzed": 0}
-    assert [(f.rule, f.line, f.message) for f in second] == [
-        (f.rule, f.line, f.message) for f in first
-    ]
+    assert second == first
 
     # Touching one non-contract file re-analyzes exactly that file.
     target = dest / "sw202_bad.py"
     target.write_text(target.read_text() + "\n# touched\n")
-    stats = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
+    _, stats = _cached_run(dest, cache)
     assert stats == {"cached": n_files - 1, "analyzed": 1}
 
 
@@ -320,8 +324,7 @@ def test_contract_edit_invalidates_every_dependent(tmp_path):
     # in one file must re-analyze all files, not just the edited one.
     dest = _copy_tree(tmp_path)
     cache = tmp_path / "cache.json"
-    stats: dict = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
+    _, stats = _cached_run(dest, cache)
     n_files = stats["analyzed"]
 
     seam = dest / "contracts_seam.py"
@@ -331,8 +334,7 @@ def test_contract_edit_invalidates_every_dependent(tmp_path):
             '@shapes("(N,) f4", "(N,)", ret="()")',
         )
     )
-    stats = {}
-    findings = analyze_paths([dest], cache_path=cache, stats=stats)
+    findings, stats = _cached_run(dest, cache)
     assert stats == {"cached": 0, "analyzed": n_files}
     # The flipped contract now clears the old f8-vs-float32 violation and
     # instead rejects the float64 prices in the good pipeline.
@@ -343,12 +345,10 @@ def test_contract_edit_invalidates_every_dependent(tmp_path):
 def test_cache_schema_mismatch_forces_reanalysis(tmp_path):
     dest = _copy_tree(tmp_path)
     cache = tmp_path / "cache.json"
-    stats: dict = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
+    _, stats = _cached_run(dest, cache)
     n_files = stats["analyzed"]
     cache.write_text(json.dumps({"schema": "something/9", "files": {}}))
-    stats = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
+    _, stats = _cached_run(dest, cache)
     assert stats == {"cached": 0, "analyzed": n_files}
 
 
@@ -356,8 +356,8 @@ def test_cache_schema_mismatch_forces_reanalysis(tmp_path):
 def test_baseline_roundtrip_accepts_everything(tmp_path):
     findings = shape_findings()
     baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, findings, schema=BASELINE_SCHEMA)
-    accepted = load_baseline(baseline_file, schema=BASELINE_SCHEMA)
+    write_baseline(baseline_file, findings)
+    accepted = load_baseline(baseline_file)
     new, baselined = split_findings(findings, accepted)
     assert new == [] and len(baselined) == len(findings)
 
@@ -375,11 +375,11 @@ def test_load_baseline_rejects_wrong_schema(tmp_path):
     bad = tmp_path / "b.json"
     bad.write_text(json.dumps({"schema": "spotgraph-baseline/1", "findings": []}))
     with pytest.raises(ValueError):
-        load_baseline(bad, schema=BASELINE_SCHEMA)
+        load_baseline(bad)
 
 
 def test_committed_repo_baseline_is_justified():
-    committed = REPO / "spotshape-baseline.json"
+    committed = REPO / "spotlint-baseline.json"
     data = json.loads(committed.read_text())
     assert data["schema"] == BASELINE_SCHEMA
     assert data["justification"]
@@ -406,7 +406,7 @@ def test_cli_exits_zero_on_clean_tree(tmp_path, capsys):
     clean_dir.mkdir()
     shutil.copy(FIXTURES / "contracts_seam.py", clean_dir)
     shutil.copy(FIXTURES / "clean.py", clean_dir)
-    code = _cli(tmp_path, str(clean_dir))
+    code = _cli(tmp_path, str(clean_dir), "--select", ",".join(SHAPE_SELECT))
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
@@ -419,6 +419,7 @@ def test_cli_exclude_skips_the_bad_files(tmp_path, capsys):
         "--exclude", str(FIXTURES / "sw200_bad.py"),
         "--exclude", str(FIXTURES / "sw201_bad.py"),
         "--exclude", str(FIXTURES / "sw202_bad.py"),
+        "--select", ",".join(SHAPE_SELECT),
     )
     capsys.readouterr()
     assert code == 0
@@ -435,10 +436,10 @@ def test_cli_json_format(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == "spotweb-findings/1"
-    assert payload["tool"] == "spotshape"
+    assert payload["tool"] == "spotlint"
     assert payload["count"] == 2
     assert payload["baselined"] == 0
-    assert set(payload["cache"]) == {"cached", "analyzed"}
+    assert set(payload["cache"]["shape"]) == {"cached", "analyzed"}
 
 
 def test_cli_update_baseline_then_clean(tmp_path, capsys):
@@ -469,17 +470,3 @@ def test_cli_list_rules(capsys):
         assert rule_id in out
     assert "SW009" in out
 
-
-# ----------------------------------------------------------- the real tree
-def test_real_tree_is_clean_against_committed_baseline(monkeypatch):
-    # The acceptance gate: spotshape over the actual repo (src + tests,
-    # fixtures excluded) reports nothing beyond the committed, justified
-    # baseline.  Burn the baseline down; never grow it.  Baseline
-    # fingerprints hash repo-relative paths, so run from the repo root
-    # exactly as CI does.
-    monkeypatch.chdir(REPO)
-    findings = analyze_paths(["src", "tests"], exclude=["tests/fixtures"])
-    accepted = load_baseline("spotshape-baseline.json", schema=BASELINE_SCHEMA)
-    new, _ = split_findings(findings, accepted)
-    report = "\n".join(f.format() for f in new)
-    assert not new, f"spotshape found new violations:\n{report}"

@@ -1,9 +1,10 @@
 """Tests for spotunits: the units domain, contract summaries, per-rule
-fixtures (positive + negative), suppressions, the two-pass cache, the
-baseline workflow, the CLI, and the real-tree gate."""
+fixtures (positive + negative), suppressions, and the units analyzer's
+share of the driver's two-pass cache, baseline workflow and CLI."""
 
 from __future__ import annotations
 
+import ast
 import json
 import shutil
 from fractions import Fraction
@@ -14,18 +15,13 @@ import pytest
 from repro.devtools.baseline import (
     fingerprint,
     load_baseline,
-    make_baseline,
     split_findings,
     write_baseline,
 )
+from repro.devtools.check import ENGINE_RULES, analyze, main
+from repro.devtools.rules import ModuleContext, module_name_for
 from repro.devtools.specs import parse_unit
-from repro.devtools.units.analyze import (
-    ENGINE_RULES,
-    UNIT_RULES,
-    analyze_module,
-    analyze_paths,
-)
-from repro.devtools.units.cli import BASELINE_SCHEMA, main
+from repro.devtools.units.analyze import UNIT_RULES, analyze_module
 from repro.devtools.units.domain import (
     DIMENSIONLESS,
     classify_mismatch,
@@ -45,25 +41,31 @@ from repro.devtools.units.summaries import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "units"
-REPO = Path(__file__).resolve().parents[1]
+SEAM = FIXTURES / "contracts_seam.py"
+UNITS_SELECT = set(UNIT_RULES) | set(ENGINE_RULES)
 
 
-def unit_findings(paths=None, select=None):
-    findings = analyze_paths(paths if paths is not None else [FIXTURES])
-    if select is not None:
-        findings = [f for f in findings if f.rule in select]
-    return findings
+def unit_findings(paths=None, select=None, **kwargs):
+    return analyze(
+        paths if paths is not None else [FIXTURES],
+        select=UNITS_SELECT if select is None else select,
+        **kwargs,
+    )
+
+
+def parsed(path, text=None):
+    text = path.read_text() if text is None else text
+    return ModuleContext(path, module_name_for(path), ast.parse(text))
 
 
 def analyze_one(name, *, with_seam=True):
     """Analyze a single fixture file against the seam's contract table."""
     mods = []
     if with_seam:
-        seam = FIXTURES / "contracts_seam.py"
-        mods.append(extract_unit_summaries(seam.read_text(), seam))
-    path = FIXTURES / name
-    mods.append(extract_unit_summaries(path.read_text(), path))
-    return analyze_module(path.read_text(), path, UnitTable(mods))
+        mods.append(extract_unit_summaries(parsed(SEAM)))
+    ctx = parsed(FIXTURES / name)
+    mods.append(extract_unit_summaries(ctx))
+    return analyze_module(ctx, UnitTable(mods))
 
 
 # ------------------------------------------------------------------- domain
@@ -117,8 +119,7 @@ def test_describe_uses_canonical_grammar_spelling():
 
 # ---------------------------------------------------------------- summaries
 def test_extract_unit_summaries_reads_the_seam_contracts():
-    seam = FIXTURES / "contracts_seam.py"
-    mod = extract_unit_summaries(seam.read_text(), seam)
+    mod = extract_unit_summaries(parsed(SEAM))
     assert mod.module == "contracts_seam"
     by_qualname = {c.qualname: c for c in mod.contracts}
     assert set(by_qualname) == {"accrue_cost", "interval_width"}
@@ -132,8 +133,7 @@ def test_extract_unit_summaries_reads_the_seam_contracts():
 
 
 def test_summary_roundtrip_and_digest_stability():
-    seam = FIXTURES / "contracts_seam.py"
-    mod = extract_unit_summaries(seam.read_text(), seam)
+    mod = extract_unit_summaries(parsed(SEAM))
     table = UnitTable([mod])
     digest = unit_summary_digest(table)
     assert digest == unit_summary_digest(UnitTable([mod]))
@@ -149,20 +149,15 @@ def test_digest_changes_when_a_contract_changes(tmp_path):
     original = seam.read_text()
     edited_path = tmp_path / "contracts_seam.py"
     edited_path.write_text(original.replace('ret="usd"', 'ret="usd/hr"'))
-    d1 = unit_summary_digest(
-        UnitTable([extract_unit_summaries(original, seam)])
-    )
+    d1 = unit_summary_digest(UnitTable([extract_unit_summaries(parsed(seam))]))
     d2 = unit_summary_digest(
-        UnitTable(
-            [extract_unit_summaries(edited_path.read_text(), edited_path)]
-        )
+        UnitTable([extract_unit_summaries(parsed(edited_path))])
     )
     assert d1 != d2
 
 
 def test_table_resolves_reexport_chains():
-    seam = FIXTURES / "contracts_seam.py"
-    mod = extract_unit_summaries(seam.read_text(), seam)
+    mod = extract_unit_summaries(parsed(SEAM))
     facade = UnitModuleSummaries(
         path="pkg/__init__.py",
         module="pkg",
@@ -176,8 +171,7 @@ def test_table_resolves_reexport_chains():
 
 
 def test_field_unit_lookup():
-    seam = FIXTURES / "contracts_seam.py"
-    table = UnitTable([extract_unit_summaries(seam.read_text(), seam)])
+    table = UnitTable([extract_unit_summaries(parsed(SEAM))])
     spec = table.field_unit("contracts_seam.Tariff", "penalty")
     assert spec == parse_unit("usd/(rps*hr)")
     assert table.field_unit("contracts_seam.Tariff", "nope") is None
@@ -285,37 +279,35 @@ def test_violation_inside_pytest_raises_is_expected(tmp_path):
         "        accrue_cost(hours, 1.0, hours)\n"
         "        elapsed = hours * 3600\n"
     )
-    seam = FIXTURES / "contracts_seam.py"
     path = tmp_path / "test_mod.py"
     path.write_text(src)
+    ctx = parsed(path)
     table = UnitTable(
-        [
-            extract_unit_summaries(seam.read_text(), seam),
-            extract_unit_summaries(src, path),
-        ]
+        [extract_unit_summaries(parsed(SEAM)), extract_unit_summaries(ctx)]
     )
-    findings = analyze_module(src, path, table)
+    findings = analyze_module(ctx, table)
     assert [f.rule for f in findings] == ["SW304"]
 
 
 # ------------------------------------------------------------- suppressions
 def test_spotunits_line_suppression():
-    assert analyze_one("suppress_line.py", with_seam=False) == []
+    # The interpreter proves the mix; the driver honours the comment.
+    rules = [f.rule for f in analyze_one("suppress_line.py", with_seam=False)]
+    assert rules == ["SW302"]
+    assert unit_findings([FIXTURES / "suppress_line.py"]) == []
 
 
 def test_unknown_suppression_rule_becomes_sw009(tmp_path):
     path = tmp_path / "m.py"
-    src = "x = 1  # spotunits: disable=SW998\n"
-    path.write_text(src)
-    (finding,) = analyze_module(src, path, UnitTable([]))
+    path.write_text("x = 1  # spotlint: disable=SW998\n")
+    (finding,) = unit_findings([path])
     assert finding.rule == "SW009" and "SW998" in finding.message
 
 
 def test_syntax_error_becomes_sw000(tmp_path):
     path = tmp_path / "broken.py"
-    src = "def oops(:\n"
-    path.write_text(src)
-    (finding,) = analyze_module(src, path, UnitTable([]))
+    path.write_text("def oops(:\n")
+    (finding,) = unit_findings([path])
     assert finding.rule == "SW000"
     assert "SW000" in ENGINE_RULES and "SW009" in ENGINE_RULES
 
@@ -327,27 +319,28 @@ def _copy_tree(tmp_path):
     return dest
 
 
+def _cached_run(dest, cache):
+    stats: dict = {}
+    findings = unit_findings([dest], cache_path=cache, stats=stats)
+    return findings, stats["units"]
+
+
 def test_cache_roundtrip_and_file_invalidation(tmp_path):
     dest = _copy_tree(tmp_path)
     cache = tmp_path / "cache.json"
 
-    stats: dict = {}
-    first = analyze_paths([dest], cache_path=cache, stats=stats)
+    first, stats = _cached_run(dest, cache)
     n_files = stats["analyzed"]
     assert n_files > 0 and stats["cached"] == 0
 
-    stats = {}
-    second = analyze_paths([dest], cache_path=cache, stats=stats)
+    second, stats = _cached_run(dest, cache)
     assert stats == {"cached": n_files, "analyzed": 0}
-    assert [(f.rule, f.line, f.message) for f in second] == [
-        (f.rule, f.line, f.message) for f in first
-    ]
+    assert second == first
 
     # Touching one non-contract file re-analyzes exactly that file.
     target = dest / "sw304_bad.py"
     target.write_text(target.read_text() + "\n# touched\n")
-    stats = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
+    _, stats = _cached_run(dest, cache)
     assert stats == {"cached": n_files - 1, "analyzed": 1}
 
 
@@ -356,8 +349,7 @@ def test_contract_edit_invalidates_every_dependent(tmp_path):
     # contract in one file must re-analyze all files, not just one.
     dest = _copy_tree(tmp_path)
     cache = tmp_path / "cache.json"
-    stats: dict = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
+    _, stats = _cached_run(dest, cache)
     n_files = stats["analyzed"]
 
     seam = dest / "contracts_seam.py"
@@ -367,8 +359,7 @@ def test_contract_edit_invalidates_every_dependent(tmp_path):
             '@units("usd/(server*hr)", "server", "hr", ret="usd/hr")',
         )
     )
-    stats = {}
-    findings = analyze_paths([dest], cache_path=cache, stats=stats)
+    findings, stats = _cached_run(dest, cache)
     assert stats == {"cached": 0, "analyzed": n_files}
     # The flipped return contract now breaks clean.py's `monthly`, which
     # still declares ret="usd" while accrue_cost hands back usd/hr.
@@ -379,12 +370,10 @@ def test_contract_edit_invalidates_every_dependent(tmp_path):
 def test_cache_schema_mismatch_forces_reanalysis(tmp_path):
     dest = _copy_tree(tmp_path)
     cache = tmp_path / "cache.json"
-    stats: dict = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
+    _, stats = _cached_run(dest, cache)
     n_files = stats["analyzed"]
     cache.write_text(json.dumps({"schema": "something/9", "files": {}}))
-    stats = {}
-    analyze_paths([dest], cache_path=cache, stats=stats)
+    _, stats = _cached_run(dest, cache)
     assert stats == {"cached": 0, "analyzed": n_files}
 
 
@@ -392,8 +381,8 @@ def test_cache_schema_mismatch_forces_reanalysis(tmp_path):
 def test_baseline_roundtrip_accepts_everything(tmp_path):
     findings = unit_findings()
     baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, findings, schema=BASELINE_SCHEMA)
-    accepted = load_baseline(baseline_file, schema=BASELINE_SCHEMA)
+    write_baseline(baseline_file, findings)
+    accepted = load_baseline(baseline_file)
     new, baselined = split_findings(findings, accepted)
     assert new == [] and len(baselined) == len(findings)
 
@@ -408,18 +397,17 @@ def test_fingerprint_is_line_independent():
 
 
 def test_bound_baseline_schema_rejects_other_tools(tmp_path):
-    # make_baseline binds the schema tag once so the spotunits CLI cannot
-    # accidentally read spotshape's baseline file.
-    bound = make_baseline(BASELINE_SCHEMA)
+    # One baseline schema for every analyzer: a file written under one of
+    # the retired per-tool schemas is rejected, not half-read.
     other = tmp_path / "b.json"
     other.write_text(
         json.dumps({"schema": "spotshape-baseline/1", "findings": []})
     )
     with pytest.raises(ValueError):
-        bound.load(other)
-    bound.write(tmp_path / "ok.json", unit_findings(select={"SW300"}))
-    assert len(bound.load(tmp_path / "ok.json")) == 3
-    assert bound.load(tmp_path / "missing.json") == set()
+        load_baseline(other)
+    write_baseline(tmp_path / "ok.json", unit_findings(select={"SW300"}))
+    assert len(load_baseline(tmp_path / "ok.json")) == 3
+    assert load_baseline(tmp_path / "missing.json") == set()
 
 
 # ---------------------------------------------------------------------- CLI
@@ -440,7 +428,7 @@ def test_cli_exits_zero_on_clean_tree(tmp_path, capsys):
     clean_dir.mkdir()
     shutil.copy(FIXTURES / "contracts_seam.py", clean_dir)
     shutil.copy(FIXTURES / "clean.py", clean_dir)
-    code = _cli(tmp_path, str(clean_dir))
+    code = _cli(tmp_path, str(clean_dir), "--select", ",".join(UNITS_SELECT))
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
@@ -454,6 +442,8 @@ def test_cli_exclude_skips_the_bad_files(tmp_path, capsys):
             for rule, bad, _, _ in UNIT_RULE_CASES
             for arg in ("--exclude", str(FIXTURES / bad))
         ],
+        "--select",
+        ",".join(UNITS_SELECT),
     )
     capsys.readouterr()
     assert code == 0
@@ -470,10 +460,10 @@ def test_cli_json_format(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == "spotweb-findings/1"
-    assert payload["tool"] == "spotunits"
+    assert payload["tool"] == "spotlint"
     assert payload["count"] == 2
     assert payload["baselined"] == 0
-    assert set(payload["cache"]) == {"cached", "analyzed"}
+    assert set(payload["cache"]["units"]) == {"cached", "analyzed"}
 
 
 def test_cli_update_baseline_then_clean(tmp_path, capsys):
@@ -513,17 +503,3 @@ def test_cli_list_rules(capsys):
         assert rule_id in out
     assert "SW009" in out
 
-
-# ----------------------------------------------------------- the real tree
-def test_real_tree_is_clean_against_committed_baseline(monkeypatch):
-    # The acceptance gate: spotunits over the actual repo (src + tests,
-    # fixtures excluded) reports nothing beyond a committed, justified
-    # baseline — which currently does not exist, because the tree is
-    # fully clean.  Baseline fingerprints hash repo-relative paths, so
-    # run from the repo root exactly as CI does.
-    monkeypatch.chdir(REPO)
-    findings = analyze_paths(["src", "tests"], exclude=["tests/fixtures"])
-    accepted = load_baseline("spotunits-baseline.json", schema=BASELINE_SCHEMA)
-    new, _ = split_findings(findings, accepted)
-    report = "\n".join(f.format() for f in new)
-    assert not new, f"spotunits found new violations:\n{report}"
