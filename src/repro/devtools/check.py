@@ -72,7 +72,7 @@ from repro.devtools.baseline import load_baseline, split_findings, write_baselin
 from repro.devtools.graph import GRAPH_RULES, analyze_project, render_layer_map
 from repro.devtools.graph.facts import ModuleFacts, Project, extract_module_facts
 from repro.devtools.lint import lint_module
-from repro.devtools.report import render_findings, sort_findings
+from repro.devtools.report import render_json, sort_findings
 from repro.devtools.rules import RULES, Finding, ModuleContext, module_name_for
 from repro.devtools.shape.analyze import SHAPE_RULES
 from repro.devtools.shape.analyze import analyze_module as shape_module
@@ -463,7 +463,7 @@ def analyze(
 
     active = [a for a in ANALYZERS if any(keep(rule) for rule in a.rules)]
     findings, files, _ = _run(paths, exclude, active, cache_path, stats)
-    for src in files:
+    for src in files if keep("SW009") else ():
         for line, rule_id in src.comments.references:
             if rule_id not in RULE_TABLE and rule_id != "ALL":
                 findings.append(
@@ -476,12 +476,12 @@ def analyze(
                         "(see --list-rules); it suppresses nothing",
                     )
                 )
-    comments = {str(src.path): src.comments for src in files}
+    by_path = {str(src.path): src for src in files}
     return sort_findings(
         f
         for f in findings
         if keep(f.rule)
-        and not (f.path in comments and comments[f.path].suppresses(f))
+        and not (f.path in by_path and by_path[f.path].comments.suppresses(f))
     )
 
 
@@ -623,8 +623,7 @@ def main(argv: list[str] | None = None) -> int:
 
     new, accepted = split_findings(findings, baseline)
     if args.format == "json":
-        extra = {"baselined": len(accepted), "cache": stats}
-        print(render_findings(new, tool="spotlint", fmt="json", extra=extra))
+        print(render_json(new, extra={"baselined": len(accepted), "cache": stats}))
     elif not args.quiet:
         for finding in new:
             print(finding.format())

@@ -1,17 +1,15 @@
 """Finding serialization for the ``spotlint`` driver.
 
-Every analyzer emits :class:`repro.devtools.rules.Finding` records; this
-module owns the two output formats:
-
-- **text** — one ``path:line:col: RULE message`` line per finding
-  (clickable in editors, greppable in CI logs);
-- **json** — a schema-tagged payload (``spotweb-findings/1``, the same
-  convention as the ``BENCH_*.json`` baselines and ``spotweb-trace/1``),
-  uploaded as a CI artifact and consumed by the baseline workflow.
+Every analyzer emits :class:`repro.devtools.rules.Finding` records.  The
+driver prints them as text, one ``path:line:col: RULE message`` line per
+finding (:meth:`Finding.format`: clickable in editors, greppable in CI
+logs), or as the schema-tagged JSON report built here
+(``spotweb-findings/1``, the same convention as the ``BENCH_*.json``
+baselines and ``spotweb-trace/1``), uploaded as a CI artifact.
 
 Findings are always serialized in the canonical order
 ``(path, line, col, rule)`` regardless of the order they were produced,
-so reports are byte-identical across argument orders and worker counts.
+so reports are byte-identical across argument orders.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ from repro.devtools.rules import Finding
 __all__ = [
     "FINDINGS_SCHEMA",
     "sort_findings",
-    "findings_payload",
-    "render_findings",
+    "render_json",
 ]
 
 FINDINGS_SCHEMA = "spotweb-findings/1"
@@ -36,14 +33,12 @@ def sort_findings(findings: Iterable[Finding]) -> list[Finding]:
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
 
 
-def findings_payload(
-    findings: Iterable[Finding], *, tool: str, extra: dict | None = None
-) -> dict:
-    """The JSON-ready report payload for one tool run."""
+def render_json(findings: Iterable[Finding], *, extra: dict) -> str:
+    """The ``spotweb-findings/1`` report of one run, plus ``extra`` keys."""
     ordered = sort_findings(findings)
     payload = {
         "schema": FINDINGS_SCHEMA,
-        "tool": tool,
+        "tool": "spotlint",
         "count": len(ordered),
         "findings": [
             {
@@ -55,23 +50,6 @@ def findings_payload(
             }
             for f in ordered
         ],
+        **extra,
     }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-def render_findings(
-    findings: Iterable[Finding],
-    *,
-    tool: str,
-    fmt: str = "text",
-    extra: dict | None = None,
-) -> str:
-    """Render findings as ``text`` or ``json`` (see module docstring)."""
-    if fmt == "json":
-        payload = findings_payload(findings, tool=tool, extra=extra)
-        return json.dumps(payload, indent=2, sort_keys=True)
-    if fmt != "text":
-        raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'json')")
-    return "\n".join(f.format() for f in sort_findings(findings))
+    return json.dumps(payload, indent=2, sort_keys=True)
