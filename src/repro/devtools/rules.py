@@ -22,10 +22,6 @@ Rule inventory
 - ``SW006`` — bare ``except`` or ``except Exception``.
 - ``SW007`` — missing, incomplete, or stale ``__all__``.
 - ``SW008`` — ``assert`` in library code (stripped under ``python -O``).
-
-SW003, SW007 and SW008 skip pytest modules (``test_*.py``,
-``conftest.py``): bitwise-equality assertions are the point of many
-tests, and ``assert`` plus an implicit API are pytest idiom.
 - ``SW011`` — builtin-type ``dtype=`` argument (``float``/``int``/``bool``)
   on a NumPy call; spell the width explicitly (``np.float64``/``np.int64``/
   ``np.bool_``) — bare ``int`` is platform-dependent (int32 on Windows).
@@ -35,6 +31,10 @@ tests, and ``assert`` plus an implicit API are pytest idiom.
   readers).  Naming-level clock-domain hygiene: the suffix is what lets
   humans — and ``spotunits``'s SW302 wall/sim-time rule — tell a
   wall-clock timestamp from a simulated one.
+
+SW003, SW007 and SW008 skip pytest modules (``test_*.py``,
+``conftest.py``): bitwise-equality assertions are the point of many
+tests, and ``assert`` plus an implicit API are pytest idiom.
 
 (``SW009`` is an engine rule — unknown suppression ids — and ``SW010`` is
 reserved; the SW2xx range belongs to ``spotshape`` and SW3xx to
