@@ -311,26 +311,15 @@ class _Source:
         self.text = text
         self.sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
         self.module = module_name_for(path)
-        self.error: Finding | None = None
 
     @cached_property
     def comments(self) -> Comments:
         return scan_comments(self.text)
 
     @cached_property
-    def ctx(self) -> ModuleContext | None:
-        """The parsed module, or ``None`` (and :attr:`error`) on bad syntax."""
-        try:
-            tree = ast.parse(self.text, filename=str(self.path))
-        except SyntaxError as exc:
-            self.error = Finding(
-                "SW000",
-                str(self.path),
-                exc.lineno or 1,
-                exc.offset or 0,
-                f"syntax error: {exc.msg}",
-            )
-            return None
+    def ctx(self) -> ModuleContext:
+        """The parsed module; raises :class:`SyntaxError`."""
+        tree = ast.parse(self.text, filename=str(self.path))
         annotations = self.comments.annotations
         return ModuleContext(self.path, self.module, tree, annotations)
 
@@ -390,8 +379,12 @@ def _run(
             or entry.get("module") != src.module
         ):
             # Only parseable files get an entry, so a hit needs no parse.
-            if src.ctx is None:
-                findings.append(src.error)
+            try:
+                src.ctx
+            except SyntaxError as exc:
+                message = f"syntax error: {exc.msg}"
+                line, col = exc.lineno or 1, exc.offset or 0
+                findings.append(Finding("SW000", str(path), line, col, message))
                 continue
             entry = {"sha256": src.sha256, "module": src.module}
         files.append((src, entry))
