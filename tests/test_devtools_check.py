@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import shutil
-import time
 from pathlib import Path
 
 import pytest
@@ -65,23 +64,17 @@ def test_golden_covers_every_analyzer():
 
 
 # --------------------------------------------------------- the real tree
-def test_canonical_command_is_clean(monkeypatch, capsys):
-    # The gate, exactly as CI and the baseline workflow run it: every
-    # analyzer over src/ and tests/, fixtures excluded, against the one
-    # committed baseline (fingerprints hash repo-relative paths).
-    monkeypatch.chdir(REPO)
-    start_s = time.perf_counter()
-    code = main(
-        ["src/", "tests/", "--exclude", "tests/fixtures", "--no-cache",
-         "--format", "json"]
-    )
-    elapsed_s = time.perf_counter() - start_s
-    payload = json.loads(capsys.readouterr().out)
+def test_canonical_command_is_clean(spotlint_gate):
+    # The gate (run once per session by the conftest fixture, cold):
+    # nothing beyond the one committed baseline, every entry still live.
+    payload = spotlint_gate.payload
     report = "\n".join(
         f"{f['path']}:{f['line']}: {f['rule']} {f['message']}"
         for f in payload["findings"]
     )
-    assert code == 0, f"new findings ({elapsed_s:.1f} s):\n{report}"
+    assert spotlint_gate.code == 0, (
+        f"new findings ({spotlint_gate.elapsed_s:.1f} s):\n{report}"
+    )
     assert payload["count"] == 0
     assert payload["baselined"] == len(load_baseline(REPO / "spotlint-baseline.json"))
 

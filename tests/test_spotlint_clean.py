@@ -10,21 +10,27 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.devtools.lint import lint_paths, main
+from repro.devtools.check import ENGINE_RULES, analyze, main
+from repro.devtools.rules import RULES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+LINT_SELECT = set(RULES) | set(ENGINE_RULES)
 
 
 def test_src_tree_is_spotlint_clean():
-    findings = lint_paths([SRC])
+    findings = analyze([SRC], select=LINT_SELECT)
     report = "\n".join(f.format() for f in findings)
     assert not findings, f"spotlint found violations:\n{report}"
 
 
-def test_cli_gate_exit_codes(capsys):
-    assert main([str(SRC)]) == 0
-    capsys.readouterr()
+def test_cli_gate_exit_codes(spotlint_gate, tmp_path, capsys):
+    # Exit 0: the canonical gate command over src/ and tests/ (run once
+    # per session by the conftest fixture).
+    assert spotlint_gate.code == 0
     bad_fixture = Path(__file__).parent / "fixtures" / "lint" / "sw001_bad.py"
-    assert main([str(bad_fixture)]) == 1
+    code = main(
+        [str(bad_fixture), "--no-cache", "--baseline", str(tmp_path / "none.json")]
+    )
+    assert code == 1
     out = capsys.readouterr().out
     assert "SW001" in out and "sw001_bad.py:" in out
