@@ -291,6 +291,17 @@ def _check_unit(qualname: str, pname: str, value: Any, spec: UnitSpec) -> None:
         )
 
 
+def _any_tagged(args: tuple, kwargs: dict) -> bool:
+    """Whether any argument is a :class:`UnitScalar` (the only kind checked)."""
+    for value in args:
+        if isinstance(value, UnitScalar):
+            return True
+    for value in kwargs.values():
+        if isinstance(value, UnitScalar):
+            return True
+    return False
+
+
 def units(
     *pos_specs: str | None, ret: str | None = None, **kw_specs: str
 ) -> Callable[[_F], _F]:
@@ -344,12 +355,15 @@ def units(
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             if not _enabled:
                 return func(*args, **kwargs)
-            bound = signature.bind(*args, **kwargs)
-            for pname, spec in spec_map.items():
-                value = bound.arguments.get(pname, None)
-                if value is None:
-                    continue
-                _check_unit(func.__qualname__, pname, value, spec)
+            # Untagged arguments always pass, so a call without one skips
+            # the (comparatively costly) bind.
+            if _any_tagged(args, kwargs):
+                bound = signature.bind(*args, **kwargs)
+                for pname, spec in spec_map.items():
+                    value = bound.arguments.get(pname, None)
+                    if value is None:
+                        continue
+                    _check_unit(func.__qualname__, pname, value, spec)
             result = func(*args, **kwargs)
             if parsed_ret is not None and result is not None:
                 _check_unit(func.__qualname__, "<return>", result, parsed_ret)

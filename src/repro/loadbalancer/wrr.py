@@ -73,17 +73,19 @@ class SmoothWeightedRoundRobin:
         ``exclude`` supports retry-on-refusal without disturbing the credit
         state of excluded backends.
         """
-        exclude = exclude or set()
-        candidates = [k for k in self._weights if k not in exclude]
-        if not candidates:
+        weights = self._weights
+        if exclude:
+            weights = {k: w for k, w in weights.items() if k not in exclude}
+        if not weights:
             return None
-        total = sum(self._weights[k] for k in candidates)
+        credit = self._credit
         best = None
         best_credit = -float("inf")
-        for k in candidates:
-            self._credit[k] += self._weights[k]
-            if self._credit[k] > best_credit:
-                best_credit = self._credit[k]
+        for k, w in weights.items():
+            c = credit[k] + w
+            credit[k] = c
+            if c > best_credit:
+                best_credit = c
                 best = k
-        self._credit[best] -= total
+        credit[best] -= sum(weights.values())
         return best

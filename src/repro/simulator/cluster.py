@@ -25,6 +25,9 @@ from repro.simulator.server import SimServer
 
 __all__ = ["ClusterConfig", "ClusterSimulation"]
 
+#: Returning requests pick uniformly among the most recent this many sessions.
+_SESSION_WINDOW = 10_000
+
 
 @field_units(
     service_time="s",
@@ -128,7 +131,6 @@ class ClusterSimulation:
         self.servers: dict[int, SimServer] = {}
         self._next_id = 0
         self._rng = np.random.default_rng(self.config.seed)
-        self._sessions: list[int] = []
         self._next_session = 0
         self._arrival_event = None
         self.capacity_timeline: list[tuple[float, float]] = []
@@ -281,17 +283,17 @@ class ClusterSimulation:
 
     # ---------------------------------------------------------------- traffic
     def _session_for_request(self) -> int:
-        if (
-            not self._sessions
-            or self._rng.random() < self.config.new_session_probability
-        ):
-            sid = self._next_session
-            self._next_session += 1
-            self._sessions.append(sid)
-            if len(self._sessions) > 10_000:
-                self._sessions.pop(0)
-            return sid
-        return int(self._rng.choice(self._sessions))
+        """A new session id, or a uniform draw among the live ones.
+
+        The live sessions are always the contiguous ids ``[next - n, next)``
+        with ``n = min(next, _SESSION_WINDOW)``, so the draw is one index.
+        """
+        nxt = self._next_session
+        if not nxt or self._rng.random() < self.config.new_session_probability:
+            self._next_session = nxt + 1
+            return nxt
+        live = min(nxt, _SESSION_WINDOW)
+        return nxt - live + int(self._rng.integers(live))
 
     def _arrival(self, rate_fn: Callable[[float], float], t_end: float) -> None:
         now = self.sim.now

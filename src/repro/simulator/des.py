@@ -2,7 +2,9 @@
 
 A binary-heap event loop with cancellable events and a monotonic clock.
 Deliberately tiny: the cluster and cloud models own their state machines and
-just schedule callbacks here.
+just schedule callbacks here.  The heap holds ``(time, seq, event)`` tuples:
+``seq`` is unique, so ``heapq`` orders them by ``(time, seq)`` in C and never
+compares two events.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ class Event:
     def cancel(self) -> None:
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6g}, {getattr(self.fn, '__name__', self.fn)}, {state})"
@@ -47,7 +46,7 @@ class Simulator:
     @units("s")
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._processed = 0
         #: Bumped by every :class:`~repro.simulator.server.SimServer`
@@ -62,7 +61,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _t, _s, e in self._heap if not e.cancelled)
 
     @property
     def processed(self) -> int:
@@ -73,15 +72,23 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        return self.schedule_at(self._now + delay, fn, *args)
+        # Pushed here rather than through schedule_at: a non-negative delay
+        # cannot land in the past, and this is the per-request path.
+        time = float(self._now + delay)
+        seq = next(self._seq)
+        event = Event(time, seq, fn, args)
+        heapq.heappush(self._heap, (time, seq, event))
+        return event
 
     @units("s")
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
         if time < self._now:
             raise ValueError("cannot schedule into the past")
-        event = Event(float(time), next(self._seq), fn, args)
-        heapq.heappush(self._heap, event)
+        time = float(time)
+        seq = next(self._seq)
+        event = Event(time, seq, fn, args)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     @units("s")
@@ -99,8 +106,8 @@ class Simulator:
         ev = get_events()
         evented = ev.enabled
         heap = self._heap
-        while heap and heap[0].time <= t_end:
-            event = heapq.heappop(heap)
+        while heap and heap[0][0] <= t_end:
+            event = heapq.heappop(heap)[2]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -121,9 +128,10 @@ class Simulator:
         before = self._processed
         ev = get_events()
         evented = ev.enabled  # hoisted: the loop body is the hot path
+        heap = self._heap
         with get_tracer().span("des.run", t_end=t_end) as sp:
-            while self._heap and self._heap[0].time <= t_end:
-                event = heapq.heappop(self._heap)
+            while heap and heap[0][0] <= t_end:
+                event = heapq.heappop(heap)[2]
                 if event.cancelled:
                     continue
                 self._now = event.time
@@ -142,9 +150,10 @@ class Simulator:
         before = self._processed
         ev = get_events()
         evented = ev.enabled
+        heap = self._heap
         with get_tracer().span("des.run") as sp:
-            while self._heap:
-                event = heapq.heappop(self._heap)
+            while heap:
+                event = heapq.heappop(heap)[2]
                 if event.cancelled:
                     continue
                 self._now = event.time

@@ -17,6 +17,7 @@ sizing identity).  Three behaviours the testbed experiment depends on:
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +97,10 @@ class SimServer:
         sim.fleet_epoch += 1
         self.launched_at = sim.now
         self._serving_since: float | None = None
-        # Earliest idle time per worker slot (heap-free: keep sorted lazily).
-        self._worker_free = np.zeros(self.workers)
+        # Earliest idle time per worker slot, kept in heap order: slot [0]
+        # frees first.  Slots are interchangeable, so only the multiset of
+        # free times matters.
+        self._worker_free = [0.0] * self.workers
         self._in_flight = 0
         self._completions = 0
         # Hybrid-engine support: remember pending completion events so a
@@ -140,7 +143,7 @@ class SimServer:
             self.phase = ServerPhase.RUNNING
         self._serving_since = self.sim.now
         self.sim.fleet_epoch += 1
-        self._worker_free[:] = self.sim.now
+        self._worker_free = [self.sim.now] * self.workers
         ev = get_events()
         if ev.enabled:
             ev.emit(
@@ -205,13 +208,14 @@ class SimServer:
         """
         if self.phase in (ServerPhase.DEAD, ServerPhase.BOOTING):
             return float("inf")
-        return max(0.0, float(self._worker_free.min()) - self.sim.now)
+        return max(0.0, self._worker_free[0] - self.sim.now)
 
     def utilization(self) -> float:
         """Instantaneous busy fraction of the worker pool."""
         if self.phase not in (ServerPhase.RUNNING, ServerPhase.DRAINING):
             return 0.0
-        return float(np.mean(self._worker_free > self.sim.now))
+        now = self.sim.now
+        return sum(1 for free in self._worker_free if free > now) / self.workers
 
     def submit(
         self,
@@ -239,10 +243,9 @@ class SimServer:
         wait = self.expected_wait()
         if wait > self.queue_limit_seconds:
             return False
-        idx = int(np.argmin(self._worker_free))
-        start = max(self.sim.now, float(self._worker_free[idx]))
+        start = max(self.sim.now, self._worker_free[0])
         finish = start + self._current_service_time() * service_scale
-        self._worker_free[idx] = finish
+        heapq.heapreplace(self._worker_free, finish)
         self._in_flight += 1
         arrived = self.sim.now
         event = self.sim.schedule_at(finish, self._complete, arrived)
@@ -277,11 +280,11 @@ class SimServer:
         if self.phase in (ServerPhase.DEAD, ServerPhase.BOOTING):
             return 0
         now = self.sim.now
+        slots = self._worker_free
         for _ in range(count):
-            idx = int(np.argmin(self._worker_free))
-            start = max(now, float(self._worker_free[idx]))
+            start = max(now, slots[0])
             finish = start + self._current_service_time()
-            self._worker_free[idx] = finish
+            heapq.heapreplace(slots, finish)
             self._in_flight += 1
             event = self.sim.schedule_at(finish, self._complete, now)
             if self._track_completions:
@@ -308,7 +311,7 @@ class SimServer:
                 absorbed += 1
         self._pending_completions.clear()
         self._in_flight -= absorbed
-        self._worker_free[:] = now
+        self._worker_free = [now] * self.workers
         return absorbed
 
     def _complete(self, arrived: float) -> None:

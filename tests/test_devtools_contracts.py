@@ -322,6 +322,25 @@ def test_units_methods_skip_self_and_keyword_specs_bind_by_name():
         biller.bill(2.0, price=rps(0.5))
 
 
+def test_units_checks_a_tagged_argument_among_untagged_ones():
+    # Calls with no tagged argument skip binding; one tagged argument,
+    # positional or keyword, still gets its spec checked, and the return
+    # check runs for untagged calls too.
+    @units("req/s", "s", ret="usd")
+    def f(rate, window, out=None):
+        return out
+
+    assert f(100.0, 2.0) is None
+    with pytest.raises(ContractError, match="'window'"):
+        f(100.0, rps(2.0))
+    with pytest.raises(ContractError, match="'window'"):
+        f(100.0, window=rps(2.0))
+    with pytest.raises(ContractError, match="<return>"):
+        f(100.0, 2.0, out=rps(1.0))
+    with pytest.raises(TypeError):
+        f(100.0)
+
+
 def test_units_decoration_time_validation():
     with pytest.raises(ValueError):  # more specs than parameters
 

@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +63,32 @@ class TestUpdates:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             SmoothWeightedRoundRobin({"a": -1.0})
+
+    def test_unexcluded_pick_matches_the_filtered_path(self):
+        # pick() without exclusions skips building the filtered table; it
+        # must give the same picks and credits, bit for bit, as the filtered
+        # path, which an exclusion of an absent key forces.
+        def run(exclude):
+            rng = np.random.default_rng(5)
+            wrr = SmoothWeightedRoundRobin({k: float(k + 1) for k in range(6)})
+            trace = []
+            for _ in range(2000):
+                op = rng.random()
+                key = int(rng.integers(0, 10))
+                if op < 0.8:
+                    trace.append(wrr.pick(exclude=exclude))
+                elif op < 0.9:
+                    wrr.set_weight(key, float(rng.uniform(-0.5, 10.0)))
+                elif op < 0.97:
+                    wrr.remove(key)
+                else:
+                    wrr.set_weights(
+                        {k: float(rng.uniform(0.0, 5.0)) for k in range(key + 1)}
+                    )
+                trace.append(dict(wrr._credit))
+            return trace
+
+        assert run(None) == run({"absent"})
 
     def test_online_reweight_shifts_distribution(self):
         wrr = SmoothWeightedRoundRobin({"a": 1.0, "b": 1.0})

@@ -79,6 +79,33 @@ class TestSessions:
         assert cluster._next_session > 10
         assert len(cluster.balancer.sessions) > 0
 
+    def test_session_draw_matches_list_choice_reference(self):
+        # The draw is one index into the live window; it must give the same
+        # ids, and leave the generator in the same state, as the list of the
+        # last 10k sessions plus ``rng.choice`` it replaced.  14k draws at
+        # p=0.8 create ~11.2k sessions, so the window rolls over.
+        seed, p_new, draws = 7, 0.8, 14_000
+        cluster = ClusterSimulation(
+            quick_config(seed=seed, new_session_probability=p_new)
+        )
+        rng = np.random.default_rng(seed)
+        sessions, next_session = [], 0
+        expected = []
+        for _ in range(draws):
+            if not sessions or rng.random() < p_new:
+                sessions.append(next_session)
+                expected.append(next_session)
+                next_session += 1
+                if len(sessions) > 10_000:
+                    sessions.pop(0)
+            else:
+                expected.append(int(rng.choice(sessions)))
+        got = [cluster._session_for_request() for _ in range(draws)]
+        assert next_session > 10_000
+        assert got == expected
+        assert cluster._next_session == next_session
+        assert cluster._rng.bit_generator.state == rng.bit_generator.state
+
 
 class TestValidation:
     def test_bad_duration(self):

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event engine."""
 
+import numpy as np
 import pytest
 
 from repro.simulator import Event, Simulator
@@ -23,6 +24,27 @@ class TestScheduling:
             sim.schedule(1.0, fired.append, i)
         sim.run_until(2.0)
         assert fired == [0, 1, 2, 3, 4]
+
+    def test_equal_times_fire_in_schedule_order_across_cancellations(self):
+        # Many events on a few instants, scheduled out of time order through
+        # both entry points, a third of them cancelled: the survivors fire
+        # by time, and at equal times in the order they were scheduled.
+        sim = Simulator()
+        rng = np.random.default_rng(3)
+        fired, expected = [], []
+        for i in range(300):
+            t = float(rng.integers(1, 4))
+            if i % 2:
+                event = sim.schedule(t, fired.append, i)
+            else:
+                event = sim.schedule_at(t, fired.append, i)
+            if rng.random() < 1 / 3:
+                event.cancel()
+            else:
+                expected.append((t, i))
+        sim.run_until(5.0)
+        assert fired == [i for _t, i in sorted(expected)]
+        assert sim.processed == len(expected)
 
     def test_clock_advances_with_events(self):
         sim = Simulator()
@@ -66,6 +88,9 @@ class TestScheduling:
         sim = Simulator(start_time=10.0)
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule(-1e-12, lambda: None)
+        assert sim.pending == 0
         with pytest.raises(ValueError):
             sim.schedule_at(5.0, lambda: None)
         with pytest.raises(ValueError):

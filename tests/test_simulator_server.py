@@ -154,6 +154,106 @@ class TestQueueing:
         assert rec.percentile(50) < 0.3
 
 
+class _ArgminServer(SimServer):
+    """Reference: the worker slots as a NumPy array scanned with argmin."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._worker_free = np.array(self._worker_free, dtype=np.float64)
+
+    def _on_boot(self):
+        super()._on_boot()
+        self._worker_free = np.full(self.workers, self.sim.now)
+
+    def absorb(self):
+        absorbed = super().absorb()
+        self._worker_free = np.full(self.workers, self.sim.now)
+        return absorbed
+
+    def expected_wait(self):
+        if self.phase in (ServerPhase.DEAD, ServerPhase.BOOTING):
+            return float("inf")
+        return max(0.0, float(self._worker_free.min()) - self.sim.now)
+
+    def utilization(self):
+        if self.phase not in (ServerPhase.RUNNING, ServerPhase.DRAINING):
+            return 0.0
+        return float(np.mean(self._worker_free > self.sim.now))
+
+    def submit(self, session_id=None, *, migrated=False, service_scale=1.0):
+        if self.phase in (ServerPhase.DEAD, ServerPhase.BOOTING):
+            return False
+        if self.phase is ServerPhase.DRAINING and not migrated:
+            return False
+        if self.expected_wait() > self.queue_limit_seconds:
+            return False
+        idx = int(np.argmin(self._worker_free))
+        start = max(self.sim.now, float(self._worker_free[idx]))
+        finish = start + self._current_service_time() * service_scale
+        self._worker_free[idx] = finish
+        self._in_flight += 1
+        event = self.sim.schedule_at(finish, self._complete, self.sim.now)
+        self._remember(event)
+        return True
+
+    def materialize(self, count):
+        if self.phase in (ServerPhase.DEAD, ServerPhase.BOOTING):
+            return 0
+        now = self.sim.now
+        for _ in range(count):
+            idx = int(np.argmin(self._worker_free))
+            start = max(now, float(self._worker_free[idx]))
+            finish = start + self._current_service_time()
+            self._worker_free[idx] = finish
+            self._in_flight += 1
+            self._remember(self.sim.schedule_at(finish, self._complete, now))
+        return count
+
+
+def _slot_trace(server_cls, workers, seed):
+    """Every observable of a seeded op sequence on one fresh server."""
+    sim = Simulator()
+    rec = LatencyRecorder(keep_raw=True)
+    server = server_cls(
+        sim, rec, server_id=0, capacity_rps=workers / 0.1, service_time=0.1,
+        boot_seconds=0.5, warmup_seconds=2.0, cold_multiplier=2.0,
+        queue_limit_seconds=0.5, seed=seed, track_completions=True,
+    )
+    ops = np.random.default_rng(seed)
+    trace = []
+    for _ in range(3000):
+        op = ops.random()
+        if op < 0.6:
+            out = server.submit(
+                migrated=bool(ops.random() < 0.2),
+                service_scale=float(ops.choice([1.0, 3.0])),
+            )
+        elif op < 0.65:
+            out = server.materialize(int(ops.integers(0, 2 * workers)))
+        elif op < 0.67:
+            out = server.absorb()
+        else:
+            sim.run_until(sim.now + float(ops.exponential(0.1 / workers)))
+            out = sim.now
+        trace.append(
+            (op, out, server.expected_wait(), server.utilization(),
+             server.in_flight, sorted(float(f) for f in server._worker_free))
+        )
+    sim.run_until(sim.now + 100.0)
+    trace.append((rec.served, rec.latencies, rec.timestamps))
+    return trace
+
+
+class TestWorkerSlots:
+    @pytest.mark.parametrize("workers", [1, 8, 110])
+    def test_heap_slots_match_argmin_reference(self, workers):
+        # Slots are interchangeable: the heap must give float-for-float the
+        # outputs of the argmin scan it replaced, boot and absorb included.
+        got = _slot_trace(SimServer, workers, seed=11)
+        want = _slot_trace(_ArgminServer, workers, seed=11)
+        assert got == want
+
+
 class TestWarmup:
     def test_cold_cache_inflates_service(self):
         sim1, rec1, cold = make_server(
