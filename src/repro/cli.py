@@ -509,6 +509,11 @@ def _cmd_bench(args) -> str:
 
     from repro import bench, obs
 
+    # Read the baselines first: --out-dir may hold the very files compared
+    # against (the default "." does, from the repository root), and the
+    # writes below would replace them with the fresh run.
+    mpo_baseline = bench.load_bench(args.compare) if args.compare else None
+    sim_baseline = bench.load_bench(args.compare_sim) if args.compare_sim else None
     trace_on = args.trace or _env_trace_on()
     if trace_on:
         obs.enable_tracing()
@@ -563,7 +568,7 @@ def _cmd_bench(args) -> str:
         text += f"\nWARNING: {message}"
     if args.compare:
         regressions = bench.bench_regressions(
-            mpo, bench.load_bench(args.compare), factor=args.regress_factor
+            mpo, mpo_baseline, factor=args.regress_factor
         )
         if regressions:
             detail = ", ".join(
@@ -578,7 +583,6 @@ def _cmd_bench(args) -> str:
             )
         text += f"\nno warm-latency regressions vs {args.compare}"
     if args.compare_sim:
-        sim_baseline = bench.load_bench(args.compare_sim)
         sim_slow = bench.sim_regressions(
             sim, sim_baseline, factor=args.regress_factor
         )

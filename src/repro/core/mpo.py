@@ -30,7 +30,6 @@ Solver backends (``backend=``):
   the program is big enough to amortize its per-iteration Python overhead,
   the dense path below it.
 - ``"structured"`` / ``"admm"`` — force one path (tests, benchmarks).
-- ``"active_set"`` — the exact active-set solver (small programs only).
 
 Warm starting is **horizon-shifted**: the receding-horizon loop executes
 only period 0 of each plan, so the best seed for the next solve is the
@@ -116,10 +115,8 @@ class MPOOptimizer:
             raise ValueError("need at least one market")
         if interval_hours <= 0:
             raise ValueError("interval_hours must be positive")
-        if backend not in ("auto", "admm", "structured", "active_set"):
-            raise ValueError(
-                "backend must be 'auto', 'admm', 'structured' or 'active_set'"
-            )
+        if backend not in ("auto", "admm", "structured"):
+            raise ValueError("backend must be 'auto', 'admm' or 'structured'")
         self.backend = backend
         self.markets = list(markets)
         self.horizon = int(horizon)
@@ -131,8 +128,6 @@ class MPOOptimizer:
         self._solver: ADMMCore | None = None
         self._solver_key: tuple | None = None
         self._structure: MPOStructure | None = None
-        self._dense_P: np.ndarray | None = None
-        self._constraint_rows: np.ndarray | None = None
         self._bounds: tuple[np.ndarray, np.ndarray] | None = None
         self._last_plan: np.ndarray | None = None
 
@@ -184,18 +179,11 @@ class MPOOptimizer:
             self._solver = StructuredADMMSolver(
                 self._structure, **self.solver_options
             )
-            self._dense_P = None
-            self._constraint_rows = None
         else:
-            self._dense_P = self._structure.dense_hessian()
             rows, _lower, _upper = self.constraints.build_rows(N, H)
-            self._constraint_rows = rows
-            if backend == "admm":
-                self._solver = ADMMSolver(
-                    self._dense_P, rows, **self.solver_options
-                )
-            else:  # active_set solves one-shot; no persistent solver state
-                self._solver = None
+            self._solver = ADMMSolver(
+                self._structure.dense_hessian(), rows, **self.solver_options
+            )
         self._solver_key = key
         self._last_plan = None
 
@@ -312,19 +300,10 @@ class MPOOptimizer:
         with tracer.span(
             "mpo.solve", backend=self.resolved_backend, variables=N * H
         ) as solve_span:
-            if self.resolved_backend == "active_set":
-                from repro.solvers.active_set import solve_qp_active_set
-
-                result = solve_qp_active_set(
-                    self._dense_P, q, self._constraint_rows, lower, upper
-                )
-            else:
-                if self._last_plan is not None:
-                    metrics.counter("mpo.warm_start_hits").inc()
-                self._solver.warm_start(
-                    self._warm_start_vector(current_fractions)
-                )
-                result = self._solver.solve(q, lower, upper)
+            if self._last_plan is not None:
+                metrics.counter("mpo.warm_start_hits").inc()
+            self._solver.warm_start(self._warm_start_vector(current_fractions))
+            result = self._solver.solve(q, lower, upper)
             solve_span.tag(
                 iterations=result.iterations, status=result.status.value
             )

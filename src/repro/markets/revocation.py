@@ -20,6 +20,7 @@ Three pieces, matching how the paper consumes revocation data:
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtri
 
 from repro.markets.catalog import Market, PurchaseOption
 from repro.obs import get_events
@@ -201,8 +202,6 @@ class CorrelatedRevocationSampler:
 
     def sample(self, probabilities: np.ndarray) -> np.ndarray:
         """One joint draw: boolean vector of per-market revocation events."""
-        from scipy.stats import norm
-
         p = np.asarray(probabilities, dtype=np.float64).ravel()
         if p.shape != (self.num_markets,):
             raise ValueError("probabilities length must match market count")
@@ -210,7 +209,7 @@ class CorrelatedRevocationSampler:
             raise ValueError("probabilities must lie in [0, 1]")
         z = self._chol @ self._rng.normal(size=self.num_markets)
         # P(z <= Phi^{-1}(p)) = p marginally.
-        thresholds = norm.ppf(np.clip(p, 1e-12, 1 - 1e-12))
+        thresholds = ndtri(np.clip(p, 1e-12, 1 - 1e-12))
         events = z <= thresholds
         # Exact-0 / exact-1 marginals bypass the copula noise.
         events = np.where(p <= 0.0, False, events)

@@ -8,6 +8,7 @@ algorithms that can be used instead of our predictor").
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtri
 
 from repro.predictors.base import PredictionResult, WorkloadPredictor
 
@@ -52,9 +53,7 @@ class EWMAPredictor(WorkloadPredictor):
         mean = np.full(horizon, level)
         # 1.25 * mean absolute deviation approximates one standard deviation
         # for a normal error; grow with sqrt(horizon).
-        from scipy.stats import norm
-
-        z = norm.ppf(0.5 + self.confidence / 2.0)
+        z = ndtri(0.5 + self.confidence / 2.0)
         band = z * 1.25 * self._abs_err * np.sqrt(np.arange(1, horizon + 1))
         return PredictionResult(
             mean, np.clip(mean - band, 0.0, None), mean + band, self.confidence

@@ -9,6 +9,7 @@ controllable relative error, which is exactly the knob swept in Fig. 7(a).
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtri
 
 from repro.predictors.base import PredictionResult, WorkloadPredictor
 from repro.workloads.trace import WorkloadTrace
@@ -93,12 +94,10 @@ class NoisyOraclePredictor(WorkloadPredictor):
         rng = np.random.default_rng(self._seed + 1_000_003 * self._cursor)
         noise = rng.normal(scale=self.relative_error, size=horizon)
         mean = np.clip(truth * (1.0 + noise), 0.0, None)
-        from scipy.stats import norm
-
         # Self-correcting CI semantics (Sec. 4.3): the band grows with the
         # predictor's error, but never collapses below a floor — even a
         # perfect workload predictor must pad for revocations.
-        z = norm.ppf(0.5 + self.confidence / 2.0)
+        z = ndtri(0.5 + self.confidence / 2.0)
         band = np.maximum(
             z * self.relative_error, self.min_band_fraction
         ) * mean

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from repro.predictors.base import PredictionResult, WorkloadPredictor
 
@@ -139,7 +139,7 @@ class RidgePredictor(WorkloadPredictor):
             pad = 0.2 * np.abs(mean) + 1.0
             return PredictionResult(mean, np.clip(mean - pad, 0, None), mean + pad)
         series = np.asarray(self._history, dtype=np.float64)
-        z = norm.ppf(0.5 + self.confidence / 2.0)
+        z = ndtri(0.5 + self.confidence / 2.0)
         mean = np.empty(horizon)
         band = np.empty(horizon)
         for h in range(1, horizon + 1):

@@ -26,7 +26,7 @@ from collections import deque
 
 import numpy as np
 from scipy.interpolate import splev, splrep
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from repro.predictors.base import PredictionResult, WorkloadPredictor
 
@@ -179,7 +179,7 @@ class SplinePredictor(WorkloadPredictor):
         ar = self._last_residual * self._ar_coeff ** np.arange(1, horizon + 1)
         mean = np.clip(seasonal + ar, 0.0, None)
 
-        z = norm.ppf(0.5 + self.confidence / 2.0)
+        z = ndtri(0.5 + self.confidence / 2.0)
         lower = np.empty(horizon)
         upper = np.empty(horizon)
         for h in range(1, horizon + 1):

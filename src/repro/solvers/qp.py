@@ -45,7 +45,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from repro.devtools.contracts import shapes
 from repro.obs import get_tracer
@@ -110,6 +111,15 @@ class QPProblem:
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=np.float64)
         return float(0.5 * x @ self.P @ x + self.q @ x)
+
+
+def _inf_norm(v: np.ndarray) -> np.floating:
+    """``np.linalg.norm(v, np.inf)`` of a vector, without its dispatch.
+
+    NumPy computes that norm as ``abs(v).max(initial=0)``; so does this,
+    bit for bit, including ``0.0`` for an empty vector (no constraint rows).
+    """
+    return np.abs(v).max(initial=0.0)
 
 
 def _ruiz_equilibrate(
@@ -270,52 +280,62 @@ class ADMMCore:
         tracer = get_tracer()
         solve_span = tracer.span("qp.solve", n=n, m=m)
         solve_span.__enter__()
+        D, E = self._D, self._E
         with tracer.span("qp.setup"):
             # Scale the linear data: q̂ = D q, l̂ = E l, û = E u.
-            qs = self._D * q
-            ls = self._E * l
-            us = self._E * u
+            qs = D * q
+            ls = E * l
+            us = E * u
 
-            x, z, y = self._x, np.clip(self._z, ls, us), self._y
+            x, z, y = self._x, self._z.clip(ls, us), self._y
+        # Loop invariants, hoisted: an iteration is a run of small-vector
+        # operations, where per-call overhead (attribute lookups, NumPy's
+        # Python-level wrappers) outweighs the arithmetic.  Keep every
+        # float expression's operands and order: results must stay bit for
+        # bit those of ReferenceADMMLoop in tests/conftest.py.
         sigma, alpha = self.sigma, self.alpha
+        one_minus_alpha = 1.0 - alpha
+        max_iter = self.max_iter
+        apply_A, apply_AT = self._apply_A, self._apply_AT
+        apply_P, solve_kkt = self._apply_P, self._solve_kkt
+        qs_norm = _inf_norm(qs / D)
+        inf_l, inf_u = np.isinf(ls), np.isinf(us)
         status = SolverStatus.MAX_ITERATIONS
         r_prim = r_dual = float("inf")
         x_prev_check, y_prev_check = x.copy(), y.copy()
         it = 0
         iterate_span = tracer.span("qp.iterate")
         iterate_span.__enter__()
-        for it in range(1, self.max_iter + 1):
+        for it in range(1, max_iter + 1):
             rho = self._rho
-            rhs = sigma * x - qs + self._apply_AT(rho * z - y)
-            x_tilde = self._solve_kkt(rhs)
-            z_tilde = self._apply_A(x_tilde)
-            x_next = alpha * x_tilde + (1.0 - alpha) * x
-            z_relaxed = alpha * z_tilde + (1.0 - alpha) * z
-            z_next = np.clip(z_relaxed + y / rho, ls, us)
+            rhs = sigma * x - qs + apply_AT(rho * z - y)
+            x_tilde = solve_kkt(rhs)
+            z_tilde = apply_A(x_tilde)
+            x_next = alpha * x_tilde + one_minus_alpha * x
+            z_relaxed = alpha * z_tilde + one_minus_alpha * z
+            # ndarray.clip is np.clip's ufunc without the fromnumeric wrapper.
+            z_next = (z_relaxed + y / rho).clip(ls, us)
             y = y + rho * (z_relaxed - z_next)
             x, z = x_next, z_next
 
-            if it % _CHECK_EVERY == 0 or it == self.max_iter:
-                Ax = self._apply_A(x)
-                Px = self._apply_P(x)
-                Aty = self._apply_AT(y)
+            if it % _CHECK_EVERY == 0 or it == max_iter:
+                Ax = apply_A(x)
+                Px = apply_P(x)
+                Aty = apply_AT(y)
                 # Residuals in original coordinates.
-                r_prim = float(np.linalg.norm((Ax - z) / self._E, np.inf))
-                r_dual = float(np.linalg.norm((Px + qs + Aty) / self._D, np.inf))
+                r_prim = float(_inf_norm((Ax - z) / E))
+                r_dual = float(_inf_norm((Px + qs + Aty) / D))
                 eps_prim = self.eps_abs + self.eps_rel * max(
-                    np.linalg.norm(Ax / self._E, np.inf),
-                    np.linalg.norm(z / self._E, np.inf),
+                    _inf_norm(Ax / E), _inf_norm(z / E)
                 )
                 eps_dual = self.eps_abs + self.eps_rel * max(
-                    np.linalg.norm(Px / self._D, np.inf),
-                    np.linalg.norm(qs / self._D, np.inf),
-                    np.linalg.norm(Aty / self._D, np.inf),
+                    _inf_norm(Px / D), qs_norm, _inf_norm(Aty / D)
                 )
                 if r_prim <= eps_prim and r_dual <= eps_dual:
                     status = SolverStatus.OPTIMAL
                     break
                 certificate = self._infeasibility_certificate(
-                    x - x_prev_check, y - y_prev_check, qs, ls, us
+                    x - x_prev_check, y - y_prev_check, qs, ls, us, inf_l, inf_u
                 )
                 if certificate is not None:
                     status = certificate
@@ -330,8 +350,8 @@ class ADMMCore:
         solve_span.tag(iterations=it, status=status.value).__exit__(
             None, None, None
         )
-        x_out = self._D * x
-        y_out = self._E * y
+        x_out = D * x
+        y_out = E * y
         objective = self._objective_orig(x_out) + float(q @ x_out)
         return SolverResult(
             x=x_out,
@@ -351,6 +371,8 @@ class ADMMCore:
         qs: np.ndarray,
         ls: np.ndarray,
         us: np.ndarray,
+        inf_l: np.ndarray,
+        inf_u: np.ndarray,
         eps: float = 1e-5,
     ) -> SolverStatus | None:
         """OSQP infeasibility tests on the iterate deltas.
@@ -358,9 +380,10 @@ class ADMMCore:
         A non-vanishing ``dy`` whose support function over the box is negative
         certifies primal infeasibility; a non-vanishing ``dx`` that is a
         descent recession direction certifies dual infeasibility (unbounded
-        objective).  Returns the matching status or ``None``.
+        objective).  ``inf_l``/``inf_u`` are ``np.isinf(ls)``/``np.isinf(us)``,
+        built once per solve.  Returns the matching status or ``None``.
         """
-        norm_dy = float(np.linalg.norm(dy, np.inf))
+        norm_dy = float(_inf_norm(dy))
         if norm_dy > eps:
             dyn = dy / norm_dy
             dy_pos = np.maximum(dyn, 0.0)
@@ -368,27 +391,23 @@ class ADMMCore:
             # Infinite bounds paired with nonzero multiplier deltas can never
             # certify (the support function is +inf there).
             support_finite = not (
-                np.any((dy_pos > eps) & np.isinf(us))
-                or np.any((dy_neg < -eps) & np.isinf(ls))
+                ((dy_pos > eps) & inf_u).any() or ((dy_neg < -eps) & inf_l).any()
             )
             if support_finite:
                 support = float(
                     np.sum(np.where(dy_pos > 0, us, 0.0) * dy_pos)
                     + np.sum(np.where(dy_neg < 0, ls, 0.0) * dy_neg)
                 )
-                if (
-                    np.linalg.norm(self._apply_AT(dyn), np.inf) <= eps
-                    and support <= -eps
-                ):
+                if _inf_norm(self._apply_AT(dyn)) <= eps and support <= -eps:
                     return SolverStatus.PRIMAL_INFEASIBLE
-        norm_dx = float(np.linalg.norm(dx, np.inf))
+        norm_dx = float(_inf_norm(dx))
         if norm_dx > eps:
             dxn = dx / norm_dx
             Adx = self._apply_A(dxn)
-            upper_ok = np.all((Adx <= eps) | np.isinf(us))
-            lower_ok = np.all((Adx >= -eps) | np.isinf(ls))
+            upper_ok = ((Adx <= eps) | inf_u).all()
+            lower_ok = ((Adx >= -eps) | inf_l).all()
             if (
-                np.linalg.norm(self._apply_P(dxn), np.inf) <= eps
+                _inf_norm(self._apply_P(dxn)) <= eps
                 and float(qs @ dxn) <= -eps
                 and upper_ok
                 and lower_ok
@@ -449,6 +468,9 @@ class ADMMSolver(ADMMCore):
             self._D, self._E = np.ones(n), np.ones(m)
         self.P = P * self._D[:, None] * self._D[None, :]
         self.A = A * self._E[:, None] * self._D[None, :]
+        # A view, not a contiguous copy: a copy's gemv could sum in another
+        # order and move the iterates' last bits.
+        self._AT = self.A.T
         self._init_core()
 
     def _apply_P(self, v: np.ndarray) -> np.ndarray:
@@ -458,15 +480,21 @@ class ADMMSolver(ADMMCore):
         return self.A @ v
 
     def _apply_AT(self, w: np.ndarray) -> np.ndarray:
-        return self.A.T @ w
+        return self._AT @ w
 
     def _factorize(self) -> None:
         n = self.P.shape[0]
-        kkt = self.P + self.sigma * np.eye(n) + self._rho * (self.A.T @ self.A)
-        self._factor = cho_factor(kkt, lower=True, check_finite=False)
+        kkt = self.P + self.sigma * np.eye(n) + self._rho * (self._AT @ self.A)
+        self._chol, _ = cho_factor(kkt, lower=True, check_finite=False)
 
     def _solve_kkt(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor, rhs, check_finite=False)
+        # The LAPACK routine cho_solve dispatches to for float64, called
+        # directly: the wrapper's checks and lookup cost several times the
+        # O(n^2) solve at these sizes.
+        x, info = dpotrs(self._chol, rhs, lower=True)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        return x
 
     def _objective_orig(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.P_orig @ x)

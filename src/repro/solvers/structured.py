@@ -42,7 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from repro.devtools.contracts import freeze_arrays
 from repro.solvers.qp import ADMMCore, _RUIZ_ITERS
@@ -169,9 +170,14 @@ class BlockTridiagFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``K x = rhs`` for a flat ``(H * N,)`` right-hand side."""
-        return cho_solve_banded(
-            (self._cb, True), np.asarray(rhs, dtype=np.float64), check_finite=False
-        )
+        # cho_solve_banded's float64 routine, called directly (see
+        # ADMMSolver._solve_kkt); same errors as the wrapper.
+        x, info = dpbtrs(self._cb, rhs, lower=True)
+        if info > 0:
+            raise LinAlgError(f"{info}th leading minor not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal pbtrs")
+        return x
 
 
 class StructuredADMMSolver(ADMMCore):

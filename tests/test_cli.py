@@ -320,11 +320,13 @@ class TestEventsCommand:
 
 
 class TestBenchCompare:
-    def test_compare_gate(self, capsys, tmp_path, monkeypatch):
-        """bench --compare fails only when a warm median regresses."""
+    @pytest.fixture
+    def baseline(self, monkeypatch, tmp_path):
+        """Fake benchmarks timing one warm cell at 10 ms; a baseline file
+        holding the same cell at 8 ms."""
         import json
 
-        from repro import bench, cli
+        from repro import bench
 
         def fake_mpo(**kwargs):
             return {
@@ -351,21 +353,31 @@ class TestBenchCompare:
 
         monkeypatch.setattr(bench, "bench_mpo", fake_mpo)
         monkeypatch.setattr(bench, "bench_sim", fake_sim)
-        baseline = dict(fake_mpo())
-        baseline["cells"] = [dict(baseline["cells"][0], warm_median_ms=8.0)]
+        payload = dict(fake_mpo())
+        payload["cells"] = [dict(payload["cells"][0], warm_median_ms=8.0)]
         base_path = tmp_path / "BENCH_mpo.json"
-        base_path.write_text(json.dumps(baseline))
+        base_path.write_text(json.dumps(payload))
+        return base_path
 
+    def test_compare_gate(self, capsys, tmp_path, baseline):
+        """bench --compare fails only when a warm median regresses."""
         argv = [
             "bench",
             "--quick",
             "--out-dir",
             str(tmp_path / "out"),
             "--compare",
-            str(base_path),
+            str(baseline),
         ]
         assert main(argv) == 0  # 10.0 vs 8.0 is within 2.5x
         assert "no warm-latency regressions" in capsys.readouterr().out
 
         with pytest.raises(SystemExit, match="regressed"):
             main(argv + ["--regress-factor", "1.2"])
+
+    def test_compare_against_a_file_in_the_out_dir(self, baseline):
+        """The fresh BENCH_mpo.json lands on the baseline's path; the gate
+        must still compare against the baseline as it was."""
+        argv = ["bench", "--quick", "--out-dir", str(baseline.parent)]
+        with pytest.raises(SystemExit, match="regressed"):
+            main(argv + ["--compare", str(baseline), "--regress-factor", "1.2"])

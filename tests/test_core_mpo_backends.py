@@ -5,33 +5,49 @@ import pytest
 
 from repro.core import CostModel, MPOOptimizer
 from repro.simulator import CostSimulator
+from repro.solvers import solve_qp_active_set
 from repro.workloads import constant_workload
 
 
 class TestMPOBackends:
     def test_backends_agree(self, small_markets, small_dataset):
-        """ADMM and active-set backends reach the same optimum."""
+        """The ADMM backend reaches the exact active-set optimum of its QP."""
         M = small_dataset.event_covariance()
         targets = np.array([1000.0, 1200.0])
         prices = small_dataset.prices[:2]
         failures = small_dataset.failure_probs[:2]
-        kwargs = dict(horizon=2, cost_model=CostModel(churn_penalty=0.3))
-        res_admm = MPOOptimizer(small_markets, backend="admm", **kwargs).optimize(
-            targets, prices, failures, M
+        H = 2
+        opt = MPOOptimizer(
+            small_markets,
+            horizon=H,
+            backend="admm",
+            cost_model=CostModel(churn_penalty=0.3),
         )
-        res_aset = MPOOptimizer(
-            small_markets, backend="active_set", **kwargs
-        ).optimize(targets, prices, failures, M)
-        assert res_aset.solver.objective == pytest.approx(
+        res_admm = opt.optimize(targets, prices, failures, M)
+
+        # The same QP, assembled from the optimizer's own pieces.
+        N = len(small_markets)
+        rows, lower, upper = opt.constraints.build_rows(N, H)
+        q = np.zeros(N * H)
+        per_req = prices / opt.capacities[None, :]
+        for tau in range(H):
+            q[tau * N : (tau + 1) * N] = opt.cost_model.provisioning_coefficients(
+                per_req[tau], targets[tau], 1.0
+            ) + opt.cost_model.sla_coefficients(failures[tau], targets[tau], 0.0)
+        res_aset = solve_qp_active_set(opt._hessian(M), q, rows, lower, upper)
+        assert res_aset.objective == pytest.approx(
             res_admm.solver.objective, rel=1e-3, abs=1e-5
         )
         np.testing.assert_allclose(
-            res_aset.plan.fractions, res_admm.plan.fractions, atol=5e-3
+            np.clip(res_aset.x.reshape(H, N), 0.0, None),
+            res_admm.plan.fractions,
+            atol=5e-3,
         )
 
     def test_unknown_backend_rejected(self, small_markets):
-        with pytest.raises(ValueError, match="backend"):
-            MPOOptimizer(small_markets, backend="simplex")
+        for backend in ("simplex", "active_set"):
+            with pytest.raises(ValueError, match="backend"):
+                MPOOptimizer(small_markets, backend=backend)
 
 
 class TestRunnerLifetime:

@@ -141,6 +141,23 @@ class TestCorrelatedRevocationSampler:
         assert path.shape == (10, 3)
         assert path.dtype == bool
 
+    def test_ndtri_is_norm_ppf_on_the_clipped_domain(self):
+        """The sampler's thresholds (and the predictors' CI z) come from
+        ``scipy.special.ndtri``, which is what ``norm.ppf`` evaluates."""
+        from scipy.special import ndtri
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(0)
+        p = np.concatenate(
+            [
+                [0.0, 1e-12, 1e-9, 0.5, 0.975, 1 - 1e-9, 1 - 1e-12, 1.0],
+                rng.uniform(size=500),
+                10.0 ** rng.uniform(-12, 0, size=200),
+            ]
+        )
+        p = np.clip(p, 1e-12, 1 - 1e-12)
+        assert ndtri(p).tobytes() == norm.ppf(p).tobytes()
+
     def test_validation(self):
         sampler = CorrelatedRevocationSampler(np.eye(2), seed=5)
         with pytest.raises(ValueError):
@@ -149,6 +166,35 @@ class TestCorrelatedRevocationSampler:
             sampler.sample(np.array([0.1, 1.2]))
         with pytest.raises(ValueError):
             CorrelatedRevocationSampler(np.ones((2, 3)))
+
+
+def test_simulation_imports_leave_out_scipy_stats():
+    """Importing scipy.stats costs ~0.5 s and ~18 MB; the simulation stack
+    only needs the normal quantile, which scipy.special provides."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "import repro.core, repro.predictors, repro.markets\n"
+        "import repro.simulator, repro.baselines\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    # The child imports the same repro as this process.
+    path = [str(Path(repro.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @settings(max_examples=20, deadline=None)

@@ -8,6 +8,7 @@ just cheaper linear algebra.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_solve_banded
 
 from repro.core import CostModel, MPOOptimizer
 from repro.core.mpo import STRUCTURED_MIN_VARS
@@ -16,9 +17,12 @@ from repro.solvers import (
     BlockTridiagFactor,
     MPOStructure,
     QPProblem,
+    SolverStatus,
     StructuredADMMSolver,
     solve_qp_reference,
 )
+
+from conftest import ReferenceADMMLoop, run_pair
 
 TIGHT = dict(eps_abs=1e-10, eps_rel=1e-10)
 
@@ -237,3 +241,69 @@ class TestOptimizerBackends:
         seed_vec = opt._warm_start_vector(np.zeros(len(small_markets)))
         expected = np.concatenate([plan[1:].ravel(), plan[-1]])
         np.testing.assert_allclose(seed_vec, expected)
+
+
+class _ReferenceStructuredSolver(ReferenceADMMLoop, StructuredADMMSolver):
+    """The structured backend on the reference loop, with the KKT solve
+    through ``cho_solve_banded``."""
+
+    def _solve_kkt(self, rhs):
+        return cho_solve_banded(
+            (self._factor._cb, True),
+            np.asarray(rhs, dtype=np.float64),
+            check_finite=False,
+        )
+
+
+class TestMatchesReferenceLoop:
+    """The optimized loop and the direct ``pbtrs`` solve reproduce the
+    reference loop exactly on the structured backend."""
+
+    def pair(self, structure, **kwargs):
+        return (
+            StructuredADMMSolver(structure, **kwargs),
+            _ReferenceStructuredSolver(structure, **kwargs),
+        )
+
+    def test_warm_sequence_with_rho_retune_and_infinite_bounds(self):
+        rng = np.random.default_rng(2024)
+        N, H = 6, 4
+        structure = random_structure(rng, N, H, churn=0.2)
+        lower, upper = mpo_bounds(N, H)
+        upper[: 2 * N] = np.inf  # uncapped markets in the first two periods
+        upper[-1] = np.inf
+        calls = []
+        for k in range(6):
+            q = rng.normal(size=N * H)
+            calls.append((1e4 * q if k == 3 else q, lower, upper))
+        fast, ref = self.pair(structure, scale=False)
+        results = run_pair(fast, ref, calls)
+        assert all(r.status is SolverStatus.OPTIMAL for r in results)
+        assert fast.rho != pytest.approx(0.1)  # a retune fired
+        assert fast.rho == ref.rho
+
+    def test_stop_at_max_iter(self):
+        rng = np.random.default_rng(7)
+        structure = random_structure(rng, 5, 3, churn=0.5)
+        lower, upper = mpo_bounds(5, 3)
+        calls = [(rng.normal(size=15), lower, upper) for _ in range(2)]
+        results = run_pair(*self.pair(structure, max_iter=20), calls)
+        assert [r.status for r in results] == [SolverStatus.MAX_ITERATIONS] * 2
+        assert [r.iterations for r in results] == [20, 20]
+
+    def test_infeasible_problems(self):
+        rng = np.random.default_rng(3)
+        N, H = 3, 2
+        structure = random_structure(rng, N, H, churn=0.3)
+        # Markets capped at 0.1 each cannot carry a period total of 1.
+        lower, upper = mpo_bounds(N, H)
+        upper[: N * H] = 0.1
+        (res,) = run_pair(*self.pair(structure), [(np.zeros(N * H), lower, upper)])
+        assert res.status is SolverStatus.PRIMAL_INFEASIBLE
+
+        # No risk, no churn, no caps and a negative price: unbounded.
+        flat = MPOStructure(N, H, risk=np.zeros((N, N)), churn=0.0)
+        lower = np.zeros(N * H + H)
+        upper = np.full(N * H + H, np.inf)
+        (res,) = run_pair(*self.pair(flat), [(-np.ones(N * H), lower, upper)])
+        assert res.status is SolverStatus.DUAL_INFEASIBLE
