@@ -261,7 +261,7 @@ def taint_findings(project: Project) -> list[Finding]:
                 0,
                 f"deterministic scope reaches nondeterminism source "
                 f"`{target}` ({kind}): {chain}; annotate the seam with "
-                f"`# spotgraph: allow-nondeterminism` if intentional",
+                f"`# spotlint: allow-nondeterminism` if intentional",
             )
         )
 
@@ -285,7 +285,7 @@ def taint_findings(project: Project) -> list[Finding]:
                         rng.col,
                         f"unseeded `default_rng()` in deterministic scope "
                         f"`{fid}`; thread a seed (derive_seed) or annotate "
-                        f"`# spotgraph: allow-nondeterminism`",
+                        f"`# spotlint: allow-nondeterminism`",
                     )
                 )
             for it in fn.unordered_iters:
@@ -299,7 +299,7 @@ def taint_findings(project: Project) -> list[Finding]:
                         it.col,
                         f"iteration over unordered {it.desc} in "
                         f"deterministic scope `{fid}`; wrap in `sorted(...)` "
-                        f"or annotate `# spotgraph: allow-nondeterminism`",
+                        f"or annotate `# spotlint: allow-nondeterminism`",
                     )
                 )
     return findings

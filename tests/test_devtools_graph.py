@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -200,6 +201,22 @@ def test_spotgraph_line_suppression():
     findings = graph_findings("suppress", select={"SW112"})
     assert len(findings) == 1
     assert "reported" in findings[0].message
+
+
+@pytest.mark.parametrize("rule", ["SW110", "SW111", "SW112"])
+def test_advised_annotation_clears_the_finding(rule, tmp_path):
+    # Each message names the comment that accepts the seam; writing that
+    # comment on the finding's line must clear the finding.
+    dest = _copy_tree(tmp_path, "taint_bad")
+    before = analyze([dest], select={rule})
+    assert before
+    for finding in before:
+        advice = re.search(r"`(# \S+ allow-nondeterminism)`", finding.message)
+        path = Path(finding.path)
+        lines = path.read_text().splitlines()
+        lines[finding.line - 1] += f"  {advice.group(1)}"
+        path.write_text("\n".join(lines) + "\n")
+    assert analyze([dest], select={rule}) == []
 
 
 def test_unknown_suppression_rule_becomes_sw009():
