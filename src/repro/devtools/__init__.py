@@ -18,8 +18,9 @@ directions:
   (``@shapes``, ``@nonneg``, unit-tagged scalars) applied at the hot
   seams and toggled by the ``SPOTWEB_CONTRACTS`` environment variable.
 
-Importing this package loads only the runtime half (plus the rule and
-spec tables it shares); the analyzers load when the driver runs.
+Importing this package loads only the runtime half (plus the spec
+grammar it shares with the analyzers); the lint rules and the analyzers
+load when the driver runs.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from repro.devtools.contracts import (
 # same-named attribute would be silently clobbered the moment anything
 # imported the submodule.  Use ``from repro.devtools.contracts import
 # units`` for the decorator.
-from repro.devtools.rules import RULES, Finding, Rule
 
 __all__ = [
     "ContractError",
@@ -61,7 +61,4 @@ __all__ = [
     "shapes",
     "usd_per_hour",
     "usd_per_hour_per_rps",
-    "RULES",
-    "Finding",
-    "Rule",
 ]

@@ -217,6 +217,36 @@ def test_declared_contracts_roundtrip_to_static_summaries(tmp_path):
         assert format_spec(parse_spec(spec)) == spec
 
 
+def test_importing_contracts_loads_no_analyzer():
+    # Every simulation module imports the runtime contracts; the lint
+    # rules and the static analyzers load only when the driver runs.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "import repro.devtools.contracts\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.devtools')))\n"
+    )
+    # The child imports the same repro as this process.
+    path = [str(Path(repro.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert out.stdout.strip() == str(
+        ["repro.devtools", "repro.devtools.contracts", "repro.devtools.specs"]
+    )
+
+
 # ------------------------------------------------------------------- nonneg
 def test_nonneg_arrays_scalars_and_mappings():
     @nonneg("fractions", "rate", "weights")
