@@ -74,22 +74,9 @@ from repro.devtools.graph.facts import ModuleFacts, Project, extract_module_fact
 from repro.devtools.lint import lint_module
 from repro.devtools.report import render_json, sort_findings
 from repro.devtools.rules import RULES, Finding, ModuleContext, module_name_for
-from repro.devtools.shape.analyze import SHAPE_RULES
-from repro.devtools.shape.analyze import analyze_module as shape_module
-from repro.devtools.shape.summaries import (
-    ModuleSummaries,
-    SummaryTable,
-    extract_summaries,
-    summary_digest,
-)
-from repro.devtools.units.analyze import UNIT_RULES
-from repro.devtools.units.analyze import analyze_module as units_module
-from repro.devtools.units.summaries import (
-    UnitModuleSummaries,
-    UnitTable,
-    extract_unit_summaries,
-    unit_summary_digest,
-)
+from repro.devtools.shape import analyze as shape
+from repro.devtools.summaries import ContractTable, ModuleContracts
+from repro.devtools.units import analyze as units
 
 __all__ = [
     "ANALYZERS",
@@ -110,7 +97,7 @@ ENGINE_RULES = {
 }
 
 # Bump whenever a cached pass changes its output: older entries are dropped.
-CACHE_SCHEMA = "spotlint-cache/1"
+CACHE_SCHEMA = "spotlint-cache/2"
 
 
 @dataclass(frozen=True)
@@ -133,6 +120,10 @@ class Analyzer:
     digest: Callable[[object], str] | None = None
 
 
+def _link_contracts(facts: list[dict]) -> ContractTable:
+    return ContractTable(ModuleContracts.from_dict(f) for f in facts)
+
+
 ANALYZERS = (
     Analyzer(
         "lint",
@@ -148,23 +139,19 @@ ANALYZERS = (
     ),
     Analyzer(
         "shape",
-        SHAPE_RULES,
-        summarize=lambda ctx: extract_summaries(ctx).to_dict(),
-        link=lambda facts: SummaryTable(
-            ModuleSummaries.from_dict(f) for f in facts
-        ),
-        check_file=shape_module,
-        digest=summary_digest,
+        shape.SHAPE_RULES,
+        summarize=lambda ctx: shape.summarize(ctx).to_dict(),
+        link=_link_contracts,
+        check_file=shape.analyze_module,
+        digest=ContractTable.digest,
     ),
     Analyzer(
         "units",
-        UNIT_RULES,
-        summarize=lambda ctx: extract_unit_summaries(ctx).to_dict(),
-        link=lambda facts: UnitTable(
-            UnitModuleSummaries.from_dict(f) for f in facts
-        ),
-        check_file=units_module,
-        digest=unit_summary_digest,
+        units.UNIT_RULES,
+        summarize=lambda ctx: units.summarize(ctx).to_dict(),
+        link=_link_contracts,
+        check_file=units.analyze_module,
+        digest=ContractTable.digest,
     ),
 )
 

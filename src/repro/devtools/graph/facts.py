@@ -13,7 +13,8 @@ Extracted per module:
   layering/cycle checks);
 - a **symbol table** of module-level functions, classes and methods, plus
   the ``from X import y`` aliases other modules may re-export through;
-- per function: resolved **call sites**, ``default_rng`` call shapes,
+- per function: **call sites** (resolved by :mod:`repro.devtools.names`,
+  shared with the other analyzers), ``default_rng`` call shapes,
   reads/writes of module-level mutable globals, and unordered-iteration
   hazards (``set``/``os.listdir``/``Path.iterdir`` without ``sorted``);
 - ``pmap`` dispatch sites and the worker callable each resolves to;
@@ -34,6 +35,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.devtools.names import ImportEdge, ModuleNames, follow_reexports
 from repro.devtools.rules import ModuleContext
 
 __all__ = [
@@ -47,7 +49,6 @@ __all__ = [
     "UnorderedIter",
     "PmapDispatch",
     "FunctionFacts",
-    "ImportEdge",
     "ModuleFacts",
     "Project",
     "extract_module_facts",
@@ -148,15 +149,6 @@ class FunctionFacts:
 
 
 @dataclass(frozen=True)
-class ImportEdge:
-    """One import statement's target module."""
-
-    target: str
-    line: int
-    typing_only: bool
-
-
-@dataclass(frozen=True)
 class ModuleFacts:
     """The per-file extraction result (JSON-serializable, cacheable)."""
 
@@ -254,159 +246,8 @@ def _def_annotations(node: ast.AST, annot: dict[int, set[str]]) -> set[str]:
 
 
 # --------------------------------------------------------------------------
-# Name/alias resolution
-# --------------------------------------------------------------------------
-
-
-def _resolve_relative(module: str | None, node: ast.ImportFrom, is_pkg: bool) -> str | None:
-    """Absolute dotted target of a (possibly relative) ``from`` import."""
-    if node.level == 0:
-        return node.module
-    if module is None:
-        return None
-    parts = module.split(".")
-    # A package's __init__ resolves `from .` against itself; a plain module
-    # resolves against its parent package.
-    if not is_pkg:
-        parts = parts[:-1]
-    drop = node.level - 1
-    if drop > len(parts):
-        return None
-    base = parts[: len(parts) - drop]
-    if node.module:
-        base = base + node.module.split(".")
-    return ".".join(base) if base else None
-
-
-class _ImportCollector(ast.NodeVisitor):
-    """Collect import edges, marking those under ``if TYPE_CHECKING:``."""
-
-    def __init__(self, module: str | None, is_pkg: bool) -> None:
-        self.module = module
-        self.is_pkg = is_pkg
-        self.edges: list[ImportEdge] = []
-        self.export_aliases: dict[str, str] = {}
-        self.aliases: dict[str, str] = {}
-        self._typing_depth = 0
-
-    @staticmethod
-    def _is_type_checking(test: ast.expr) -> bool:
-        if isinstance(test, ast.Name):
-            return test.id == "TYPE_CHECKING"
-        if isinstance(test, ast.Attribute):
-            return test.attr == "TYPE_CHECKING"
-        return False
-
-    def visit_If(self, node: ast.If) -> None:
-        if self._is_type_checking(node.test):
-            self._typing_depth += 1
-            for child in node.body:
-                self.visit(child)
-            self._typing_depth -= 1
-            for child in node.orelse:
-                self.visit(child)
-        else:
-            self.generic_visit(node)
-
-    def visit_Import(self, node: ast.Import) -> None:
-        typing_only = self._typing_depth > 0
-        for alias in node.names:
-            self.edges.append(ImportEdge(alias.name, node.lineno, typing_only))
-            if alias.asname:
-                self.aliases[alias.asname] = alias.name
-            else:
-                root = alias.name.split(".", 1)[0]
-                self.aliases[root] = root
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        typing_only = self._typing_depth > 0
-        target = _resolve_relative(self.module, node, self.is_pkg)
-        if target is None:
-            return
-        for alias in node.names:
-            if alias.name == "*":
-                self.edges.append(ImportEdge(target, node.lineno, typing_only))
-                continue
-            # `from repro import obs` is really an edge to repro.obs; for
-            # any deeper package the package itself is the layering target.
-            edge_target = f"{target}.{alias.name}" if target == "repro" else target
-            self.edges.append(ImportEdge(edge_target, node.lineno, typing_only))
-            local = alias.asname or alias.name
-            dotted = f"{target}.{alias.name}"
-            self.aliases[local] = dotted
-            if not typing_only:
-                self.export_aliases[local] = dotted
-
-
-# --------------------------------------------------------------------------
 # Function body analysis
 # --------------------------------------------------------------------------
-
-
-def _local_names(fn: ast.AST) -> set[str]:
-    """Names bound locally inside a function (params, assignments, ...)."""
-    names: set[str] = set()
-    declared_global: set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node is not fn:
-                names.add(node.name)
-            args = node.args
-            for arg in (
-                list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-            ):
-                names.add(arg.arg)
-            if args.vararg:
-                names.add(args.vararg.arg)
-            if args.kwarg:
-                names.add(args.kwarg.arg)
-        elif isinstance(node, ast.Lambda):
-            args = node.args
-            for arg in (
-                list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-            ):
-                names.add(arg.arg)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        elif isinstance(node, ast.Global):
-            declared_global.update(node.names)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                if alias.name != "*":
-                    names.add(alias.asname or alias.name.split(".", 1)[0])
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            names.add(node.name)
-    return names - declared_global
-
-
-def _dotted_target(
-    func: ast.expr,
-    aliases: dict[str, str],
-    module: str | None,
-    module_symbols: set[str],
-    class_name: str | None,
-    locals_: set[str],
-) -> str | None:
-    """Resolve a call's function expression to a dotted path, if possible."""
-    parts: list[str] = []
-    node = func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    base = node.id
-    if base == "self" and class_name is not None and len(parts) == 1:
-        return f"{module}.{class_name}.{parts[0]}" if module else None
-    if base in locals_ and base not in aliases:
-        return None
-    if base in aliases:
-        parts.append(aliases[base])
-    elif base in module_symbols and module:
-        parts.append(f"{module}.{base}")
-    else:
-        return None
-    return ".".join(reversed(parts))
 
 
 def _is_setish(node: ast.expr, resolver) -> str | None:
@@ -429,23 +270,19 @@ def _analyze_function(
     fn: ast.AST,
     *,
     qualname: str,
-    module: str | None,
-    aliases: dict[str, str],
-    module_symbols: set[str],
+    names: ModuleNames,
+    locals_: set[str],
     mutable_globals: set[str],
     class_name: str | None,
     annot: dict[int, set[str]],
 ) -> tuple[FunctionFacts, list[PmapDispatch]]:
-    locals_ = _local_names(fn)
     declared_global: set[str] = set()
     for node in ast.walk(fn):
         if isinstance(node, ast.Global):
             declared_global.update(node.names)
 
     def resolver(func: ast.expr) -> str | None:
-        return _dotted_target(
-            func, aliases, module, module_symbols, class_name, locals_
-        )
+        return names.resolve(func, locals_, class_name)
 
     calls: list[CallSite] = []
     rng_calls: list[RngCall] = []
@@ -641,21 +478,16 @@ def _analyze_function(
 
 def extract_module_facts(ctx: ModuleContext) -> ModuleFacts:
     """Extract the whole-program facts for one parsed module."""
-    module, tree = ctx.module, ctx.tree
-    collector = _ImportCollector(module, ctx.is_package_init)
-    collector.visit(tree)
+    module, tree, names = ctx.module, ctx.tree, ctx.names
     annot = {
         line: set(words & _KNOWN_ANNOTATIONS)
         for line, words in ctx.annotations.items()
         if words & _KNOWN_ANNOTATIONS
     }
 
-    module_symbols: set[str] = set()
     mutable_globals: set[str] = set()
     for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            module_symbols.add(stmt.name)
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = (
                 stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             )
@@ -675,10 +507,8 @@ def extract_module_facts(ctx: ModuleContext) -> ModuleFacts:
                 )
                 mutable = name in _MUTABLE_FACTORIES
             for target in targets:
-                if isinstance(target, ast.Name):
-                    module_symbols.add(target.id)
-                    if mutable:
-                        mutable_globals.add(target.id)
+                if isinstance(target, ast.Name) and mutable:
+                    mutable_globals.add(target.id)
 
     module_annots: set[str] = set()
     for tokens in annot.values():
@@ -687,14 +517,12 @@ def extract_module_facts(ctx: ModuleContext) -> ModuleFacts:
 
     functions: list[FunctionFacts] = []
     dispatches: list[PmapDispatch] = []
-
-    def handle(fn: ast.AST, qualname: str, class_name: str | None) -> None:
+    for fn, qualname, class_name, locals_ in names.functions:
         facts, fn_dispatches = _analyze_function(
             fn,
             qualname=qualname,
-            module=module,
-            aliases=collector.aliases,
-            module_symbols=module_symbols,
+            names=names,
+            locals_=locals_,
             mutable_globals=mutable_globals,
             class_name=class_name,
             annot=annot,
@@ -702,21 +530,13 @@ def extract_module_facts(ctx: ModuleContext) -> ModuleFacts:
         functions.append(facts)
         dispatches.extend(fn_dispatches)
 
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            handle(stmt, stmt.name, None)
-        elif isinstance(stmt, ast.ClassDef):
-            for inner in stmt.body:
-                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    handle(inner, f"{stmt.name}.{inner.name}", stmt.name)
-
     return ModuleFacts(
         path=str(ctx.path),
         module=module,
-        imports=tuple(collector.edges),
+        imports=names.imports.edges,
         functions=tuple(functions),
         mutable_globals=tuple(sorted(mutable_globals)),
-        export_aliases=collector.export_aliases,
+        export_aliases=names.imports.exports,
         annotations=tuple(sorted(module_annots)),
         pmap_dispatches=tuple(dispatches),
     )
@@ -749,17 +569,9 @@ class Project:
             for local, dotted in mod.export_aliases.items():
                 self.reexports[f"{mod.module}.{local}"] = dotted
 
-    def resolve(self, dotted: str) -> str:
-        """Follow re-export chains to a stable dotted name."""
-        seen: set[str] = set()
-        while dotted in self.reexports and dotted not in seen:
-            seen.add(dotted)
-            dotted = self.reexports[dotted]
-        return dotted
-
     def resolve_function(self, dotted: str) -> str | None:
         """Resolve a dotted ref to a project function id, if it is one."""
-        resolved = self.resolve(dotted)
+        resolved = follow_reexports(self.reexports, dotted)
         if resolved in self.symbols:
             return resolved
         return None

@@ -68,8 +68,12 @@ DETERMINISTIC_PREFIXES: tuple[str, ...] = (
     "repro.bench.report",
     "repro.core",
     "repro.devtools.baseline",
+    "repro.devtools.interp",
+    "repro.devtools.names",
     "repro.devtools.shape",
     "repro.devtools.specs",
+    "repro.devtools.summaries",
+    "repro.devtools.units",
     "repro.loadbalancer",
     "repro.markets",
     "repro.monitoring",

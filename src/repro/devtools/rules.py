@@ -46,7 +46,10 @@ from __future__ import annotations
 import ast
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+
+from repro.devtools.names import ModuleNames
 
 __all__ = [
     "Finding",
@@ -96,6 +99,11 @@ class ModuleContext:
             name.startswith("test_") and name.endswith(".py")
         )
 
+    @cached_property
+    def names(self) -> ModuleNames:
+        """The module's name resolution, shared by every analyzer."""
+        return ModuleNames(self.tree, self.module, self.is_package_init)
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -107,51 +115,8 @@ class Rule:
 
 
 # --------------------------------------------------------------------------
-# Import resolution
+# Module names
 # --------------------------------------------------------------------------
-
-
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the dotted module/object paths they denote.
-
-    ``import numpy as np`` maps ``np -> numpy``; ``from numpy import random``
-    maps ``random -> numpy.random``; ``from time import time`` maps
-    ``time -> time.time``.  Only top-level and nested imports are tracked —
-    enough to resolve ``np.random.normal`` to ``numpy.random.normal``.
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    # ``import numpy.random`` binds the *root* name.
-                    root = alias.name.split(".", 1)[0]
-                    aliases[root] = root
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                aliases[local] = f"{node.module}.{alias.name}"
-    return aliases
-
-
-def _resolve_call(func: ast.expr, aliases: dict[str, str]) -> str | None:
-    """Resolve a call's function expression to a dotted path, if importable."""
-    parts: list[str] = []
-    node = func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    base = aliases.get(node.id)
-    if base is None:
-        return None
-    parts.append(base)
-    return ".".join(reversed(parts))
 
 
 def module_name_for(path: Path) -> str | None:
@@ -184,13 +149,7 @@ _STDLIB_RANDOM_ALLOWED = {"Random", "SystemRandom"}
 
 
 def _check_global_rng(ctx: ModuleContext) -> Iterator[Finding]:
-    aliases = _import_aliases(ctx.tree)
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        resolved = _resolve_call(node.func, aliases)
-        if resolved is None:
-            continue
+    for node, resolved in ctx.names.calls.items():
         if resolved.startswith("numpy.random."):
             leaf = resolved.rsplit(".", 1)[1]
             if leaf not in _NP_RANDOM_ALLOWED:
@@ -246,11 +205,7 @@ def _in_des_scope(module: str | None) -> bool:
 def _check_wall_clock(ctx: ModuleContext) -> Iterator[Finding]:
     if not _in_des_scope(ctx.module):
         return
-    aliases = _import_aliases(ctx.tree)
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        resolved = _resolve_call(node.func, aliases)
+    for node, resolved in ctx.names.calls.items():
         if resolved in _WALL_CLOCK:
             yield Finding(
                 "SW002",
@@ -639,12 +594,8 @@ _BUILTIN_DTYPE_FIX = {"float": "np.float64", "int": "np.int64", "bool": "np.bool
 
 
 def _check_builtin_dtypes(ctx: ModuleContext) -> Iterator[Finding]:
-    aliases = _import_aliases(ctx.tree)
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        resolved = _resolve_call(node.func, aliases)
-        if resolved is None or not resolved.startswith("numpy."):
+    for node, resolved in ctx.names.calls.items():
+        if not resolved.startswith("numpy."):
             continue
         for kw in node.keywords:
             if kw.arg != "dtype":
@@ -686,7 +637,7 @@ def _assigned_names(target: ast.expr) -> Iterator[tuple[str, int, int]]:
 
 
 def _check_clock_suffix(ctx: ModuleContext) -> Iterator[Finding]:
-    aliases = _import_aliases(ctx.tree)
+    calls = ctx.names.calls
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Assign):
             targets, value = node.targets, node.value
@@ -696,9 +647,7 @@ def _check_clock_suffix(ctx: ModuleContext) -> Iterator[Finding]:
             targets, value = [node.target], node.value
         else:
             continue
-        if not isinstance(value, ast.Call):
-            continue
-        resolved = _resolve_call(value.func, aliases)
+        resolved = calls.get(value)
         suffixes = _CLOCK_READERS.get(resolved or "")
         if suffixes is None:
             continue

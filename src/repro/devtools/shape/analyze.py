@@ -32,8 +32,8 @@ the two-pass cache belong to the driver, :mod:`repro.devtools.check`.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable
 
+from repro.devtools.interp import FunctionInterpreter
 from repro.devtools.rules import Finding, ModuleContext
 from repro.devtools.shape.domain import (
     UNKNOWN_DIM,
@@ -48,18 +48,19 @@ from repro.devtools.shape.domain import (
     scalar,
     unify_dim,
 )
-from repro.devtools.shape.summaries import (
-    ContractSummary,
-    SummaryTable,
-    collect_aliases,
-    dotted_target,
+from repro.devtools.specs import DTYPE_CODES, ShapeSpec, parse_spec
+from repro.devtools.summaries import (
+    Contract,
+    ContractTable,
+    ModuleContracts,
+    extract_contracts,
 )
-from repro.devtools.specs import DTYPE_CODES, ShapeSpec
 
 __all__ = [
     "SHAPE_RULES",
     "HOT_PREFIXES",
     "analyze_module",
+    "summarize",
 ]
 
 SHAPE_RULES = {
@@ -74,6 +75,8 @@ SHAPE_RULES = {
 #: Modules whose loops run once per control interval (or per simulated
 #: event) — the paper's hot paths, where SW203/SW204 apply.
 HOT_PREFIXES = ("repro.solvers", "repro.simulator", "repro.core")
+
+_SHAPES_DECORATORS = frozenset({"repro.devtools.contracts.shapes"})
 
 
 _NUMPY_DTYPE_ATTRS = {
@@ -173,106 +176,29 @@ def _format_val(val: ArrayVal) -> str:
     return text
 
 
-class _FunctionAnalyzer:
-    """One forward abstract-interpretation pass over a function body."""
+class _ShapeInterpreter(FunctionInterpreter):
+    """The shape domain: symbolic arrays and their transfer functions."""
 
-    def __init__(
-        self,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        qualname: str,
-        *,
-        path: str,
-        module: str | None,
-        aliases: dict[str, str],
-        module_symbols: set[str],
-        table: SummaryTable,
-    ) -> None:
-        self.fn = fn
-        self.qualname = qualname
-        self.path = path
-        self.module = module
-        self.aliases = aliases
-        self.module_symbols = module_symbols
-        self.table = table
-        self.hot = _is_hot(module)
-        self.findings: list[Finding] = []
-        self.env: dict[str, ArrayVal] = {}
+    EXPECTED_RULES = frozenset({"SW200", "SW201"})
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.hot = _is_hot(self.module)
         self.bindings: dict = {}
-        self.loop_depth = 0
-        # Inside `with pytest.raises(...)` a proven shape/contract mismatch
-        # is the *expected* behavior, not a finding.
-        self.expect_error = 0
-        self.locals_ = self._local_names(fn)
-        self.own_contract = (
-            table.lookup(f"{module}.{qualname}") if module else None
-        )
-        self._seed_env()
-
-    # ------------------------------------------------------------ plumbing
-    @staticmethod
-    def _local_names(fn: ast.AST) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk(fn):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                for arg in (
-                    list(args.posonlyargs) + list(args.args)
-                    + list(args.kwonlyargs)
-                ):
-                    names.add(arg.arg)
-                if args.vararg:
-                    names.add(args.vararg.arg)
-                if args.kwarg:
-                    names.add(args.kwarg.arg)
-                if node is not fn:
-                    names.add(node.name)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                names.add(node.id)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    if alias.name != "*":
-                        names.add(alias.asname or alias.name.split(".", 1)[0])
-        return names
-
-    def _seed_env(self) -> None:
-        if self.own_contract is None:
-            return
-        for name, alternatives in self.own_contract.param_specs().items():
+        for name, alternatives in self._param_specs(self.own_contract).items():
             if len(alternatives) != 1:
                 continue  # ambiguous until the call site picks one
             alt = alternatives[0]
-            self.env[name] = ArrayVal(
-                dims=_spec_dims(alt), dtype=_spec_dtype(alt)
-            )
+            self.env[name] = ArrayVal(dims=_spec_dims(alt), dtype=_spec_dtype(alt))
 
-    def report(self, rule: str, node: ast.AST, message: str) -> None:
-        if rule in ("SW200", "SW201") and self.expect_error > 0:
-            return
-        self.findings.append(
-            Finding(
-                rule,
-                self.path,
-                getattr(node, "lineno", self.fn.lineno),
-                getattr(node, "col_offset", 0),
-                message,
-            )
-        )
-
-    def resolve(self, func: ast.expr) -> str | None:
-        return dotted_target(
-            func, self.aliases, self.module, self.module_symbols, self.locals_
-        )
+    @staticmethod
+    def _param_specs(contract: Contract | None) -> dict[str, tuple[ShapeSpec, ...]]:
+        if contract is None:
+            return {}
+        return {name: parse_spec(spec) for name, spec in contract.params}
 
     # ----------------------------------------------------------- statements
-    def run(self) -> list[Finding]:
-        self.exec_body(self.fn.body)
-        return self.findings
-
-    def exec_body(self, stmts: Iterable[ast.stmt]) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt)
-
-    def _assign_target(self, target: ast.expr, val: ArrayVal | None) -> None:
+    def assign(self, target: ast.expr, val: ArrayVal | None, value_node) -> None:
         if isinstance(target, ast.Name):
             if val is None:
                 self.env.pop(target.id, None)
@@ -280,73 +206,15 @@ class _FunctionAnalyzer:
                 self.env[target.id] = val
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._assign_target(elt, None)
+                self.assign(elt, None, value_node)
         # Attribute/Subscript stores mutate in place: shape is unchanged.
 
-    def exec_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            val = self.eval(stmt.value)
-            for target in stmt.targets:
-                self._assign_target(target, val)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._assign_target(stmt.target, self.eval(stmt.value))
-        elif isinstance(stmt, ast.AugAssign):
-            if isinstance(stmt.target, ast.Name):
-                left = self.env.get(stmt.target.id)
-                result = self._binop_vals(
-                    left, self.eval(stmt.value), stmt.op, stmt
-                )
-                self._assign_target(stmt.target, result)
-            else:
-                self.eval(stmt.value)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._exec_for(stmt)
-        elif isinstance(stmt, ast.While):
-            self.eval(stmt.test)
-            self.loop_depth += 1
-            self.exec_body(stmt.body)
-            self.loop_depth -= 1
-            self.exec_body(stmt.orelse)
-        elif isinstance(stmt, ast.If):
-            self.eval(stmt.test)
-            self.exec_body(stmt.body)
-            self.exec_body(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            expects = any(
-                isinstance(item.context_expr, ast.Call)
-                and self.resolve(item.context_expr.func) == "pytest.raises"
-                for item in stmt.items
-            )
-            self.expect_error += 1 if expects else 0
-            self.exec_body(stmt.body)
-            self.expect_error -= 1 if expects else 0
-        elif isinstance(stmt, ast.Try):
-            self.exec_body(stmt.body)
-            for handler in stmt.handlers:
-                self.exec_body(handler.body)
-            self.exec_body(stmt.orelse)
-            self.exec_body(stmt.finalbody)
-        elif isinstance(stmt, ast.Return):
-            self._check_return(stmt)
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value)
-        # Nested defs/classes are analyzed as their own scopes elsewhere.
-
-    def _exec_for(self, stmt: ast.For | ast.AsyncFor) -> None:
-        val = self.eval(stmt.iter)
+    def loop_element(self, stmt: ast.For | ast.AsyncFor, val) -> ArrayVal | None:
         if self.hot:
             self._check_scalar_loop(stmt, val)
-        element: ArrayVal | None = None
         if val is not None and val.rank >= 1:
-            element = ArrayVal(
-                dims=val.dims[1:], dtype=val.dtype, integral=val.integral
-            )
-        self._assign_target(stmt.target, element)
-        self.loop_depth += 1
-        self.exec_body(stmt.body)
-        self.loop_depth -= 1
-        self.exec_body(stmt.orelse)
+            return ArrayVal(dims=val.dims[1:], dtype=val.dtype, integral=val.integral)
+        return None
 
     def _check_scalar_loop(self, stmt: ast.For | ast.AsyncFor, val) -> None:
         if val is not None and val.rank >= 1:
@@ -387,15 +255,8 @@ class _FunctionAnalyzer:
                 )
                 return
 
-    def _check_return(self, stmt: ast.Return) -> None:
-        if stmt.value is None:
-            return
-        val = self.eval(stmt.value)
-        if self.own_contract is None:
-            return
-        ret_spec = self.own_contract.ret_spec()
-        if ret_spec is None or val is None:
-            return
+    def check_return(self, stmt: ast.Return, val: ArrayVal) -> None:
+        ret_spec = parse_spec(self.own_contract.ret)
         ok, detail = self._match_alternatives(val, ret_spec, self.bindings)
         if not ok:
             self.report(
@@ -422,7 +283,7 @@ class _FunctionAnalyzer:
                 return self._matmul_vals(
                     self.eval(node.left), self.eval(node.right), node
                 )
-            return self._binop_vals(
+            return self.binop(
                 self.eval(node.left), self.eval(node.right), node.op, node
             )
         if isinstance(node, ast.UnaryOp):
@@ -449,7 +310,7 @@ class _FunctionAnalyzer:
                 dims = merged
             return ArrayVal(dims=dims or (), dtype="bool")
         if isinstance(node, ast.Call):
-            return self._call(node)
+            return self.eval_call(node)
         if isinstance(node, ast.Subscript):
             return self._subscript(node)
         if isinstance(node, ast.Attribute):
@@ -467,7 +328,20 @@ class _FunctionAnalyzer:
         return None
 
     # ----------------------------------------------------------- operators
-    def _binop_vals(self, a, b, op: ast.operator, node: ast.AST):
+    def _promote(self, a: str, b: str, node: ast.AST) -> str:
+        """The result dtype of mixing ``a`` and ``b``; a silent float64/
+        float32 widening is SW202."""
+        dtype, widened = promote(a, b)
+        if widened:
+            self.report(
+                "SW202",
+                node,
+                f"float64/float32 mix in `{self.qualname}` silently widens "
+                f"to {dtype}; convert one operand explicitly",
+            )
+        return dtype
+
+    def binop(self, a, b, op: ast.operator, node: ast.AST):
         if a is None or b is None:
             return None
         dims, conflict = broadcast_dims(a.dims, b.dims, self.bindings)
@@ -479,14 +353,7 @@ class _FunctionAnalyzer:
                 f"{conflict.detail}",
             )
             return None
-        dtype, widened = promote(a.dtype, b.dtype)
-        if widened:
-            self.report(
-                "SW202",
-                node,
-                f"float64/float32 mix in `{self.qualname}` silently widens "
-                f"to {dtype}; convert one operand explicitly",
-            )
+        dtype = self._promote(a.dtype, b.dtype, node)
         integral = False
         if isinstance(op, ast.Div):
             if is_int(dtype) or dtype == "bool":
@@ -519,14 +386,7 @@ class _FunctionAnalyzer:
             out.append(a.dims[0])
         if b.rank == 2:
             out.append(b.dims[1])
-        dtype, widened = promote(a.dtype, b.dtype)
-        if widened:
-            self.report(
-                "SW202",
-                node,
-                f"float64/float32 mix in `{self.qualname}` silently widens "
-                f"to {dtype}; convert one operand explicitly",
-            )
+        dtype = self._promote(a.dtype, b.dtype, node)
         return ArrayVal(dims=tuple(out), dtype=dtype)
 
     # ------------------------------------------------------------- indexing
@@ -595,30 +455,7 @@ class _FunctionAnalyzer:
         return None
 
     # ----------------------------------------------------------------- calls
-    def _call(self, node: ast.Call):
-        func = node.func
-        resolved = self.resolve(func)
-        if resolved is not None:
-            if resolved.startswith("numpy."):
-                return self._numpy_call(resolved[len("numpy."):], node)
-            summary = self.table.lookup(resolved)
-            if summary is not None:
-                return self._contract_call(summary, node)
-            # Evaluate arguments for their side findings, result unknown.
-            for arg in node.args:
-                self.eval(arg)
-            return None
-        if isinstance(func, ast.Name) and func.id not in self.locals_:
-            return self._builtin_call(func.id, node)
-        if isinstance(func, ast.Attribute):
-            base = self.eval(func.value)
-            if base is not None:
-                return self._method_call(base, func.attr, node)
-            for arg in node.args:
-                self.eval(arg)
-        return None
-
-    def _builtin_call(self, name: str, node: ast.Call):
+    def builtin_call(self, name: str, node: ast.Call):
         for arg in node.args:
             self.eval(arg)
         if name == "float":
@@ -746,7 +583,7 @@ class _FunctionAnalyzer:
                     return ArrayVal(dims=tuple(dims), dtype=dtype)
         return None
 
-    def _numpy_call(self, name: str, node: ast.Call):
+    def numpy_call(self, name: str, node: ast.Call):
         self._flag_loop_alloc(name, node)
         args = node.args
         if any(isinstance(a, ast.Starred) for a in args):
@@ -801,11 +638,11 @@ class _FunctionAnalyzer:
             return self._stack(node)
         if name == "where" and len(args) == 3:
             self.eval(args[0])
-            return self._binop_vals(
+            return self.binop(
                 self.eval(args[1]), self.eval(args[2]), ast.Add(), node
             )
         if name in _BINARY_BROADCAST and len(args) >= 2:
-            result = self._binop_vals(
+            result = self.binop(
                 self.eval(args[0]), self.eval(args[1]), ast.Add(), node
             )
             if result is not None and name in ("divide", "true_divide"):
@@ -973,14 +810,7 @@ class _FunctionAnalyzer:
         out: list = []
         dtype = vals[0].dtype
         for v in vals[1:]:
-            dtype, widened = promote(dtype, v.dtype)
-            if widened:
-                self.report(
-                    "SW202",
-                    node,
-                    f"float64/float32 mix in `{self.qualname}` silently "
-                    f"widens to {dtype}; convert one operand explicitly",
-                )
+            dtype = self._promote(dtype, v.dtype, node)
         for i in range(rank):
             if i == axis:
                 dims_i = [resolve_dim(v.dims[i], self.bindings) for v in vals]
@@ -1055,8 +885,12 @@ class _FunctionAnalyzer:
         return ArrayVal((UNKNOWN_DIM,), val.dtype, integral=val.integral)
 
     # ------------------------------------------------------- method calls
-    def _method_call(self, base: ArrayVal, attr: str, node: ast.Call):
-        args = node.args
+    def method_call(self, func: ast.Attribute, node: ast.Call):
+        base, attr, args = self.eval(func.value), func.attr, node.args
+        if base is None:
+            for arg in args:
+                self.eval(arg)
+            return None
         if attr == "astype":
             target = self._dtype_from_node(
                 args[0] if args else self._kwarg(node, "dtype")
@@ -1154,20 +988,13 @@ class _FunctionAnalyzer:
                 first_detail = detail
         return False, first_detail
 
-    def _contract_call(self, summary: ContractSummary, node: ast.Call):
-        if any(isinstance(a, ast.Starred) for a in node.args) or any(
-            kw.arg is None for kw in node.keywords
-        ):
-            return None  # *args/**kwargs call: mapping is not static
-        param_specs = summary.param_specs()
+    def contract_call(self, contract: Contract, node: ast.Call):
+        bound = self.bind_arguments(contract, node)
+        if bound is None:
+            return None
+        param_specs = self._param_specs(contract)
         call_bindings: dict = {}
-        arg_map: list[tuple[str, ast.expr]] = []
-        for i, arg in enumerate(node.args):
-            if i < len(summary.args):
-                arg_map.append((summary.args[i], arg))
-        for kw in node.keywords:
-            arg_map.append((kw.arg, kw.value))
-        for pname, arg in arg_map:
+        for pname, arg in bound:
             val = self.eval(arg)
             if pname not in param_specs or val is None:
                 continue
@@ -1175,17 +1002,19 @@ class _FunctionAnalyzer:
                 val, param_specs[pname], call_bindings
             )
             if not ok:
-                spec_text = dict(summary.params)[pname]
+                spec_text = dict(contract.params)[pname]
                 self.report(
                     "SW200",
                     arg,
-                    f"call to `{summary.qualname}` passes `{pname}` as "
+                    f"call to `{contract.qualname}` passes `{pname}` as "
                     f"{_format_val(val)}, but its contract declares "
                     f"{spec_text} ({detail})",
                 )
                 return None
-        ret_spec = summary.ret_spec()
-        if ret_spec is None or len(ret_spec) != 1:
+        if contract.ret is None:
+            return None
+        ret_spec = parse_spec(contract.ret)
+        if len(ret_spec) != 1:
             return None
         alt = ret_spec[0]
         dims = []
@@ -1204,35 +1033,11 @@ class _FunctionAnalyzer:
 # --------------------------------------------------------------------------
 
 
-def analyze_module(ctx: ModuleContext, table: SummaryTable) -> list[Finding]:
+def summarize(ctx: ModuleContext) -> ModuleContracts:
+    """Pass A for one parsed module: its ``@shapes`` contracts."""
+    return extract_contracts(ctx, _SHAPES_DECORATORS, parse_spec)
+
+
+def analyze_module(ctx: ModuleContext, table: ContractTable) -> list[Finding]:
     """Pass B for one parsed module: every function against the table."""
-    module, tree, path = ctx.module, ctx.tree, str(ctx.path)
-    aliases, _exports = collect_aliases(tree, module, ctx.is_package_init)
-    module_symbols = {
-        stmt.name
-        for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
-
-    findings: list[Finding] = []
-
-    def analyze_fn(fn, qualname: str) -> None:
-        analyzer = _FunctionAnalyzer(
-            fn,
-            qualname,
-            path=path,
-            module=module,
-            aliases=aliases,
-            module_symbols=module_symbols,
-            table=table,
-        )
-        findings.extend(analyzer.run())
-
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            analyze_fn(stmt, stmt.name)
-        elif isinstance(stmt, ast.ClassDef):
-            for inner in stmt.body:
-                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    analyze_fn(inner, f"{stmt.name}.{inner.name}")
-    return findings
+    return _ShapeInterpreter.check_module(ctx, table)

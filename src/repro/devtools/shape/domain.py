@@ -31,7 +31,7 @@ mix silently widens — the SW202 bug class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "UNKNOWN_DIM",
@@ -79,9 +79,6 @@ class ArrayVal:
     @property
     def rank(self) -> int:
         return len(self.dims)
-
-    def with_dtype(self, dtype: str, *, integral: bool = False) -> "ArrayVal":
-        return replace(self, dtype=dtype, integral=integral)
 
 
 def scalar(dtype: str = UNKNOWN_DTYPE) -> ArrayVal:

@@ -32,12 +32,17 @@ the two-pass cache belong to the driver, :mod:`repro.devtools.check`.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable
 from fractions import Fraction
 
+from repro.devtools.interp import FunctionInterpreter
 from repro.devtools.rules import Finding, ModuleContext
-from repro.devtools.shape.summaries import collect_aliases, dotted_target
 from repro.devtools.specs import UnitSpec, format_unit, parse_unit
+from repro.devtools.summaries import (
+    Contract,
+    ContractTable,
+    ModuleContracts,
+    extract_contracts,
+)
 from repro.devtools.units.domain import (
     DIMENSIONLESS,
     classify_mismatch,
@@ -46,12 +51,12 @@ from repro.devtools.units.domain import (
     unit_mul,
     unit_pow,
 )
-from repro.devtools.units.summaries import UnitContract, UnitTable
 from repro.units import UNIT_OF
 
 __all__ = [
     "UNIT_RULES",
     "analyze_module",
+    "summarize",
 ]
 
 UNIT_RULES = {
@@ -63,6 +68,13 @@ UNIT_RULES = {
 }
 
 
+#: dotted spellings that count as the ``@units`` decorator.  The bare
+#: ``repro.devtools.units`` name is this analyzer package, so the
+#: decorator is only importable from ``repro.devtools.contracts``.
+_UNITS_DECORATORS = frozenset({"repro.devtools.contracts.units"})
+_FIELD_UNITS_DECORATORS = frozenset(
+    {"repro.devtools.contracts.field_units", "repro.devtools.field_units"}
+)
 
 _WALL_SECONDS = parse_unit("wall_s")
 
@@ -145,67 +157,34 @@ def _literal_value(node: ast.expr) -> float | None:
     return None
 
 
-class _FunctionUnitAnalyzer:
-    """One forward abstract-interpretation pass over a function body."""
+class _UnitInterpreter(FunctionInterpreter):
+    """The units domain: dimension vectors and their transfer functions."""
 
-    def __init__(
-        self,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        qualname: str,
-        *,
-        path: str,
-        module: str | None,
-        aliases: dict[str, str],
-        module_symbols: set[str],
-        table: UnitTable,
-        own_class: str | None = None,
-    ) -> None:
-        self.fn = fn
-        self.qualname = qualname
-        self.path = path
-        self.module = module
-        self.aliases = aliases
-        self.module_symbols = module_symbols
-        self.table = table
-        self.findings: list[Finding] = []
-        self.env: dict[str, UnitSpec] = {}
+    EXPECTED_RULES = frozenset({"SW300", "SW301", "SW302", "SW303"})
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        #: name -> dotted class with a ``@field_units`` table
         self.types: dict[str, str] = {}
-        # Inside `with pytest.raises(...)` a proven unit mismatch is the
-        # *expected* behavior, not a finding.
-        self.expect_error = 0
-        self.locals_ = self._local_names(fn)
-        self.own_contract = (
-            table.lookup(f"{module}.{qualname}") if module else None
+        own_class = (
+            f"{self.module}.{self.class_name}"
+            if self.module and self.class_name
+            else None
         )
-        if own_class is not None and table.lookup_class(own_class) is not None:
+        if own_class is not None and self.table.lookup_class(own_class) is not None:
             self.types["self"] = own_class
-        self._seed_env()
-
-    # ------------------------------------------------------------ plumbing
-    @staticmethod
-    def _local_names(fn: ast.AST) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk(fn):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                for arg in (
-                    list(args.posonlyargs) + list(args.args)
-                    + list(args.kwonlyargs)
-                ):
-                    names.add(arg.arg)
-                if args.vararg:
-                    names.add(args.vararg.arg)
-                if args.kwarg:
-                    names.add(args.kwarg.arg)
-                if node is not fn:
-                    names.add(node.name)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                names.add(node.id)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    if alias.name != "*":
-                        names.add(alias.asname or alias.name.split(".", 1)[0])
-        return names
+        params = {}
+        if self.own_contract is not None:
+            params = {n: parse_unit(s) for n, s in self.own_contract.params}
+        args = self.fn.args
+        for arg in (
+            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
+        ):
+            if arg.arg in params:
+                self.env[arg.arg] = params[arg.arg]
+            cls = self._annotation_type(arg.annotation)
+            if cls is not None and self.table.lookup_class(cls) is not None:
+                self.types[arg.arg] = cls
 
     def _annotation_type(self, ann: ast.expr | None) -> str | None:
         """Resolve a parameter/variable annotation to a dotted class."""
@@ -218,42 +197,8 @@ class _FunctionUnitAnalyzer:
             else:
                 return None
         if isinstance(ann, (ast.Name, ast.Attribute)):
-            return dotted_target(
-                ann, self.aliases, self.module, self.module_symbols
-            )
+            return self.names.resolve(ann)
         return None
-
-    def _seed_env(self) -> None:
-        params = (
-            self.own_contract.param_units() if self.own_contract else {}
-        )
-        args = self.fn.args
-        for arg in (
-            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        ):
-            if arg.arg in params:
-                self.env[arg.arg] = params[arg.arg]
-            cls = self._annotation_type(arg.annotation)
-            if cls is not None and self.table.lookup_class(cls) is not None:
-                self.types[arg.arg] = cls
-
-    def report(self, rule: str, node: ast.AST, message: str) -> None:
-        if rule != "SW304" and self.expect_error > 0:
-            return
-        self.findings.append(
-            Finding(
-                rule,
-                self.path,
-                getattr(node, "lineno", self.fn.lineno),
-                getattr(node, "col_offset", 0),
-                message,
-            )
-        )
-
-    def resolve(self, func: ast.expr) -> str | None:
-        return dotted_target(
-            func, self.aliases, self.module, self.module_symbols, self.locals_
-        )
 
     def _report_mismatch(
         self, rule: str, node: ast.AST, verb: str, a: UnitSpec, b: UnitSpec
@@ -275,16 +220,27 @@ class _FunctionUnitAnalyzer:
             f"`{format_unit(b)}`: incompatible units{detail}",
         )
 
+    def _combine(
+        self, node: ast.AST, verb: str, a: UnitSpec | None, b: UnitSpec | None
+    ) -> UnitSpec | None:
+        """Two values meeting additively: their unit, or ``None`` once a
+        mismatch is reported.  An unknown side is assumed consistent."""
+        if a is not None and b is not None:
+            rule = classify_mismatch(a, b)
+            if rule is not None:
+                self._report_mismatch(rule, node, verb, a, b)
+                return None
+        return a if a is not None else b
+
     # ----------------------------------------------------------- statements
-    def run(self) -> list[Finding]:
-        self.exec_body(self.fn.body)
-        return self.findings
+    def exec_stmt(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            cls = self._annotation_type(stmt.annotation)
+            if cls is not None and self.table.lookup_class(cls) is not None:
+                self.types[stmt.target.id] = cls
+        super().exec_stmt(stmt)
 
-    def exec_body(self, stmts: Iterable[ast.stmt]) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt)
-
-    def _assign_target(
+    def assign(
         self, target: ast.expr, val: UnitSpec | None, value_node: ast.expr
     ) -> None:
         if isinstance(target, ast.Name):
@@ -299,7 +255,7 @@ class _FunctionUnitAnalyzer:
                 del self.types[target.id]
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._assign_target(elt, None, value_node)
+                self.assign(elt, None, value_node)
         elif isinstance(target, ast.Attribute):
             # A store into a unit-declared field is checked like a call
             # site: the declaration is the contract.
@@ -325,78 +281,12 @@ class _FunctionUnitAnalyzer:
             return resolved
         return None
 
-    def exec_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            val = self.eval(stmt.value)
-            for target in stmt.targets:
-                self._assign_target(target, val, stmt.value)
-        elif isinstance(stmt, ast.AnnAssign):
-            cls = self._annotation_type(stmt.annotation)
-            if (
-                isinstance(stmt.target, ast.Name)
-                and cls is not None
-                and self.table.lookup_class(cls) is not None
-            ):
-                self.types[stmt.target.id] = cls
-            if stmt.value is not None:
-                self._assign_target(
-                    stmt.target, self.eval(stmt.value), stmt.value
-                )
-        elif isinstance(stmt, ast.AugAssign):
-            val = self.eval(stmt.value)
-            if isinstance(stmt.target, ast.Name):
-                left = self.env.get(stmt.target.id)
-                result = self._binop_units(left, val, stmt.op, stmt)
-                self._assign_target(stmt.target, result, stmt.value)
-            elif isinstance(stmt.target, ast.Attribute):
-                left = self._attribute_unit(stmt.target)
-                self._binop_units(left, val, stmt.op, stmt)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            # Iterating a sequence of unit-u values yields unit-u elements.
-            val = self.eval(stmt.iter)
-            self._assign_target(stmt.target, val, stmt.iter)
-            self.exec_body(stmt.body)
-            self.exec_body(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self.eval(stmt.test)
-            self.exec_body(stmt.body)
-            self.exec_body(stmt.orelse)
-        elif isinstance(stmt, ast.If):
-            self.eval(stmt.test)
-            self.exec_body(stmt.body)
-            self.exec_body(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            expects = any(
-                isinstance(item.context_expr, ast.Call)
-                and self.resolve(item.context_expr.func) == "pytest.raises"
-                for item in stmt.items
-            )
-            self.expect_error += 1 if expects else 0
-            self.exec_body(stmt.body)
-            self.expect_error -= 1 if expects else 0
-        elif isinstance(stmt, ast.Try):
-            self.exec_body(stmt.body)
-            for handler in stmt.handlers:
-                self.exec_body(handler.body)
-            self.exec_body(stmt.orelse)
-            self.exec_body(stmt.finalbody)
-        elif isinstance(stmt, ast.Return):
-            self._check_return(stmt)
-        elif isinstance(stmt, ast.Assert):
-            self.eval(stmt.test)
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value)
-        # Nested defs/classes are analyzed as their own scopes elsewhere.
+    def loop_element(self, stmt: ast.For | ast.AsyncFor, val) -> UnitSpec | None:
+        # Iterating a sequence of unit-u values yields unit-u elements.
+        return val
 
-    def _check_return(self, stmt: ast.Return) -> None:
-        if stmt.value is None:
-            return
-        val = self.eval(stmt.value)
-        if self.own_contract is None or val is None:
-            return
-        declared = self.own_contract.ret_unit()
-        if declared is None:
-            return
+    def check_return(self, stmt: ast.Return, val: UnitSpec) -> None:
+        declared = parse_unit(self.own_contract.ret)
         rule = classify_mismatch(val, declared)
         if rule is not None:
             self.report(
@@ -411,8 +301,9 @@ class _FunctionUnitAnalyzer:
         if isinstance(node, ast.Name):
             if node.id in self.env:
                 return self.env[node.id]
-            if node.id not in self.locals_ and node.id in self.aliases:
-                dotted = self.table.resolve(self.aliases[node.id])
+            aliases = self.names.imports.aliases
+            if node.id not in self.locals_ and node.id in aliases:
+                dotted = self.table.resolve(aliases[node.id])
                 return _CONSTANT_UNITS.get(dotted)
             return None
         if isinstance(node, ast.Constant):
@@ -432,7 +323,7 @@ class _FunctionUnitAnalyzer:
                 self.eval(value)
             return None
         if isinstance(node, ast.Call):
-            return self._call(node)
+            return self.eval_call(node)
         if isinstance(node, ast.Subscript):
             self.eval(node.slice)
             return self.eval(node.value)  # elements keep the array's unit
@@ -441,16 +332,7 @@ class _FunctionUnitAnalyzer:
         if isinstance(node, ast.IfExp):
             self.eval(node.test)
             a = self.eval(node.body)
-            b = self.eval(node.orelse)
-            if a is not None and b is not None:
-                rule = classify_mismatch(a, b)
-                if rule is not None:
-                    self._report_mismatch(
-                        rule, node, "selects between", a, b
-                    )
-                    return None
-                return a
-            return a if a is not None else b
+            return self._combine(node, "selects between", a, self.eval(node.orelse))
         if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
             vals = [self.eval(e) for e in node.elts]
             known = [v for v in vals if v is not None]
@@ -473,18 +355,19 @@ class _FunctionUnitAnalyzer:
             if spec is not None:
                 return spec
         if isinstance(node.value, ast.Name):
-            cls = self.types.get(node.value.id)
-            if cls is not None:
-                return self.table.field_unit(cls, node.attr)
+            table = self.table.lookup_class(self.types.get(node.value.id))
+            spec = dict(table.fields).get(node.attr) if table else None
+            if spec is not None:
+                return parse_unit(spec)
         return None
 
     # ----------------------------------------------------------- operators
     def _binop(self, node: ast.BinOp) -> UnitSpec | None:
         left = self.eval(node.left)
         right = self.eval(node.right)
-        return self._binop_units(left, right, node.op, node)
+        return self.binop(left, right, node.op, node)
 
-    def _binop_units(
+    def binop(
         self,
         left: UnitSpec | None,
         right: UnitSpec | None,
@@ -519,19 +402,8 @@ class _FunctionUnitAnalyzer:
                 )
             return None
         if isinstance(op, (ast.Add, ast.Sub, ast.Mod)):
-            if left is not None and right is not None:
-                rule = classify_mismatch(left, right)
-                if rule is not None:
-                    self._report_mismatch(
-                        rule,
-                        node,
-                        _OP_WORDS.get(type(op), "combines"),
-                        left,
-                        right,
-                    )
-                    return None
-            # Unknown + known: assume the unknown side is consistent.
-            return left if left is not None else right
+            verb = _OP_WORDS.get(type(op), "combines")
+            return self._combine(node, verb, left, right)
         return None
 
     def _scaled_by_literal(
@@ -597,41 +469,25 @@ class _FunctionUnitAnalyzer:
             prev = val
 
     # ----------------------------------------------------------------- calls
-    def _call(self, node: ast.Call) -> UnitSpec | None:
-        func = node.func
-        resolved = self.resolve(func)
-        if resolved is not None:
-            if resolved in _WALL_CLOCK_CALLS:
-                return _WALL_SECONDS
-            if resolved.startswith("numpy."):
-                return self._numpy_call(resolved[len("numpy."):], node)
-            helper_unit = _TAGGED_HELPERS.get(self.table.resolve(resolved))
-            if helper_unit is not None:
-                for arg in node.args:
-                    self.eval(arg)
-                return parse_unit(helper_unit)
-            contract = self.table.lookup(resolved)
-            if contract is not None:
-                return self._contract_call(contract, node)
+    def external_call(self, resolved: str, node: ast.Call) -> UnitSpec | None:
+        if resolved in _WALL_CLOCK_CALLS:
+            return _WALL_SECONDS
+        helper_unit = _TAGGED_HELPERS.get(self.table.resolve(resolved))
+        if helper_unit is not None:
             for arg in node.args:
                 self.eval(arg)
-            for kw in node.keywords:
-                self.eval(kw.value)
-            return None
-        if isinstance(func, ast.Name) and func.id not in self.locals_:
-            return self._builtin_call(func.id, node)
-        if isinstance(func, ast.Attribute):
-            base = self.eval(func.value)
-            for arg in node.args:
-                self.eval(arg)
-            if base is not None and func.attr in _UNIT_PRESERVING_METHODS:
-                return base
-            return None
+            return parse_unit(helper_unit)
+        return super().external_call(resolved, node)
+
+    def method_call(self, func: ast.Attribute, node: ast.Call) -> UnitSpec | None:
+        base = self.eval(func.value)
         for arg in node.args:
             self.eval(arg)
+        if base is not None and func.attr in _UNIT_PRESERVING_METHODS:
+            return base
         return None
 
-    def _builtin_call(self, name: str, node: ast.Call) -> UnitSpec | None:
+    def builtin_call(self, name: str, node: ast.Call) -> UnitSpec | None:
         vals = [self.eval(arg) for arg in node.args]
         for kw in node.keywords:
             self.eval(kw.value)
@@ -649,7 +505,7 @@ class _FunctionUnitAnalyzer:
             return known[0] if known else None
         return None
 
-    def _numpy_call(self, name: str, node: ast.Call) -> UnitSpec | None:
+    def numpy_call(self, name: str, node: ast.Call) -> UnitSpec | None:
         vals = [self.eval(arg) for arg in node.args]
         for kw in node.keywords:
             self.eval(kw.value)
@@ -658,15 +514,7 @@ class _FunctionUnitAnalyzer:
         if name in _UNIT_PRESERVING_NUMPY:
             return vals[0]
         if name in _ADDITIVE_NUMPY and len(vals) >= 2:
-            a, b = vals[0], vals[1]
-            if a is not None and b is not None:
-                rule = classify_mismatch(a, b)
-                if rule is not None:
-                    self._report_mismatch(
-                        rule, node, f"np.{name}()s", a, b
-                    )
-                    return None
-            return a if a is not None else b
+            return self._combine(node, f"np.{name}()s", vals[0], vals[1])
         if name in ("multiply", "dot"):
             if vals[0] is not None and len(vals) >= 2 and vals[1] is not None:
                 return unit_mul(vals[0], vals[1])
@@ -680,33 +528,18 @@ class _FunctionUnitAnalyzer:
         if name == "square" and vals[0] is not None:
             return unit_pow(vals[0], Fraction(2))
         if name == "where" and len(vals) == 3:
-            a, b = vals[1], vals[2]
-            if a is not None and b is not None:
-                rule = classify_mismatch(a, b)
-                if rule is not None:
-                    self._report_mismatch(rule, node, "selects between", a, b)
-                    return None
-            return a if a is not None else b
+            return self._combine(node, "selects between", vals[1], vals[2])
         if name == "interp" and len(vals) >= 3:
             return vals[2]
         return None
 
     # -------------------------------------------------- contract call sites
-    def _contract_call(
-        self, contract: UnitContract, node: ast.Call
-    ) -> UnitSpec | None:
-        if any(isinstance(a, ast.Starred) for a in node.args) or any(
-            kw.arg is None for kw in node.keywords
-        ):
-            return None  # *args/**kwargs call: mapping is not static
-        param_units = contract.param_units()
-        arg_map: list[tuple[str, ast.expr]] = []
-        for i, arg in enumerate(node.args):
-            if i < len(contract.args):
-                arg_map.append((contract.args[i], arg))
-        for kw in node.keywords:
-            arg_map.append((kw.arg, kw.value))
-        for pname, arg in arg_map:
+    def contract_call(self, contract: Contract, node: ast.Call) -> UnitSpec | None:
+        bound = self.bind_arguments(contract, node)
+        if bound is None:
+            return None
+        param_units = {n: parse_unit(s) for n, s in contract.params}
+        for pname, arg in bound:
             val = self.eval(arg)
             if pname not in param_units or val is None:
                 continue
@@ -722,7 +555,7 @@ class _FunctionUnitAnalyzer:
                     f"`{spec_text}`",
                 )
                 return None
-        return contract.ret_unit()
+        return parse_unit(contract.ret) if contract.ret is not None else None
 
 
 # --------------------------------------------------------------------------
@@ -730,39 +563,14 @@ class _FunctionUnitAnalyzer:
 # --------------------------------------------------------------------------
 
 
-def analyze_module(ctx: ModuleContext, table: UnitTable) -> list[Finding]:
+def summarize(ctx: ModuleContext) -> ModuleContracts:
+    """Pass A for one parsed module: its ``@units`` contracts and
+    ``@field_units`` tables."""
+    return extract_contracts(
+        ctx, _UNITS_DECORATORS, parse_unit, _FIELD_UNITS_DECORATORS
+    )
+
+
+def analyze_module(ctx: ModuleContext, table: ContractTable) -> list[Finding]:
     """Pass B for one parsed module: every function against the table."""
-    module, tree, path = ctx.module, ctx.tree, str(ctx.path)
-    aliases, _exports = collect_aliases(tree, module, ctx.is_package_init)
-    module_symbols = {
-        stmt.name
-        for stmt in tree.body
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        )
-    }
-
-    findings: list[Finding] = []
-
-    def analyze_fn(fn, qualname: str, own_class: str | None) -> None:
-        analyzer = _FunctionUnitAnalyzer(
-            fn,
-            qualname,
-            path=path,
-            module=module,
-            aliases=aliases,
-            module_symbols=module_symbols,
-            table=table,
-            own_class=own_class,
-        )
-        findings.extend(analyzer.run())
-
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            analyze_fn(stmt, stmt.name, None)
-        elif isinstance(stmt, ast.ClassDef):
-            own_class = f"{module}.{stmt.name}" if module else None
-            for inner in stmt.body:
-                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    analyze_fn(inner, f"{stmt.name}.{inner.name}", own_class)
-    return findings
+    return _UnitInterpreter.check_module(ctx, table)

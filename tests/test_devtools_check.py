@@ -144,6 +144,28 @@ def test_syntax_error_is_reported_once(tmp_path):
     assert [f.rule for f in findings] == ["SW000"]
 
 
+# ------------------------------------------------------------- name scope
+def test_parameter_shadowing_an_imported_module_is_a_local(tmp_path):
+    # `time` and `random` are imported at the top, but inside each
+    # function the parameter of that name is what the call goes through.
+    package = tmp_path / "repro" / "core"
+    package.mkdir(parents=True)
+    for init in (tmp_path / "repro", package):
+        (init / "__init__.py").write_text("")
+    (package / "clock.py").write_text(
+        '"""Clock helpers whose parameters shadow imported modules."""\n\n'
+        "import random\n"
+        "import time\n\n"
+        '__all__ = ["elapsed", "pick"]\n\n\n'
+        "def elapsed(time, start_s):\n"
+        "    now_s = time.time()\n"
+        "    return now_s - start_s\n\n\n"
+        "def pick(random):\n"
+        "    return random.random()\n"
+    )
+    assert analyze([package / "clock.py"]) == []
+
+
 # ----------------------------------------------------------------- scoping
 @pytest.mark.parametrize("name", ["test_mod.py", "conftest.py"])
 def test_pytest_modules_skip_sw003_sw007_sw008(tmp_path, name):

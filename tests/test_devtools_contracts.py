@@ -196,7 +196,7 @@ def test_declared_contracts_roundtrip_to_static_summaries(tmp_path):
     import ast
 
     from repro.devtools.rules import ModuleContext
-    from repro.devtools.shape.summaries import extract_summaries
+    from repro.devtools.shape.analyze import summarize
     from repro.devtools.specs import format_spec, parse_spec
 
     source = (
@@ -208,7 +208,7 @@ def test_declared_contracts_roundtrip_to_static_summaries(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text(source)
     ctx = ModuleContext(path, "mod", ast.parse(source))
-    (summary,) = extract_summaries(ctx).summaries
+    (summary,) = summarize(ctx).contracts
     assert summary.args == ("plan", "prices")
     assert dict(summary.params) == {"plan": "(H,N)", "prices": "(N,) f8"}
     assert summary.ret == "(H,)"

@@ -24,6 +24,7 @@ from repro.devtools.shape.analyze import (
     HOT_PREFIXES,
     SHAPE_RULES,
     analyze_module,
+    summarize,
 )
 from repro.devtools.shape.domain import (
     ArrayVal,
@@ -34,11 +35,7 @@ from repro.devtools.shape.domain import (
     scalar,
     unify_dim,
 )
-from repro.devtools.shape.summaries import (
-    SummaryTable,
-    extract_summaries,
-    summary_digest,
-)
+from repro.devtools.summaries import ContractTable, ModuleContracts
 
 FIXTURES = Path(__file__).parent / "fixtures" / "shape"
 REPO = Path(__file__).resolve().parents[1]
@@ -62,10 +59,10 @@ def analyze_one(name, *, with_seam=True):
     """Analyze a single fixture file against the seam's contract table."""
     mods = []
     if with_seam:
-        mods.append(extract_summaries(parsed(FIXTURES / "contracts_seam.py")))
+        mods.append(summarize(parsed(FIXTURES / "contracts_seam.py")))
     ctx = parsed(FIXTURES / name)
-    mods.append(extract_summaries(ctx))
-    return analyze_module(ctx, SummaryTable(mods))
+    mods.append(summarize(ctx))
+    return analyze_module(ctx, ContractTable(mods))
 
 
 # ------------------------------------------------------------------- domain
@@ -131,9 +128,9 @@ def test_arrayval_rank_and_scalar():
 
 # ---------------------------------------------------------------- summaries
 def test_extract_summaries_reads_the_seam_contracts():
-    mod = extract_summaries(parsed(FIXTURES / "contracts_seam.py"))
+    mod = summarize(parsed(FIXTURES / "contracts_seam.py"))
     assert mod.module == "contracts_seam"
-    by_qualname = {s.qualname: s for s in mod.summaries}
+    by_qualname = {s.qualname: s for s in mod.contracts}
     assert set(by_qualname) == {"scale_rows", "weight_vector", "total_cost"}
     scale = by_qualname["scale_rows"]
     assert scale.args == ("matrix", "weights")
@@ -142,13 +139,11 @@ def test_extract_summaries_reads_the_seam_contracts():
 
 
 def test_summary_roundtrip_and_digest_stability():
-    mod = extract_summaries(parsed(FIXTURES / "contracts_seam.py"))
-    table = SummaryTable([mod])
-    digest = summary_digest(table)
-    assert digest == summary_digest(SummaryTable([mod]))
-    for summary in mod.summaries:
-        restored = type(summary).from_dict(summary.to_dict())
-        assert restored == summary
+    mod = summarize(parsed(FIXTURES / "contracts_seam.py"))
+    digest = ContractTable([mod]).digest()
+    assert digest == ContractTable([mod]).digest()
+    cached = json.loads(json.dumps(mod.to_dict()))
+    assert ModuleContracts.from_dict(cached) == mod
 
 
 def test_digest_changes_when_a_contract_changes(tmp_path):
@@ -156,8 +151,8 @@ def test_digest_changes_when_a_contract_changes(tmp_path):
     original = seam.read_text()
     edited_path = tmp_path / "contracts_seam.py"
     edited_path.write_text(original.replace('"(H,N)", "(N,)"', '"(H,K)", "(K,)"'))
-    d1 = summary_digest(SummaryTable([extract_summaries(parsed(seam))]))
-    d2 = summary_digest(SummaryTable([extract_summaries(parsed(edited_path))]))
+    d1 = ContractTable([summarize(parsed(seam))]).digest()
+    d2 = ContractTable([summarize(parsed(edited_path))]).digest()
     assert d1 != d2
 
 
@@ -239,7 +234,7 @@ def test_violation_inside_pytest_raises_is_expected(tmp_path):
         "        scale_rows(np.zeros((4, 3)), np.zeros((4, 3)))\n"
     )
     seam = FIXTURES / "contracts_seam.py"
-    table = SummaryTable([extract_summaries(parsed(seam))])
+    table = ContractTable([summarize(parsed(seam))])
     path = tmp_path / "test_mod.py"
     path.write_text(src)
     assert analyze_module(parsed(path), table) == []
@@ -260,14 +255,14 @@ def test_sw203_sw204_only_fire_in_hot_modules(tmp_path):
     )
     cold = tmp_path / "coldmod.py"
     cold.write_text(loops)
-    assert analyze_module(parsed(cold), SummaryTable([])) == []
+    assert analyze_module(parsed(cold), ContractTable([])) == []
 
 
 # ------------------------------------------------------------- suppressions
 def test_spotshape_line_suppression():
     suppressed = FIXTURES / "repro" / "simulator" / "suppress_line.py"
     # The interpreter proves the loop; the driver honours the comment.
-    found = analyze_module(parsed(suppressed), SummaryTable([]))
+    found = analyze_module(parsed(suppressed), ContractTable([]))
     assert [f.rule for f in found] == ["SW204"]
     assert shape_findings([suppressed]) == []
 

@@ -21,7 +21,8 @@ from repro.devtools.baseline import (
 from repro.devtools.check import ENGINE_RULES, analyze, main
 from repro.devtools.rules import ModuleContext, module_name_for
 from repro.devtools.specs import parse_unit
-from repro.devtools.units.analyze import UNIT_RULES, analyze_module
+from repro.devtools.summaries import ContractTable, ModuleContracts
+from repro.devtools.units.analyze import UNIT_RULES, analyze_module, summarize
 from repro.devtools.units.domain import (
     DIMENSIONLESS,
     classify_mismatch,
@@ -30,14 +31,6 @@ from repro.devtools.units.domain import (
     unit_div,
     unit_mul,
     unit_pow,
-)
-from repro.devtools.units.summaries import (
-    ClassUnits,
-    UnitContract,
-    UnitModuleSummaries,
-    UnitTable,
-    extract_unit_summaries,
-    unit_summary_digest,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "units"
@@ -63,10 +56,10 @@ def analyze_one(name, *, with_seam=True):
     """Analyze a single fixture file against the seam's contract table."""
     mods = []
     if with_seam:
-        mods.append(extract_unit_summaries(parsed(SEAM)))
+        mods.append(summarize(parsed(SEAM)))
     ctx = parsed(FIXTURES / name)
-    mods.append(extract_unit_summaries(ctx))
-    return analyze_module(ctx, UnitTable(mods))
+    mods.append(summarize(ctx))
+    return analyze_module(ctx, ContractTable(mods))
 
 
 # ------------------------------------------------------------------- domain
@@ -120,7 +113,7 @@ def test_describe_uses_canonical_grammar_spelling():
 
 # ---------------------------------------------------------------- summaries
 def test_extract_unit_summaries_reads_the_seam_contracts():
-    mod = extract_unit_summaries(parsed(SEAM))
+    mod = summarize(parsed(SEAM))
     assert mod.module == "contracts_seam"
     by_qualname = {c.qualname: c for c in mod.contracts}
     assert set(by_qualname) == {"accrue_cost", "interval_width"}
@@ -134,15 +127,11 @@ def test_extract_unit_summaries_reads_the_seam_contracts():
 
 
 def test_summary_roundtrip_and_digest_stability():
-    mod = extract_unit_summaries(parsed(SEAM))
-    table = UnitTable([mod])
-    digest = unit_summary_digest(table)
-    assert digest == unit_summary_digest(UnitTable([mod]))
-    for contract in mod.contracts:
-        assert UnitContract.from_dict(contract.to_dict()) == contract
-    for cls in mod.classes:
-        assert ClassUnits.from_dict(cls.to_dict()) == cls
-    assert UnitModuleSummaries.from_dict(mod.to_dict()) == mod
+    mod = summarize(parsed(SEAM))
+    digest = ContractTable([mod]).digest()
+    assert digest == ContractTable([mod]).digest()
+    cached = json.loads(json.dumps(mod.to_dict()))
+    assert ModuleContracts.from_dict(cached) == mod
 
 
 def test_digest_changes_when_a_contract_changes(tmp_path):
@@ -150,33 +139,31 @@ def test_digest_changes_when_a_contract_changes(tmp_path):
     original = seam.read_text()
     edited_path = tmp_path / "contracts_seam.py"
     edited_path.write_text(original.replace('ret="usd"', 'ret="usd/hr"'))
-    d1 = unit_summary_digest(UnitTable([extract_unit_summaries(parsed(seam))]))
-    d2 = unit_summary_digest(
-        UnitTable([extract_unit_summaries(parsed(edited_path))])
-    )
+    d1 = ContractTable([summarize(parsed(seam))]).digest()
+    d2 = ContractTable([summarize(parsed(edited_path))]).digest()
     assert d1 != d2
 
 
 def test_table_resolves_reexport_chains():
-    mod = extract_unit_summaries(parsed(SEAM))
-    facade = UnitModuleSummaries(
+    mod = summarize(parsed(SEAM))
+    facade = ModuleContracts(
         path="pkg/__init__.py",
         module="pkg",
         contracts=(),
-        export_aliases={"accrue": "contracts_seam.accrue_cost"},
+        exports={"accrue": "contracts_seam.accrue_cost"},
     )
-    table = UnitTable([mod, facade])
+    table = ContractTable([mod, facade])
     contract = table.lookup("pkg.accrue")
     assert contract is not None and contract.qualname == "accrue_cost"
     assert table.lookup("pkg.missing") is None
 
 
 def test_field_unit_lookup():
-    table = UnitTable([extract_unit_summaries(parsed(SEAM))])
-    spec = table.field_unit("contracts_seam.Tariff", "penalty")
-    assert spec == parse_unit("usd/(rps*hr)")
-    assert table.field_unit("contracts_seam.Tariff", "nope") is None
-    assert table.field_unit("contracts_seam.Missing", "penalty") is None
+    table = ContractTable([summarize(parsed(SEAM))])
+    fields = dict(table.lookup_class("contracts_seam.Tariff").fields)
+    assert parse_unit(fields["penalty"]) == parse_unit("usd/(rps*hr)")
+    assert "nope" not in fields
+    assert table.lookup_class("contracts_seam.Missing") is None
 
 
 # ---------------------------------------------------------------- rule table
@@ -283,8 +270,8 @@ def test_violation_inside_pytest_raises_is_expected(tmp_path):
     path = tmp_path / "test_mod.py"
     path.write_text(src)
     ctx = parsed(path)
-    table = UnitTable(
-        [extract_unit_summaries(parsed(SEAM)), extract_unit_summaries(ctx)]
+    table = ContractTable(
+        [summarize(parsed(SEAM)), summarize(ctx)]
     )
     findings = analyze_module(ctx, table)
     assert [f.rule for f in findings] == ["SW304"]
