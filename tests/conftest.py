@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,33 +33,22 @@ class GateRun:
     code: int
     payload: dict
     elapsed_s: float
-    cache: Path
 
 
 @pytest.fixture(scope="session")
-def spotlint_gate(tmp_path_factory):
+def spotlint_gate():
     """The canonical gate, run cold once per session from the repo root
-    (baseline fingerprints hash repo-relative paths).  The cache it leaves
-    lets each analyzer's own real-tree test re-run that analyzer warm."""
+    (baseline fingerprints hash repo-relative paths)."""
     from repro.devtools.check import main
 
-    cache = tmp_path_factory.mktemp("spotlint") / "cache.json"
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(REPO)
         start_s = time.perf_counter()
         with contextlib.redirect_stdout(out):
-            code = main(
-                [*GATE_ARGS, "--cache", str(cache), "--format", "json"]
-            )
+            code = main([*GATE_ARGS, "--no-cache", "--format", "json"])
         elapsed_s = time.perf_counter() - start_s
-    return GateRun(code, json.loads(out.getvalue()), elapsed_s, cache)
-
-
-@pytest.fixture
-def gate_cache(spotlint_gate, tmp_path):
-    """A private copy of the gate's warm cache (a run rewrites its cache)."""
-    return Path(shutil.copy(spotlint_gate.cache, tmp_path / "cache.json"))
+    return GateRun(code, json.loads(out.getvalue()), elapsed_s)
 
 
 @pytest.fixture(scope="session")

@@ -412,12 +412,3 @@ def test_cli_list_rules(capsys):
     for rule_id in GRAPH_RULES:
         assert rule_id in out
     assert "SW009" in out
-
-
-# ----------------------------------------------------------- the real tree
-def test_real_src_is_clean_with_empty_baseline(gate_cache, monkeypatch):
-    # The acceptance gate: the graph rules over the actual repo source
-    # report zero findings, with no baseline at all — the intentional
-    # seams are annotated in place.  Warm from the session's gate run.
-    monkeypatch.chdir(SRC.parent)
-    assert analyze(["src/"], select=GRAPH_SELECT, cache_path=gate_cache) == []
