@@ -38,8 +38,6 @@ __all__ = [
     "walk_functions",
 ]
 
-Function = ast.FunctionDef | ast.AsyncFunctionDef
-
 
 @dataclass(frozen=True)
 class ImportEdge:
@@ -227,7 +225,9 @@ def follow_reexports(reexports: Mapping[str, str], dotted: str) -> str:
     return dotted
 
 
-def walk_functions(tree: ast.Module) -> Iterator[tuple[Function, str, str | None]]:
+def walk_functions(
+    tree: ast.Module,
+) -> Iterator[tuple[ast.FunctionDef | ast.AsyncFunctionDef, str, str | None]]:
     """``(function, qualname, class name)`` for each top-level function and
     method; nested functions belong to the scope that encloses them."""
     for stmt in tree.body:
