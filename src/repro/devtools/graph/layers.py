@@ -2,10 +2,10 @@
 
 The layer map is the repo's architecture, written down and enforced:
 
-- **foundation** (``devtools``, ``obs``, ``parallel``, ``textfmt``,
-  ``units``) may be imported from anywhere but imports nothing of
-  ``repro`` above itself — observability, tooling, and dimensional
-  constants must never pull in domain code;
+- **foundation** (``devtools``, ``normal``, ``obs``, ``parallel``,
+  ``textfmt``, ``units``) may be imported from anywhere but imports
+  nothing of ``repro`` above itself — observability, tooling, the normal
+  quantile and dimensional constants must never pull in domain code;
 - **leaves** (``markets``, ``solvers``, ``workloads``) import no other
   domain package: solver code must never see the simulator;
 - the stack above them is a DAG: ``predictors``/``monitoring``/
@@ -42,7 +42,9 @@ __all__ = [
 
 # Packages importable from anywhere, importing nothing of repro above
 # themselves (foundation -> foundation is allowed; cycles still flagged).
-FOUNDATION = frozenset({"devtools", "obs", "parallel", "textfmt", "units"})
+FOUNDATION = frozenset(
+    {"devtools", "normal", "obs", "parallel", "textfmt", "units"}
+)
 
 _LEAVES = frozenset({"markets", "solvers", "workloads"})
 _MID = {
@@ -85,7 +87,8 @@ LAYER_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("control", ("core",)),
     ("components", ("loadbalancer", "monitoring", "predictors")),
     ("leaves", ("markets", "solvers", "workloads")),
-    ("foundation", ("devtools", "obs", "parallel", "textfmt", "units")),
+    ("foundation", ("devtools", "normal", "obs", "parallel", "textfmt",
+                    "units")),
 )
 
 

@@ -77,6 +77,7 @@ DETERMINISTIC_PREFIXES: tuple[str, ...] = (
     "repro.loadbalancer",
     "repro.markets",
     "repro.monitoring",
+    "repro.normal",
     "repro.obs.anomaly",
     "repro.obs.dash",
     "repro.obs.eventreport",

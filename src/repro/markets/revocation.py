@@ -20,9 +20,9 @@ Three pieces, matching how the paper consumes revocation data:
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.markets.catalog import Market, PurchaseOption
+from repro.normal import ndtri
 from repro.obs import get_events
 
 __all__ = [

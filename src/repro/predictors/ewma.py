@@ -8,8 +8,8 @@ algorithms that can be used instead of our predictor").
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
+from repro.normal import ndtri
 from repro.predictors.base import PredictionResult, WorkloadPredictor
 
 __all__ = ["EWMAPredictor"]

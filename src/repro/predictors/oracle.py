@@ -9,8 +9,8 @@ controllable relative error, which is exactly the knob swept in Fig. 7(a).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
+from repro.normal import ndtri
 from repro.predictors.base import PredictionResult, WorkloadPredictor
 from repro.workloads.trace import WorkloadTrace
 

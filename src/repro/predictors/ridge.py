@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-from scipy.special import ndtri
 
+from repro.normal import ndtri
 from repro.predictors.base import PredictionResult, WorkloadPredictor
 
 __all__ = ["RidgePredictor"]

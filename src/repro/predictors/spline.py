@@ -26,8 +26,8 @@ from collections import deque
 
 import numpy as np
 from scipy.interpolate import splev, splrep
-from scipy.special import ndtri
 
+from repro.normal import ndtri
 from repro.predictors.base import PredictionResult, WorkloadPredictor
 
 __all__ = ["SplinePredictor"]
