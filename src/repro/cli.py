@@ -196,6 +196,22 @@ EXPERIMENTS: dict[str, tuple[str, Callable]] = {
     "gcloud": ("Sec. 7: Google-preemptible mode", _run_gcloud),
 }
 
+#: experiment name -> the module of ``repro.experiments`` its runner imports
+_MODULES: dict[str, str] = {
+    "table1": "table1",
+    "table1_costs": "table1",
+    "fig3": "fig3_workloads",
+    "fig4a": "fig4a_loadbalancer",
+    "fig4bcd": "fig4bcd_prediction",
+    "fig5": "fig5_price_awareness",
+    "fig6a": "fig6a_constant",
+    "fig6b": "fig6b_exosphere",
+    "fig7a": "fig7a_accuracy",
+    "fig7b": "fig7b_scalability",
+    "lookahead": "lookahead",
+    "gcloud": "gcloud",
+}
+
 
 def _env_trace_on() -> bool:
     """Honor the ``SPOTWEB_TRACE`` opt-in (any value but empty/``0``)."""
@@ -286,10 +302,10 @@ def _cmd_run(args) -> str:
             # Announce before the run so scrapers can find the port.
             print(f"serving metrics at {server.url}", flush=True)
     with obs.get_tracer().span(f"experiment.{args.name}", quick=args.quick):
-        # The experiments package import dominates a --quick run's
+        # The experiment module's import dominates a --quick run's
         # wall-clock; give it a span so the root stays >95% covered.
         with obs.get_tracer().span("experiment.imports"):
-            importlib.import_module("repro.experiments")
+            importlib.import_module(f"repro.experiments.{_MODULES[args.name]}")
         text = runner(args)
     if telemetry_on:
         obs.get_bus().flush()

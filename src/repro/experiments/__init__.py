@@ -24,21 +24,11 @@ Index (see DESIGN.md for the full mapping):
   (slow-start servers).
 - :mod:`gcloud` — Sec. 7 discussion: Google-preemptible mode (flat prices,
   24-hour forced lifetime).
-"""
 
-from repro.experiments import (  # noqa: F401
-    table1,
-    fig3_workloads,
-    fig4a_loadbalancer,
-    fig4bcd_prediction,
-    fig5_price_awareness,
-    fig6a_constant,
-    fig6b_exosphere,
-    fig7a_accuracy,
-    fig7b_scalability,
-    lookahead,
-    gcloud,
-)
+Nothing is imported here: each command imports only its own module, so a
+run of one experiment does not load the other ten (``table1`` alone brings
+the process pool with it).
+"""
 
 __all__ = [
     "table1",

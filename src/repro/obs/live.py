@@ -45,9 +45,8 @@ from __future__ import annotations
 import json
 import os
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.obs.events import enable_events, events_enabled, get_events
 from repro.obs.metrics import (
@@ -56,6 +55,9 @@ from repro.obs.metrics import (
     prometheus_text,
     write_prometheus,
 )
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 __all__ = [
     "TELEMETRY_SCHEMA",
@@ -330,6 +332,10 @@ class MetricsServer:
         """Bind the socket and serve from a daemon thread."""
         if self._server is not None:
             return self
+        # http.server brings email, http.client and ssl with it: load it
+        # when an endpoint starts, not with every run that imports obs.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         outer = self
 
         class _Handler(BaseHTTPRequestHandler):

@@ -25,7 +25,6 @@ import logging
 from collections import deque
 
 import numpy as np
-from scipy.interpolate import splev, splrep
 
 from repro.normal import ndtri
 from repro.predictors.base import PredictionResult, WorkloadPredictor
@@ -131,6 +130,10 @@ class SplinePredictor(WorkloadPredictor):
             self._spline = None
             return
         s = self.smoothing * ux.size * max(np.var(uy), 1e-9)
+        # FITPACK (and scipy.optimize under it) loads on the first fit, not
+        # with the simulation stack: runs with other predictors never use it.
+        from scipy.interpolate import splrep
+
         try:
             self._spline = splrep(ux, uy, s=s, per=(ux.size > self.period // 2))
         except (ValueError, TypeError, np.linalg.LinAlgError) as exc:
@@ -159,6 +162,8 @@ class SplinePredictor(WorkloadPredictor):
             self._ar_coeff = 0.0
 
     def _seasonal(self, ts: np.ndarray) -> np.ndarray:
+        from scipy.interpolate import splev
+
         phase = (np.asarray(ts) % self.period).astype(float)
         return np.asarray(splev(phase, self._spline), dtype=np.float64)
 

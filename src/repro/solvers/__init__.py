@@ -8,22 +8,24 @@ built from scratch on NumPy/SciPy:
   of the form ``min 1/2 x'Px + q'x  s.t.  l <= Ax <= u`` with warm starting
   and cached factorizations (the receding-horizon loop re-solves the same
   problem with updated ``q``/``l``/``u`` every interval).
-- :mod:`repro.solvers.lp` — linear programming on top of the same interface.
 - :mod:`repro.solvers.structured` — a block-tridiagonal KKT fast path for
   MPO-shaped programs (per-period blocks coupled only by the churn term),
   O(H·N³) factorization instead of the dense path's O((N·H)³).
 - :mod:`repro.solvers.kkt` — KKT residual checks used by tests and by the
   solver's own termination criteria.
-- :mod:`repro.solvers.reference` — a slow, independent reference solver
-  (scipy ``trust-constr``) used to cross-validate the ADMM implementation.
+
+Three test oracles are not imported here, because no simulation calls
+them and two of them load ``scipy.optimize``; import them from their
+modules: :mod:`repro.solvers.lp` (``solve_lp``, linear programs through
+``scipy.optimize.linprog``), :mod:`repro.solvers.reference`
+(``solve_qp_reference``, scipy ``trust-constr``) and
+:mod:`repro.solvers.active_set` (``solve_qp_active_set``, an exact
+primal active-set method).
 """
 
 from repro.solvers.result import SolverResult, SolverStatus
 from repro.solvers.qp import ADMMCore, ADMMSolver, QPProblem, solve_qp
-from repro.solvers.lp import solve_lp
 from repro.solvers.kkt import kkt_residuals, check_kkt
-from repro.solvers.reference import solve_qp_reference
-from repro.solvers.active_set import solve_qp_active_set
 from repro.solvers.structured import (
     BlockTridiagFactor,
     MPOStructure,
@@ -37,11 +39,8 @@ __all__ = [
     "ADMMSolver",
     "QPProblem",
     "solve_qp",
-    "solve_lp",
     "kkt_residuals",
     "check_kkt",
-    "solve_qp_reference",
-    "solve_qp_active_set",
     "BlockTridiagFactor",
     "MPOStructure",
     "StructuredADMMSolver",

@@ -145,6 +145,28 @@ class TestRunCommand:
         )
         assert out.exists()
 
+    def test_run_imports_only_its_own_experiment(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"main(['run', 'table1', '--trace-out', {str(tmp_path / 't.jsonl')!r}, '--trace'])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=env,
+        )
+        last = out.stdout.strip().splitlines()[-1]
+        assert last == "['repro.experiments', 'repro.experiments.table1']"
+
     def test_quick_shrinks_workload(self, monkeypatch):
         seen = {}
         from repro import cli

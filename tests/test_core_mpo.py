@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import AllocationConstraints, CostModel, MPOOptimizer
-from repro.solvers import QPProblem, solve_qp_reference
+from repro.solvers import QPProblem
+from repro.solvers.reference import solve_qp_reference
 
 
 def flat_inputs(dataset, horizon, target=1000.0, t=0):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import CostModel, MPOOptimizer
 from repro.simulator import CostSimulator
-from repro.solvers import solve_qp_active_set
+from repro.solvers.active_set import solve_qp_active_set
 from repro.workloads import constant_workload
 
 

@@ -168,9 +168,8 @@ class TestCorrelatedRevocationSampler:
             CorrelatedRevocationSampler(np.ones((2, 3)))
 
 
-def test_simulation_imports_leave_out_scipy_stats():
-    """Importing scipy.stats costs ~0.5 s and ~18 MB; the simulation stack
-    only needs the normal quantile, which scipy.special provides."""
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this process's repro."""
     import os
     import subprocess
     import sys
@@ -178,13 +177,6 @@ def test_simulation_imports_leave_out_scipy_stats():
 
     import repro
 
-    code = (
-        "import sys\n"
-        "import repro.core, repro.predictors, repro.markets\n"
-        "import repro.simulator, repro.baselines\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
-    )
-    # The child imports the same repro as this process.
     path = [str(Path(repro.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     out = subprocess.run(
@@ -194,7 +186,83 @@ def test_simulation_imports_leave_out_scipy_stats():
         check=True,
         env=env,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+#: Loaded only where they are used: test oracles, the spline fit, the
+#: metrics endpoint.  scipy.stats alone cost ~0.5 s and ~18 MB.
+_NOT_IN_A_RUN = (
+    "scipy.optimize",
+    "scipy.interpolate",
+    "scipy.special",
+    "scipy.stats",
+    "http.server",
+    "repro.solvers.lp",
+    "repro.solvers.reference",
+    "repro.solvers.active_set",
+)
+
+
+def test_simulation_imports_leave_out_scipy_stats():
+    """What the e2e workloads import, plus a closed loop and a fluid run,
+    loads none of the modules that no simulation run calls."""
+    code = f"""
+import sys
+import numpy as np
+from repro.baselines import ExoSphereLoopPolicy
+from repro.core import CostModel, SpotWebController
+from repro.core.policy import SpotWebPolicy
+from repro.experiments.fig4a_loadbalancer import run_fig4a
+from repro.markets import default_catalog, generate_market_dataset
+from repro.predictors import (
+    AR1PricePredictor, EWMAPredictor, ReactiveFailurePredictor,
+    ReactivePricePredictor, SplinePredictor,
+)
+from repro.simulator import (
+    ClusterConfig, CostSimulator, HybridClusterSimulation, SpotWebSystem,
+    SystemConfig,
+)
+from repro.solvers.result import SolverStatus
+from repro.workloads import WorkloadTrace, vod_like, wikipedia_like
+
+markets = default_catalog().subset(["m4.large", "m5.large"]).spot_markets()
+dataset = generate_market_dataset(markets, intervals=2, seed=1, interval_seconds=60.0)
+controller = SpotWebController(
+    markets, EWMAPredictor(alpha=0.5), ReactivePricePredictor(2),
+    ReactiveFailurePredictor(2), horizon=2, cost_model=CostModel(churn_penalty=0.2),
+)
+system = SpotWebSystem(controller, dataset, SystemConfig(interval_seconds=60.0, seed=1))
+report = system.run(WorkloadTrace(np.full(2, 4.0), 60.0, name="flat"))
+assert report.summary()["served"] > 0
+cluster = HybridClusterSimulation(ClusterConfig(seed=1), engine="hybrid", keep_raw=False)
+for _ in range(4):
+    cluster.add_server(100.0, boot_seconds=0.0)
+cluster.sim.advance(cluster.config.warmup_seconds + 1.0)
+cluster.run(30.0, lambda t: 200.0)
+assert cluster.tier_steps["fluid"] > 0
+loaded = [m for m in {_NOT_IN_A_RUN!r} if m in sys.modules]
+loaded += sorted(
+    m for m in sys.modules
+    if m.startswith("repro.experiments.") and m != "repro.experiments.fig4a_loadbalancer"
+)
+print(loaded)
+"""
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_spline_predictor_loads_fitpack_on_its_first_fit():
+    """FITPACK is deferred into the first spline fit, not dropped."""
+    code = """
+import sys
+from repro.predictors import SplinePredictor
+predictor = SplinePredictor(intervals_per_day=8, window_days=2, period_days=1)
+for t in range(7):
+    predictor.observe(10.0 + t % 3)
+before = "scipy.interpolate" in sys.modules
+predictor.observe(11.0)
+print(before, predictor._spline is not None, "scipy.interpolate" in sys.modules)
+"""
+    assert _fresh_interpreter(code) == "False True True"
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,8 +6,8 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.interpolate
 
-import repro.predictors.spline as spline_mod
 from repro.predictors.spline import SplinePredictor
 
 
@@ -23,7 +23,7 @@ def test_refit_failure_logs_and_falls_back(monkeypatch, caplog):
     def boom(*args, **kwargs):
         raise ValueError("synthetic fitpack failure")
 
-    monkeypatch.setattr(spline_mod, "splrep", boom)
+    monkeypatch.setattr(scipy.interpolate, "splrep", boom)
     with caplog.at_level(logging.WARNING, logger="repro.predictors.spline"):
         feed(predictor)
     assert any("spline refit failed" in rec.message for rec in caplog.records)
@@ -39,6 +39,6 @@ def test_unexpected_exceptions_propagate(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("not a fit-geometry error")
 
-    monkeypatch.setattr(spline_mod, "splrep", boom)
+    monkeypatch.setattr(scipy.interpolate, "splrep", boom)
     with pytest.raises(RuntimeError):
         feed(predictor)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.solvers import QPProblem, SolverStatus, solve_qp, solve_qp_active_set
+from repro.solvers import QPProblem, SolverStatus, solve_qp
+from repro.solvers.active_set import solve_qp_active_set
 from repro.solvers.kkt import kkt_residuals
 
 from conftest import random_feasible_qp

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.solvers import SolverStatus, solve_lp
+from repro.solvers import SolverStatus
+from repro.solvers.lp import solve_lp
 
 
 class TestHighsPath:

@@ -3,7 +3,8 @@
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from repro.solvers import QPProblem, SolverStatus, solve_qp, solve_qp_active_set
+from repro.solvers import QPProblem, SolverStatus, solve_qp
+from repro.solvers.active_set import solve_qp_active_set
 from repro.solvers.kkt import kkt_residuals
 from repro.solvers.qp import _ruiz_equilibrate
 

@@ -19,8 +19,8 @@ from repro.solvers import (
     QPProblem,
     SolverStatus,
     StructuredADMMSolver,
-    solve_qp_reference,
 )
+from repro.solvers.reference import solve_qp_reference
 
 from conftest import ReferenceADMMLoop, run_pair
 
