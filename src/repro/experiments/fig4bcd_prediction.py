@@ -1,7 +1,8 @@
 """Figure 4(b–d): intelligent over-provisioning via CI-padded prediction.
 
 Walk-forward evaluation over a three-week Wikipedia-like trace: warm both
-predictors for two weeks, then predict one interval ahead for the rest.
+predictors for two weeks (two thirds of the trace's days, unless given),
+then predict one interval ahead for the rest.
 
 - Fig. 4(c): the baseline [Ali-Eldin et al. 2014] point predictor — the
   error distribution is roughly symmetric, so it under-provisions about
@@ -64,14 +65,26 @@ def run_fig4bcd(
     *,
     trace: WorkloadTrace | None = None,
     weeks: int = 3,
-    warmup_days: int = 14,
+    warmup_days: int | None = None,
     seed: int = 0,
 ) -> dict[str, PredictorEval]:
-    """Evaluate SpotWeb's padded predictor against the 2014 baseline."""
+    """Evaluate SpotWeb's padded predictor against the 2014 baseline.
+
+    ``warmup_days`` defaults to two thirds of the trace's whole days: 14 of
+    the paper's three weeks.  A warm-up that covers the whole trace leaves
+    nothing to evaluate and raises ``ValueError``.
+    """
     if trace is None:
         trace = wikipedia_like(weeks, seed=seed)
     per_day = trace.intervals_per_day
+    if warmup_days is None:
+        warmup_days = 2 * (len(trace) // per_day) // 3
     warmup = warmup_days * per_day
+    if warmup >= len(trace):
+        raise ValueError(
+            f"a {warmup_days}-day warm-up leaves nothing of the "
+            f"{len(trace) / per_day:g}-day trace to evaluate"
+        )
 
     out: dict[str, PredictorEval] = {}
     for name, predictor, use_upper in (

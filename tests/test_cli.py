@@ -58,6 +58,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "wikipedia" in out
 
+    def test_experiment_fig4bcd_at_its_defaults(self, capsys):
+        # --weeks 2: the default warm-up is two thirds of the trace.
+        assert main(["experiment", "fig4bcd"]) == 0
+        assert "spotweb" in capsys.readouterr().out
+
     def test_simulate(self, capsys):
         assert main(
             [
@@ -144,6 +149,12 @@ class TestRunCommand:
             main(["run", "fig6a", "--hours", "4", "--trace-out", str(out)]) == 0
         )
         assert out.exists()
+
+    def test_run_fig4bcd_quick(self, capsys, monkeypatch):
+        monkeypatch.delenv("SPOTWEB_TRACE", raising=False)
+        monkeypatch.delenv("SPOTWEB_EVENTS", raising=False)
+        assert main(["run", "fig4bcd", "--quick"]) == 0
+        assert "spotweb" in capsys.readouterr().out
 
     def test_run_imports_only_its_own_experiment(self, tmp_path):
         import os

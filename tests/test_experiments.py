@@ -73,6 +73,14 @@ class TestFig4bcd:
         out = fig4bcd_prediction.format_fig4bcd(res)
         assert "spotweb" in out
 
+    def test_warmup_covering_the_trace_raises(self):
+        from repro.workloads import wikipedia_like
+
+        with pytest.raises(ValueError, match="14-day warm-up .* 14-day trace"):
+            fig4bcd_prediction.run_fig4bcd(
+                trace=wikipedia_like(2, seed=2), warmup_days=14
+            )
+
 
 class TestFig5And6a:
     def test_mpo_beats_constant_portfolio(self):
