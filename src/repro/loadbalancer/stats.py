@@ -29,8 +29,10 @@ class RequestRecord:
 class BalancerStats:
     """Windowed request statistics with per-backend breakdowns.
 
-    ``window_seconds`` bounds the history kept; summaries are computed over
-    the trailing window relative to the newest record (the poll moment).
+    Summaries cover the trailing ``window_seconds`` relative to the newest
+    record (the poll moment).  Records arrive in time order (a DES clock
+    never goes back), so each one recorded evicts those that fell out of
+    the window: a poll reads only the window, and ``len`` counts it.
     """
 
     def __init__(self, window_seconds: float = 300.0, max_records: int = 500_000):
@@ -46,21 +48,27 @@ class BalancerStats:
     def record_served(self, timestamp: float, backend_id: int, latency: float) -> None:
         if latency < 0:
             raise ValueError("latency must be non-negative")
-        self._records.append(RequestRecord(timestamp, backend_id, latency))
+        self._append(RequestRecord(timestamp, backend_id, latency))
 
     def record_unserved(self, timestamp: float) -> None:
-        self._records.append(RequestRecord(timestamp, None, None))
+        self._append(RequestRecord(timestamp, None, None))
 
-    def _trim(self) -> list[RequestRecord]:
-        if not self._records:
-            return []
-        horizon = self._records[-1].timestamp - self.window_seconds
-        return [r for r in self._records if r.timestamp >= horizon]
+    def _append(self, record: RequestRecord) -> None:
+        records = self._records
+        if records and record.timestamp < records[-1].timestamp:
+            raise ValueError(
+                f"timestamp {record.timestamp} is earlier than the newest "
+                f"record's {records[-1].timestamp}"
+            )
+        records.append(record)
+        horizon = record.timestamp - self.window_seconds
+        while records[0].timestamp < horizon:
+            records.popleft()
 
     # ----------------------------------------------------------------- polls
     def arrival_rate(self) -> float:
         """Requests/second over the trailing window."""
-        recs = self._trim()
+        recs = self._records
         if len(recs) < 2:
             return 0.0
         span = max(recs[-1].timestamp - recs[0].timestamp, 1e-9)
@@ -68,14 +76,14 @@ class BalancerStats:
 
     def throughput(self) -> float:
         """Served requests/second over the trailing window."""
-        recs = [r for r in self._trim() if r.latency is not None]
+        recs = [r for r in self._records if r.latency is not None]
         if len(recs) < 2:
             return 0.0
         span = max(recs[-1].timestamp - recs[0].timestamp, 1e-9)
         return len(recs) / span
 
     def drop_rate(self) -> float:
-        recs = self._trim()
+        recs = self._records
         if not recs:
             return 0.0
         unserved = sum(1 for r in recs if r.latency is None)
@@ -84,7 +92,7 @@ class BalancerStats:
     def latency_percentiles(
         self, percentiles: tuple[float, ...] = (50.0, 90.0, 99.0)
     ) -> dict[float, float]:
-        lats = [r.latency for r in self._trim() if r.latency is not None]
+        lats = [r.latency for r in self._records if r.latency is not None]
         if not lats:
             return {p: float("nan") for p in percentiles}
         arr = np.asarray(lats)
@@ -93,7 +101,7 @@ class BalancerStats:
     def per_backend_load(self) -> dict[int, int]:
         """Served request counts per backend over the trailing window."""
         out: dict[int, int] = {}
-        for r in self._trim():
+        for r in self._records:
             if r.backend_id is not None and r.latency is not None:
                 out[r.backend_id] = out.get(r.backend_id, 0) + 1
         return out
