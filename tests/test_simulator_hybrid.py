@@ -157,6 +157,32 @@ class TestFluidSyncCache:
         assert fluid._cols is not cols
         assert fluid._cols["draining"].tolist() == [True, False, False, False]
 
+    def test_steady_run_never_rebuilds_columns(self):
+        # Count gate on the sync cache: a warm fleet that never changes
+        # keeps its columns through 300 fluid steps (rebuilding on every
+        # sync instead makes this 300).  Compare objects with `is`: a
+        # freed dict's id() can be reused by the next one.
+        cluster = build(servers=40, capacity=100.0)
+        rate = 0.8 * 40 * 100.0
+        cluster.run(10.0, rate)  # the first fluid sync builds the columns
+        fluid = cluster.fluid
+        real_sync = fluid.sync
+        rebuilds = 0
+
+        def counting_sync(servers, now):
+            nonlocal rebuilds
+            before = fluid._cols
+            failed = real_sync(servers, now)
+            rebuilds += fluid._cols is not before
+            return failed
+
+        fluid.sync = counting_sync
+        steps = dict(cluster.tier_steps)
+        cluster.run(300 * cluster.hybrid.interval_seconds, rate)
+        assert cluster.tier_steps[TIER_FLUID] - steps[TIER_FLUID] == 300
+        assert cluster.tier_steps[TIER_REQUEST] == steps[TIER_REQUEST]
+        assert rebuilds == 0
+
     def test_cached_sync_matches_rebuild_every_step(self):
         # A seeded random mix of fleet events, steps and handoffs: the
         # cached engine must match, bit for bit, one that rebuilds on
