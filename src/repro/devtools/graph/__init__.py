@@ -19,23 +19,16 @@ the other analyzers; ``spotlint --layers`` prints the layer map.
 
 from __future__ import annotations
 
-from repro.devtools.graph.facts import Project, extract_module_facts
-from repro.devtools.graph.layers import (
-    LAYER_ALLOWED,
-    layer_findings,
-    render_layer_map,
-)
+from repro.devtools.graph.facts import Project
+from repro.devtools.graph.layers import layer_findings, render_layer_map
 from repro.devtools.graph.purity import purity_findings
-from repro.devtools.graph.taint import DETERMINISTIC_PREFIXES, taint_findings
+from repro.devtools.graph.taint import taint_findings
 from repro.devtools.rules import Finding
 
 __all__ = [
     "GRAPH_RULES",
-    "LAYER_ALLOWED",
-    "DETERMINISTIC_PREFIXES",
     "Project",
     "analyze_project",
-    "extract_module_facts",
     "purity_findings",
     "render_layer_map",
     "taint_findings",

@@ -1,7 +1,9 @@
-"""The CI gate: the whole source tree must be spotlint-clean.
+"""The CI gate's exit codes.
 
-If this test fails, either fix the violation or — when the code is right
-and the rule is wrong for that line — add a
+The whole-tree check itself is ``test_devtools_check::
+test_canonical_command_is_clean``: the canonical command over src/ and
+tests/ with every rule.  If it fails, either fix the violation or — when
+the code is right and the rule is wrong for that line — add a
 ``# spotlint: disable=SWxxx`` suppression with a reason in the adjacent
 code review.
 """
@@ -10,17 +12,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.devtools.check import ENGINE_RULES, analyze, main
-from repro.devtools.rules import RULES
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-LINT_SELECT = set(RULES) | set(ENGINE_RULES)
-
-
-def test_src_tree_is_spotlint_clean():
-    findings = analyze([SRC], select=LINT_SELECT)
-    report = "\n".join(f.format() for f in findings)
-    assert not findings, f"spotlint found violations:\n{report}"
+from repro.devtools.check import main
 
 
 def test_cli_gate_exit_codes(spotlint_gate, tmp_path, capsys):
