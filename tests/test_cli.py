@@ -30,6 +30,15 @@ class TestParser:
             "gcloud",
         }
 
+    def test_every_experiment_names_an_importable_module(self):
+        import importlib.util
+
+        from repro import cli
+
+        assert set(cli._MODULES) == set(EXPERIMENTS)
+        for module in cli._MODULES.values():
+            assert importlib.util.find_spec(f"repro.experiments.{module}")
+
 
 class TestCommands:
     def test_list(self, capsys):

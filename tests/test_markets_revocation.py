@@ -143,9 +143,10 @@ class TestCorrelatedRevocationSampler:
 
     def test_ndtri_is_norm_ppf_on_the_clipped_domain(self):
         """The sampler's thresholds (and the predictors' CI z) come from
-        ``scipy.special.ndtri``, which is what ``norm.ppf`` evaluates."""
-        from scipy.special import ndtri
+        ``repro.normal.ndtri``, which returns ``norm.ppf``'s bits."""
         from scipy.stats import norm
+
+        from repro.normal import ndtri
 
         rng = np.random.default_rng(0)
         p = np.concatenate(
@@ -189,8 +190,9 @@ def _fresh_interpreter(code: str) -> str:
     return out.stdout.strip()
 
 
-#: Loaded only where they are used: test oracles, the spline fit, the
-#: metrics endpoint.  scipy.stats alone cost ~0.5 s and ~18 MB.
+#: What no simulation run calls: the test oracles, the spline fit's FITPACK
+#: (until a fit), the metrics endpoint.  scipy.stats alone cost ~0.5 s and
+#: ~18 MB.
 _NOT_IN_A_RUN = (
     "scipy.optimize",
     "scipy.interpolate",
