@@ -7,32 +7,28 @@ Commands
   ``fig5``, ``fig6a``, ``fig6b``, ``fig7a``, ``fig7b``, ``lookahead``).
   ``--parallel``/``--workers`` fan independent cells over a process pool
   with results identical to serial.
-- ``run <name>`` — like ``experiment`` plus observability: ``--trace``
-  (or ``SPOTWEB_TRACE=1``) records a span trace of the whole run to a
-  ``spotweb-trace/1`` JSONL file and prints the metrics snapshot;
-  ``--events`` (or ``SPOTWEB_EVENTS=1``) journals the service-level
-  domain events (revocation warnings, drains, migrations, SLO state) to
-  a ``spotweb-events/1`` JSONL file; ``--prom-out`` exports the metrics
-  registry in Prometheus text format (atomically, refreshed at every
-  sim interval while the telemetry bus is live); ``--quick`` shrinks
-  the workload to CI size.  The streaming-telemetry flags —
-  ``--serve-metrics PORT`` (live OpenMetrics scrape endpoint,
-  ``--serve-hold SEC`` keeps it up after the run), ``--telemetry-out``
-  (the ``spotweb-telemetry/1`` delta stream as JSONL), and
-  ``--flightrec DIR`` (arm the flight recorder: SLO burn-rate alerts
-  and crashes dump a ``spotweb-flightrec/1`` bundle) — each switch the
-  in-process telemetry bus on.
+- ``run <name>`` — like ``experiment`` plus observability: ``--trace
+  [PATH]`` records a span trace of the whole run to a ``spotweb-trace/1``
+  JSONL file and prints the metrics snapshot; ``--events [PATH]``
+  journals the service-level domain events (revocation warnings, drains,
+  migrations, SLO state) to a ``spotweb-events/1`` JSONL file;
+  ``--prom-out`` exports the metrics registry in Prometheus text format
+  (atomically, refreshed at every sim interval while the telemetry bus
+  is live); ``--quick`` shrinks the workload to CI size.  Two flags
+  switch the in-process telemetry bus on: ``--serve-metrics PORT``
+  (live OpenMetrics scrape endpoint, ``--serve-hold SEC`` keeps it up
+  after the run) and ``--flightrec DIR`` (arm the flight recorder: SLO
+  burn-rate alerts and crashes dump a bundle, a window of the journal).
 - ``top <name>`` — live-refreshing ASCII dashboard of one run (fleet
   by market, RPS, P99, burn rate, cost, warnings, anomalies) driven
   off the telemetry bus; ``--once`` renders a single deterministic
   final snapshot instead of repainting.
-- ``flightrec validate|summarize <file>`` — schema-check a dumped
-  flight-recorder bundle, or render the incident window it captured.
 - ``trace summarize|validate <file>`` — critical-path breakdown, top
   spans, and per-phase timeline of a recorded trace; or schema check.
 - ``events validate|summarize|timeline|diff <file> [file_b]`` — schema +
   causal-integrity check, incident report, ASCII incident timeline, or a
-  by-interval divergence diff of two journals.
+  by-interval divergence diff of two journals; each also reads flight
+  bundles.
 - ``scenarios run|list|check`` — the adversarial scenario suite: run a
   pack (journals per cell), list the registered families, or evaluate
   journals against their invariant packs (non-zero exit on violation).
@@ -54,7 +50,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Callable
 
@@ -213,14 +208,74 @@ _MODULES: dict[str, str] = {
 }
 
 
-def _env_trace_on() -> bool:
-    """Honor the ``SPOTWEB_TRACE`` opt-in (any value but empty/``0``)."""
-    return os.environ.get("SPOTWEB_TRACE", "0") not in ("", "0")
+class _Observed:
+    """The observability one command switches on, and its undo.
 
+    ``run`` and ``top`` share this set-up: reset the metrics registry,
+    switch the tracer and journal on as asked, and for telemetry enable
+    the bus, subscribe an :class:`~repro.obs.anomaly.AnomalyMonitor`
+    first (so its flags reach later sinks on the next frame, the order
+    scenario episodes use) and start and announce the metrics endpoint.
+    :meth:`restore` puts the tracer, journal, bus, flight recorder and
+    crash hook back as they were.  Commands call it on their normal
+    return, not in a ``finally``: an exception leaving ``main`` must
+    still find the recorder armed and the crash hook installed.
+    """
 
-def _env_events_on() -> bool:
-    """Honor the ``SPOTWEB_EVENTS`` opt-in (any value but empty/``0``)."""
-    return os.environ.get("SPOTWEB_EVENTS", "0") not in ("", "0")
+    def __init__(
+        self, *, trace=False, events=False, telemetry=False, serve_metrics=None
+    ):
+        from repro.obs import events as ev
+        from repro.obs import flightrec, live, metrics, tracer
+        from repro.obs.anomaly import AnomalyMonitor
+
+        self._was = (
+            tracer.tracing_enabled(),
+            ev.events_enabled(),
+            live.telemetry_enabled(),
+            flightrec.flightrec_enabled(),
+            sys.excepthook,
+        )
+        self._sinks: list[Callable[[dict], None]] = []
+        metrics.reset_metrics()
+        if trace:
+            tracer.enable_tracing()
+        if events or telemetry:
+            ev.enable_events()
+        self.bus = live.enable_telemetry() if telemetry else None
+        self.server = None
+        if telemetry:
+            self.subscribe(AnomalyMonitor())
+            if serve_metrics is not None:
+                self.server = self.subscribe(live.MetricsServer(serve_metrics))
+                self.server.start()
+                # Announce before the run so scrapers can find the port.
+                print(f"serving metrics at {self.server.url}", flush=True)
+
+    def subscribe(self, fn):
+        """Subscribe ``fn`` to the bus until :meth:`restore`."""
+        self._sinks.append(self.bus.subscribe(fn))
+        return fn
+
+    def restore(self) -> None:
+        from repro.obs import events as ev
+        from repro.obs import flightrec, live, tracer
+
+        tracing, journaling, streaming, recording, hook = self._was
+        if self.server is not None:
+            self.server.stop()
+        for fn in self._sinks:
+            self.bus.unsubscribe(fn)
+        if not recording:
+            flightrec.disable_flightrec()
+        if sys.excepthook is not hook:
+            flightrec.uninstall_crash_hooks()
+        if not streaming:
+            live.disable_telemetry()
+        if not journaling:
+            ev.disable_events()
+        if not tracing:
+            tracer.disable_tracing()
 
 
 def _format_metrics(snapshot: dict) -> str:
@@ -242,113 +297,89 @@ def _cmd_run(args) -> str:
 
     Identical to ``experiment`` when all observability is off (the no-op
     tracer, event sink, and telemetry bus each add one method call per
-    instrumented site).  With ``--trace`` or ``SPOTWEB_TRACE=1`` the
-    whole run executes under an ``experiment.<name>`` root span and the
-    trace is written as ``spotweb-trace/1`` JSONL; with ``--events`` or
-    ``SPOTWEB_EVENTS=1`` the domain-event journal is written as
-    ``spotweb-events/1`` JSONL.  Any streaming flag (``--serve-metrics``,
-    ``--telemetry-out``, ``--flightrec``, or ``SPOTWEB_TELEMETRY=1``)
-    switches the telemetry bus on, which implies events.  Every opt-in
-    also prints the metrics snapshot; ``--prom-out`` additionally
-    exports the registry in Prometheus text format (written atomically,
-    and refreshed at every sim interval while the bus is live).
+    instrumented site).  With ``--trace`` the whole run executes under
+    an ``experiment.<name>`` root span and the trace is written as
+    ``spotweb-trace/1`` JSONL; with ``--events`` the domain-event journal
+    is written as ``spotweb-events/1`` JSONL.  ``--serve-metrics`` and
+    ``--flightrec`` switch the telemetry bus on, which implies events.
+    Every opt-in also prints the metrics snapshot; ``--prom-out``
+    additionally exports the registry in Prometheus text format (written
+    atomically, and refreshed at every sim interval while the bus is
+    live).  On return the observability switches are as they were.
     """
     import importlib
     import time
 
-    from repro import obs
+    from repro.obs import events, metrics, tracer
 
     if args.quick:
         args.weeks = 1
         args.hours = 24
     _desc, runner = EXPERIMENTS[args.name]
-    trace_on = args.trace or _env_trace_on()
-    telemetry_on = bool(
-        args.serve_metrics is not None
-        or args.telemetry_out
-        or args.flightrec
-        or obs.telemetry_enabled()
-    )
-    # The delta stream is derived from the journal, so telemetry implies
-    # events (enable_telemetry enforces it; mirror that in the flag).
-    events_on = args.events or _env_events_on() or telemetry_on
-    if not (trace_on or events_on or args.prom_out):
+    telemetry_on = args.serve_metrics is not None or args.flightrec is not None
+    # Frames carry the journal, so telemetry implies events.
+    events_on = args.events is not None or telemetry_on
+    if not (args.trace is not None or events_on or args.prom_out):
         return runner(args)
-    obs.reset_metrics()
-    if trace_on:
-        obs.enable_tracing()
-        tracer = obs.get_tracer()
-        tracer.clear()
-    if events_on:
-        obs.enable_events()
-    delta_writer = None
+    observed = _Observed(
+        trace=args.trace is not None,
+        events=events_on,
+        telemetry=telemetry_on,
+        serve_metrics=args.serve_metrics,
+    )
     recorder = None
-    server = None
-    if telemetry_on:
-        bus = obs.enable_telemetry()
-        # Detectors first, so the flags they emit reach the sinks on the
-        # next frame (same order the scenario episodes use).
-        bus.subscribe(obs.AnomalyMonitor())
-        if args.telemetry_out:
-            delta_writer = bus.subscribe(obs.DeltaWriter())
-        if args.flightrec:
-            recorder = obs.enable_flightrec(args.flightrec)
-            obs.install_crash_hooks()
-        if args.prom_out:
-            bus.subscribe(obs.PromFileWriter(args.prom_out))
-        if args.serve_metrics is not None:
-            server = bus.subscribe(obs.MetricsServer(args.serve_metrics))
-            server.start()
-            # Announce before the run so scrapers can find the port.
-            print(f"serving metrics at {server.url}", flush=True)
-    with obs.get_tracer().span(f"experiment.{args.name}", quick=args.quick):
+    if args.flightrec is not None:
+        from repro.obs.flightrec import enable_flightrec, install_crash_hooks
+
+        recorder = enable_flightrec(args.flightrec)
+        install_crash_hooks()
+    if telemetry_on and args.prom_out:
+        from repro.obs.live import PromFileWriter
+
+        observed.subscribe(PromFileWriter(args.prom_out))
+    with tracer.get_tracer().span(f"experiment.{args.name}", quick=args.quick):
         # The experiment module's import dominates a --quick run's
         # wall-clock; give it a span so the root stays >95% covered.
-        with obs.get_tracer().span("experiment.imports"):
+        with tracer.get_tracer().span("experiment.imports"):
             importlib.import_module(f"repro.experiments.{_MODULES[args.name]}")
         text = runner(args)
-    if telemetry_on:
-        obs.get_bus().flush()
-    if trace_on:
-        records = obs.get_tracer().records()
-        out = args.trace_out or f"TRACE_{args.name}.jsonl"
-        obs.write_trace(records, out)
+    if observed.bus is not None:
+        observed.bus.flush()
+    if args.trace is not None:
+        records = tracer.get_tracer().records()
+        out = args.trace or f"TRACE_{args.name}.jsonl"
+        tracer.write_trace(records, out)
         text += f"\nwrote {len(records)} spans to {out}"
+        if args.parallel:
+            text += "\nNOTE: spans from process-pool workers are not captured"
     if events_on:
-        events = obs.get_events().records()
-        events_out = args.events_out or f"EVENTS_{args.name}.jsonl"
-        obs.write_events(events, events_out)
-        text += f"\nwrote {len(events)} events to {events_out}"
-    if delta_writer is not None:
-        out_path = delta_writer.write(args.telemetry_out)
-        text += (
-            f"\nwrote {len(delta_writer.lines)} telemetry deltas to {out_path}"
-        )
+        journal = events.get_events().records()
+        out = args.events or f"EVENTS_{args.name}.jsonl"
+        events.write_events(journal, out)
+        text += f"\nwrote {len(journal)} events to {out}"
     if recorder is not None:
         for bundle in recorder.dumped:
             text += f"\nflight recorder dumped {bundle}"
-    if args.parallel and trace_on:
-        text += "\nNOTE: spans from process-pool workers are not captured"
-    snapshot = obs.get_metrics().snapshot()
+    snapshot = metrics.get_metrics().snapshot()
     if args.prom_out:
-        obs.write_prometheus(args.prom_out, obs.get_metrics())
+        metrics.write_prometheus(args.prom_out)
         text += f"\nwrote Prometheus metrics to {args.prom_out}"
     text += "\n" + _format_metrics(snapshot)
-    if server is not None:
-        server.refresh()
-        if args.serve_hold > 0:
-            # Keep the scrape endpoint alive for external pollers (CI
-            # curls it here); the final registry state stays served.
-            print(text)
-            text = f"held metrics endpoint for {args.serve_hold:g}s"
-            time.sleep(args.serve_hold)
-        server.stop()
+    if observed.server is not None and args.serve_hold > 0:
+        # Keep the scrape endpoint alive for external pollers (CI curls
+        # it here), serving the final registry state.
+        observed.server.refresh()
+        print(text)
+        text = f"held metrics endpoint for {args.serve_hold:g}s"
+        time.sleep(args.serve_hold)
+    observed.restore()
     return text
 
 
 def _cmd_trace(args) -> str:
     """Summarize or schema-validate a recorded trace file."""
-    from repro.obs import load_trace, summarize_file
+    from repro.obs.summarize import summarize_file
+    from repro.obs.tracer import load_trace
 
     if args.action == "summarize":
         return summarize_file(args.file, top=args.top)
@@ -357,38 +388,31 @@ def _cmd_trace(args) -> str:
 
 
 def _cmd_events(args) -> str:
-    """Validate, summarize, plot, or diff ``spotweb-events/1`` journals."""
-    from repro import obs
+    """Validate, summarize, plot, or diff journals and flight bundles."""
+    from repro.obs import eventreport
+    from repro.obs.events import read_events
 
     if args.action == "validate":
-        # load performs schema + causal-integrity validation, including
-        # that every warning resolves to a terminal outcome.
-        records = obs.load_events(args.file)
-        return f"{args.file}: {len(records)} events, schema OK"
+        # read performs schema + causal-integrity validation, including
+        # that every warning of a journal resolves to a terminal outcome.
+        header, records = read_events(args.file)
+        window = (
+            f" (flight bundle, reason {header['reason']})"
+            if "reason" in header
+            else ""
+        )
+        return f"{args.file}: {len(records)} events, schema OK{window}"
     if args.action == "summarize":
-        return obs.summarize_events_file(args.file, top=args.top)
+        return eventreport.summarize_events_file(args.file, top=args.top)
     if args.action == "timeline":
-        return obs.timeline_file(args.file)
+        return eventreport.timeline_file(args.file)
     if args.file_b is None:
         raise SystemExit("events diff needs two journal files")
-    result, text = obs.diff_files(args.file, args.file_b)
+    result, text = eventreport.diff_files(args.file, args.file_b)
     if not result["identical"]:
         # Non-zero exit so CI can gate on determinism drift.
         raise SystemExit(text)
     return text
-
-
-def _cmd_flightrec(args) -> str:
-    """Validate or summarize a dumped ``spotweb-flightrec/1`` bundle."""
-    from repro import obs
-
-    if args.action == "validate":
-        info = obs.validate_flightrec(args.file)
-        return (
-            f"{args.file}: {info['deltas']} deltas, {info['events']} events, "
-            f"reason {info['reason']}, schema OK"
-        )
-    return obs.summarize_flightrec(args.file)
 
 
 def _cmd_top(args) -> str:
@@ -400,47 +424,31 @@ def _cmd_top(args) -> str:
     silently into a :class:`~repro.obs.dash.DashState` and renders one
     final deterministic snapshot — no wall-clock datum enters the frame
     (the "last solve" cell renders ``-``), so identical-seed snapshots
-    are byte-identical.
+    are byte-identical.  On return the observability switches are as
+    they were.
     """
-    from repro import obs
     from repro.obs.dash import DashRenderer, DashState, render_dash
+    from repro.obs.metrics import get_metrics
 
     if args.quick:
         args.weeks = 1
         args.hours = 24
     _desc, runner = EXPERIMENTS[args.name]
-    obs.reset_metrics()
-    bus = obs.enable_telemetry()
-    monitor = bus.subscribe(obs.AnomalyMonitor())
+    observed = _Observed(telemetry=True, serve_metrics=args.serve_metrics)
     state = DashState()
-    renderer = None
     if args.once:
-        bus.subscribe(state)
+        observed.subscribe(state)
     else:
-        renderer = bus.subscribe(DashRenderer(state, every=args.refresh))
-    server = None
-    if args.serve_metrics is not None:
-        server = bus.subscribe(obs.MetricsServer(args.serve_metrics))
-        server.start()
-        print(f"serving metrics at {server.url}", flush=True)
-    try:
-        runner(args)
-        bus.flush()
-    finally:
-        if server is not None:
-            server.stop()
-            bus.unsubscribe(server)
-        bus.unsubscribe(monitor)
-        bus.unsubscribe(state)
-        if renderer is not None:
-            bus.unsubscribe(renderer)
-        obs.disable_telemetry()
+        observed.subscribe(DashRenderer(state, every=args.refresh))
+    runner(args)
+    observed.bus.flush()
+    observed.restore()
     if args.once:
         return render_dash(state)
     # The final frame may show the last optimizer latency: it is live
     # operator output, not a determinism-bearing artifact.
     solve_ms = None
-    values = obs.get_metrics().histogram("controller.solve_ms").values
+    values = get_metrics().histogram("controller.solve_ms").values
     if values:
         solve_ms = float(values[-1])
     return render_dash(state, solve_ms=solve_ms)
@@ -523,19 +531,18 @@ def _cmd_bench(args) -> str:
     """
     from pathlib import Path
 
-    from repro import bench, obs
+    from repro import bench
+    from repro.obs import metrics, tracer
 
     # Read the baselines first: --out-dir may hold the very files compared
     # against (the default "." does, from the repository root), and the
     # writes below would replace them with the fresh run.
     mpo_baseline = bench.load_bench(args.compare) if args.compare else None
     sim_baseline = bench.load_bench(args.compare_sim) if args.compare_sim else None
-    trace_on = args.trace or _env_trace_on()
-    if trace_on:
-        obs.enable_tracing()
-        obs.reset_metrics()
-        obs.get_tracer().clear()
-    bench_span = obs.get_tracer().span("bench.run", quick=args.quick)
+    if args.trace:
+        tracer.enable_tracing()
+        metrics.reset_metrics()
+    bench_span = tracer.get_tracer().span("bench.run", quick=args.quick)
     bench_span.__enter__()
     if args.quick:
         mpo = bench.bench_mpo(
@@ -564,9 +571,9 @@ def _cmd_bench(args) -> str:
     sim_path = bench.write_bench(sim, out / "BENCH_sim.json")
     text = bench.format_bench_mpo(mpo) + "\n" + bench.format_bench_sim(sim)
     text += f"\nwrote {mpo_path} and {sim_path}"
-    if trace_on:
-        records = obs.get_tracer().records()
-        trace_path = obs.write_trace(records, out / "TRACE_bench.jsonl")
+    if args.trace:
+        records = tracer.get_tracer().records()
+        trace_path = tracer.write_trace(records, out / "TRACE_bench.jsonl")
         text += f"\nwrote {len(records)} spans to {trace_path}"
     violations = bench.crossover_violations(mpo, min_vars=args.min_vars)
     if violations:
@@ -673,9 +680,9 @@ def _cmd_scenarios(args) -> str:
             # their private buses, so SLO alerts auto-dump per episode.
             # Pool workers have their own unarmed recorder: --flightrec
             # captures bundles from serial (non --parallel) runs.
-            from repro import obs
+            from repro.obs.flightrec import enable_flightrec
 
-            recorder = obs.enable_flightrec(args.flightrec)
+            recorder = enable_flightrec(args.flightrec)
         runs = scenarios.run_suite(
             args.scenario or None,
             pack=args.pack,
@@ -798,23 +805,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--trace",
-        action="store_true",
-        help="record a span trace (also enabled by SPOTWEB_TRACE=1)",
-    )
-    p_run.add_argument(
-        "--trace-out",
+        nargs="?",
+        const="",
         default=None,
-        help="trace output path (default: TRACE_<name>.jsonl)",
+        metavar="PATH",
+        help="record a span trace to PATH (default: TRACE_<name>.jsonl)",
     )
     p_run.add_argument(
         "--events",
-        action="store_true",
-        help="journal domain events (also enabled by SPOTWEB_EVENTS=1)",
-    )
-    p_run.add_argument(
-        "--events-out",
+        nargs="?",
+        const="",
         default=None,
-        help="event journal path (default: EVENTS_<name>.jsonl)",
+        metavar="PATH",
+        help="journal domain events to PATH (default: EVENTS_<name>.jsonl)",
     )
     p_run.add_argument(
         "--prom-out",
@@ -836,12 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="SEC",
         help="keep the metrics endpoint up this long after the run",
-    )
-    p_run.add_argument(
-        "--telemetry-out",
-        default=None,
-        metavar="PATH",
-        help="write the spotweb-telemetry/1 delta stream as JSONL",
     )
     p_run.add_argument(
         "--flightrec",
@@ -909,12 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None, help="pool size (default: cpu count)"
     )
 
-    p_rec = sub.add_parser(
-        "flightrec", help="inspect a dumped flight-recorder bundle"
-    )
-    p_rec.add_argument("action", choices=("validate", "summarize"))
-    p_rec.add_argument("file")
-
     p_trace = sub.add_parser("trace", help="inspect a recorded span trace")
     p_trace.add_argument("action", choices=("summarize", "validate"))
     p_trace.add_argument("file")
@@ -922,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=12, help="rows in the top-spans table"
     )
 
-    p_events = sub.add_parser("events", help="inspect a domain-event journal")
+    p_events = sub.add_parser("events", help="inspect a journal or flight bundle")
     p_events.add_argument(
         "action", choices=("validate", "summarize", "timeline", "diff")
     )
@@ -1094,8 +1085,6 @@ def main(argv: list[str] | None = None) -> int:
         print(_cmd_run(args))
     elif args.command == "top":
         print(_cmd_top(args))
-    elif args.command == "flightrec":
-        print(_cmd_flightrec(args))
     elif args.command == "trace":
         print(_cmd_trace(args))
     elif args.command == "events":

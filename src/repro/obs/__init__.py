@@ -1,232 +1,47 @@
 """``repro.obs`` — zero-dependency observability for the control loop.
 
 Batch and streaming layers, all off (or free) by default so tier-1
-runtime and bitwise experiment outputs are unchanged:
+runtime and bitwise experiment outputs are unchanged.  Two record
+formats: wall-clock spans (``spotweb-trace/1``) and the sim-time event
+journal (``spotweb-events/1``), which the telemetry bus streams and the
+flight recorder dumps windows of.
 
 - :mod:`repro.obs.tracer` — nested span tracing across the controller's
   per-interval loop, the QP solver phases, the DES event loop, and the
-  load balancer's warning path; exports schema-tagged JSONL
-  (``spotweb-trace/1``).  Opt in with ``--trace`` / ``SPOTWEB_TRACE``.
-- :mod:`repro.obs.metrics` — an always-on (but feedback-free) registry of
-  counters/gauges/histograms with a deterministic snapshot API and a
-  Prometheus/OpenMetrics exporter.
+  load balancer's warning path; exports ``spotweb-trace/1`` JSONL.
 - :mod:`repro.obs.summarize` — the ``python -m repro trace summarize``
   analyzer: top spans, critical path, child coverage, and an ASCII
   per-interval timeline.
-- :mod:`repro.obs.events` — the sim-time domain-event journal
-  (``spotweb-events/1``): causally linked revocation-warning lifecycles,
-  load-balancer and controller decisions, SLO state.  Opt in with
-  ``--events`` / ``SPOTWEB_EVENTS``.
+- :mod:`repro.obs.metrics` — an always-on (but feedback-free) registry of
+  counters/gauges/histograms with a deterministic snapshot API and a
+  Prometheus/OpenMetrics exporter.
+- :mod:`repro.obs.events` — the sim-time domain-event journal:
+  causally linked revocation-warning lifecycles, load-balancer and
+  controller decisions, SLO state.
 - :mod:`repro.obs.slo` — streaming fixed-bin latency digest plus the
   per-interval SLO-compliance / multi-window burn-rate engine feeding
   ``slo.interval`` / ``slo.alert`` events.
 - :mod:`repro.obs.eventreport` — the ``python -m repro events`` analyzer:
-  incident report, ASCII timeline, and journal diff.
-- :mod:`repro.obs.live` — the streaming telemetry plane: a
-  :class:`~repro.obs.live.TelemetryBus` publishing deterministic
-  sim-time deltas (``spotweb-telemetry/1``) at interval boundaries, plus
-  file sinks and the live OpenMetrics scrape endpoint.  Opt in with the
-  CLI telemetry flags / ``SPOTWEB_TELEMETRY``.
+  incident report, ASCII timeline, and diff of journals and bundles.
+- :mod:`repro.obs.live` — the telemetry bus: one frame of new journal
+  records per sim-interval tick, plus the Prometheus textfile and the
+  live OpenMetrics scrape endpoint.
 - :mod:`repro.obs.flightrec` — the flight recorder: a bounded ring
-  buffer of recent deltas dumped as ``spotweb-flightrec/1`` bundles on
-  SLO alerts, invariant violations, or crashes.
+  buffer of recent frames dumped as journal windows on SLO alerts,
+  invariant violations, or crashes.
 - :mod:`repro.obs.anomaly` — streaming EWMA z-score and CUSUM detectors
   over SLO/cost series, emitting ``telemetry.anomaly`` journal events.
 - :mod:`repro.obs.dash` — the ``python -m repro top`` dashboard: bus-fed
   state and deterministic ASCII rendering.
+
+The package exports only the four process-global accessors that
+instrumented code calls; everything else is imported from the submodule
+that defines it.
 """
 
-from repro.obs.anomaly import (
-    ANOMALY_EVENT,
-    AnomalyMonitor,
-    CusumDetector,
-    DEFAULT_SERIES,
-    DetectorConfig,
-    EwmaZScoreDetector,
-    SeriesSpec,
-    detect_series,
-)
-from repro.obs.dash import DashRenderer, DashState, render_dash
-from repro.obs.eventreport import (
-    diff_files,
-    diff_journals,
-    format_diff,
-    format_event_summary,
-    format_timeline,
-    incidents,
-    kind_counts,
-    slo_series,
-    summarize_events_file,
-    tier_spans,
-    timeline_file,
-)
-from repro.obs.events import (
-    EVENTS_SCHEMA,
-    TERMINAL_OUTCOMES,
-    EventLog,
-    EventValidationError,
-    disable_events,
-    enable_events,
-    events_enabled,
-    get_events,
-    load_events,
-    set_events,
-    validate_events,
-    write_events,
-)
-from repro.obs.flightrec import (
-    FLIGHTREC_SCHEMA,
-    FlightRecValidationError,
-    FlightRecorder,
-    disable_flightrec,
-    enable_flightrec,
-    flightrec_enabled,
-    get_flightrec,
-    install_crash_hooks,
-    load_flightrec,
-    set_flightrec,
-    summarize_flightrec,
-    uninstall_crash_hooks,
-    validate_flightrec,
-)
-from repro.obs.live import (
-    SLO_POINT_FIELDS,
-    TELEMETRY_SCHEMA,
-    DeltaWriter,
-    MetricsServer,
-    PromFileWriter,
-    TelemetryBus,
-    delta_line,
-    disable_telemetry,
-    enable_telemetry,
-    get_bus,
-    set_bus,
-    telemetry_enabled,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_metrics,
-    prometheus_text,
-    reset_metrics,
-    set_metrics,
-    write_prometheus,
-)
-from repro.obs.slo import LatencyDigest, SLOEngine
-from repro.obs.tracer import (
-    TRACE_SCHEMA,
-    NullSpan,
-    Span,
-    Tracer,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    load_trace,
-    set_tracer,
-    tracing_enabled,
-    validate_trace,
-    write_trace,
-)
-from repro.obs.summarize import (
-    aggregate_by_name,
-    child_coverage,
-    critical_path,
-    format_summary,
-    interval_spans,
-    span_children,
-    summarize_file,
-)
+from repro.obs.events import get_events
+from repro.obs.live import get_bus
+from repro.obs.metrics import get_metrics
+from repro.obs.tracer import get_tracer
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_metrics",
-    "reset_metrics",
-    "set_metrics",
-    "prometheus_text",
-    "write_prometheus",
-    "EVENTS_SCHEMA",
-    "TERMINAL_OUTCOMES",
-    "EventLog",
-    "EventValidationError",
-    "disable_events",
-    "enable_events",
-    "events_enabled",
-    "get_events",
-    "load_events",
-    "set_events",
-    "validate_events",
-    "write_events",
-    "LatencyDigest",
-    "SLOEngine",
-    "diff_files",
-    "diff_journals",
-    "format_diff",
-    "format_event_summary",
-    "format_timeline",
-    "incidents",
-    "kind_counts",
-    "slo_series",
-    "summarize_events_file",
-    "tier_spans",
-    "timeline_file",
-    "TELEMETRY_SCHEMA",
-    "SLO_POINT_FIELDS",
-    "delta_line",
-    "TelemetryBus",
-    "DeltaWriter",
-    "PromFileWriter",
-    "MetricsServer",
-    "get_bus",
-    "set_bus",
-    "enable_telemetry",
-    "disable_telemetry",
-    "telemetry_enabled",
-    "FLIGHTREC_SCHEMA",
-    "FlightRecValidationError",
-    "FlightRecorder",
-    "get_flightrec",
-    "set_flightrec",
-    "enable_flightrec",
-    "disable_flightrec",
-    "flightrec_enabled",
-    "install_crash_hooks",
-    "uninstall_crash_hooks",
-    "load_flightrec",
-    "validate_flightrec",
-    "summarize_flightrec",
-    "ANOMALY_EVENT",
-    "DetectorConfig",
-    "EwmaZScoreDetector",
-    "CusumDetector",
-    "detect_series",
-    "SeriesSpec",
-    "DEFAULT_SERIES",
-    "AnomalyMonitor",
-    "DashState",
-    "render_dash",
-    "DashRenderer",
-    "TRACE_SCHEMA",
-    "NullSpan",
-    "Span",
-    "Tracer",
-    "disable_tracing",
-    "enable_tracing",
-    "get_tracer",
-    "load_trace",
-    "set_tracer",
-    "tracing_enabled",
-    "validate_trace",
-    "write_trace",
-    "aggregate_by_name",
-    "child_coverage",
-    "critical_path",
-    "format_summary",
-    "interval_spans",
-    "span_children",
-    "summarize_file",
-]
+__all__ = ["get_tracer", "get_events", "get_bus", "get_metrics"]

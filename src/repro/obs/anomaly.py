@@ -1,6 +1,6 @@
-"""Streaming anomaly detectors over the telemetry delta stream.
+"""Streaming anomaly detectors over the telemetry frames.
 
-Two classic sequential detectors watch selected SLO/metric series as the
+Two classic sequential detectors watch selected SLO/cost series as the
 :class:`repro.obs.live.TelemetryBus` publishes them:
 
 - :class:`EwmaZScoreDetector` — robust z-score against an exponentially
@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.obs.events import get_events
-from repro.obs.metrics import get_metrics
 
 __all__ = [
     "ANOMALY_EVENT",
@@ -242,7 +241,7 @@ def _extract_cost(rec: dict) -> float | None:
 
 _BASE = DetectorConfig()
 
-#: The SLO/cost series every monitor watches by default.  min_scale
+#: The SLO/cost series every monitor watches.  min_scale
 #: floors: 20 ms on P99 (sub-floor wobble is jitter, not an incident),
 #: half a point of unserved fraction, one cent of per-interval cost.
 DEFAULT_SERIES: tuple[SeriesSpec, ...] = (
@@ -272,65 +271,32 @@ class AnomalyMonitor:
     linked to the innermost open revocation warning (``None`` outside an
     incident) — and is mirrored on :attr:`anomalies` for direct
     inspection.  Detector state is per-monitor, so scenario episodes get
-    a fresh monitor each (no cross-episode baseline bleed).
-
-    ``include_wall_time=True`` additionally watches the last
-    ``controller.solve_ms`` sample from the live registry at each frame.
-    Solver wall-time is *not* deterministic, so this series is for
-    interactive runs only — scenario episodes and determinism tests must
-    leave it off (the default).
+    a fresh monitor each (no cross-episode baseline bleed).  Every
+    watched series (:data:`DEFAULT_SERIES`) is sim-time-derived, so the
+    flags are as deterministic as the journal.
     """
 
-    def __init__(
-        self,
-        series: tuple[SeriesSpec, ...] | None = None,
-        *,
-        include_wall_time: bool = False,
-    ) -> None:
-        specs = DEFAULT_SERIES if series is None else tuple(series)
+    def __init__(self) -> None:
         self._watch: list[tuple[SeriesSpec, list]] = [
             (spec, [EwmaZScoreDetector(spec.config), CusumDetector(spec.config)])
-            for spec in specs
+            for spec in DEFAULT_SERIES
         ]
-        self.include_wall_time = bool(include_wall_time)
-        self._wall_detectors = [
-            EwmaZScoreDetector(replace(_BASE, min_scale=1.0)),
-            CusumDetector(replace(_BASE, min_scale=1.0)),
-        ]
-        self._wall_seen = 0
         self.anomalies: list[dict] = []
 
-    def __call__(self, delta: dict) -> None:
-        if delta.get("type") == "events":
-            for rec in delta["events"]:
-                if rec["kind"] == ANOMALY_EVENT:
+    def __call__(self, frame: dict) -> None:
+        for rec in frame["events"]:
+            if rec["kind"] == ANOMALY_EVENT:
+                continue
+            for spec, detectors in self._watch:
+                if rec["kind"] != spec.kind:
                     continue
-                for spec, detectors in self._watch:
-                    if rec["kind"] != spec.kind:
-                        continue
-                    value = spec.extract(rec)
-                    if value is None:
-                        continue
-                    for det in detectors:
-                        score = det.update(value)
-                        if score is not None and det.fired:
-                            self._flag(spec.name, det.name, rec, value, score)
-        elif delta.get("type") == "tick" and self.include_wall_time:
-            self._observe_wall_time(delta)
-
-    def _observe_wall_time(self, delta: dict) -> None:
-        histogram = get_metrics().histogram("controller.solve_ms")
-        samples = histogram.values
-        if len(samples) <= self._wall_seen:
-            return
-        fresh = samples[self._wall_seen :]
-        self._wall_seen = len(samples)
-        rec = {"t": delta["t"], "interval": delta["interval"]}
-        for value in fresh:
-            for det in self._wall_detectors:
-                score = det.update(value)
-                if score is not None and det.fired:
-                    self._flag("solver.wall_ms", det.name, rec, value, score)
+                value = spec.extract(rec)
+                if value is None:
+                    continue
+                for det in detectors:
+                    score = det.update(value)
+                    if score is not None and det.fired:
+                        self._flag(spec.name, det.name, rec, value, score)
 
     def _flag(
         self, series: str, detector: str, rec: dict, value: float, score: float

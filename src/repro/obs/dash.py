@@ -1,15 +1,15 @@
 """`repro top`: live ASCII dashboard state and rendering.
 
-:class:`DashState` is a telemetry-bus subscriber that folds the delta
-stream (:mod:`repro.obs.live`) into the current operator view — fleet
+:class:`DashState` is a telemetry-bus subscriber that folds the frames
+(:mod:`repro.obs.live`) into the current operator view — fleet
 size by market, demand vs. capacity, SLO percentile/burn history,
 cost, open revocation warnings, anomaly flags.  :func:`render_dash`
 turns one state into a deterministic text frame (sparklines and tables
 from :mod:`repro.textfmt`), and :class:`DashRenderer` repaints a stream
 every N frames for the live ``python -m repro top`` mode.
 
-State and rendering are pure functions of the delta stream, so the
-``--once`` snapshot mode is as deterministic as the stream itself; the
+State and rendering are pure functions of the frames, so the
+``--once`` snapshot mode is as deterministic as the journal itself; the
 only nondeterministic datum — last solver wall-time — is *passed in* by
 the live CLI (``solve_ms=``) and rendered as ``-`` when absent.
 """
@@ -22,21 +22,25 @@ from collections import deque
 from repro.textfmt import format_table, sparkline
 
 __all__ = [
+    "HISTORY",
     "DashState",
     "render_dash",
     "DashRenderer",
 ]
 
+#: Sparkline length: the dashboard keeps this many SLO intervals.
+HISTORY = 24
+
 
 class DashState:
-    """Folds telemetry deltas into the current dashboard view.
+    """Folds telemetry frames into the current dashboard view.
 
-    Subscribe to a bus (or feed deltas by calling it); every field is a
-    plain value derived from sim-time-stamped deltas, so two
+    Subscribe to a bus (or feed frames by calling it); every field is a
+    plain value derived from sim-time-stamped records, so two
     identical-seed runs hold identical states at every frame.
     """
 
-    def __init__(self, *, history: int = 24) -> None:
+    def __init__(self) -> None:
         self.t = 0.0
         self.interval: int | None = None
         self.demand_rps = 0.0
@@ -45,9 +49,9 @@ class DashState:
         self.shortfall_rps = 0.0
         self.revocations = 0
         self.by_market: dict[str, int] = {}
-        self.p99: deque[float] = deque(maxlen=history)
-        self.burn: deque[float] = deque(maxlen=history)
-        self.compliance: deque[float] = deque(maxlen=history)
+        self.p99: deque[float] = deque(maxlen=HISTORY)
+        self.burn: deque[float] = deque(maxlen=HISTORY)
+        self.compliance: deque[float] = deque(maxlen=HISTORY)
         self.requests = 0
         self.cost_total = 0.0
         self.cost_last = 0.0
@@ -55,26 +59,22 @@ class DashState:
         self.warnings = 0
         self.anomalies: list[dict] = []
 
-    def __call__(self, delta: dict) -> None:
-        dtype = delta.get("type")
-        if dtype == "events":
-            for rec in delta["events"]:
-                self._fold_event(rec)
-        elif dtype == "slo":
-            for point in delta["points"]:
-                self.p99.append(float(point.get("p99", 0.0)))
-                self.burn.append(float(point.get("burn", 0.0)))
-                self.compliance.append(float(point.get("compliance", 0.0)))
-                self.requests += int(point.get("requests", 0))
-        elif dtype == "tick":
-            self.t = float(delta["t"])
-            if delta["interval"] is not None:
-                self.interval = int(delta["interval"])
+    def __call__(self, frame: dict) -> None:
+        for rec in frame["events"]:
+            self._fold_event(rec)
+        self.t = float(frame["t"])
+        if frame["interval"] is not None:
+            self.interval = int(frame["interval"])
 
     def _fold_event(self, rec: dict) -> None:
         kind = rec["kind"]
         attrs = rec["attrs"]
-        if kind == "interval.plan":
+        if kind == "slo.interval":
+            self.p99.append(float(attrs.get("p99", 0.0)))
+            self.burn.append(float(attrs.get("burn", 0.0)))
+            self.compliance.append(float(attrs.get("compliance", 0.0)))
+            self.requests += int(attrs.get("requests", 0))
+        elif kind == "interval.plan":
             self.demand_rps = float(attrs.get("demand_rps", self.demand_rps))
             self.capacity_rps = float(
                 attrs.get("capacity_rps", self.capacity_rps)
@@ -163,30 +163,22 @@ def render_dash(state: DashState, *, solve_ms: float | None = None) -> str:
 class DashRenderer:
     """Bus subscriber that repaints a stream every ``every`` frames.
 
-    Owns a :class:`DashState`, folds every delta into it, and on each
-    Nth ``tick`` delta writes a fresh frame — preceded by an ANSI
-    clear-screen when the stream is a TTY, so the board repaints in
-    place rather than scrolling.
+    Owns a :class:`DashState`, folds every frame into it, and on each
+    Nth frame writes a fresh board — preceded by an ANSI clear-screen
+    when the stream is a TTY, so the board repaints in place rather than
+    scrolling.
     """
 
     def __init__(
-        self,
-        state: DashState | None = None,
-        *,
-        stream=None,
-        every: int = 1,
-        clear: bool = True,
+        self, state: DashState | None = None, *, stream=None, every: int = 1
     ) -> None:
         self.state = state if state is not None else DashState()
         self.every = max(1, int(every))
-        self.clear = bool(clear)
         self._stream = stream
         self._frames = 0
 
-    def __call__(self, delta: dict) -> None:
-        self.state(delta)
-        if delta.get("type") != "tick":
-            return
+    def __call__(self, frame: dict) -> None:
+        self.state(frame)
         self._frames += 1
         if self._frames % self.every == 0:
             self.render()
@@ -195,7 +187,7 @@ class DashRenderer:
         """Write one frame to the stream (stdout when none was given)."""
         stream = self._stream if self._stream is not None else sys.stdout
         text = render_dash(self.state, solve_ms=solve_ms)
-        if self.clear and getattr(stream, "isatty", lambda: False)():
+        if getattr(stream, "isatty", lambda: False)():
             stream.write("\x1b[2J\x1b[H")
         stream.write(text + "\n")
         stream.flush()

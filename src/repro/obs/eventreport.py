@@ -1,12 +1,15 @@
 """Journal analysis: ``python -m repro events summarize|timeline|diff``.
 
-Turns a ``spotweb-events/1`` JSONL journal into terminal reports (all
-rendered through the foundation renderer :mod:`repro.textfmt` —
-``repro.obs`` must not depend on the reporting layer):
+Turns a ``spotweb-events/1`` JSONL journal, or a flight bundle (a
+window of one), into terminal reports (all rendered through the
+foundation renderer :mod:`repro.textfmt` — ``repro.obs`` must not depend
+on the reporting layer):
 
 - **summarize** — event-kind top-N table, the per-warning incident
   report (warning → outcome, sessions migrated, requests lost, capacity
-  gap), and the SLO compliance series with alert count;
+  gap), and the SLO compliance series with alert count; a bundle's
+  report opens with its reason, trigger and firing alerts and closes
+  with the metrics its header carries;
 - **timeline** — the ASCII incident timeline: every warning with its
   causally linked drain / migration / replacement-boot / admission /
   reprovision events indented beneath it, in sim-time order; journals
@@ -24,7 +27,7 @@ import json
 from collections import Counter, defaultdict
 from pathlib import Path
 
-from repro.obs.events import load_events
+from repro.obs.events import load_events, read_events
 from repro.textfmt import format_chain, format_table, format_topn, sparkline
 
 __all__ = [
@@ -422,14 +425,46 @@ def format_diff(result: dict, *, name_a: str = "A", name_b: str = "B") -> str:
 
 # ------------------------------------------------------------------ file entry
 def summarize_events_file(path: str | Path, *, top: int = 12) -> str:
-    """Load, validate, and summarize one journal file."""
-    return format_event_summary(
-        load_events(path, require_resolution=False), top=top
-    )
+    """Load, validate, and summarize one journal or bundle file."""
+    header, records = read_events(path, require_resolution=False)
+    summary = format_event_summary(records, top=top)
+    if "reason" not in header:
+        return summary
+    lines = [
+        f"flight bundle {Path(path).name}: reason={header['reason']} "
+        f"t={header.get('t')} records={len(records)}"
+    ]
+    if header.get("trigger"):
+        lines.append("trigger: " + json.dumps(header["trigger"], sort_keys=True))
+    for rec in records:
+        if rec["kind"] == "slo.alert" and rec["attrs"].get("state") == "firing":
+            attrs = rec["attrs"]
+            lines.append(
+                f"slo.alert t={rec['t']} state=firing "
+                f"burn_short={attrs.get('burn_short')} "
+                f"burn_long={attrs.get('burn_long')}"
+            )
+    lines += ["", summary]
+    metrics = header.get("metrics") or {}
+    if metrics:
+        rows = [
+            (
+                name,
+                json.dumps(value, sort_keys=True)
+                if isinstance(value, dict)
+                else value,
+            )
+            for name, value in sorted(metrics.items())
+        ]
+        lines += [
+            "",
+            format_table(("metric", "last value"), rows, title="last metrics"),
+        ]
+    return "\n".join(lines)
 
 
 def timeline_file(path: str | Path) -> str:
-    """Load, validate, and render the incident timeline of one journal."""
+    """Load, validate, and render the incident timeline of one file."""
     return format_timeline(load_events(path, require_resolution=False))
 
 

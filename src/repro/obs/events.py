@@ -27,20 +27,22 @@ carry that id in their ``cause`` field, and the warning is closed by a
 The journal is **off by default** behind a shared no-op sink: when
 disabled, every instrumented site costs one method call (or one local
 boolean check in the DES hot loop), so tier-1 runtime and bitwise
-experiment outputs are unchanged.  Opt in with ``--events`` on the CLI,
-:func:`enable_events`, or ``SPOTWEB_EVENTS=1``.
+experiment outputs are unchanged.  Opt in with ``--events`` on the CLI
+or :func:`enable_events`.
 
 Journals export as schema-tagged JSONL (``spotweb-events/1``): a header
 line carrying the schema tag, then one event per line with fields
 ``seq`` / ``t`` / ``interval`` / ``kind`` / ``id`` / ``cause`` /
-``attrs``.  :func:`validate_events` reports the **file line number and
-offending field** of the first malformed record.
+``attrs``.  A flight bundle (:mod:`repro.obs.flightrec`) is a window of
+a journal in the same format; its header adds ``reason``, ``t``,
+``trigger``, ``records`` and ``metrics``.  :func:`validate_events`
+reports the **file line number and offending field** of the first
+malformed record.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -58,6 +60,7 @@ __all__ = [
     "disable_events",
     "events_enabled",
     "write_events",
+    "read_events",
     "load_events",
     "validate_events",
 ]
@@ -385,11 +388,7 @@ def _plain(value: object) -> object:
 
 
 # ---------------------------------------------------------------------- global
-def _enabled_from_env() -> bool:
-    return os.environ.get("SPOTWEB_EVENTS", "0") not in ("", "0")
-
-
-_EVENTS = EventLog(enabled=_enabled_from_env())
+_EVENTS = EventLog()
 
 
 def get_events() -> EventLog:
@@ -422,22 +421,31 @@ def events_enabled() -> bool:
 
 
 # ---------------------------------------------------------------- journal files
-def write_events(records: Iterable[dict], path: str | Path) -> Path:
-    """Write event records as JSONL with a schema header line."""
+def write_events(records: Iterable[dict], path: str | Path, /, **header) -> Path:
+    """Write event records as JSONL behind a schema header line.
+
+    ``header`` fields follow the schema tag on the header line; a flight
+    bundle puts its ``reason``, ``t``, ``trigger``, ``records`` and
+    ``metrics`` there.
+    """
     path = Path(path)
-    lines = [json.dumps({"schema": EVENTS_SCHEMA, "kind": "header"})]
+    lines = [json.dumps({"schema": EVENTS_SCHEMA, "kind": "header", **header})]
     lines.extend(json.dumps(rec, sort_keys=True) for rec in records)
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
-def load_events(
+def read_events(
     path: str | Path, *, require_resolution: bool = True
-) -> list[dict]:
-    """Load and validate a journal; returns the event records.
+) -> tuple[dict, list[dict]]:
+    """Load and validate a journal or a flight bundle.
 
-    Raises :class:`EventValidationError` naming the 1-based file line and
-    the offending field of the first malformed record.
+    Returns ``(header, records)``.  A header carrying ``reason`` marks a
+    window of a journal (a flight bundle): its declared ``records``
+    count must match, and its records may name causes from before the
+    window and leave warnings open.  Raises
+    :class:`EventValidationError` naming the 1-based file line and the
+    offending field of the first malformed record.
     """
     raw = Path(path).read_text().splitlines()
     numbered: list[tuple[int, dict]] = []
@@ -464,10 +472,35 @@ def load_events(
         )
     records = [rec for _lineno, rec in numbered[1:]]
     lines = [lineno for lineno, _rec in numbered[1:]]
+    window = "reason" in header
+    if window:
+        if not isinstance(header["reason"], str):
+            raise EventValidationError(
+                "window header has no string 'reason'",
+                line=header_line,
+                field="reason",
+            )
+        if header.get("records") != len(records):
+            raise EventValidationError(
+                f"header declares {header.get('records')!r} records, "
+                f"window has {len(records)}",
+                line=header_line,
+                field="records",
+            )
     validate_events(
-        records, lines=lines, require_resolution=require_resolution
+        records,
+        lines=lines,
+        require_resolution=require_resolution and not window,
+        window=window,
     )
-    return records
+    return header, records
+
+
+def load_events(
+    path: str | Path, *, require_resolution: bool = True
+) -> list[dict]:
+    """The validated records of a journal or a flight bundle."""
+    return read_events(path, require_resolution=require_resolution)[1]
 
 
 def validate_events(
@@ -475,6 +508,7 @@ def validate_events(
     *,
     lines: list[int] | None = None,
     require_resolution: bool = True,
+    window: bool = False,
 ) -> None:
     """Check event records against the ``spotweb-events/1`` schema.
 
@@ -482,7 +516,10 @@ def validate_events(
     missing or mistyped field, a non-monotonic ``seq``, a duplicate id, a
     ``cause`` referencing an id not seen earlier in the journal, a
     ``warning.resolved`` with a non-terminal outcome, or (with
-    ``require_resolution``) a ``warning.issued`` never resolved.
+    ``require_resolution``) a ``warning.issued`` never resolved.  A
+    ``window`` (a flight bundle's records) skips the cause-reference
+    check: its first records may name a warning issued before the
+    window opened.
 
     ``lines`` maps each record to its 1-based JSONL line number so the
     error can point at the file, not just the record index.
@@ -533,7 +570,7 @@ def validate_events(
                 )
             seen_ids[eid] = i
         cause = rec["cause"]
-        if cause is not None and cause not in seen_ids:
+        if cause is not None and not window and cause not in seen_ids:
             raise EventValidationError(
                 f"record {i} cause {cause!r} references an id not seen "
                 "earlier in the journal",

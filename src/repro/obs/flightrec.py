@@ -1,42 +1,35 @@
-"""Flight recorder: bounded telemetry ring buffer with incident dumps.
+"""Flight recorder: the journal's last window, dumped on incidents.
 
 An aircraft-style black box for simulation runs: a
 :class:`FlightRecorder` subscribes to the telemetry bus
-(:mod:`repro.obs.live`) and keeps the last ``max_records`` deltas inside
+(:mod:`repro.obs.live`) and keeps the last ``max_records`` frames inside
 a sliding ``window_seconds`` of sim time.  When something goes wrong —
-an SLO burn-rate alert fires (auto-detected in the delta stream), a
-scenario invariant is violated, or the process crashes (see
-:func:`install_crash_hooks`) — the buffer is dumped as a schema-tagged
-``spotweb-flightrec/1`` bundle answering "what happened in the last N
-sim-seconds before the incident".
+an SLO burn-rate alert fires (auto-detected in the frames), a scenario
+invariant is violated, or the process crashes (see
+:func:`install_crash_hooks`) — it dumps a **bundle** answering "what
+happened in the last N sim-seconds before the incident".
 
-Bundle format: a header line ``{"schema": "spotweb-flightrec/1",
-"kind": "header", "reason": ..., "t": ..., "trigger": ...,
-"records": N}`` followed by the buffered deltas, one canonical JSON line
-each (``spotweb-telemetry/1`` delta shape).  Because the delta stream is
-a pure function of ``(config, seed)``, so is the bundle: identical-seed
-runs dump byte-identical bundles.
-
-``python -m repro flightrec validate|summarize`` round-trips bundles
-through :func:`load_flightrec` / :func:`summarize_flightrec`, rendering
-the incident window with the existing eventreport/textfmt machinery.
+A bundle is a window of the journal in the journal's own format
+(``spotweb-events/1``): a header line ``{"schema", "kind": "header",
+"reason", "t", "trigger", "records", "metrics"}``, then the buffered
+frames' records in order.  ``metrics`` is the registry's
+:meth:`~repro.obs.metrics.MetricsRegistry.sim_snapshot`.  Frames are a
+pure function of ``(config, seed)``, so identical-seed runs dump
+byte-identical bundles, and ``python -m repro events
+validate|summarize|timeline|diff`` read bundles like journals.
 """
 
 from __future__ import annotations
 
-import atexit
-import json
 import sys
 from collections import deque
 from pathlib import Path
 
-from repro.obs.eventreport import format_event_summary, format_timeline
-from repro.obs.live import delta_line, get_bus
-from repro.textfmt import format_table
+from repro.obs.events import write_events
+from repro.obs.live import get_bus
+from repro.obs.metrics import get_metrics
 
 __all__ = [
-    "FLIGHTREC_SCHEMA",
-    "FlightRecValidationError",
     "FlightRecorder",
     "get_flightrec",
     "set_flightrec",
@@ -45,34 +38,20 @@ __all__ = [
     "flightrec_enabled",
     "install_crash_hooks",
     "uninstall_crash_hooks",
-    "load_flightrec",
-    "validate_flightrec",
-    "summarize_flightrec",
 ]
-
-FLIGHTREC_SCHEMA = "spotweb-flightrec/1"
-
-_DELTA_TYPES = ("events", "metrics", "slo", "tick")
-
-
-class FlightRecValidationError(ValueError):
-    """A malformed flight bundle, locating the line at fault."""
-
-    def __init__(self, message: str, *, line: int | None = None) -> None:
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
-        self.line = line
 
 
 class FlightRecorder:
-    """Ring buffer of telemetry deltas, dumped on incidents.
+    """Ring buffer of telemetry frames, dumped on incidents.
 
     Subscribe it to a bus (``bus.subscribe(recorder)``); it retains at
-    most ``max_records`` deltas no older than ``window_seconds`` of sim
-    time behind the newest.  With ``auto_dump`` (the default) a
-    ``slo.alert`` journal event entering the stream in the ``firing``
-    state triggers a dump immediately — the buffer still holds the
-    pre-alert window at that point, which is exactly the forensic value.
+    most ``max_records`` frames no older than ``window_seconds`` of sim
+    time behind the newest.  A ``slo.alert`` journal event arriving in
+    the ``firing`` state triggers a dump immediately — the buffer still
+    holds the pre-alert window at that point, which is exactly the
+    forensic value.  A frame earlier than the newest buffered one starts
+    a new window: sim time went back, so a new run began (the next
+    scenario episode, the next serial sweep cell).
 
     Dump paths are deterministic (``flightrec_<n>_<reason>.jsonl`` under
     ``out_dir``, numbered in dump order), so identical-seed runs produce
@@ -86,7 +65,6 @@ class FlightRecorder:
         out_dir: str | Path = ".",
         max_records: int = 512,
         window_seconds: float = 120.0,
-        auto_dump: bool = True,
     ) -> None:
         if max_records < 1:
             raise ValueError("max_records must be at least 1")
@@ -95,39 +73,36 @@ class FlightRecorder:
         self.enabled = bool(enabled)
         self.out_dir = Path(out_dir)
         self.window_seconds = float(window_seconds)
-        self.auto_dump = bool(auto_dump)
         self._buffer: deque[dict] = deque(maxlen=int(max_records))
         self._dumps = 0
         self.dumped: list[Path] = []
 
-    def __call__(self, delta: dict) -> None:
-        """Bus subscriber hook: buffer the delta, auto-dump on alerts."""
+    def __call__(self, frame: dict) -> None:
+        """Bus subscriber hook: buffer the frame, dump on firing alerts."""
         if not self.enabled:
             return
-        self._buffer.append(delta)
-        horizon = float(delta["t"]) - self.window_seconds
-        while self._buffer and float(self._buffer[0]["t"]) < horizon:
+        t = float(frame["t"])
+        if self._buffer and t < self._buffer[-1]["t"]:
+            self._buffer.clear()
+        self._buffer.append(frame)
+        while self._buffer[0]["t"] < t - self.window_seconds:
             self._buffer.popleft()
-        if self.auto_dump and delta.get("type") == "events":
-            for rec in delta["events"]:
-                if (
-                    rec["kind"] == "slo.alert"
-                    and rec["attrs"].get("state") == "firing"
-                ):
-                    self.dump(
-                        "slo.alert",
-                        trigger={
-                            "kind": rec["kind"],
-                            "t": rec["t"],
-                            "interval": rec["interval"],
-                            "id": rec["id"],
-                            "cause": rec["cause"],
-                            "attrs": rec["attrs"],
-                        },
-                    )
+        for rec in frame["events"]:
+            if rec["kind"] == "slo.alert" and rec["attrs"].get("state") == "firing":
+                self.dump(
+                    "slo.alert",
+                    trigger={
+                        "kind": rec["kind"],
+                        "t": rec["t"],
+                        "interval": rec["interval"],
+                        "id": rec["id"],
+                        "cause": rec["cause"],
+                        "attrs": rec["attrs"],
+                    },
+                )
 
     def buffered(self) -> list[dict]:
-        """The deltas currently retained, oldest first."""
+        """The frames currently retained, oldest first."""
         return list(self._buffer)
 
     def clear(self) -> None:
@@ -141,32 +116,29 @@ class FlightRecorder:
         trigger: dict | None = None,
         path: str | Path | None = None,
     ) -> Path:
-        """Write the buffered window as a ``spotweb-flightrec/1`` bundle.
+        """Write the buffered window as a bundle.
 
         ``reason`` states why the dump happened (``slo.alert``,
-        ``invariant.violation``, ``crash``, ``exit``, or ad hoc);
-        ``trigger`` optionally carries the journal event or violation
-        that pulled the cord, verbatim, so the bundle is self-describing.
+        ``invariant.violation``, ``crash``, or ad hoc); ``trigger``
+        optionally carries the journal event or violation that pulled
+        the cord, verbatim, so the bundle is self-describing.
         """
         self._dumps += 1
-        records = list(self._buffer)
-        t = float(records[-1]["t"]) if records else 0.0
+        records = [rec for frame in self._buffer for rec in frame["events"]]
         if path is None:
             safe = reason.replace(".", "_").replace("/", "_")
             path = self.out_dir / f"flightrec_{self._dumps:03d}_{safe}.jsonl"
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        header = {
-            "schema": FLIGHTREC_SCHEMA,
-            "kind": "header",
-            "reason": reason,
-            "t": t,
-            "trigger": trigger,
-            "records": len(records),
-        }
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(delta_line(delta) for delta in records)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_events(
+            records,
+            path,
+            reason=reason,
+            t=float(self._buffer[-1]["t"]) if self._buffer else 0.0,
+            trigger=trigger,
+            records=len(records),
+            metrics=get_metrics().sim_snapshot(),
+        )
         self.dumped.append(path)
         return path
 
@@ -233,182 +205,21 @@ def _crash_excepthook(exc_type, exc, tb) -> None:
     hook(exc_type, exc, tb)
 
 
-def _exit_dump() -> None:
-    recorder = get_flightrec()
-    if recorder.enabled and recorder.buffered():
-        recorder.dump("exit")
-
-
-def install_crash_hooks(*, on_exit: bool = False) -> None:
+def install_crash_hooks() -> None:
     """Dump the armed recorder's buffer when the process dies unhappily.
 
     Wraps ``sys.excepthook`` so an uncaught exception dumps a ``crash``
-    bundle before the original hook prints the traceback.  With
-    ``on_exit`` an atexit handler also dumps any non-empty buffer as an
-    ``exit`` bundle (off by default: clean exits are not incidents).
+    bundle before the original hook prints the traceback.
     """
     global _ORIG_EXCEPTHOOK
     if _ORIG_EXCEPTHOOK is None:
         _ORIG_EXCEPTHOOK = sys.excepthook
         sys.excepthook = _crash_excepthook
-    if on_exit:
-        atexit.register(_exit_dump)
 
 
 def uninstall_crash_hooks() -> None:
-    """Restore the original excepthook and drop the atexit dump."""
+    """Restore the original excepthook."""
     global _ORIG_EXCEPTHOOK
     if _ORIG_EXCEPTHOOK is not None:
         sys.excepthook = _ORIG_EXCEPTHOOK
         _ORIG_EXCEPTHOOK = None
-    atexit.unregister(_exit_dump)
-
-
-# --------------------------------------------------------------- bundle files
-def load_flightrec(path: str | Path) -> tuple[dict, list[dict]]:
-    """Load and validate a flight bundle; returns ``(header, deltas)``.
-
-    Raises :class:`FlightRecValidationError` naming the 1-based file
-    line of the first malformed record: wrong schema tag, unknown delta
-    type, missing/mistyped ``seq``/``t``, non-increasing ``seq``, a
-    record-count header that disagrees with the body, or payload fields
-    of the wrong shape.
-    """
-    raw = Path(path).read_text().splitlines()
-    parsed: list[tuple[int, dict]] = []
-    for lineno, line in enumerate(raw, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FlightRecValidationError(
-                f"not valid JSON: {exc.msg}", line=lineno
-            ) from exc
-        if not isinstance(obj, dict):
-            raise FlightRecValidationError("record is not an object", line=lineno)
-        parsed.append((lineno, obj))
-    if not parsed:
-        raise FlightRecValidationError("empty flight bundle")
-    header_line, header = parsed[0]
-    if header.get("schema") != FLIGHTREC_SCHEMA:
-        raise FlightRecValidationError(
-            f"unknown bundle schema: {header.get('schema')!r}", line=header_line
-        )
-    if not isinstance(header.get("reason"), str):
-        raise FlightRecValidationError(
-            "header is missing a string 'reason'", line=header_line
-        )
-    deltas: list[dict] = []
-    prev_seq: int | None = None
-    for lineno, delta in parsed[1:]:
-        dtype = delta.get("type")
-        if dtype not in _DELTA_TYPES:
-            raise FlightRecValidationError(
-                f"unknown delta type {dtype!r}", line=lineno
-            )
-        seq = delta.get("seq")
-        if not isinstance(seq, int) or isinstance(seq, bool):
-            raise FlightRecValidationError(
-                f"delta seq {seq!r} is not an int", line=lineno
-            )
-        if prev_seq is not None and seq <= prev_seq:
-            raise FlightRecValidationError(
-                f"delta seq {seq} is not strictly increasing "
-                f"(previous {prev_seq})",
-                line=lineno,
-            )
-        prev_seq = seq
-        if not isinstance(delta.get("t"), (int, float)) or isinstance(
-            delta.get("t"), bool
-        ):
-            raise FlightRecValidationError(
-                f"delta t {delta.get('t')!r} is not a number", line=lineno
-            )
-        if dtype == "events" and not isinstance(delta.get("events"), list):
-            raise FlightRecValidationError(
-                "events delta has no 'events' list", line=lineno
-            )
-        if dtype == "slo" and not isinstance(delta.get("points"), list):
-            raise FlightRecValidationError(
-                "slo delta has no 'points' list", line=lineno
-            )
-        if dtype == "metrics" and not isinstance(delta.get("changed"), dict):
-            raise FlightRecValidationError(
-                "metrics delta has no 'changed' mapping", line=lineno
-            )
-        deltas.append(delta)
-    declared = header.get("records")
-    if declared != len(deltas):
-        raise FlightRecValidationError(
-            f"header declares {declared!r} records, bundle has {len(deltas)}",
-            line=header_line,
-        )
-    return header, deltas
-
-
-def validate_flightrec(path: str | Path) -> dict:
-    """Validate a bundle; returns a small summary dict on success."""
-    header, deltas = load_flightrec(path)
-    return {
-        "reason": header["reason"],
-        "t": header.get("t"),
-        "deltas": len(deltas),
-        "events": sum(
-            len(d["events"]) for d in deltas if d["type"] == "events"
-        ),
-    }
-
-
-def summarize_flightrec(path: str | Path) -> str:
-    """Render the incident window of a flight bundle as a text report.
-
-    Names the dump reason and the triggering alert, then reuses the
-    journal report machinery (:func:`format_event_summary`,
-    :func:`format_timeline`) over the buffered events and closes with
-    the last-published metric values.
-    """
-    path = Path(path)
-    header, deltas = load_flightrec(path)
-    events = [
-        rec for d in deltas if d["type"] == "events" for rec in d["events"]
-    ]
-    lines = [
-        f"flight bundle {path.name}: reason={header['reason']} "
-        f"t={header.get('t')} deltas={len(deltas)} events={len(events)}"
-    ]
-    trigger = header.get("trigger")
-    if trigger:
-        lines.append("trigger: " + json.dumps(trigger, sort_keys=True))
-    alerts = [rec for rec in events if rec["kind"] == "slo.alert"]
-    for rec in alerts:
-        attrs = rec["attrs"]
-        lines.append(
-            f"slo.alert t={rec['t']} state={attrs.get('state')} "
-            f"burn_short={attrs.get('burn_short')} "
-            f"burn_long={attrs.get('burn_long')}"
-        )
-    if events:
-        lines.append("")
-        lines.append(format_event_summary(events))
-        lines.append("")
-        lines.append(format_timeline(events))
-    merged: dict = {}
-    for delta in deltas:
-        if delta["type"] == "metrics":
-            merged.update(delta["changed"])
-    if merged:
-        rows = [
-            (
-                name,
-                json.dumps(value, sort_keys=True)
-                if isinstance(value, dict)
-                else value,
-            )
-            for name, value in sorted(merged.items())
-        ]
-        lines.append("")
-        lines.append(
-            format_table(("metric", "last value"), rows, title="last metrics")
-        )
-    return "\n".join(lines)

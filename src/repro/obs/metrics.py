@@ -186,12 +186,33 @@ class MetricsRegistry:
             name: self._metrics[name].snapshot() for name in sorted(self._metrics)
         }
 
+    def sim_snapshot(self) -> dict:
+        """:meth:`snapshot` with each wall-clock histogram cut to its count.
+
+        A ``*_ms`` histogram times real code: its sample count (one per
+        solve) is a function of ``(config, seed)``, its statistics are
+        not.  Flight-bundle headers carry this form, so identical-seed
+        runs dump identical bundles.
+        """
+        return {
+            name: (
+                {"count": value["count"]}
+                if name.endswith("_ms") and isinstance(value, dict)
+                else value
+            )
+            for name, value in self.snapshot().items()
+        }
+
     def reset(self) -> None:
         self._metrics.clear()
 
 
-def _prom_name(name: str, *, prefix: str) -> str:
-    return prefix + name.replace(".", "_").replace("-", "_")
+#: Prefix of every exported Prometheus family name.
+_PROM_PREFIX = "spotweb_"
+
+
+def _prom_name(name: str) -> str:
+    return _PROM_PREFIX + name.replace(".", "_").replace("-", "_")
 
 
 def _infer_kind(name: str, value: object) -> str:
@@ -207,7 +228,7 @@ def _infer_kind(name: str, value: object) -> str:
     raise TypeError(f"metric {name!r} has non-metric value {value!r}")
 
 
-def _mangled_names(names: list[str], *, prefix: str) -> dict[str, str]:
+def _mangled_names(names: list[str]) -> dict[str, str]:
     """Map each metric name to a collision-free Prometheus name.
 
     Dot/dash mangling can collapse distinct metric names (``lb.spare-rps``
@@ -218,7 +239,7 @@ def _mangled_names(names: list[str], *, prefix: str) -> dict[str, str]:
     out: dict[str, str] = {}
     used: dict[str, int] = {}
     for name in names:
-        pname = _prom_name(name, prefix=prefix)
+        pname = _prom_name(name)
         seen = used.get(pname, 0)
         used[pname] = seen + 1
         out[name] = pname if seen == 0 else f"{pname}_{seen + 1}"
@@ -226,10 +247,7 @@ def _mangled_names(names: list[str], *, prefix: str) -> dict[str, str]:
 
 
 def prometheus_text(
-    source: "MetricsRegistry | dict",
-    *,
-    prefix: str = "spotweb_",
-    openmetrics: bool = False,
+    source: "MetricsRegistry | dict", *, openmetrics: bool = False
 ) -> str:
     """Render a registry (or legacy snapshot dict) in Prometheus text format.
 
@@ -256,7 +274,7 @@ def prometheus_text(
         kinds = {
             name: _infer_kind(name, value) for name, value in snapshot.items()
         }
-    pnames = _mangled_names(list(snapshot), prefix=prefix)
+    pnames = _mangled_names(list(snapshot))
     lines: list[str] = []
     for name, value in snapshot.items():
         pname = pnames[name]
@@ -290,9 +308,6 @@ def prometheus_text(
 def write_prometheus(
     path: "str | Path",
     source: "MetricsRegistry | dict | None" = None,
-    *,
-    prefix: str = "spotweb_",
-    openmetrics: bool = False,
 ) -> Path:
     """Atomically export metrics in Prometheus text format.
 
@@ -303,7 +318,7 @@ def write_prometheus(
     path = Path(path)
     if source is None:
         source = get_metrics()
-    text = prometheus_text(source, prefix=prefix, openmetrics=openmetrics)
+    text = prometheus_text(source)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)

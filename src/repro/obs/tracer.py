@@ -9,8 +9,7 @@ loop, and the load balancer's warning → migrate → replace path.
 Tracing is **off by default** and adds a single shared no-op context
 manager per instrumented block when disabled, so the tier-1 runtime and the
 bitwise experiment outputs are unchanged.  Opt in with ``--trace`` on the
-CLI, :func:`enable_tracing` programmatically, or the ``SPOTWEB_TRACE``
-environment variable (any value other than ``""``/``"0"``).
+CLI or :func:`enable_tracing` programmatically.
 
 Completed spans export to schema-tagged JSONL (``spotweb-trace/1``, the
 same convention as the ``BENCH_*.json`` baselines): the first line is a
@@ -23,7 +22,6 @@ packages.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -192,11 +190,7 @@ class Tracer:
 
 
 # --------------------------------------------------------------------- global
-def _enabled_from_env() -> bool:
-    return os.environ.get("SPOTWEB_TRACE", "0") not in ("", "0")
-
-
-_TRACER = Tracer(enabled=_enabled_from_env())
+_TRACER = Tracer(enabled=False)
 
 
 def get_tracer() -> Tracer:

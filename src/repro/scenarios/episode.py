@@ -26,6 +26,7 @@ from repro.obs.anomaly import AnomalyMonitor
 from repro.obs.events import EventLog, get_events, set_events
 from repro.obs.flightrec import flightrec_enabled, get_flightrec
 from repro.obs.live import TelemetryBus, set_bus
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.parallel import derive_seed
 from repro.simulator import HybridClusterSimulation
 from repro.simulator.cluster import ClusterConfig
@@ -151,15 +152,16 @@ def run_episode(
     events land in the journal for the invariant oracle) and, when the
     global flight recorder is armed, to the recorder — all per-episode
     state, so parallel sweep cells stay byte-identical to serial runs.
-    Metric deltas are off: the process-global registry accumulates
-    across episodes, and only the event-derived stream is a pure
-    function of ``(spec, engine, seed)``.
+    The episode also counts into a private metrics registry, so the
+    metrics a flight bundle's header carries are a function of
+    ``(spec, engine, seed)`` too.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     trace = _rate_trace(spec, seed)
     old_log = set_events(EventLog(enabled=True))
-    bus = TelemetryBus(enabled=True, publish_metrics=False)
+    old_metrics = set_metrics(MetricsRegistry())
+    bus = TelemetryBus(enabled=True)
     bus.subscribe(AnomalyMonitor())
     if flightrec_enabled():
         bus.subscribe(get_flightrec())
@@ -255,4 +257,5 @@ def run_episode(
         return ev.records()
     finally:
         set_events(old_log)
+        set_metrics(old_metrics)
         set_bus(old_bus)

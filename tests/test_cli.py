@@ -1,5 +1,7 @@
 """Unit tests for the CLI."""
 
+import json
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -97,13 +99,9 @@ class TestCommands:
 class TestRunCommand:
     @pytest.fixture(autouse=True)
     def _restore_obs(self):
-        from repro.obs import (
-            disable_events,
-            disable_tracing,
-            get_events,
-            get_tracer,
-            reset_metrics,
-        )
+        from repro.obs.events import disable_events, get_events
+        from repro.obs.metrics import reset_metrics
+        from repro.obs.tracer import disable_tracing, get_tracer
 
         yield
         disable_tracing()
@@ -112,36 +110,18 @@ class TestRunCommand:
         get_events().clear()
         reset_metrics()
 
-    def test_run_without_trace_matches_experiment(self, capsys, monkeypatch):
-        monkeypatch.delenv("SPOTWEB_TRACE", raising=False)
-        monkeypatch.delenv("SPOTWEB_EVENTS", raising=False)
+    def test_run_without_trace_matches_experiment(self, capsys):
         assert main(["run", "fig6a", "--hours", "6"]) == 0
         run_out = capsys.readouterr().out
         assert "spotweb_H2" in run_out
         assert "wrote" not in run_out  # no trace file without opt-in
         assert "metrics:" not in run_out
 
-    def test_run_with_trace_writes_valid_jsonl(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        from repro.obs import load_trace
+    def test_run_with_trace_writes_valid_jsonl(self, capsys, tmp_path):
+        from repro.obs.tracer import load_trace
 
-        monkeypatch.delenv("SPOTWEB_TRACE", raising=False)
         out = tmp_path / "trace.jsonl"
-        assert (
-            main(
-                [
-                    "run",
-                    "fig6a",
-                    "--hours",
-                    "6",
-                    "--trace",
-                    "--trace-out",
-                    str(out),
-                ]
-            )
-            == 0
-        )
+        assert main(["run", "fig6a", "--hours", "6", "--trace", str(out)]) == 0
         text = capsys.readouterr().out
         assert "metrics:" in text
         assert "controller.steps" in text
@@ -151,17 +131,7 @@ class TestRunCommand:
         assert "controller.step" in names
         assert "qp.iterate" in names
 
-    def test_run_honors_spotweb_trace_env(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("SPOTWEB_TRACE", "1")
-        out = tmp_path / "trace.jsonl"
-        assert (
-            main(["run", "fig6a", "--hours", "4", "--trace-out", str(out)]) == 0
-        )
-        assert out.exists()
-
-    def test_run_fig4bcd_quick(self, capsys, monkeypatch):
-        monkeypatch.delenv("SPOTWEB_TRACE", raising=False)
-        monkeypatch.delenv("SPOTWEB_EVENTS", raising=False)
+    def test_run_fig4bcd_quick(self, capsys):
         assert main(["run", "fig4bcd", "--quick"]) == 0
         assert "spotweb" in capsys.readouterr().out
 
@@ -176,7 +146,7 @@ class TestRunCommand:
         code = (
             "import sys\n"
             "from repro.cli import main\n"
-            f"main(['run', 'table1', '--trace-out', {str(tmp_path / 't.jsonl')!r}, '--trace'])\n"
+            f"main(['run', 'table1', '--trace', {str(tmp_path / 't.jsonl')!r}])\n"
             "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
@@ -197,33 +167,14 @@ class TestRunCommand:
             return "ok"
 
         monkeypatch.setitem(cli.EXPERIMENTS, "fig6a", ("desc", fake_runner))
-        monkeypatch.delenv("SPOTWEB_TRACE", raising=False)
-        monkeypatch.delenv("SPOTWEB_EVENTS", raising=False)
         assert main(["run", "fig6a", "--quick"]) == 0
         assert seen == {"weeks": 1, "hours": 24}
 
-    def test_run_with_events_writes_valid_journal(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        from repro.obs import load_events
+    def test_run_with_events_writes_valid_journal(self, capsys, tmp_path):
+        from repro.obs.events import load_events
 
-        monkeypatch.delenv("SPOTWEB_TRACE", raising=False)
-        monkeypatch.delenv("SPOTWEB_EVENTS", raising=False)
         out = tmp_path / "events.jsonl"
-        assert (
-            main(
-                [
-                    "run",
-                    "fig6a",
-                    "--hours",
-                    "6",
-                    "--events",
-                    "--events-out",
-                    str(out),
-                ]
-            )
-            == 0
-        )
+        assert main(["run", "fig6a", "--hours", "6", "--events", str(out)]) == 0
         text = capsys.readouterr().out
         assert "wrote" in text and "events" in text
         assert "metrics:" in text
@@ -232,19 +183,7 @@ class TestRunCommand:
         assert "controller.plan" in kinds
         assert "interval.plan" in kinds
 
-    def test_run_honors_spotweb_events_env(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.delenv("SPOTWEB_TRACE", raising=False)
-        monkeypatch.setenv("SPOTWEB_EVENTS", "1")
-        out = tmp_path / "events.jsonl"
-        assert (
-            main(["run", "fig6a", "--hours", "4", "--events-out", str(out)])
-            == 0
-        )
-        assert out.exists()
-
-    def test_run_prom_out(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.delenv("SPOTWEB_TRACE", raising=False)
-        monkeypatch.delenv("SPOTWEB_EVENTS", raising=False)
+    def test_run_prom_out(self, capsys, tmp_path):
         out = tmp_path / "metrics.prom"
         assert (
             main(["run", "fig6a", "--hours", "4", "--prom-out", str(out)]) == 0
@@ -257,9 +196,71 @@ class TestRunCommand:
         assert "# TYPE spotweb_controller_solve_ms summary" in text
 
 
+class TestObservabilityRestored:
+    """``top`` and ``run`` leave the observability switches as they were."""
+
+    @staticmethod
+    def _switches():
+        from repro.obs.events import events_enabled
+        from repro.obs.flightrec import flightrec_enabled
+        from repro.obs.live import telemetry_enabled
+        from repro.obs.tracer import tracing_enabled
+
+        return (
+            tracing_enabled(),
+            events_enabled(),
+            telemetry_enabled(),
+            flightrec_enabled(),
+        )
+
+    def test_top_and_run_restore_every_switch(self, capsys, tmp_path):
+        import sys
+
+        from repro.obs.events import get_events
+
+        hook = sys.excepthook
+        assert main(["top", "fig6a", "--hours", "4", "--once"]) == 0
+        assert self._switches() == (False, False, False, False)
+        argv = ["run", "fig6a", "--hours", "4", "--trace", str(tmp_path / "t")]
+        argv += ["--events", str(tmp_path / "e"), "--flightrec", str(tmp_path)]
+        assert main(argv) == 0
+        assert self._switches() == (False, False, False, False)
+        assert sys.excepthook is hook
+        # A plain run after both journals nothing.
+        count = get_events().record_count()
+        assert main(["run", "fig6a", "--hours", "4"]) == 0
+        assert get_events().record_count() == count
+
+    def test_exception_leaves_the_recorder_armed(self, monkeypatch, tmp_path):
+        import sys
+
+        from repro import cli
+        from repro.obs.events import disable_events
+        from repro.obs.flightrec import disable_flightrec, uninstall_crash_hooks
+        from repro.obs.live import disable_telemetry
+
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig6a", ("desc", boom))
+        hook = sys.excepthook
+        try:
+            with pytest.raises(RuntimeError, match="boom"):
+                main(["run", "fig6a", "--flightrec", str(tmp_path)])
+            # The crash hook must still find an armed recorder.
+            assert self._switches()[1:] == (True, True, True)
+            assert sys.excepthook is not hook
+        finally:
+            uninstall_crash_hooks()
+            disable_flightrec()
+            disable_telemetry()
+            disable_events()
+        assert sys.excepthook is hook
+
+
 class TestTraceCommand:
     def _write_trace(self, tmp_path):
-        from repro.obs import Tracer, write_trace
+        from repro.obs.tracer import Tracer, write_trace
 
         tracer = Tracer(enabled=True)
         with tracer.span("root"):
@@ -297,7 +298,7 @@ class TestTraceCommand:
 
 class TestEventsCommand:
     def _write_journal(self, tmp_path, name="events.jsonl", mutate=None):
-        from repro.obs import EventLog, write_events
+        from repro.obs.events import EventLog, write_events
 
         log = EventLog(enabled=True)
         wid = log.open_warning(1, t=10.0, capacity_rps=50.0)
@@ -354,6 +355,22 @@ class TestEventsCommand:
         b = self._write_journal(tmp_path, "b.jsonl", mutate=mutate)
         with pytest.raises(SystemExit, match="divergent"):
             main(["events", "diff", str(a), str(b)])
+
+    def test_validate_and_summarize_a_bundle(self, capsys, tmp_path):
+        from repro.obs.flightrec import FlightRecorder
+
+        recorder = FlightRecorder(enabled=True, out_dir=tmp_path)
+        journal = self._write_journal(tmp_path)
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        recorder({"t": 20.0, "interval": 0, "events": records[2:]})
+        bundle = recorder.dump("manual", trigger={"why": "test"})
+        assert main(["events", "validate", str(bundle)]) == 0
+        out = capsys.readouterr().out
+        assert "3 events, schema OK (flight bundle, reason manual)" in out
+        assert main(["events", "summarize", str(bundle)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("flight bundle flightrec_001_manual.jsonl")
+        assert 'trigger: {"why": "test"}' in out
 
     def test_diff_requires_two_files(self, tmp_path):
         a = self._write_journal(tmp_path)

@@ -15,9 +15,9 @@ import json
 import pytest
 
 from repro.loadbalancer import TransiencyAwareLoadBalancer
-from repro.obs import (
+from repro.obs.eventreport import diff_journals
+from repro.obs.events import (
     EventLog,
-    diff_journals,
     get_events,
     set_events,
     validate_events,

@@ -2,20 +2,16 @@
 
 import pytest
 
-from repro.obs import (
+from repro.obs.anomaly import (
     ANOMALY_EVENT,
     AnomalyMonitor,
     CusumDetector,
     DetectorConfig,
-    EventLog,
     EwmaZScoreDetector,
-    MetricsRegistry,
-    TelemetryBus,
     detect_series,
-    get_events,
-    set_events,
-    set_metrics,
 )
+from repro.obs.events import EventLog, get_events, set_events
+from repro.obs.live import TelemetryBus
 
 
 @pytest.fixture
@@ -137,7 +133,7 @@ class TestAnomalyMonitor:
         )
 
     def test_flags_spike_and_links_open_warning(self, global_log):
-        bus = TelemetryBus(enabled=True, publish_metrics=False)
+        bus = TelemetryBus(enabled=True)
         monitor = bus.subscribe(AnomalyMonitor())
         for i in range(5):
             self._slo_interval(global_log, 30.0 * (i + 1), 0.2)
@@ -157,7 +153,7 @@ class TestAnomalyMonitor:
             assert rec["attrs"]["detector"] in ("ewma_z", "cusum")
 
     def test_monitor_ignores_its_own_events(self, global_log):
-        bus = TelemetryBus(enabled=True, publish_metrics=False)
+        bus = TelemetryBus(enabled=True)
         monitor = bus.subscribe(AnomalyMonitor())
         for i in range(5):
             self._slo_interval(global_log, 30.0 * (i + 1), 0.2)
@@ -171,27 +167,9 @@ class TestAnomalyMonitor:
         assert len(monitor.anomalies) == flagged
 
     def test_steady_run_is_silent(self, global_log):
-        bus = TelemetryBus(enabled=True, publish_metrics=False)
+        bus = TelemetryBus(enabled=True)
         monitor = bus.subscribe(AnomalyMonitor())
         for i in range(20):
             self._slo_interval(global_log, 30.0 * (i + 1), 0.2)
             bus.tick(30.0 * (i + 1), i)
         assert monitor.anomalies == []
-
-    def test_wall_time_series_off_by_default(self, global_log):
-        old = set_metrics(MetricsRegistry())
-        try:
-            from repro.obs import get_metrics
-
-            bus = TelemetryBus(enabled=True, publish_metrics=False)
-            silent = bus.subscribe(AnomalyMonitor())
-            loud = bus.subscribe(AnomalyMonitor(include_wall_time=True))
-            for i in range(5):
-                get_metrics().histogram("controller.solve_ms").observe(2.0)
-                bus.tick(30.0 * (i + 1), i)
-            get_metrics().histogram("controller.solve_ms").observe(400.0)
-            bus.tick(180.0, 5)
-            assert silent.anomalies == []
-            assert {a["series"] for a in loud.anomalies} == {"solver.wall_ms"}
-        finally:
-            set_metrics(old)

@@ -2,17 +2,11 @@
 
 import io
 
-from repro.obs import DashRenderer, DashState, render_dash
+from repro.obs.dash import HISTORY, DashRenderer, DashState, render_dash
 
 
-def events_delta(seq, t, interval, events):
-    return {
-        "type": "events",
-        "seq": seq,
-        "t": t,
-        "interval": interval,
-        "events": events,
-    }
+def frame(t, interval, events):
+    return {"t": t, "interval": interval, "events": events}
 
 
 def event(kind, t, interval=0, **attrs):
@@ -27,10 +21,9 @@ def event(kind, t, interval=0, **attrs):
 
 
 def sample_frame(state):
-    """Fold one representative frame of deltas into ``state``."""
+    """Fold one representative frame into ``state``."""
     state(
-        events_delta(
-            0,
+        frame(
             60.0,
             0,
             [
@@ -59,30 +52,19 @@ def sample_frame(state):
                     value=2.0,
                     score=6.5,
                 ),
+                event(
+                    "slo.interval",
+                    60.0,
+                    requests=480,
+                    compliance=0.97,
+                    burn=3.0,
+                    p50=0.1,
+                    p95=0.5,
+                    p99=0.9,
+                ),
             ],
         )
     )
-    state(
-        {
-            "type": "slo",
-            "seq": 1,
-            "t": 60.0,
-            "interval": 0,
-            "points": [
-                {
-                    "interval": 0,
-                    "t": 60.0,
-                    "requests": 480,
-                    "compliance": 0.97,
-                    "burn": 3.0,
-                    "p50": 0.1,
-                    "p95": 0.5,
-                    "p99": 0.9,
-                }
-            ],
-        }
-    )
-    state({"type": "tick", "seq": 2, "t": 60.0, "interval": 0})
 
 
 class TestDashState:
@@ -106,8 +88,7 @@ class TestDashState:
         state = DashState()
         sample_frame(state)
         state(
-            events_delta(
-                3,
+            frame(
                 120.0,
                 1,
                 [
@@ -116,25 +97,23 @@ class TestDashState:
                 ],
             )
         )
-        state({"type": "tick", "seq": 4, "t": 120.0, "interval": 1})
         assert state.open_warnings == 0 and state.warnings == 1
         assert state.cost_last == 0.30
         assert state.cost_total == 0.55
         assert state.t == 120.0 and state.interval == 1
 
     def test_history_is_bounded(self):
-        state = DashState(history=4)
-        for i in range(10):
+        state = DashState()
+        for i in range(HISTORY + 6):
             state(
-                {
-                    "type": "slo",
-                    "seq": i,
-                    "t": 30.0 * i,
-                    "interval": i,
-                    "points": [{"interval": i, "t": 30.0 * i, "p99": float(i)}],
-                }
+                frame(
+                    30.0 * i,
+                    i,
+                    [event("slo.interval", 30.0 * i, i, p99=float(i))],
+                )
             )
-        assert list(state.p99) == [6.0, 7.0, 8.0, 9.0]
+        assert list(state.p99) == [float(i) for i in range(6, HISTORY + 6)]
+        assert state.t == 30.0 * (HISTORY + 5)
 
 
 class TestRenderDash:
@@ -164,9 +143,9 @@ class TestRenderDash:
 class TestDashRenderer:
     def test_repaints_every_nth_tick(self):
         stream = io.StringIO()
-        renderer = DashRenderer(stream=stream, every=2, clear=True)
+        renderer = DashRenderer(stream=stream, every=2)
         for i in range(4):
-            renderer({"type": "tick", "seq": i, "t": 30.0 * i, "interval": i})
+            renderer(frame(30.0 * i, i, []))
         frames = stream.getvalue().count("spotweb top")
         assert frames == 2
         # Non-TTY stream: no ANSI clear codes in the output.
@@ -174,8 +153,10 @@ class TestDashRenderer:
 
     def test_folds_non_tick_deltas_without_rendering(self):
         stream = io.StringIO()
-        renderer = DashRenderer(stream=stream, every=1)
-        sample_frame(renderer.state)
+        renderer = DashRenderer(stream=stream, every=2)
+        sample_frame(renderer)
+        # The first frame folds into the state without a repaint.
         assert stream.getvalue() == ""
-        renderer({"type": "tick", "seq": 9, "t": 90.0, "interval": 1})
-        assert "spotweb top" in stream.getvalue()
+        assert renderer.state.servers == 5
+        renderer(frame(90.0, 1, []))
+        assert "spotweb top  t=90s  interval=1" in stream.getvalue()

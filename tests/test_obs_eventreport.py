@@ -4,8 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import (
-    EventLog,
+from repro.obs.eventreport import (
     diff_files,
     diff_journals,
     format_diff,
@@ -13,11 +12,12 @@ from repro.obs import (
     format_timeline,
     incidents,
     kind_counts,
-    prometheus_text,
     slo_series,
+    summarize_events_file,
     tier_spans,
-    write_events,
 )
+from repro.obs.events import EventLog, write_events
+from repro.obs.metrics import prometheus_text
 
 GOLDEN = Path(__file__).parent / "fixtures" / "events" / "timeline_golden.txt"
 
@@ -78,6 +78,14 @@ class TestReports:
         assert "incident report (2 revocation warnings)" in text
         assert "outcomes: failed=1, migrated=1" in text
         assert "SLO compliance" in text
+
+    def test_summarize_file_of_a_journal_is_the_plain_report(self, tmp_path):
+        # Only a bundle's header (one carrying a reason) adds the
+        # reason, trigger, alert and metrics lines.
+        path = write_events(sample_journal(), tmp_path / "events.jsonl")
+        assert summarize_events_file(path) == format_event_summary(
+            sample_journal()
+        )
 
     def test_summary_empty_journal(self):
         assert "no events" in format_event_summary([])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.obs import (
+from repro.obs.events import (
     EVENTS_SCHEMA,
     EventLog,
     EventValidationError,
@@ -154,16 +154,6 @@ class TestGlobals:
         assert events_enabled()
         disable_events()
         assert not events_enabled()
-
-    def test_env_opt_in(self, monkeypatch):
-        from repro.obs.events import _enabled_from_env
-
-        monkeypatch.delenv("SPOTWEB_EVENTS", raising=False)
-        assert not _enabled_from_env()
-        monkeypatch.setenv("SPOTWEB_EVENTS", "0")
-        assert not _enabled_from_env()
-        monkeypatch.setenv("SPOTWEB_EVENTS", "1")
-        assert _enabled_from_env()
 
 
 class TestIO:

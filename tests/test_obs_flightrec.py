@@ -5,26 +5,28 @@ import sys
 
 import pytest
 
-from repro.obs import (
-    FLIGHTREC_SCHEMA,
+from repro.obs.eventreport import summarize_events_file
+from repro.obs.events import (
+    EVENTS_SCHEMA,
     EventLog,
+    EventValidationError,
+    get_events,
+    load_events,
+    read_events,
+    set_events,
+)
+from repro.obs.flightrec import (
     FlightRecorder,
-    FlightRecValidationError,
-    TelemetryBus,
     disable_flightrec,
     enable_flightrec,
     flightrec_enabled,
-    get_bus,
-    get_events,
     get_flightrec,
     install_crash_hooks,
-    load_flightrec,
-    set_events,
     set_flightrec,
-    summarize_flightrec,
     uninstall_crash_hooks,
-    validate_flightrec,
 )
+from repro.obs.live import TelemetryBus, get_bus
+from repro.obs.metrics import MetricsRegistry, set_metrics
 
 
 @pytest.fixture
@@ -34,51 +36,61 @@ def global_log():
     set_events(old)
 
 
-def tick_delta(seq, t, **extra):
-    return {"type": "tick", "seq": seq, "t": t, "interval": None, **extra}
-
-
-def alert_delta(seq, t, state="firing"):
+def record(seq, t, kind="lb.reweight", *, event_id=None, cause=None, **attrs):
     return {
-        "type": "events",
         "seq": seq,
         "t": t,
         "interval": 0,
-        "events": [
-            {
-                "kind": "slo.alert",
-                "t": t,
-                "interval": 0,
-                "id": None,
-                "cause": "w1",
-                "attrs": {"state": state, "burn_short": 20.0, "burn_long": 12.0},
-            }
-        ],
+        "kind": kind,
+        "id": event_id,
+        "cause": cause,
+        "attrs": attrs,
     }
+
+
+def frame(t, *records, interval=None):
+    return {"t": t, "interval": interval, "events": list(records)}
+
+
+def alert(seq, t, state="firing"):
+    return record(
+        seq, t, "slo.alert", cause="w1", state=state, burn_short=20.0, burn_long=12.0
+    )
 
 
 class TestRingBuffer:
     def test_bounded_by_max_records(self):
-        rec = FlightRecorder(enabled=True, max_records=3, auto_dump=False)
+        rec = FlightRecorder(enabled=True, max_records=3)
         for i in range(10):
-            rec(tick_delta(i, float(i)))
-        assert [d["seq"] for d in rec.buffered()] == [7, 8, 9]
+            rec(frame(float(i)))
+        assert [f["t"] for f in rec.buffered()] == [7.0, 8.0, 9.0]
 
     def test_bounded_by_sim_time_window(self):
-        rec = FlightRecorder(enabled=True, window_seconds=5.0, auto_dump=False)
+        rec = FlightRecorder(enabled=True, window_seconds=5.0)
         for i in range(10):
-            rec(tick_delta(i, float(i)))
+            rec(frame(float(i)))
         # Newest is t=9; anything older than t=4 left the window.
-        assert [d["t"] for d in rec.buffered()] == [4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+        assert [f["t"] for f in rec.buffered()] == [4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+
+    def test_earlier_frame_starts_a_new_window(self):
+        # Each scenario episode (and each serial sweep cell) restarts sim
+        # time at 0; the next run's window must not open with the tail
+        # of the previous one.
+        rec = FlightRecorder(enabled=True, window_seconds=120.0)
+        for i in range(17):
+            rec(frame(360.0 + 7.5 * i, record(33 + i, 360.0 + 7.5 * i)))
+        assert rec.buffered()[-1]["t"] == 480.0
+        rec(frame(30.0, record(0, 30.0)))
+        assert rec.buffered() == [frame(30.0, record(0, 30.0))]
 
     def test_disabled_buffers_nothing(self):
         rec = FlightRecorder(enabled=False)
-        rec(tick_delta(0, 0.0))
+        rec(frame(0.0))
         assert rec.buffered() == []
 
     def test_clear_keeps_dump_counter(self, tmp_path):
-        rec = FlightRecorder(enabled=True, out_dir=tmp_path, auto_dump=False)
-        rec(tick_delta(0, 0.0))
+        rec = FlightRecorder(enabled=True, out_dir=tmp_path)
+        rec(frame(0.0))
         rec.dump("manual")
         rec.clear()
         assert rec.buffered() == []
@@ -95,24 +107,24 @@ class TestRingBuffer:
 class TestAutoDump:
     def test_firing_alert_dumps_pre_alert_window(self, tmp_path):
         rec = FlightRecorder(enabled=True, out_dir=tmp_path)
-        rec(tick_delta(0, 30.0))
-        rec(alert_delta(1, 60.0))
+        rec(frame(30.0, record(0, 30.0)))
+        rec(frame(60.0, alert(1, 60.0)))
         assert len(rec.dumped) == 1
-        header, deltas = load_flightrec(rec.dumped[0])
+        header, records = read_events(rec.dumped[0])
         assert header["reason"] == "slo.alert"
         assert header["trigger"]["attrs"]["state"] == "firing"
         # The buffer still held the pre-alert window at dump time.
-        assert [d["seq"] for d in deltas] == [0, 1]
+        assert [r["seq"] for r in records] == [0, 1]
 
     def test_resolved_alert_does_not_dump(self, tmp_path):
         rec = FlightRecorder(enabled=True, out_dir=tmp_path)
-        rec(alert_delta(0, 60.0, state="resolved"))
+        rec(frame(60.0, alert(0, 60.0, state="resolved")))
         assert rec.dumped == []
 
     def test_dump_filenames_are_deterministic(self, tmp_path):
         rec = FlightRecorder(enabled=True, out_dir=tmp_path)
-        rec(alert_delta(0, 60.0))
-        rec(alert_delta(1, 90.0))
+        rec(frame(60.0, alert(0, 60.0)))
+        rec(frame(90.0, alert(1, 90.0)))
         assert [p.name for p in rec.dumped] == [
             "flightrec_001_slo_alert.jsonl",
             "flightrec_002_slo_alert.jsonl",
@@ -137,10 +149,8 @@ class TestGlobals:
             set_flightrec(old)
 
     def test_crash_hook_dumps_and_chains(self, tmp_path):
-        old = set_flightrec(
-            FlightRecorder(enabled=True, out_dir=tmp_path, auto_dump=False)
-        )
-        get_flightrec()(tick_delta(0, 1.0))
+        old = set_flightrec(FlightRecorder(enabled=True, out_dir=tmp_path))
+        get_flightrec()(frame(1.0, record(0, 1.0)))
         seen = []
         orig_hook = sys.excepthook
         sys.excepthook = lambda *exc: seen.append(exc)
@@ -150,12 +160,13 @@ class TestGlobals:
             sys.excepthook(RuntimeError, boom, None)
             assert seen and seen[0][1] is boom  # original hook still ran
             (bundle,) = get_flightrec().dumped
-            header, _deltas = load_flightrec(bundle)
+            header, records = read_events(bundle)
             assert header["reason"] == "crash"
             assert header["trigger"] == {
                 "exception": "RuntimeError",
                 "message": "boom",
             }
+            assert records == [record(0, 1.0)]
         finally:
             uninstall_crash_hooks()
             sys.excepthook = orig_hook
@@ -164,99 +175,180 @@ class TestGlobals:
 
 
 class TestBundleFiles:
-    def _dump(self, tmp_path, deltas=None):
-        rec = FlightRecorder(enabled=True, out_dir=tmp_path, auto_dump=False)
-        for delta in deltas if deltas is not None else [tick_delta(0, 1.0)]:
-            rec(delta)
+    def _dump(self, tmp_path, frames=None):
+        rec = FlightRecorder(enabled=True, out_dir=tmp_path)
+        for f in frames if frames is not None else [frame(1.0, record(0, 1.0))]:
+            rec(f)
         return rec.dump("manual", trigger={"why": "test"})
 
+    def _rewrite(self, tmp_path, header, records):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            "\n".join(json.dumps(obj) for obj in [header, *records]) + "\n"
+        )
+        return bad
+
     def test_round_trip(self, tmp_path):
-        path = self._dump(tmp_path, [tick_delta(0, 1.0), alert_delta(1, 2.0)])
-        header, deltas = load_flightrec(path)
-        assert header["schema"] == FLIGHTREC_SCHEMA
-        assert header["records"] == 2 == len(deltas)
-        info = validate_flightrec(path)
-        assert info == {"reason": "manual", "t": 2.0, "deltas": 2, "events": 1}
+        path = self._dump(
+            tmp_path,
+            [frame(1.0, record(0, 1.0)), frame(2.0), frame(3.0, record(1, 2.5))],
+        )
+        header, records = read_events(path)
+        assert list(header) == [
+            "schema",
+            "kind",
+            "reason",
+            "t",
+            "trigger",
+            "records",
+            "metrics",
+        ]
+        assert header["schema"] == EVENTS_SCHEMA
+        assert header["t"] == 3.0
+        assert header["records"] == 2
+        assert records == load_events(path) == [record(0, 1.0), record(1, 2.5)]
+
+    def test_window_may_open_inside_a_warning(self, tmp_path):
+        # The warning w0 was issued before the window; its drain and its
+        # resolution are inside.  A whole journal with these records
+        # fails the cause check; the window loads.
+        path = self._dump(
+            tmp_path,
+            [
+                frame(
+                    130.0,
+                    record(7, 125.0, "server.drain", cause="w0", backend=1),
+                    record(8, 130.0, "warning.issued", event_id="w1"),
+                ),
+                frame(
+                    140.0,
+                    record(
+                        9, 140.0, "warning.resolved", cause="w0", outcome="migrated"
+                    ),
+                ),
+            ],
+        )
+        assert [r["seq"] for r in load_events(path)] == [7, 8, 9]
+        header, records = read_events(path)
+        bad = tmp_path / "journal.jsonl"
+        bad.write_text(
+            "\n".join(
+                json.dumps(obj)
+                for obj in [{"schema": EVENTS_SCHEMA, "kind": "header"}, *records]
+            )
+            + "\n"
+        )
+        with pytest.raises(EventValidationError, match="references an id"):
+            load_events(bad)
 
     @pytest.mark.parametrize(
         "mutate, match",
         [
-            (lambda h, d: ({**h, "schema": "nope"}, d), "unknown bundle schema"),
-            (lambda h, d: ({**h, "reason": None}, d), "string 'reason'"),
-            (lambda h, d: ({**h, "records": 9}, d), "declares 9"),
-            (
-                lambda h, d: (h, [{**d[0], "type": "mystery"}]),
-                "unknown delta type",
+            pytest.param(
+                lambda h, r: ({**h, "schema": "nope"}, r),
+                "unknown journal schema",
+                id="<lambda>-unknown bundle schema",
             ),
-            (lambda h, d: (h, [{**d[0], "seq": "x"}]), "not an int"),
-            (lambda h, d: (h, [{**d[0], "t": None}]), "not a number"),
+            pytest.param(
+                lambda h, r: ({**h, "reason": None}, r),
+                "string 'reason'",
+                id="<lambda>-string 'reason'",
+            ),
+            pytest.param(
+                lambda h, r: ({**h, "records": 9}, r),
+                "declares 9",
+                id="<lambda>-declares 9",
+            ),
+            pytest.param(
+                # A line that is not an event record, such as a delta of
+                # the telemetry stream bundles once held.
+                lambda h, r: (h, [{"type": "mystery", "seq": 0, "t": 1.0}]),
+                "missing field 'interval'",
+                id="<lambda>-unknown delta type",
+            ),
+            pytest.param(
+                lambda h, r: (h, [{**r[0], "seq": "x"}]),
+                "field 'seq' has type str",
+                id="<lambda>-not an int",
+            ),
+            pytest.param(
+                lambda h, r: (h, [{**r[0], "t": None}]),
+                "field 't' has type NoneType",
+                id="<lambda>-not a number",
+            ),
         ],
     )
     def test_malformed_bundles_rejected(self, tmp_path, mutate, match):
-        path = self._dump(tmp_path)
-        header, deltas = load_flightrec(path)
-        header, deltas = mutate(header, deltas)
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(
-            "\n".join(json.dumps(obj) for obj in [header, *deltas]) + "\n"
-        )
-        with pytest.raises(FlightRecValidationError, match=match):
-            load_flightrec(bad)
+        header, records = read_events(self._dump(tmp_path))
+        bad = self._rewrite(tmp_path, *mutate(header, records))
+        with pytest.raises(EventValidationError, match=match):
+            load_events(bad)
 
     def test_non_increasing_seq_rejected(self, tmp_path):
-        path = self._dump(tmp_path, [tick_delta(5, 1.0)])
-        header, deltas = load_flightrec(path)
+        path = self._dump(tmp_path, [frame(1.0, record(5, 1.0))])
+        header, records = read_events(path)
         header["records"] = 2
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(
-            "\n".join(
-                json.dumps(obj)
-                for obj in [header, *deltas, tick_delta(5, 2.0)]
-            )
-            + "\n"
-        )
-        with pytest.raises(FlightRecValidationError, match="strictly increasing"):
-            load_flightrec(bad)
+        bad = self._rewrite(tmp_path, header, [*records, record(5, 2.0)])
+        with pytest.raises(EventValidationError, match="strictly increasing"):
+            load_events(bad)
 
     def test_empty_bundle_rejected(self, tmp_path):
         bad = tmp_path / "empty.jsonl"
         bad.write_text("")
-        with pytest.raises(FlightRecValidationError, match="empty"):
-            load_flightrec(bad)
+        with pytest.raises(EventValidationError, match="empty"):
+            load_events(bad)
 
     def test_summarize_names_reason_trigger_and_alert(self, tmp_path):
-        path = self._dump(
-            tmp_path,
-            [
-                tick_delta(0, 30.0),
-                alert_delta(1, 60.0),
-                {
-                    "type": "metrics",
-                    "seq": 2,
-                    "t": 60.0,
-                    "interval": 0,
-                    "changed": {"sim.intervals": 2},
-                },
-                tick_delta(3, 60.0),
-            ],
-        )
-        text = summarize_flightrec(path)
-        assert "reason=manual" in text
-        assert 'trigger: {"why": "test"}' in text
-        assert "slo.alert t=60.0 state=firing" in text
-        assert "sim.intervals" in text
+        registry = MetricsRegistry()
+        registry.counter("sim.intervals").inc(2)
+        old = set_metrics(registry)
+        try:
+            path = self._dump(
+                tmp_path,
+                [frame(30.0, record(0, 30.0)), frame(60.0, alert(1, 60.0))],
+            )
+        finally:
+            set_metrics(old)
+        text = summarize_events_file(path)
+        lines = text.splitlines()
+        assert lines[0].startswith("flight bundle flightrec_")
+        assert "reason=manual" in lines[0]
+        assert lines[1] == 'trigger: {"why": "test"}'
+        assert lines[2].startswith("slo.alert t=60.0 state=firing")
+        assert "event kinds (2 events" in text
+        # The metrics table closes the report.
+        assert "last metrics" in text
+        assert lines[-1].split("|")[0].strip() == "sim.intervals"
 
 
 class TestBusIntegration:
     def test_recorder_follows_live_stream(self, tmp_path, global_log):
-        bus = TelemetryBus(enabled=True, publish_metrics=False)
-        rec = bus.subscribe(
-            FlightRecorder(enabled=True, out_dir=tmp_path, auto_dump=False)
-        )
+        bus = TelemetryBus(enabled=True)
+        rec = bus.subscribe(FlightRecorder(enabled=True, out_dir=tmp_path))
         global_log.emit("warning.issued", t=1.0, event_id="w1")
         bus.tick(1.0, 0)
         bus.tick(2.0, 1)
-        kinds = [d["type"] for d in rec.buffered()]
-        assert kinds == ["events", "tick", "tick"]
-        header, deltas = load_flightrec(rec.dump("manual"))
-        assert header["records"] == 3
+        assert [len(f["events"]) for f in rec.buffered()] == [1, 0]
+        header, records = read_events(rec.dump("manual"))
+        assert header["records"] == 1
+        assert records == global_log.records()
+
+
+class TestScenarioBundles:
+    def test_quick_pack_bundles_are_journal_windows(self, tmp_path):
+        from repro.scenarios import run_suite
+
+        old = set_flightrec(FlightRecorder(enabled=False))
+        try:
+            recorder = enable_flightrec(tmp_path)
+            run_suite(pack="quick", engines=("request",), max_workers=1)
+        finally:
+            disable_flightrec()
+            set_flightrec(old)
+        assert recorder.dumped
+        for path in recorder.dumped:
+            header, records = read_events(path)
+            assert header["reason"] == "slo.alert"
+            assert records and all(r["t"] <= header["t"] for r in records)
+            # One episode's window: a single scenario, in journal order.
+            assert len({r["attrs"].get("scenario") for r in records} - {None}) <= 1

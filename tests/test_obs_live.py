@@ -5,21 +5,11 @@ import urllib.request
 
 import pytest
 
-from repro.obs import (
-    TELEMETRY_SCHEMA,
-    DeltaWriter,
-    EventLog,
-    MetricsRegistry,
-    MetricsServer,
-    PromFileWriter,
-    SLOEngine,
-    TelemetryBus,
-    delta_line,
-    get_events,
-    get_metrics,
-    set_events,
-    set_metrics,
-)
+from repro.obs.events import EventLog, get_events, load_events, set_events
+from repro.obs.flightrec import FlightRecorder
+from repro.obs.live import MetricsServer, PromFileWriter, TelemetryBus, set_bus
+from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from repro.obs.slo import SLOEngine
 
 
 @pytest.fixture
@@ -40,103 +30,59 @@ def global_registry():
 
 def collect(bus):
     """Subscribe a list-appending sink; returns the list."""
-    deltas = []
-    bus.subscribe(deltas.append)
-    return deltas
+    frames = []
+    bus.subscribe(frames.append)
+    return frames
 
 
 class TestTelemetryBus:
     def test_disabled_tick_publishes_nothing(self, global_log):
         bus = TelemetryBus(enabled=False)
-        deltas = collect(bus)
+        frames = collect(bus)
         global_log.emit("warning.issued", t=1.0)
         bus.tick(1.0, 0)
-        assert deltas == []
+        assert frames == []
 
     def test_frame_order_and_seq(self, global_log, global_registry):
         bus = TelemetryBus(enabled=True)
-        deltas = collect(bus)
-        global_registry.counter("sim.intervals").inc()
+        frames = collect(bus)
         global_log.emit("warning.issued", t=5.0, event_id="w1")
-        global_log.emit(
-            "slo.interval",
-            t=30.0,
-            interval=0,
-            requests=10,
-            compliance=0.9,
-            burn=10.0,
-            p50=0.1,
-            p95=0.2,
-            p99=0.3,
-        )
+        global_log.emit("slo.interval", t=30.0, interval=0, p99=0.3)
         bus.tick(30.0, 0)
-        assert [d["type"] for d in deltas] == [
-            "events",
-            "slo",
-            "metrics",
-            "tick",
-        ]
-        assert [d["seq"] for d in deltas] == [0, 1, 2, 3]
-        assert all(d["t"] == 30.0 and d["interval"] == 0 for d in deltas)
-        assert len(deltas[0]["events"]) == 2
-        point = deltas[1]["points"][0]
-        assert point == {
-            "interval": 0,
-            "t": 30.0,
-            "requests": 10,
-            "compliance": 0.9,
-            "burn": 10.0,
-            "p50": 0.1,
-            "p95": 0.2,
-            "p99": 0.3,
-        }
-        assert deltas[2]["changed"] == {"sim.intervals": 1}
+        global_log.emit("warning.resolved", t=40.0, cause="w1", outcome="completed")
+        bus.tick(60.0, 1)
+        # One frame per tick, holding the journal records appended since
+        # the last one, verbatim and in journal order.
+        assert [(f["t"], f["interval"]) for f in frames] == [(30.0, 0), (60.0, 1)]
+        assert set(frames[0]) == {"t", "interval", "events"}
+        assert [r["seq"] for f in frames for r in f["events"]] == [0, 1, 2]
+        assert [r for f in frames for r in f["events"]] == global_log.records()
 
     def test_quiet_tick_is_only_a_frame_marker(
         self, global_log, global_registry
     ):
         bus = TelemetryBus(enabled=True)
-        deltas = collect(bus)
+        frames = collect(bus)
         bus.tick(1.0)
-        assert [d["type"] for d in deltas] == ["tick"]
-        assert deltas[0]["interval"] is None
-
-    def test_metrics_delta_is_incremental(self, global_log, global_registry):
-        bus = TelemetryBus(enabled=True)
-        deltas = collect(bus)
-        global_registry.counter("a").inc()
-        global_registry.counter("b").inc()
-        bus.tick(1.0)
-        global_registry.counter("b").inc()
-        bus.tick(2.0)
-        metrics = [d for d in deltas if d["type"] == "metrics"]
-        assert metrics[0]["changed"] == {"a": 1, "b": 1}
-        assert metrics[1]["changed"] == {"b": 2}
+        assert frames == [{"t": 1.0, "interval": None, "events": []}]
 
     def test_wall_clock_histograms_collapse_to_count(
-        self, global_log, global_registry
+        self, tmp_path, global_log, global_registry
     ):
         bus = TelemetryBus(enabled=True)
-        deltas = collect(bus)
+        recorder = bus.subscribe(FlightRecorder(enabled=True, out_dir=tmp_path))
         global_registry.histogram("controller.solve_ms").observe(12.34)
+        global_registry.histogram("mpo.iterations").observe(40.0)
         bus.tick(1.0)
-        (metrics,) = [d for d in deltas if d["type"] == "metrics"]
-        assert metrics["changed"]["controller.solve_ms"] == {"count": 1}
-
-    def test_publish_metrics_off_drops_metrics_deltas(
-        self, global_log, global_registry
-    ):
-        bus = TelemetryBus(enabled=True, publish_metrics=False)
-        deltas = collect(bus)
-        global_registry.counter("a").inc()
-        bus.tick(1.0)
-        assert [d["type"] for d in deltas] == ["tick"]
+        header = json.loads(recorder.dump("manual").read_text().splitlines()[0])
+        assert header["metrics"]["controller.solve_ms"] == {"count": 1}
+        assert header["metrics"]["mpo.iterations"]["p50"] == 40.0
 
     def test_event_cursor_survives_log_swap(
         self, global_log, global_registry
     ):
         bus = TelemetryBus(enabled=True)
-        deltas = collect(bus)
+        frames = collect(bus)
         global_log.emit("warning.issued", t=1.0)
         bus.tick(1.0)
         # A swapped journal object restarts the cursor at zero instead
@@ -150,11 +96,11 @@ class TestTelemetryBus:
         bus.tick(3.0)
         get_events().emit("warning.issued", t=4.0)
         bus.tick(4.0)
-        events = [d for d in deltas if d["type"] == "events"]
-        assert [e["events"][0]["kind"] for e in events] == [
-            "warning.issued",
-            "warning.resolved",
-            "warning.issued",
+        assert [[r["kind"] for r in f["events"]] for f in frames] == [
+            ["warning.issued"],
+            ["warning.resolved"],
+            [],
+            ["warning.issued"],
         ]
 
     def test_subscribers_see_deltas_in_subscription_order(
@@ -162,56 +108,46 @@ class TestTelemetryBus:
     ):
         bus = TelemetryBus(enabled=True)
         order = []
-        bus.subscribe(lambda d: order.append("first"))
-        bus.subscribe(lambda d: order.append("second"))
+        first = bus.subscribe(lambda f: order.append("first"))
+        bus.subscribe(lambda f: order.append("second"))
         bus.tick(1.0)
         assert order == ["first", "second"]
-        bus.unsubscribe(bus._subscribers[0])
+        bus.unsubscribe(first)
         bus.tick(2.0)
         assert order == ["first", "second", "second"]
 
 
 class TestByteIdenticalStream:
-    def _run_stream(self) -> str:
-        """One deterministic SLO-driven run captured as a delta stream."""
+    def _run_stream(self) -> tuple[list[dict], list[dict]]:
+        """One seeded SLO-driven run: its frames and its journal."""
         old_log = set_events(EventLog(enabled=True))
         old_registry = set_metrics(MetricsRegistry())
-        from repro.obs import get_bus, set_bus
-
         bus = TelemetryBus(enabled=True)
         old_bus = set_bus(bus)
-        writer = bus.subscribe(DeltaWriter())
+        frames = collect(bus)
         try:
             engine = SLOEngine(interval_seconds=30.0, slo_threshold=0.5)
             for i in range(600):
                 t = i * 0.5
                 engine.record(t, 0.1 if (i // 120) % 2 == 0 else 0.9)
             engine.finish(300.0)
+            journal = get_events().records()
         finally:
             set_bus(old_bus)
             set_events(old_log)
             set_metrics(old_registry)
-        return writer.text()
+        return frames, journal
 
     def test_identical_runs_identical_bytes(self):
-        assert self._run_stream() == self._run_stream()
-
-    def test_stream_is_schema_tagged_jsonl(self, tmp_path):
-        old_log = set_events(EventLog(enabled=True))
-        bus = TelemetryBus(enabled=True, publish_metrics=False)
-        writer = bus.subscribe(DeltaWriter())
-        try:
-            get_events().emit("warning.issued", t=1.0)
-            bus.tick(1.0, 0)
-        finally:
-            set_events(old_log)
-        path = writer.write(tmp_path / "deltas.jsonl")
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header == {"schema": TELEMETRY_SCHEMA, "kind": "header"}
-        for line in lines[1:]:
-            delta = json.loads(line)
-            assert delta_line(delta) == line
+        frames, journal = self._run_stream()
+        assert len(frames) == 10
+        assert any(r["kind"] == "slo.alert" for r in journal)
+        # Concatenated, the frames are the journal, record for record.
+        assert [r for f in frames for r in f["events"]] == journal
+        again, _ = self._run_stream()
+        assert json.dumps(again, sort_keys=True) == json.dumps(
+            frames, sort_keys=True
+        )
 
 
 class TestPromFileWriter:
@@ -264,8 +200,8 @@ class TestMetricsServer:
         finally:
             server.stop()
 
-    def test_empty_registry_serves_eof_only(self):
-        server = MetricsServer(0, registry=MetricsRegistry()).start()
+    def test_empty_registry_serves_eof_only(self, global_registry):
+        server = MetricsServer(0).start()
         try:
             body = (
                 urllib.request.urlopen(server.url, timeout=5).read().decode()

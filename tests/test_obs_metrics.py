@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import (
+from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
@@ -93,6 +93,16 @@ class TestRegistry:
         # JSON-diffable: identical serialized form, no unstable floats.
         assert json.dumps(r1.snapshot()) == json.dumps(r2.snapshot())
 
+    def test_sim_snapshot_cuts_wall_clock_histograms_to_count(self, registry):
+        registry.histogram("controller.solve_ms").observe(12.5)
+        registry.histogram("mpo.iterations").observe(40.0)
+        registry.counter("lb.warnings").inc()
+        sim = registry.sim_snapshot()
+        assert sim["controller.solve_ms"] == {"count": 1}
+        assert sim["mpo.iterations"] == registry.snapshot()["mpo.iterations"]
+        assert sim["lb.warnings"] == 1
+        assert list(sim) == list(registry.snapshot())
+
     def test_reset(self, registry):
         registry.counter("a").inc()
         registry.reset()
@@ -166,7 +176,7 @@ class TestPrometheusExport:
     """Exporter edge cases: registry-typed kinds, mangling, atomic write."""
 
     def test_registry_types_beat_value_inference(self, registry):
-        from repro.obs import prometheus_text
+        from repro.obs.metrics import prometheus_text
 
         # An int-valued gauge would be mis-inferred as a counter from a
         # bare snapshot dict; the registry knows its class.
@@ -177,7 +187,7 @@ class TestPrometheusExport:
         assert "_total" not in text
 
     def test_counters_get_total_suffix_and_help(self, registry):
-        from repro.obs import prometheus_text
+        from repro.obs.metrics import prometheus_text
 
         registry.counter("des.events").inc(3)
         text = prometheus_text(registry)
@@ -186,13 +196,13 @@ class TestPrometheusExport:
         assert "spotweb_des_events_total 3" in text
 
     def test_empty_registry_exports_empty(self, registry):
-        from repro.obs import prometheus_text
+        from repro.obs.metrics import prometheus_text
 
         assert prometheus_text(registry) == ""
         assert prometheus_text(registry, openmetrics=True) == ""
 
     def test_zero_count_histogram_exports_zeroes(self, registry):
-        from repro.obs import prometheus_text
+        from repro.obs.metrics import prometheus_text
 
         registry.histogram("solve.lat")
         text = prometheus_text(registry)
@@ -201,7 +211,7 @@ class TestPrometheusExport:
         assert "spotweb_solve_lat_sum 0.0" in text
 
     def test_name_mangling_collisions_deduped(self, registry):
-        from repro.obs import prometheus_text
+        from repro.obs.metrics import prometheus_text
 
         # Both mangle to spotweb_lb_spare_rps; dedupe must keep them
         # distinct instead of exporting one family twice.  Sorted name
@@ -213,13 +223,13 @@ class TestPrometheusExport:
         assert "spotweb_lb_spare_rps_2 1.0" in text
 
     def test_bool_snapshot_value_rejected(self):
-        from repro.obs import prometheus_text
+        from repro.obs.metrics import prometheus_text
 
         with pytest.raises(TypeError, match="non-metric value True"):
             prometheus_text({"flag": True})
 
     def test_openmetrics_terminates_with_eof(self, registry):
-        from repro.obs import prometheus_text
+        from repro.obs.metrics import prometheus_text
 
         registry.counter("a").inc()
         text = prometheus_text(registry, openmetrics=True)
@@ -227,7 +237,7 @@ class TestPrometheusExport:
         assert not prometheus_text(registry).endswith("# EOF\n")
 
     def test_write_prometheus_is_atomic(self, tmp_path, registry):
-        from repro.obs import write_prometheus
+        from repro.obs.metrics import write_prometheus
 
         registry.counter("a").inc()
         path = tmp_path / "metrics.prom"
@@ -238,7 +248,7 @@ class TestPrometheusExport:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_write_prometheus_defaults_to_global_registry(self, tmp_path):
-        from repro.obs import write_prometheus
+        from repro.obs.metrics import write_prometheus
 
         old = set_metrics(MetricsRegistry())
         try:

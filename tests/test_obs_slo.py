@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.obs import EventLog, LatencyDigest, SLOEngine, get_events, set_events
+from repro.obs.events import EventLog, get_events, set_events
+from repro.obs.live import TelemetryBus, set_bus
+from repro.obs.slo import LatencyDigest, SLOEngine
 
 
 @pytest.fixture
@@ -215,21 +217,14 @@ class TestDigestMassWithLiveBus:
         """The fluid mass path feeds the same digest the bus publishes.
 
         The SLO interval close is the bus's sim-time heartbeat: the
-        published ``slo`` point must carry exactly the percentiles of
-        the interval digest built from ``record`` + ``record_mass``.
+        published ``slo.interval`` record must carry exactly the
+        percentiles of the interval digest built from ``record`` +
+        ``record_mass``.
         """
-        from repro.obs import TelemetryBus, set_bus
-
-        bus = TelemetryBus(enabled=True, publish_metrics=False)
+        bus = TelemetryBus(enabled=True)
         old_bus = set_bus(bus)
-        points = []
         ticks = []
-        bus.subscribe(
-            lambda d: points.extend(d["points"]) if d["type"] == "slo" else None
-        )
-        bus.subscribe(
-            lambda d: ticks.append(d) if d["type"] == "tick" else None
-        )
+        bus.subscribe(ticks.append)
         try:
             eng = SLOEngine(slo_threshold=1.0, interval_seconds=60.0)
             eng.record(5.0, 0.4)
@@ -245,7 +240,12 @@ class TestDigestMassWithLiveBus:
         expected.add(0.4)
         expected.add(1.6)
         expected.add_masses(np.array([0.3, 1.5]), np.array([30.0, 10.0]))
-        (point,) = points
+        (point,) = [
+            rec["attrs"]
+            for tick in ticks
+            for rec in tick["events"]
+            if rec["kind"] == "slo.interval"
+        ]
         assert point["requests"] == 44.0
         assert point["compliance"] == pytest.approx(31.0 / 44.0)
         for key, p in (("p50", 50), ("p95", 95), ("p99", 99)):

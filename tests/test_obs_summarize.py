@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import (
+from repro.obs.summarize import (
     aggregate_by_name,
     child_coverage,
     critical_path,
@@ -10,8 +10,8 @@ from repro.obs import (
     interval_spans,
     span_children,
     summarize_file,
-    write_trace,
 )
+from repro.obs.tracer import write_trace
 
 
 def _rec(id, parent, name, depth, start, dur, **attrs):
@@ -105,7 +105,7 @@ class TestFormatting:
 class TestTracedRunCoverage:
     def test_cell_spans_cover_sim_run(self):
         """An instrumented run's sim.run span is covered by its intervals."""
-        from repro.obs import Tracer, set_tracer
+        from repro.obs.tracer import Tracer, set_tracer
 
         tracer = Tracer(enabled=True)
         old = set_tracer(tracer)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.obs import (
+from repro.obs.tracer import (
     TRACE_SCHEMA,
     NullSpan,
     Tracer,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.loadbalancer import TransiencyAwareLoadBalancer, VanillaLoadBalancer
 from repro.obs.events import EventLog, get_events, set_events
+from repro.obs.metrics import get_metrics
 from repro.scenarios import EpisodeSpec, StormSpec, run_episode
 from repro.simulator import ClusterConfig, ClusterSimulation
 from repro.simulator.metrics import LatencyRecorder
@@ -65,6 +66,15 @@ class TestRunEpisode:
         before = get_events()
         run_episode(_mini_spec(), engine="request", seed=0)
         assert get_events() is before
+
+    def test_episode_counts_into_a_private_registry(self):
+        # A flight bundle's metrics header is then a function of the
+        # episode alone, not of the episodes that ran before it.
+        before = get_metrics()
+        snapshot = before.snapshot()
+        run_episode(_mini_spec(), engine="request", seed=0)
+        assert get_metrics() is before
+        assert before.snapshot() == snapshot
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro import obs
-from repro.obs.events import validate_events
+from repro.obs.events import (
+    disable_events,
+    enable_events,
+    get_events,
+    validate_events,
+)
 from repro.simulator import (
     ClusterConfig,
     FluidEngine,
@@ -348,15 +352,15 @@ class TestEngines:
 
 class TestTierSwitchEvents:
     def run_evented(self):
-        obs.enable_events()
-        obs.get_events().clear()
+        enable_events()
+        get_events().clear()
         try:
             cluster = build("hybrid")
             cluster.schedule_revocation(2, 30.0, warning_seconds=5.0)
             cluster.run(90.0, 300.0)
-            return obs.get_events().records()
+            return get_events().records()
         finally:
-            obs.disable_events()
+            disable_events()
 
     def test_tier_switch_events_validate_and_link(self):
         records = self.run_evented()
