@@ -1,61 +1,19 @@
-"""Machine-readable performance baselines (``BENCH_*.json``).
+"""Machine-readable performance baselines (``BENCH_*.json``) and perf gates.
 
 Every PR that touches the solver or simulator needs a number to beat; this
-package produces it.  Two benchmark families:
+package produces it, behind one entry point, ``python -m repro bench``:
 
-- :func:`bench_mpo` — MPO solve latency per ``(markets, horizon, backend)``
-  cell: cold start (construction + first factorization + solve) and warm
-  re-solve (median/max ms), plus structured-vs-dense speedups and the
-  objective gap between backends (which must stay at solver tolerance).
-- :func:`bench_sim` — :class:`repro.simulator.CostSimulator` throughput in
-  intervals/second under a deliberately cheap policy, so the number tracks
-  the simulator core rather than any optimizer; plus :func:`bench_cluster`
-  cluster-engine cells timing the request-level testbed against the
-  two-tier hybrid engine (including a 500k-RPS hybrid-only cell) on a
-  shared revocation scenario.
-
-Results are plain dictionaries written/read by :func:`write_bench` /
-:func:`load_bench` under versioned schemas, and checked by
-:func:`crossover_violations` (the structured path must win wherever
-``N·H >= 288``), :func:`bench_regressions` (fresh warm medians must stay
-within a factor of the recorded baseline, cell-by-cell),
-:func:`sim_regressions` (the same gate for intervals/second), and
-:func:`hybrid_speedup_violations` (the hybrid engine must beat the
-request-level reference by a large factor at the shared rate).  The CLI
-front-end is ``python -m repro bench``, which emits ``BENCH_mpo.json`` and
-``BENCH_sim.json``; ``--compare`` / ``--compare-sim`` turn the regression
-checks into gates.
+- :mod:`repro.bench.mpo` — MPO solve latency per ``(markets, horizon,
+  backend)`` cell: cold start and warm re-solve, structured-vs-dense
+  speedups, and the objective gap between backends.
+- :mod:`repro.bench.sim` — :class:`repro.simulator.CostSimulator`
+  intervals/second under an optimizer-free policy, cluster-engine cells
+  timing the request-level testbed against the two-tier hybrid engine,
+  and the checks recorded in no file: hybrid P99 accuracy, the 2k req/s
+  speedup smoke cell and the serial-vs-parallel Table-1 sweep.
+- :mod:`repro.bench.report` — the versioned schemas, JSON persistence,
+  and every bound as a named constant, applied by
+  :func:`~repro.bench.report.gate_failures`.
 """
 
-from repro.bench.mpo import bench_mpo
-from repro.bench.sim import bench_cluster, bench_sim
-from repro.bench.report import (
-    SCHEMA_MPO,
-    SCHEMA_SIM,
-    SCHEMA_SIM_V1,
-    bench_regressions,
-    crossover_violations,
-    format_bench_mpo,
-    format_bench_sim,
-    hybrid_speedup_violations,
-    load_bench,
-    sim_regressions,
-    write_bench,
-)
-
-__all__ = [
-    "bench_cluster",
-    "bench_mpo",
-    "bench_sim",
-    "SCHEMA_MPO",
-    "SCHEMA_SIM",
-    "SCHEMA_SIM_V1",
-    "bench_regressions",
-    "crossover_violations",
-    "format_bench_mpo",
-    "format_bench_sim",
-    "hybrid_speedup_violations",
-    "load_bench",
-    "sim_regressions",
-    "write_bench",
-]
+__all__ = ["mpo", "report", "sim"]

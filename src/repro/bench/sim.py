@@ -10,14 +10,21 @@ Two families of cells:
   (:class:`~repro.simulator.hybrid.HybridClusterSimulation`) under a
   revocation scenario, once per engine.  The ``request`` cell is the
   pure-DES reference whose intervals/second the hybrid engine must beat
-  by :data:`~repro.bench.report.hybrid_speedup_violations`' factor; the
-  ``hybrid`` cells show the two-tier engine holding thousands of
-  intervals/second at 500k RPS ("million-user" traffic) where the
-  request tier would need hours.
+  by :data:`~repro.bench.report.HYBRID_SPEEDUP_FLOOR`; the ``hybrid``
+  cells show the two-tier engine holding thousands of intervals/second
+  at 500k RPS ("million-user" traffic) where the request tier would
+  need hours.
+
+Three checks that ``python -m repro bench`` gates run beside the cells
+and are printed, not recorded: the two-cell P99 accuracy grid and the
+2k req/s speedup smoke cell (both engines, each built by the same
+warm-fleet function as the cells), and the Table-1 sweep timed serial
+against a process pool.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -30,7 +37,41 @@ from repro.simulator.cluster import ClusterConfig
 from repro.simulator.hybrid import HybridClusterSimulation, HybridConfig
 from repro.workloads import wikipedia_like
 
-__all__ = ["bench_sim", "bench_cluster", "UniformCountsPolicy"]
+__all__ = [
+    "ACCURACY_GRID",
+    "PARALLEL_WORKERS",
+    "bench_sim",
+    "bench_cluster",
+    "check_hybrid_accuracy",
+    "check_hybrid_speedup",
+    "check_parallel_speedup",
+    "UniformCountsPolicy",
+]
+
+#: Quick accuracy grid: small enough that the request-level reference is
+#: cheap, varied enough to cover both steady state and a revocation with
+#: its fidelity window.  Post-kill utilization stays below saturation —
+#: at rho >= 1 the tail is unstable and a relative P99 comparison only
+#: measures noise.
+ACCURACY_GRID = (
+    {
+        "peak_rps": 600.0,
+        "servers": 10,
+        "capacity_rps": 100.0,
+        "sim_seconds": 180.0,
+        "revoke": True,
+    },
+    {
+        "peak_rps": 750.0,
+        "servers": 10,
+        "capacity_rps": 100.0,
+        "sim_seconds": 180.0,
+        "revoke": False,
+    },
+)
+
+#: Pool size of the parallel-sweep check: the four cores of a CI runner.
+PARALLEL_WORKERS = 4
 
 
 class UniformCountsPolicy:
@@ -229,4 +270,100 @@ def bench_sim(
             "seed": seed,
         },
         "cells": cells,
+    }
+
+
+def check_hybrid_accuracy(
+    *, scenarios: tuple = ACCURACY_GRID, seed: int = 0
+) -> list[dict]:
+    """Hybrid-vs-request P99 agreement over the quick grid.
+
+    Returns one entry per cell with both engines' P99 (digest estimate)
+    and the relative error; :func:`repro.bench.report.gate_failures`
+    applies the tolerance.
+    """
+    results = []
+    for scenario in scenarios:
+        hybrid = _cluster_cell("hybrid", repeats=1, seed=seed, **scenario)
+        request = _cluster_cell("request", repeats=1, seed=seed, **scenario)
+        results.append(
+            {
+                "peak_rps": scenario["peak_rps"],
+                "servers": scenario["servers"],
+                "revoke": scenario["revoke"],
+                "p99_hybrid_s": hybrid["p99_s"],
+                "p99_request_s": request["p99_s"],
+                "rel_error": abs(hybrid["p99_s"] - request["p99_s"])
+                / request["p99_s"],
+                "tier_steps": hybrid["tier_steps"],
+            }
+        )
+    return results
+
+
+def check_hybrid_speedup(
+    *,
+    peak_rps: float = 2000.0,
+    servers: int = 25,
+    sim_seconds: float = 120.0,
+    seed: int = 0,
+) -> dict:
+    """Perf smoke: sim-intervals/sec, hybrid vs request, one shared cell."""
+    scenario = dict(
+        peak_rps=peak_rps,
+        servers=servers,
+        capacity_rps=100.0,
+        sim_seconds=sim_seconds,
+        repeats=1,
+        seed=seed,
+        revoke=True,
+    )
+    hybrid = _cluster_cell("hybrid", **scenario)
+    request = _cluster_cell("request", **scenario)
+    ips_hybrid = hybrid["intervals_per_sec_median"]
+    ips_request = request["intervals_per_sec_median"]
+    return {
+        "hybrid_intervals_per_sec": ips_hybrid,
+        "request_intervals_per_sec": ips_request,
+        "speedup": ips_hybrid / ips_request if ips_request > 0 else 0.0,
+        "tier_steps": hybrid["tier_steps"],
+    }
+
+
+def check_parallel_speedup(
+    *,
+    reps: int = 4,
+    num_markets: int = 6,
+    seed: int = 0,
+    max_workers: int = PARALLEL_WORKERS,
+) -> dict:
+    """Time the Table-1 sweep serial vs parallel; report speedup and mismatches.
+
+    Returns ``{"serial_seconds", "parallel_seconds", "speedup",
+    "mismatches", "workers", "cpus"}`` where ``mismatches`` lists every
+    ``(policy, seed)`` key whose parallel total cost differs from the
+    serial one (must be empty: the pool fans out pure cells, so results
+    are bit-identical by design).
+    """
+    from repro.experiments.table1 import run_table1_costs
+
+    kwargs = dict(reps=reps, num_markets=num_markets, weeks=1, seed=seed)
+    t0_s = time.perf_counter()
+    serial = run_table1_costs(parallel=False, **kwargs)
+    t_serial = time.perf_counter() - t0_s
+    t0_s = time.perf_counter()
+    par = run_table1_costs(parallel=True, max_workers=max_workers, **kwargs)
+    t_par = time.perf_counter() - t0_s
+    mismatches = [
+        key
+        for key, report in serial.reports.items()
+        if par.reports[key].total_cost != report.total_cost  # spotlint: disable=SW003
+    ]
+    return {
+        "serial_seconds": t_serial,
+        "parallel_seconds": t_par,
+        "speedup": t_serial / t_par if t_par > 0 else float("inf"),
+        "mismatches": mismatches,
+        "workers": max_workers,
+        "cpus": os.cpu_count() or 1,
     }

@@ -39,12 +39,12 @@ Commands
 - ``catalog`` — print the instance catalog / market universe.
 - ``advisor`` — print the emulated Spot Instance Advisor table for a
   synthetic dataset.
-- ``bench`` — run the solver/simulator micro benchmarks and write the
-  machine-readable ``BENCH_mpo.json`` / ``BENCH_sim.json`` baselines
-  (``--check`` turns the structured-vs-dense crossover into a hard gate;
-  ``--compare PATH`` fails on warm-latency regressions vs that baseline;
-  ``--compare-sim PATH`` gates simulator throughput and the hybrid
-  engine's speedup over the request-level reference).
+- ``bench`` — the one perf entry point: run the solver/simulator
+  benchmarks, write the machine-readable ``BENCH_mpo.json`` /
+  ``BENCH_sim.json`` baselines, and exit non-zero when any bound of
+  :mod:`repro.bench.report` breaks (crossover, hybrid speedup floors,
+  hybrid P99 tolerance, parallel sweep); ``--compare DIR`` also gates
+  regressions against DIR's committed baselines.
 """
 
 from __future__ import annotations
@@ -211,11 +211,12 @@ _MODULES: dict[str, str] = {
 class _Observed:
     """The observability one command switches on, and its undo.
 
-    ``run`` and ``top`` share this set-up: reset the metrics registry,
-    switch the tracer and journal on as asked, and for telemetry enable
-    the bus, subscribe an :class:`~repro.obs.anomaly.AnomalyMonitor`
-    first (so its flags reach later sinks on the next frame, the order
-    scenario episodes use) and start and announce the metrics endpoint.
+    ``run``, ``top`` and ``scenarios run --flightrec`` share this set-up:
+    reset the metrics registry, switch the tracer and journal on as asked,
+    and for telemetry enable the bus, subscribe an
+    :class:`~repro.obs.anomaly.AnomalyMonitor` first (so its flags reach
+    later sinks on the next frame, the order scenario episodes use) and
+    start and announce the metrics endpoint.
     :meth:`restore` puts the tracer, journal, bus, flight recorder and
     crash hook back as they were.  Commands call it on their normal
     return, not in a ``finally``: an exception leaving ``main`` must
@@ -523,36 +524,41 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_bench(args) -> str:
-    """Run the micro benchmarks and write ``BENCH_*.json`` baselines.
+    """Run the benchmarks, write ``BENCH_*.json`` and apply every perf gate.
 
-    The quick grid keeps two anchors: H=4 cells overlap the committed
-    full-grid baseline (so ``--compare`` has cells to diff), and the
-    48-market H=6 cell sits exactly at the N*H=288 crossover gate.
+    Exits non-zero, naming each broken bound of :mod:`repro.bench.report`,
+    when the structured path loses to dense past the crossover, the hybrid
+    engine misses a speedup floor or the P99 tolerance, or the parallel
+    sweep is slow or differs from serial; ``--compare DIR`` adds the
+    regression gates against DIR's committed baselines.  The quick grid
+    keeps two anchors: H=4 cells overlap the committed full-grid baseline,
+    and the 48-market H=6 cell sits exactly at the N*H=288 crossover.
     """
     from pathlib import Path
 
-    from repro import bench
-    from repro.obs import metrics, tracer
+    from repro.bench import mpo as bench_mpo
+    from repro.bench import report
+    from repro.bench import sim as bench_sim
 
-    # Read the baselines first: --out-dir may hold the very files compared
-    # against (the default "." does, from the repository root), and the
-    # writes below would replace them with the fresh run.
-    mpo_baseline = bench.load_bench(args.compare) if args.compare else None
-    sim_baseline = bench.load_bench(args.compare_sim) if args.compare_sim else None
-    if args.trace:
-        tracer.enable_tracing()
-        metrics.reset_metrics()
-    bench_span = tracer.get_tracer().span("bench.run", quick=args.quick)
-    bench_span.__enter__()
+    # Read the baselines first: --out-dir may name the same directory (CI
+    # compares against the repository root), and the writes below replace
+    # its files with the fresh run.
+    baselines = None
+    if args.compare is not None:
+        base = Path(args.compare)
+        baselines = (
+            report.load_bench(base / "BENCH_mpo.json"),
+            report.load_bench(base / "BENCH_sim.json"),
+        )
     if args.quick:
-        mpo = bench.bench_mpo(
+        mpo = bench_mpo.bench_mpo(
             market_counts=(12, 48), horizons=(4, 6), repeats=3, seed=args.seed
         )
         # The quick grid keeps the hybrid cell's horizon at full length —
         # its intervals/second depends on how far the fidelity window is
         # amortized — and trims everything else (repeats, the request
         # reference's horizon, the 500k cell).
-        sim = bench.bench_sim(
+        sim = bench_sim.bench_sim(
             num_markets=8,
             weeks=1,
             repeats=2,
@@ -562,80 +568,30 @@ def _cmd_bench(args) -> str:
             include_huge=False,
         )
     else:
-        mpo = bench.bench_mpo(seed=args.seed)
-        sim = bench.bench_sim(seed=args.seed)
-    bench_span.__exit__(None, None, None)
+        mpo = bench_mpo.bench_mpo(seed=args.seed)
+        sim = bench_sim.bench_sim(seed=args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mpo_path = bench.write_bench(mpo, out / "BENCH_mpo.json")
-    sim_path = bench.write_bench(sim, out / "BENCH_sim.json")
-    text = bench.format_bench_mpo(mpo) + "\n" + bench.format_bench_sim(sim)
-    text += f"\nwrote {mpo_path} and {sim_path}"
-    if args.trace:
-        records = tracer.get_tracer().records()
-        trace_path = tracer.write_trace(records, out / "TRACE_bench.jsonl")
-        text += f"\nwrote {len(records)} spans to {trace_path}"
-    violations = bench.crossover_violations(mpo, min_vars=args.min_vars)
-    if violations:
-        detail = ", ".join(
-            f"N={v['markets']} H={v['horizon']} ({v['warm_speedup']:.2f}x)"
-            for v in violations
-        )
-        message = (
-            f"structured path slower than dense past N*H >= {args.min_vars}: "
-            f"{detail}"
-        )
-        if args.check:
-            print(text)
-            raise SystemExit(message)
-        text += f"\nWARNING: {message}"
-    if args.compare:
-        regressions = bench.bench_regressions(
-            mpo, mpo_baseline, factor=args.regress_factor
-        )
-        if regressions:
-            detail = ", ".join(
-                f"N={r['markets']} H={r['horizon']} {r['backend']} "
-                f"({r['ratio']:.2f}x)"
-                for r in regressions
-            )
-            print(text)
-            raise SystemExit(
-                f"warm latency regressed beyond {args.regress_factor:g}x vs "
-                f"{args.compare}: {detail}"
-            )
-        text += f"\nno warm-latency regressions vs {args.compare}"
-    if args.compare_sim:
-        sim_slow = bench.sim_regressions(
-            sim, sim_baseline, factor=args.regress_factor
-        )
-        if sim_slow:
-            detail = ", ".join(
-                f"{r['cell']} ({r['slowdown']:.2f}x slower)" for r in sim_slow
-            )
-            print(text)
-            raise SystemExit(
-                f"simulator throughput regressed beyond "
-                f"{args.regress_factor:g}x vs {args.compare_sim}: {detail}"
-            )
-        hybrid_slow = bench.hybrid_speedup_violations(
-            sim, baseline=sim_baseline, min_speedup=args.hybrid_speedup
-        )
-        if hybrid_slow:
-            detail = ", ".join(
-                f"peak={v['peak_rps']:g} ({v['speedup']:.1f}x)"
-                for v in hybrid_slow
-            )
-            print(text)
-            raise SystemExit(
-                f"hybrid engine below {args.hybrid_speedup:g}x the "
-                f"request-level reference: {detail}"
-            )
-        text += (
-            f"\nno throughput regressions vs {args.compare_sim}; hybrid "
-            f"holds >= {args.hybrid_speedup:g}x over request-level"
-        )
-    return text
+    mpo_path = report.write_bench(mpo, out / "BENCH_mpo.json")
+    sim_path = report.write_bench(sim, out / "BENCH_sim.json")
+    accuracy = bench_sim.check_hybrid_accuracy(seed=args.seed)
+    smoke = bench_sim.check_hybrid_speedup(seed=args.seed)
+    sweep = bench_sim.check_parallel_speedup(seed=args.seed)
+    text = "\n".join(
+        [
+            report.format_bench_mpo(mpo),
+            report.format_bench_sim(sim),
+            f"wrote {mpo_path} and {sim_path}",
+            report.format_checks(accuracy, smoke, sweep),
+        ]
+    )
+    failures = report.gate_failures(mpo, sim, accuracy, smoke, sweep, baselines)
+    if failures:
+        print(text)
+        raise SystemExit("\n".join(failures))
+    if baselines is not None:
+        text += f"\nno warm-latency or throughput regressions vs {args.compare}"
+    return text + "\nevery perf gate holds"
 
 
 def _cmd_scenarios(args) -> str:
@@ -682,6 +638,7 @@ def _cmd_scenarios(args) -> str:
             # captures bundles from serial (non --parallel) runs.
             from repro.obs.flightrec import enable_flightrec
 
+            observed = _Observed()
             recorder = enable_flightrec(args.flightrec)
         runs = scenarios.run_suite(
             args.scenario or None,
@@ -712,6 +669,8 @@ def _cmd_scenarios(args) -> str:
                 print("\n".join(lines))
                 raise SystemExit(report)
             lines.append(report)
+        if recorder is not None:
+            observed.restore()
         return "\n".join(lines)
 
     # action == "check": evaluate existing journals.
@@ -1020,57 +979,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--seed", type=int, default=0)
 
     p_bench = sub.add_parser(
-        "bench", help="run micro benchmarks, write BENCH_*.json baselines"
+        "bench",
+        help="run the benchmarks, write BENCH_*.json, apply every perf gate",
     )
     p_bench.add_argument(
         "--quick",
         action="store_true",
         help="small CI-sized grid instead of the full baseline grid",
     )
-    p_bench.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero if structured is slower than dense past crossover",
-    )
     p_bench.add_argument("--out-dir", default=".")
-    p_bench.add_argument(
-        "--min-vars",
-        type=int,
-        default=288,
-        help="crossover threshold on N*H for the --check gate",
-    )
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument(
-        "--trace",
-        action="store_true",
-        help="record a span trace of the bench run to TRACE_bench.jsonl",
-    )
     p_bench.add_argument(
         "--compare",
         default=None,
-        metavar="PATH",
-        help="fail on warm-latency regressions vs this BENCH_mpo.json",
-    )
-    p_bench.add_argument(
-        "--regress-factor",
-        type=float,
-        default=2.5,
-        help="warm-median slowdown tolerated by --compare",
-    )
-    p_bench.add_argument(
-        "--compare-sim",
-        default=None,
-        metavar="PATH",
-        help=(
-            "fail on intervals/sec regressions vs this BENCH_sim.json and "
-            "on the hybrid engine missing its speedup floor"
-        ),
-    )
-    p_bench.add_argument(
-        "--hybrid-speedup",
-        type=float,
-        default=50.0,
-        help="minimum hybrid-vs-request speedup enforced by --compare-sim",
+        metavar="DIR",
+        help="also fail on regressions vs DIR's BENCH_mpo.json and "
+        "BENCH_sim.json",
     )
     return parser
 

@@ -51,7 +51,7 @@ class FlightRecorder:
     holds the pre-alert window at that point, which is exactly the
     forensic value.  A frame earlier than the newest buffered one starts
     a new window: sim time went back, so a new run began (the next
-    scenario episode, the next serial sweep cell).
+    scenario episode).
 
     Dump paths are deterministic (``flightrec_<n>_<reason>.jsonl`` under
     ``out_dir``, numbered in dump order), so identical-seed runs produce

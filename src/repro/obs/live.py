@@ -100,11 +100,18 @@ class TelemetryBus:
             fn(frame)
 
     def flush(self, t: float | None = None) -> None:
-        """Publish any pending records (final partial frame at end of run)."""
+        """Publish any pending records (final partial frame at end of run).
+
+        Subscribers may journal while handling a frame (anomaly flags,
+        which they do not watch themselves); those records follow in one
+        more frame, so every record of the run reaches the subscribers.
+        """
         if not self.enabled:
             return
         ev = get_events()
         self.tick(ev.clock if t is None else t, ev.interval)
+        while self._event_cursor < ev.record_count():
+            self.tick(ev.clock if t is None else t, ev.interval)
 
     def reset(self) -> None:
         """Restart the stream at the head of the journal."""

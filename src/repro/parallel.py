@@ -32,6 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from repro.obs.events import EventLog, get_events, set_events
+from repro.obs.live import TelemetryBus, get_bus, set_bus
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -80,8 +81,13 @@ class _EventCell:
 
     Each cell journals into its own :class:`EventLog`; the wrapper returns
     ``(result, records)`` so :func:`pmap` can adopt every cell's events in
-    item order.  The same wrapper runs on the serial fallback path, which
-    is what makes serial and parallel journals byte-identical.
+    item order.  The cell also ticks a private telemetry bus with no
+    subscribers, enabled as the caller's is (the simulators journal
+    telemetry records only while a bus is live): the caller's bus streams
+    the records once they are adopted, so its subscribers see each record
+    once, in the form the journal holds.  The same wrapper runs on the
+    serial fallback path, which is what makes serial and parallel
+    journals byte-identical.
     """
 
     __slots__ = ("fn",)
@@ -91,11 +97,13 @@ class _EventCell:
 
     def __call__(self, item: T) -> tuple[R, list[dict]]:
         old = set_events(EventLog(enabled=True))
+        old_bus = set_bus(TelemetryBus(enabled=get_bus().enabled))
         try:
             result = self.fn(item)
             return result, get_events().records()
         finally:
             set_events(old)
+            set_bus(old_bus)
 
 
 def pmap(
@@ -119,6 +127,7 @@ def pmap(
     :class:`~repro.obs.events.EventLog` (serial or parallel alike) and the
     caller's log adopts the cells' events in item order — so the journal,
     like the results, is bit-identical between serial and parallel runs.
+    The telemetry bus publishes the adopted records on its next tick.
     """
     items = list(items)
     if not items:

@@ -225,3 +225,95 @@ def run_pair(fast, ref, calls):
         fast.warm_start(got.x)
         ref.warm_start(got.x)
     return results
+
+
+@pytest.fixture
+def bench_stubs(monkeypatch):
+    """Stub every measurement ``repro bench`` takes with a value inside
+    its bound; a test pushes one entry past its bound.  ``seen`` collects
+    the keyword arguments each measurement was called with."""
+    from repro.bench import mpo, sim
+    from repro.bench.report import SCHEMA_MPO, SCHEMA_SIM
+
+    def cluster(engine, ips):
+        return {
+            "engine": engine,
+            "peak_rps": 2e4,
+            "servers": 250,
+            "sim_seconds": 4.0,
+            "intervals_per_sec_median": ips,
+            "tier_steps": {"fluid": 0, "request": 4},
+            "p99_s": 0.5,
+        }
+
+    stubs = {
+        "mpo": {
+            "schema": SCHEMA_MPO,
+            "config": {},
+            "cells": [
+                {
+                    "markets": 12,
+                    "horizon": 4,
+                    "backend": "admm",
+                    "cold_ms": 1.0,
+                    "warm_median_ms": 10.0,
+                    "warm_max_ms": 12.0,
+                }
+            ],
+            "speedups": [
+                {
+                    "markets": 48,
+                    "horizon": 6,
+                    "variables": 288,
+                    "warm_speedup": 3.0,
+                    "cold_speedup": 4.0,
+                    "objective_gap": 0.0,
+                }
+            ],
+        },
+        "sim": {
+            "schema": SCHEMA_SIM,
+            "config": {},
+            "cells": [cluster("request", 1.0), cluster("hybrid", 100.0)],
+        },
+        "accuracy": [
+            {
+                "peak_rps": 600.0,
+                "servers": 10,
+                "revoke": True,
+                "p99_hybrid_s": 0.5,
+                "p99_request_s": 0.5,
+                "rel_error": 0.05,
+                "tier_steps": {"fluid": 100, "request": 20},
+            }
+        ],
+        "smoke": {
+            "hybrid_intervals_per_sec": 4000.0,
+            "request_intervals_per_sec": 100.0,
+            "speedup": 40.0,
+            "tier_steps": {"fluid": 100, "request": 20},
+        },
+        "sweep": {
+            "serial_seconds": 4.0,
+            "parallel_seconds": 1.0,
+            "speedup": 4.0,
+            "mismatches": [],
+            "workers": 4,
+            "cpus": 4,
+        },
+        "seen": {},
+    }
+
+    def stub(module, name, key):
+        def fake(**kwargs):
+            stubs["seen"][name] = kwargs
+            return stubs[key]
+
+        monkeypatch.setattr(module, name, fake)
+
+    stub(mpo, "bench_mpo", "mpo")
+    stub(sim, "bench_sim", "sim")
+    stub(sim, "check_hybrid_accuracy", "accuracy")
+    stub(sim, "check_hybrid_speedup", "smoke")
+    stub(sim, "check_parallel_speedup", "sweep")
+    return stubs

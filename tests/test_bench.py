@@ -5,13 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench import (
+from repro.bench.mpo import bench_mpo
+from repro.bench.report import (
     SCHEMA_MPO,
     SCHEMA_SIM,
-    SCHEMA_SIM_V1,
-    bench_mpo,
     bench_regressions,
-    bench_sim,
     crossover_violations,
     format_bench_mpo,
     format_bench_sim,
@@ -20,6 +18,8 @@ from repro.bench import (
     sim_regressions,
     write_bench,
 )
+from repro.bench.sim import bench_sim
+from repro.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -118,16 +118,15 @@ class TestCrossover:
         bad = crossover_violations(self._data(entries))
         assert [v["variables"] for v in bad] == [480]
 
-    def test_threshold_configurable(self):
-        entries = [
-            {"markets": 12, "horizon": 4, "variables": 48, "warm_speedup": 0.5}
-        ]
-        assert crossover_violations(self._data(entries), min_vars=48)
-        assert not crossover_violations(self._data(entries), min_vars=49)
-
     def test_requires_mpo_schema(self):
         with pytest.raises(ValueError):
             crossover_violations({"schema": SCHEMA_SIM, "speedups": []})
+
+    def test_bench_exits_past_crossover(self, bench_stubs, tmp_path):
+        # The quick grid's 288-variable cell: structured just lost to dense.
+        bench_stubs["mpo"]["speedups"][0]["warm_speedup"] = 0.99
+        with pytest.raises(SystemExit, match="CROSSOVER_VARS.*N=48 H=6"):
+            main(["bench", "--quick", "--out-dir", str(tmp_path)])
 
 
 class TestBenchRegressions:
@@ -145,7 +144,7 @@ class TestBenchRegressions:
     def test_clean_when_within_factor(self):
         base = self._data([self._cell(12, 4, "admm", 2.0)])
         fresh = self._data([self._cell(12, 4, "admm", 4.0)])
-        assert bench_regressions(fresh, base, factor=2.5) == []
+        assert bench_regressions(fresh, base) == []
 
     def test_flags_cells_beyond_factor(self):
         base = self._data(
@@ -154,7 +153,7 @@ class TestBenchRegressions:
         fresh = self._data(
             [self._cell(12, 4, "admm", 6.0), self._cell(48, 4, "structured", 9.0)]
         )
-        bad = bench_regressions(fresh, base, factor=2.5)
+        bad = bench_regressions(fresh, base)
         assert len(bad) == 1
         assert bad[0]["markets"] == 12 and bad[0]["backend"] == "admm"
         assert bad[0]["ratio"] == pytest.approx(3.0)
@@ -176,8 +175,6 @@ class TestBenchRegressions:
         good = self._data([self._cell(12, 4, "admm", 2.0)])
         with pytest.raises(ValueError, match="bench-mpo"):
             bench_regressions({"schema": SCHEMA_SIM, "cells": []}, good)
-        with pytest.raises(ValueError, match="factor"):
-            bench_regressions(good, good, factor=1.0)
 
     def test_quick_grid_overlaps_committed_baseline(self):
         """The CI --quick grid must share cells with BENCH_mpo.json."""
@@ -189,8 +186,8 @@ class TestBenchRegressions:
 
 
 class TestSimRegressions:
-    def _data(self, cells, schema=SCHEMA_SIM):
-        return {"schema": schema, "cells": cells}
+    def _data(self, cells):
+        return {"schema": SCHEMA_SIM, "cells": cells}
 
     def _interval(self, markets, ips):
         return {
@@ -209,7 +206,7 @@ class TestSimRegressions:
     def test_clean_within_factor(self):
         base = self._data([self._interval(12, 100.0)])
         fresh = self._data([self._interval(12, 50.0)])
-        assert sim_regressions(fresh, base, factor=2.5) == []
+        assert sim_regressions(fresh, base) == []
 
     def test_flags_slow_cells_of_both_kinds(self):
         base = self._data(
@@ -218,17 +215,9 @@ class TestSimRegressions:
         fresh = self._data(
             [self._interval(12, 10.0), self._engine("hybrid", 2e4, 5.0)]
         )
-        bad = sim_regressions(fresh, base, factor=2.5)
+        bad = sim_regressions(fresh, base)
         assert {v["cell"][0] for v in bad} == {"policy", "engine"}
         assert bad[0]["slowdown"] == pytest.approx(10.0)
-
-    def test_v1_baseline_still_comparable(self):
-        # Old committed baselines (interval cells only) keep gating.
-        base = self._data([self._interval(12, 100.0)], schema=SCHEMA_SIM_V1)
-        fresh = self._data(
-            [self._interval(12, 90.0), self._engine("hybrid", 2e4, 30.0)]
-        )
-        assert sim_regressions(fresh, base) == []
 
     def test_zero_overlap_rejected(self):
         base = self._data([self._interval(12, 100.0)])
@@ -240,8 +229,6 @@ class TestSimRegressions:
         good = self._data([self._interval(12, 100.0)])
         with pytest.raises(ValueError, match="bench-sim"):
             sim_regressions({"schema": SCHEMA_MPO, "cells": []}, good)
-        with pytest.raises(ValueError, match="factor"):
-            sim_regressions(good, good, factor=1.0)
 
 
 class TestHybridSpeedup:
@@ -259,26 +246,27 @@ class TestHybridSpeedup:
         data = self._data(
             [self._cell("request", 2e4, 0.3), self._cell("hybrid", 2e4, 30.0)]
         )
-        assert hybrid_speedup_violations(data, min_speedup=50.0) == []
+        assert hybrid_speedup_violations(data) == []
 
     def test_flags_insufficient_speedup(self):
         data = self._data(
             [self._cell("request", 2e4, 1.0), self._cell("hybrid", 2e4, 20.0)]
         )
-        bad = hybrid_speedup_violations(data, min_speedup=50.0)
+        bad = hybrid_speedup_violations(data)
         assert len(bad) == 1
         assert bad[0]["speedup"] == pytest.approx(20.0)
 
     def test_reference_from_baseline_and_unpaired_skipped(self):
         # The 500k hybrid cell has no request reference and is skipped;
-        # the 20k pair resolves against the committed baseline.
-        baseline = self._data([self._cell("request", 2e4, 0.5)])
+        # the 20k pair resolves against the request cell of the same run.
         fresh = self._data(
-            [self._cell("hybrid", 2e4, 30.0), self._cell("hybrid", 5e5, 600.0)]
+            [
+                self._cell("request", 2e4, 0.5),
+                self._cell("hybrid", 2e4, 30.0),
+                self._cell("hybrid", 5e5, 600.0),
+            ]
         )
-        assert (
-            hybrid_speedup_violations(fresh, baseline=baseline) == []
-        )
+        assert hybrid_speedup_violations(fresh) == []
 
     def test_zero_pairs_rejected(self):
         fresh = self._data([self._cell("hybrid", 5e5, 600.0)])
@@ -286,16 +274,11 @@ class TestHybridSpeedup:
             hybrid_speedup_violations(fresh)
 
     def test_rejects_bad_inputs(self):
-        good = self._data(
-            [self._cell("request", 2e4, 1.0), self._cell("hybrid", 2e4, 90.0)]
-        )
         with pytest.raises(ValueError, match="bench-sim"):
             hybrid_speedup_violations({"schema": SCHEMA_MPO, "cells": []})
-        with pytest.raises(ValueError, match="min_speedup"):
-            hybrid_speedup_violations(good, min_speedup=1.0)
 
     def test_committed_baseline_meets_floor(self):
         """The repo-root BENCH_sim.json is part of the perf contract."""
         root = Path(__file__).resolve().parents[1]
         sim = load_bench(root / "BENCH_sim.json")
-        assert hybrid_speedup_violations(sim, min_speedup=50.0) == []
+        assert hybrid_speedup_violations(sim) == []

@@ -1,8 +1,10 @@
-"""Tests for the CI perf gate (repro.bench.ciperf)."""
+"""Tests for the parallel-sweep gate of ``repro bench``: four workers at
+least 2x faster than serial, with bitwise-equal results."""
 
 import pytest
 
-from repro.bench import ciperf
+from repro.bench import sim
+from repro.cli import main
 
 
 class _FakeReport:
@@ -17,13 +19,14 @@ class _FakeSweep:
 
 class TestCheckParallelSpeedup:
     def test_real_tiny_sweep_matches_bitwise(self):
-        result = ciperf.check_parallel_speedup(
-            reps=2, num_markets=4, weeks=1, seed=0, max_workers=2
+        result = sim.check_parallel_speedup(
+            reps=2, num_markets=4, seed=0, max_workers=2
         )
         assert result["mismatches"] == []
         assert result["serial_seconds"] > 0
         assert result["parallel_seconds"] > 0
         assert result["speedup"] > 0
+        assert result["workers"] == 2 and result["cpus"] >= 1
 
     def test_detects_mismatch(self, monkeypatch):
         outputs = iter(
@@ -37,72 +40,35 @@ class TestCheckParallelSpeedup:
         monkeypatch.setattr(
             table1, "run_table1_costs", lambda **kwargs: next(outputs)
         )
-        result = ciperf.check_parallel_speedup(reps=1)
+        result = sim.check_parallel_speedup(reps=1)
         assert result["mismatches"] == [("qu", 0)]
 
 
 class TestMain:
-    def test_exit_zero_when_fast_and_equal(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            ciperf,
-            "check_parallel_speedup",
-            lambda **kwargs: {
-                "serial_seconds": 4.0,
-                "parallel_seconds": 1.0,
-                "speedup": 4.0,
-                "mismatches": [],
-            },
+    @pytest.fixture
+    def argv(self, tmp_path):
+        return ["bench", "--quick", "--out-dir", str(tmp_path)]
+
+    def test_exit_zero_when_fast_and_equal(self, bench_stubs, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "4 workers 1.0s -> 4.00x" in out
+        assert "not applied" not in out
+
+    def test_exit_one_on_slow_pool(self, bench_stubs, argv):
+        bench_stubs["sweep"]["speedup"] = 1.99
+        with pytest.raises(SystemExit, match="PARALLEL_SPEEDUP_FLOOR.*1.99x"):
+            main(argv)
+
+    def test_floor_not_applied_below_four_cpus(self, bench_stubs, argv, capsys):
+        bench_stubs["sweep"].update(speedup=1.0, cpus=2)
+        assert main(argv) == 0
+        assert "floor (2x) not applied: 2 CPUs < 4 workers" in (
+            capsys.readouterr().out
         )
-        assert ciperf.main([]) == 0
-        assert "4.00x" in capsys.readouterr().out
 
-    def test_exit_one_on_slow_pool(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            ciperf,
-            "check_parallel_speedup",
-            lambda **kwargs: {
-                "serial_seconds": 2.0,
-                "parallel_seconds": 2.0,
-                "speedup": 1.0,
-                "mismatches": [],
-            },
-        )
-        assert ciperf.main(["--min-speedup", "2.0"]) == 1
-        assert "only 1.00x" in capsys.readouterr().err
-
-    def test_exit_one_on_mismatch(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            ciperf,
-            "check_parallel_speedup",
-            lambda **kwargs: {
-                "serial_seconds": 4.0,
-                "parallel_seconds": 1.0,
-                "speedup": 4.0,
-                "mismatches": [("spotweb", 1)],
-            },
-        )
-        assert ciperf.main([]) == 1
-        assert "parallel != serial" in capsys.readouterr().err
-
-    def test_flags_reach_the_sweep(self, monkeypatch):
-        seen = {}
-
-        def fake(**kwargs):
-            seen.update(kwargs)
-            return {
-                "serial_seconds": 1.0,
-                "parallel_seconds": 0.1,
-                "speedup": 10.0,
-                "mismatches": [],
-            }
-
-        monkeypatch.setattr(ciperf, "check_parallel_speedup", fake)
-        assert (
-            ciperf.main(
-                ["--reps", "7", "--markets", "3", "--max-workers", "2"]
-            )
-            == 0
-        )
-        assert seen["reps"] == 7
-        assert seen["num_markets"] == 3
-        assert seen["max_workers"] == 2
+    def test_exit_one_on_mismatch(self, bench_stubs, argv):
+        # The bitwise check gates on any host, however few its CPUs.
+        bench_stubs["sweep"].update(mismatches=[("spotweb", 1)], cpus=2)
+        with pytest.raises(SystemExit, match="parallel sweep != serial"):
+            main(argv)

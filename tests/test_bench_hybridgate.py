@@ -1,6 +1,10 @@
-"""Tests for the hybrid-accuracy CI gate (repro.bench.hybridgate)."""
+"""Tests for the hybrid-engine gates of ``repro bench``: the P99 accuracy
+grid, the 2k req/s speedup smoke cell and the 50x floor."""
 
-from repro.bench import hybridgate
+import pytest
+
+from repro.bench import sim
+from repro.cli import main
 
 #: One cheap cell (the committed ACCURACY_GRID runs 180 s horizons; this
 #: keeps unit-test wall time down while exercising the same code path).
@@ -17,7 +21,7 @@ TINY_GRID = (
 
 class TestChecks:
     def test_accuracy_cells_report_both_engines(self):
-        (cell,) = hybridgate.check_hybrid_accuracy(scenarios=TINY_GRID, seed=0)
+        (cell,) = sim.check_hybrid_accuracy(scenarios=TINY_GRID, seed=0)
         assert cell["revoke"] is True
         assert cell["p99_hybrid_s"] > 0
         assert cell["p99_request_s"] > 0
@@ -27,98 +31,56 @@ class TestChecks:
         assert cell["tier_steps"]["request"] > 0
 
     def test_speedup_smoke_reports_positive_ratio(self):
-        smoke = hybridgate.check_hybrid_speedup(
+        smoke = sim.check_hybrid_speedup(
             peak_rps=400.0, servers=5, sim_seconds=30.0, seed=0
         )
         assert smoke["hybrid_intervals_per_sec"] > 0
         assert smoke["request_intervals_per_sec"] > 0
         assert smoke["speedup"] > 0
-        assert smoke["hybrid_seconds"] > 0
 
     def test_committed_grid_stays_below_saturation(self):
         # At rho >= 1 the P99 comparison measures noise, not accuracy; the
         # grid must keep post-kill utilization under 1 by construction.
-        for scenario in hybridgate.ACCURACY_GRID:
+        for scenario in sim.ACCURACY_GRID:
             alive = scenario["servers"] - (1 if scenario["revoke"] else 0)
             rho = scenario["peak_rps"] / (alive * scenario["capacity_rps"])
             assert rho < 0.9
 
 
 class TestMain:
-    def _fake_cells(self, rel_error):
-        return [
-            {
-                "peak_rps": 600.0,
-                "servers": 10,
-                "revoke": True,
-                "p99_hybrid_s": 0.5,
-                "p99_request_s": 0.5,
-                "rel_error": rel_error,
-                "tier_steps": {"fluid": 100, "request": 20},
-            }
-        ]
+    @pytest.fixture
+    def argv(self, tmp_path):
+        return ["bench", "--quick", "--out-dir", str(tmp_path)]
 
-    def _fake_smoke(self, speedup):
-        return {
-            "hybrid_seconds": 1.0,
-            "request_seconds": speedup,
-            "hybrid_intervals_per_sec": 100.0 * speedup,
-            "request_intervals_per_sec": 100.0,
-            "speedup": speedup,
-            "tier_steps": {"fluid": 100, "request": 20},
-        }
-
-    def test_exit_zero_when_accurate_and_fast(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            hybridgate,
-            "check_hybrid_accuracy",
-            lambda **kw: self._fake_cells(0.05),
-        )
-        monkeypatch.setattr(
-            hybridgate, "check_hybrid_speedup", lambda **kw: self._fake_smoke(40.0)
-        )
-        assert hybridgate.main([]) == 0
+    def test_exit_zero_when_accurate_and_fast(self, bench_stubs, argv, capsys):
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "ok" in out and "40.0x" in out
+        assert "rel err 5.0%" in out and "40.0x" in out
+        assert "every perf gate holds" in out
 
-    def test_exit_one_on_accuracy_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            hybridgate,
-            "check_hybrid_accuracy",
-            lambda **kw: self._fake_cells(0.60),
-        )
-        monkeypatch.setattr(
-            hybridgate, "check_hybrid_speedup", lambda **kw: self._fake_smoke(40.0)
-        )
-        assert hybridgate.main(["--tolerance", "0.25"]) == 1
-        captured = capsys.readouterr()
-        assert "FAIL" in captured.out
-        assert "beyond 25%" in captured.err
+    def test_exit_one_on_accuracy_failure(self, bench_stubs, argv):
+        bench_stubs["accuracy"][0]["rel_error"] = 0.26
+        with pytest.raises(SystemExit, match="P99_TOLERANCE.*beyond 25%"):
+            main(argv)
 
-    def test_exit_one_on_slow_hybrid(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            hybridgate,
-            "check_hybrid_accuracy",
-            lambda **kw: self._fake_cells(0.05),
-        )
-        monkeypatch.setattr(
-            hybridgate, "check_hybrid_speedup", lambda **kw: self._fake_smoke(3.0)
-        )
-        assert hybridgate.main(["--min-speedup", "10"]) == 1
-        assert "only 3.0x" in capsys.readouterr().err
+    def test_exit_one_on_slow_hybrid(self, bench_stubs, argv):
+        bench_stubs["smoke"]["speedup"] = 9.9
+        with pytest.raises(SystemExit, match="SMOKE_SPEEDUP_FLOOR.*only 9.9x"):
+            main(argv)
 
-    def test_seed_reaches_checks(self, monkeypatch):
-        seen = {}
+    def test_exit_one_below_the_fresh_request_cell_floor(self, bench_stubs, argv):
+        # 49.9 hybrid intervals/s over the same run's 1.0 request cell.
+        bench_stubs["sim"]["cells"][1]["intervals_per_sec_median"] = 49.9
+        with pytest.raises(SystemExit, match="HYBRID_SPEEDUP_FLOOR.*49.9x"):
+            main(argv)
 
-        def fake_accuracy(**kwargs):
-            seen["accuracy_seed"] = kwargs["seed"]
-            return self._fake_cells(0.05)
-
-        def fake_speedup(**kwargs):
-            seen["speedup_seed"] = kwargs["seed"]
-            return self._fake_smoke(40.0)
-
-        monkeypatch.setattr(hybridgate, "check_hybrid_accuracy", fake_accuracy)
-        monkeypatch.setattr(hybridgate, "check_hybrid_speedup", fake_speedup)
-        assert hybridgate.main(["--seed", "7"]) == 0
-        assert seen == {"accuracy_seed": 7, "speedup_seed": 7}
+    def test_seed_reaches_checks(self, bench_stubs, argv):
+        assert main(argv + ["--seed", "7"]) == 0
+        seen = bench_stubs["seen"]
+        assert {name: kwargs["seed"] for name, kwargs in seen.items()} == {
+            "bench_mpo": 7,
+            "bench_sim": 7,
+            "check_hybrid_accuracy": 7,
+            "check_hybrid_speedup": 7,
+            "check_parallel_speedup": 7,
+        }

@@ -41,6 +41,14 @@ class TestParser:
         for module in cli._MODULES.values():
             assert importlib.util.find_spec(f"repro.experiments.{module}")
 
+    def test_bench_takes_four_flags(self, capsys):
+        import re
+
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == {"--help", "--quick", "--out-dir", "--seed", "--compare"}
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -197,7 +205,8 @@ class TestRunCommand:
 
 
 class TestObservabilityRestored:
-    """``top`` and ``run`` leave the observability switches as they were."""
+    """``top``, ``run`` and ``scenarios run`` leave the observability
+    switches as they were."""
 
     @staticmethod
     def _switches():
@@ -217,6 +226,8 @@ class TestObservabilityRestored:
         import sys
 
         from repro.obs.events import get_events
+        from repro.obs.flightrec import get_flightrec
+        from repro.obs.live import get_bus
 
         hook = sys.excepthook
         assert main(["top", "fig6a", "--hours", "4", "--once"]) == 0
@@ -226,6 +237,11 @@ class TestObservabilityRestored:
         assert main(argv) == 0
         assert self._switches() == (False, False, False, False)
         assert sys.excepthook is hook
+        argv = ["scenarios", "run", "--scenario", "storm_az", "--engine"]
+        argv += ["request", "--out-dir", str(tmp_path / "j")]
+        assert main(argv + ["--flightrec", str(tmp_path / "f")]) == 0
+        assert self._switches() == (False, False, False, False)
+        assert get_flightrec() not in get_bus()._subscribers
         # A plain run after both journals nothing.
         count = get_events().record_count()
         assert main(["run", "fig6a", "--hours", "4"]) == 0
@@ -380,45 +396,22 @@ class TestEventsCommand:
 
 class TestBenchCompare:
     @pytest.fixture
-    def baseline(self, monkeypatch, tmp_path):
-        """Fake benchmarks timing one warm cell at 10 ms; a baseline file
-        holding the same cell at 8 ms."""
-        import json
+    def baseline(self, bench_stubs, tmp_path):
+        """A baseline directory holding the stubbed run with its one warm
+        cell at 8 ms; the fresh stubbed run times it at 10 ms."""
+        import copy
 
-        from repro import bench
+        from repro.bench.report import write_bench
 
-        def fake_mpo(**kwargs):
-            return {
-                "schema": bench.SCHEMA_MPO,
-                "cells": [
-                    {
-                        "markets": 12,
-                        "horizon": 4,
-                        "backend": "admm",
-                        "resolved_backend": "admm",
-                        "variables": 48,
-                        "cold_ms": 1.0,
-                        "warm_median_ms": 10.0,
-                        "warm_max_ms": 12.0,
-                        "final_objective": 1.0,
-                    }
-                ],
-                "speedups": [],
-                "config": {},
-            }
+        base = tmp_path / "base"
+        base.mkdir()
+        mpo = copy.deepcopy(bench_stubs["mpo"])
+        mpo["cells"][0]["warm_median_ms"] = 8.0
+        write_bench(mpo, base / "BENCH_mpo.json")
+        write_bench(bench_stubs["sim"], base / "BENCH_sim.json")
+        return base
 
-        def fake_sim(**kwargs):
-            return {"schema": bench.SCHEMA_SIM, "cells": [], "config": {}}
-
-        monkeypatch.setattr(bench, "bench_mpo", fake_mpo)
-        monkeypatch.setattr(bench, "bench_sim", fake_sim)
-        payload = dict(fake_mpo())
-        payload["cells"] = [dict(payload["cells"][0], warm_median_ms=8.0)]
-        base_path = tmp_path / "BENCH_mpo.json"
-        base_path.write_text(json.dumps(payload))
-        return base_path
-
-    def test_compare_gate(self, capsys, tmp_path, baseline):
+    def test_compare_gate(self, capsys, tmp_path, bench_stubs, baseline):
         """bench --compare fails only when a warm median regresses."""
         argv = [
             "bench",
@@ -429,14 +422,18 @@ class TestBenchCompare:
             str(baseline),
         ]
         assert main(argv) == 0  # 10.0 vs 8.0 is within 2.5x
-        assert "no warm-latency regressions" in capsys.readouterr().out
+        assert "no warm-latency or throughput regressions" in (
+            capsys.readouterr().out
+        )
 
-        with pytest.raises(SystemExit, match="regressed"):
-            main(argv + ["--regress-factor", "1.2"])
+        bench_stubs["mpo"]["cells"][0]["warm_median_ms"] = 20.1
+        with pytest.raises(SystemExit, match="REGRESS_FACTOR.*2.51x"):
+            main(argv)
 
-    def test_compare_against_a_file_in_the_out_dir(self, baseline):
+    def test_compare_against_a_file_in_the_out_dir(self, bench_stubs, baseline):
         """The fresh BENCH_mpo.json lands on the baseline's path; the gate
         must still compare against the baseline as it was."""
-        argv = ["bench", "--quick", "--out-dir", str(baseline.parent)]
+        bench_stubs["mpo"]["cells"][0]["warm_median_ms"] = 20.1
+        argv = ["bench", "--quick", "--out-dir", str(baseline)]
         with pytest.raises(SystemExit, match="regressed"):
-            main(argv + ["--compare", str(baseline), "--regress-factor", "1.2"])
+            main(argv + ["--compare", str(baseline)])

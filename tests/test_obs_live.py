@@ -150,6 +150,33 @@ class TestByteIdenticalStream:
         )
 
 
+class TestSweepStream:
+    def test_serial_sweep_streams_each_record_once(
+        self, global_log, global_registry
+    ):
+        # Serial pmap cells journal into private logs that the caller's
+        # log adopts: the bus must publish the adopted copies (re-sequenced,
+        # cell-tagged), not the private ones as well.  The monitor's flags,
+        # journaled while it handles the final frame, follow in one more.
+        from repro.experiments.fig6a_constant import run_fig6a
+        from repro.obs.anomaly import AnomalyMonitor
+
+        bus = TelemetryBus(enabled=True)
+        old_bus = set_bus(bus)
+        bus.subscribe(AnomalyMonitor())
+        frames = collect(bus)
+        try:
+            run_fig6a(hours=4)
+            bus.flush()
+        finally:
+            set_bus(old_bus)
+        journal = global_log.records()
+        plans = [r for r in journal if r["kind"] == "interval.plan"]
+        assert plans and all("cell" in r["attrs"] for r in plans)
+        assert any(r["kind"] == "telemetry.anomaly" for r in journal)
+        assert [r for f in frames for r in f["events"]] == journal
+
+
 class TestPromFileWriter:
     def test_refreshes_atomically_on_tick(
         self, tmp_path, global_log, global_registry
