@@ -19,6 +19,7 @@ __all__ = [
     "PARALLEL_SPEEDUP_FLOOR",
     "CROSSOVER_VARS",
     "P99_TOLERANCE",
+    "SESSION_SCALING_CEILING",
     "write_bench",
     "load_bench",
     "crossover_violations",
@@ -49,6 +50,10 @@ PARALLEL_SPEEDUP_FLOOR = 2.0
 CROSSOVER_VARS = 288
 #: Hybrid P99 may differ from request level by this relative error.
 P99_TOLERANCE = 0.25
+#: A session draw at 10,000 live sessions may cost this many times one at
+#: 1,000.  The O(1) draw reads 1.0-1.2x on a 2-vCPU host; the list draw it
+#: replaced (``rng.choice`` over the live sessions) read 7.6-8.2x there.
+SESSION_SCALING_CEILING = 3.0
 
 
 def write_bench(data: dict, path: str | Path) -> Path:
@@ -232,13 +237,15 @@ def gate_failures(
     accuracy: list[dict],
     smoke: dict,
     sweep: dict,
+    sessions: dict,
     baselines: tuple[dict, dict] | None = None,
 ) -> list[str]:
     """One message per broken bound, each naming its constant.
 
-    ``accuracy``, ``smoke`` and ``sweep`` are the results of
+    ``accuracy``, ``smoke``, ``sweep`` and ``sessions`` are the results of
     :mod:`repro.bench.sim`'s ``check_hybrid_accuracy``,
-    ``check_hybrid_speedup`` and ``check_parallel_speedup``;
+    ``check_hybrid_speedup``, ``check_parallel_speedup`` and
+    ``check_session_scaling``;
     ``baselines`` is the committed ``(BENCH_mpo, BENCH_sim)`` pair, which
     adds the two regression gates.  The parallel floor applies only on a
     host with at least as many CPUs as the sweep had workers; the bitwise
@@ -285,6 +292,13 @@ def gate_failures(
             f"PARALLEL_SPEEDUP_FLOOR: parallel sweep only "
             f"{sweep['speedup']:.2f}x (need {PARALLEL_SPEEDUP_FLOOR:g}x)"
         )
+    if sessions["ratio"] > SESSION_SCALING_CEILING:
+        failures.append(
+            f"SESSION_SCALING_CEILING: a session draw costs "
+            f"{sessions['ratio']:.2f}x more at {sessions['sessions'][1]} live "
+            f"sessions than at {sessions['sessions'][0]} "
+            f"(allowed {SESSION_SCALING_CEILING:g}x)"
+        )
     if baselines is not None:
         mpo_base, sim_base = baselines
         slow = bench_regressions(mpo, mpo_base)
@@ -310,8 +324,11 @@ def gate_failures(
     return failures
 
 
-def format_checks(accuracy: list[dict], smoke: dict, sweep: dict) -> str:
-    """The accuracy grid, smoke cell and parallel sweep, one line each."""
+def format_checks(
+    accuracy: list[dict], smoke: dict, sweep: dict, sessions: dict
+) -> str:
+    """The accuracy grid, smoke cell, parallel sweep and session draw,
+    one line each."""
     lines = [
         f"p99 accuracy peak={c['peak_rps']:g} servers={c['servers']} "
         f"revoke={c['revoke']}: hybrid {c['p99_hybrid_s']:.3f}s vs "
@@ -334,6 +351,12 @@ def format_checks(accuracy: list[dict], smoke: dict, sweep: dict) -> str:
             f"parallel floor ({PARALLEL_SPEEDUP_FLOOR:g}x) not applied: "
             f"{sweep['cpus']} CPUs < {sweep['workers']} workers"
         )
+    small, large = sessions["sessions"]
+    lines.append(
+        f"session draw: {sessions['draw_us'][0]:.2f} us at {small} live "
+        f"sessions, {sessions['draw_us'][1]:.2f} us at {large} "
+        f"-> {sessions['ratio']:.2f}x"
+    )
     return "\n".join(lines)
 
 

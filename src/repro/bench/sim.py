@@ -15,11 +15,12 @@ Two families of cells:
   at 500k RPS ("million-user" traffic) where the request tier would
   need hours.
 
-Three checks that ``python -m repro bench`` gates run beside the cells
+Four checks that ``python -m repro bench`` gates run beside the cells
 and are printed, not recorded: the two-cell P99 accuracy grid and the
 2k req/s speedup smoke cell (both engines, each built by the same
-warm-fleet function as the cells), and the Table-1 sweep timed serial
-against a process pool.
+warm-fleet function as the cells), the Table-1 sweep timed serial
+against a process pool, and the cost of the request tier's session draw
+at two live-session counts.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.bench.report import SCHEMA_SIM
 from repro.experiments.fig7b_scalability import _replicated_markets
 from repro.markets import generate_market_dataset
 from repro.simulator import CostSimulator
-from repro.simulator.cluster import ClusterConfig
+from repro.simulator.cluster import ClusterConfig, ClusterSimulation
 from repro.simulator.hybrid import HybridClusterSimulation, HybridConfig
 from repro.workloads import wikipedia_like
 
@@ -45,6 +46,8 @@ __all__ = [
     "check_hybrid_accuracy",
     "check_hybrid_speedup",
     "check_parallel_speedup",
+    "check_session_scaling",
+    "SESSION_COUNTS",
     "UniformCountsPolicy",
 ]
 
@@ -72,6 +75,10 @@ ACCURACY_GRID = (
 
 #: Pool size of the parallel-sweep check: the four cores of a CI runner.
 PARALLEL_WORKERS = 4
+
+#: Live-session counts of the session-draw check, 10x apart; the larger
+#: is the window of live sessions a cluster keeps.
+SESSION_COUNTS = (1_000, 10_000)
 
 
 class UniformCountsPolicy:
@@ -366,4 +373,41 @@ def check_parallel_speedup(
         "mismatches": mismatches,
         "workers": max_workers,
         "cpus": os.cpu_count() or 1,
+    }
+
+
+def check_session_scaling(
+    *, draws: int = 5_000, repeats: int = 5, seed: int = 0
+) -> dict:
+    """Cost of one session draw at 10,000 live sessions over 1,000.
+
+    ``ClusterSimulation._session_for_request`` gives each arrival a new
+    session or a uniform draw among the live ones; one index draw costs
+    the same at any count, so the ratio reads ~1, while a draw over a
+    list of the live sessions grows with them.  Each cluster first opens
+    its sessions (new-session probability 1), then times ``draws``
+    returning draws (probability 0, so the count stays put); the cost is
+    the median of ``repeats`` timings.  Both counts run in this process,
+    their timings alternating, so host speed cancels out of the ratio.
+    """
+    sessions = []
+    for live in SESSION_COUNTS:
+        config = ClusterConfig(seed=seed, new_session_probability=1.0)
+        cluster = ClusterSimulation(config, keep_raw=False)
+        for _ in range(live):
+            cluster._session_for_request()
+        config.new_session_probability = 0.0
+        sessions.append(cluster._session_for_request)
+    times: list[list[float]] = [[] for _ in SESSION_COUNTS]
+    for _ in range(repeats):
+        for draw, timed in zip(sessions, times):
+            t0_s = time.perf_counter()
+            for _ in range(draws):
+                draw()
+            timed.append(time.perf_counter() - t0_s)
+    draw_us = [float(np.median(timed)) / draws * 1e6 for timed in times]
+    return {
+        "sessions": list(SESSION_COUNTS),
+        "draw_us": draw_us,
+        "ratio": draw_us[1] / draw_us[0],
     }

@@ -43,8 +43,9 @@ Commands
   benchmarks, write the machine-readable ``BENCH_mpo.json`` /
   ``BENCH_sim.json`` baselines, and exit non-zero when any bound of
   :mod:`repro.bench.report` breaks (crossover, hybrid speedup floors,
-  hybrid P99 tolerance, parallel sweep); ``--compare DIR`` also gates
-  regressions against DIR's committed baselines.
+  hybrid P99 tolerance, parallel sweep, session-draw scaling);
+  ``--compare DIR`` also gates regressions against DIR's committed
+  baselines.
 """
 
 from __future__ import annotations
@@ -528,11 +529,12 @@ def _cmd_bench(args) -> str:
 
     Exits non-zero, naming each broken bound of :mod:`repro.bench.report`,
     when the structured path loses to dense past the crossover, the hybrid
-    engine misses a speedup floor or the P99 tolerance, or the parallel
-    sweep is slow or differs from serial; ``--compare DIR`` adds the
-    regression gates against DIR's committed baselines.  The quick grid
-    keeps two anchors: H=4 cells overlap the committed full-grid baseline,
-    and the 48-market H=6 cell sits exactly at the N*H=288 crossover.
+    engine misses a speedup floor or the P99 tolerance, the parallel
+    sweep is slow or differs from serial, or a session draw grows with the
+    live sessions; ``--compare DIR`` adds the regression gates against
+    DIR's committed baselines.  The quick grid keeps two anchors: H=4
+    cells overlap the committed full-grid baseline, and the 48-market H=6
+    cell sits exactly at the N*H=288 crossover.
     """
     from pathlib import Path
 
@@ -577,15 +579,18 @@ def _cmd_bench(args) -> str:
     accuracy = bench_sim.check_hybrid_accuracy(seed=args.seed)
     smoke = bench_sim.check_hybrid_speedup(seed=args.seed)
     sweep = bench_sim.check_parallel_speedup(seed=args.seed)
+    sessions = bench_sim.check_session_scaling(seed=args.seed)
     text = "\n".join(
         [
             report.format_bench_mpo(mpo),
             report.format_bench_sim(sim),
             f"wrote {mpo_path} and {sim_path}",
-            report.format_checks(accuracy, smoke, sweep),
+            report.format_checks(accuracy, smoke, sweep, sessions),
         ]
     )
-    failures = report.gate_failures(mpo, sim, accuracy, smoke, sweep, baselines)
+    failures = report.gate_failures(
+        mpo, sim, accuracy, smoke, sweep, sessions, baselines
+    )
     if failures:
         print(text)
         raise SystemExit("\n".join(failures))

@@ -81,42 +81,74 @@ class TelemetryBus:
         The frame holds the journal records appended since the last tick
         (cursoring on :meth:`EventLog.record_count`; a swapped log object
         or a shrunk count means the journal restarted and the cursor
-        goes back to zero).  No-op while disabled.
+        goes back to zero).  Records a ``pmap`` sweep adopted from its
+        cells go out in frames of their own, one per cell interval (see
+        :func:`_frames`).  No-op while disabled.
         """
         if not self.enabled:
             return
+        self._publish(float(t), None if interval is None else int(interval))
+
+    def _publish(
+        self, t: float, interval: int | None
+    ) -> tuple[float, int | None]:
+        """Publish the pending records; returns the last frame's stamp."""
         ev = get_events()
         count = ev.record_count()
         if id(ev) != self._event_log_id or count < self._event_cursor:
             self._event_log_id = id(ev)
             self._event_cursor = 0
-        frame = {
-            "t": float(t),
-            "interval": None if interval is None else int(interval),
-            "events": ev.records_since(self._event_cursor),
-        }
+        frames = _frames(ev.records_since(self._event_cursor), t, interval)
         self._event_cursor = count
-        for fn in self._subscribers:
-            fn(frame)
+        for frame in frames:
+            for fn in self._subscribers:
+                fn(frame)
+        return frames[-1]["t"], frames[-1]["interval"]
 
     def flush(self, t: float | None = None) -> None:
         """Publish any pending records (final partial frame at end of run).
 
         Subscribers may journal while handling a frame (anomaly flags,
         which they do not watch themselves); those records follow in one
-        more frame, so every record of the run reaches the subscribers.
+        more frame, stamped as the last frame before them, so every
+        record of the run reaches the subscribers.
         """
         if not self.enabled:
             return
         ev = get_events()
-        self.tick(ev.clock if t is None else t, ev.interval)
+        stamp = self._publish(ev.clock if t is None else float(t), ev.interval)
         while self._event_cursor < ev.record_count():
-            self.tick(ev.clock if t is None else t, ev.interval)
+            stamp = self._publish(*stamp)
 
     def reset(self) -> None:
         """Restart the stream at the head of the journal."""
         self._event_cursor = 0
         self._event_log_id = None
+
+
+def _frames(records: list[dict], t: float, interval: int | None) -> list[dict]:
+    """The frames that carry one tick's records, in journal order.
+
+    Records adopted from a ``pmap`` cell (tagged ``attrs["cell"]``) were
+    journaled under the cell's clock; the caller's clock never advances
+    during a sweep.  They go out in frames of one cell interval each,
+    stamped with the ``t`` and ``interval`` of the last record a frame
+    carries.  The other records share one frame stamped ``t`` /
+    ``interval``, as does a tick without records.
+    """
+    frames: list[dict] = []
+    key = None
+    for rec in records:
+        cell = rec["attrs"].get("cell")
+        rec_key = None if cell is None else (cell, rec["interval"])
+        if not frames or rec_key != key:
+            frames.append({"t": t, "interval": interval, "events": []})
+            key = rec_key
+        frame = frames[-1]
+        frame["events"].append(rec)
+        if rec_key is not None:
+            frame["t"], frame["interval"] = float(rec["t"]), rec["interval"]
+    return frames or [{"t": t, "interval": interval, "events": []}]
 
 
 class PromFileWriter:

@@ -87,20 +87,35 @@ class LatencyDigest:
             raise ValueError("latencies and weights must have the same shape")
         if lat.size == 0:
             return
-        if float(lat.min()) < 0 or float(w.min()) < 0:
+        w_min = float(w.min())
+        if float(lat.min()) < 0 or w_min < 0:
             raise ValueError("latencies and weights must be non-negative")
+        mass = float(w.sum())
+        if mass <= 0:
+            return
+        self.fold_masses(lat, w, mass, w_min)
+
+    @units("s", "req", "req", "req")
+    def fold_masses(
+        self, lat: np.ndarray, w: np.ndarray, mass: float, w_min: float
+    ) -> None:
+        """:meth:`add_masses` for a caller that has made its checks.
+
+        ``lat`` and ``w`` are flat float64 arrays of one shape, neither
+        has a negative entry, ``mass = w.sum() > 0`` and ``w_min =
+        w.min()``.  The fluid recorder validates a step's nodes once and
+        folds them here.
+        """
         idx = np.minimum(
             (lat / self.bin_width).astype(np.int64), self.num_bins
         )
         binned = np.bincount(idx, weights=w, minlength=self.num_bins + 1)
         for i in np.flatnonzero(binned):
             self.counts[i] += float(binned[i])
-        mass = float(w.sum())
-        if mass <= 0:
-            return
         self.count += mass
         self.total += float((lat * w).sum())
-        top = float(lat[w > 0].max())
+        # Every node of a fluid step carries mass, so its mask is all True.
+        top = float(lat.max() if w_min > 0 else lat[w > 0].max())
         if top > self.max:
             self.max = top
 

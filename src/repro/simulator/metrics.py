@@ -125,7 +125,8 @@ class LatencyRecorder:
             raise ValueError("latencies and weights must have the same shape")
         if lat.size == 0:
             return
-        if float(lat.min()) < 0 or float(w.min()) < 0:
+        w_min = float(w.min())
+        if float(lat.min()) < 0 or w_min < 0:
             raise ValueError("latencies and weights must be non-negative")
         mass = float(w.sum())
         if mass <= 0:
@@ -133,7 +134,7 @@ class LatencyRecorder:
         timestamp = float(timestamp)
         self._served += mass
         self._late += float(w[lat > self.slo_threshold].sum())
-        self.digest.add_masses(lat, w)
+        self.digest.fold_masses(lat, w, mass, w_min)
         if self.keep_raw:
             counts = integer_masses(w)
             expanded = np.repeat(lat, counts).tolist()

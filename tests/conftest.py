@@ -14,6 +14,10 @@ import pytest
 
 from repro.devtools.contracts import set_contracts
 from repro.markets import default_catalog, generate_market_dataset
+from repro.obs.slo import LatencyDigest
+from repro.simulator.fluid import FluidEngine, FluidStep
+from repro.simulator.metrics import LatencyRecorder, integer_masses
+from repro.simulator.server import ServerPhase
 from repro.workloads import wikipedia_like
 
 # The runtime contract layer (shape/sign/unit checks at the hot seams) is
@@ -227,6 +231,279 @@ def run_pair(fast, ref, calls):
     return results
 
 
+# The fluid step and its mass path as written before the fleet terms were
+# cached and the per-server map was written lazily: the helpers, the
+# FluidEngine methods, LatencyRecorder.record_served_mass and
+# LatencyDigest.add_masses, verbatim but for decorators, annotations,
+# docstrings and comments.
+_REF_QUANTILE_EDGES = np.array(
+    [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
+     0.94, 0.97, 0.985, 0.9925, 0.9975, 1.0]
+)
+_REF_NODE_MASS = np.diff(_REF_QUANTILE_EDGES)
+_REF_NODE_PROBS = (_REF_QUANTILE_EDGES[:-1] + _REF_QUANTILE_EDGES[1:]) / 2.0
+_REF_NODE_EXP = -np.log1p(-_REF_NODE_PROBS)
+_REF_RHO_MAX = 0.995
+
+
+def _ref_warm_multiplier(now, serving_since, warmup_seconds, cold_multiplier):
+    age = now - serving_since
+    safe_warmup = np.maximum(warmup_seconds, 1e-12)
+    frac = np.clip(age / safe_warmup, 0.0, 1.0)
+    frac = np.where(warmup_seconds > 0, frac, np.where(age >= 0, 1.0, 0.0))
+    return cold_multiplier + (1.0 - cold_multiplier) * frac
+
+
+def _ref_split_offered(total, weights):
+    denom = float(weights.sum())
+    if denom <= 0:
+        return np.zeros_like(weights)
+    return total * (weights / denom)
+
+
+def _ref_stochastic_wait(rho, service_eff, workers):
+    r = np.clip(rho, 0.0, _REF_RHO_MAX)
+    k = np.maximum(workers, 1.0)
+    return (service_eff / k) * r ** np.sqrt(2.0 * (k + 1.0)) / (1.0 - r)
+
+
+def _ref_response_nodes(wait, service_eff):
+    return wait[:, None] + service_eff[:, None] * _REF_NODE_EXP[None, :]
+
+
+class ReferenceFluidEngine(FluidEngine):
+    """:class:`~repro.simulator.fluid.FluidEngine` with ``sync``, ``step``,
+    ``withdraw``, ``deposit`` and ``total_mass`` as they were: the fleet
+    terms recomputed and the map written back at every step.  The
+    optimized engine must match it bit for bit."""
+
+    def total_mass(self):
+        return float(sum(self._mass.values()))
+
+    def sync(self, servers, now):
+        key = (id(servers), len(servers), self._sim.fleet_epoch)
+        if key == self._synced:
+            return 0.0
+        self._synced = key
+        order = []
+        capacity = []
+        workers = []
+        service = []
+        queue_limit = []
+        warmup = []
+        cold = []
+        since = []
+        draining = []
+        failed = 0.0
+        for sid in sorted(servers):
+            server = servers[sid]
+            if not server.alive:
+                failed += self._mass.pop(sid, 0.0)
+                continue
+            order.append(sid)
+            capacity.append(server.capacity_rps)
+            workers.append(float(server.workers))
+            service.append(server.service_time)
+            queue_limit.append(server.queue_limit_seconds)
+            warmup.append(server.warmup_seconds)
+            cold.append(server.cold_multiplier)
+            if server.serving_since is not None:
+                since.append(server.serving_since)
+            else:
+                since.append(server.launched_at + server.boot_seconds)
+            draining.append(server.phase is ServerPhase.DRAINING)
+        for sid in sorted(set(self._mass) - set(order)):
+            failed += self._mass.pop(sid)
+        self._order = order
+        self._cols = {
+            "capacity": np.asarray(capacity, dtype=np.float64),
+            "workers": np.asarray(workers, dtype=np.float64),
+            "service": np.asarray(service, dtype=np.float64),
+            "queue_limit": np.asarray(queue_limit, dtype=np.float64),
+            "warmup": np.asarray(warmup, dtype=np.float64),
+            "cold": np.asarray(cold, dtype=np.float64),
+            "since": np.asarray(since, dtype=np.float64),
+            "draining": np.asarray(draining, dtype=np.bool_),
+            "mass": np.asarray(
+                [self._mass.get(sid, 0.0) for sid in order],
+                dtype=np.float64,
+            ),
+        }
+        self.failed_total += failed
+        return failed
+
+    def step(self, now, dt, rate):
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        offered = max(0.0, float(rate)) * dt
+        self.offered_total += offered
+        cols = self._cols
+        if not self._order:
+            self.dropped_total += offered
+            return FluidStep(
+                t=now, dt=dt, offered=offered, served=0.0, dropped=offered,
+                latencies=np.zeros(0), weights=np.zeros(0),
+                queue_mass=0.0, max_rho=0.0,
+            )
+        outcome = self._step_arrays(cols, now, dt, offered)
+        new_mass = outcome["mass"]
+        mass_list = new_mass.tolist()
+        for sid, m in zip(self._order, mass_list):
+            self._mass[sid] = m
+        cols["mass"] = new_mass
+        self.served_total += outcome["served"]
+        self.dropped_total += outcome["dropped"]
+        return FluidStep(
+            t=now,
+            dt=dt,
+            offered=offered,
+            served=outcome["served"],
+            dropped=outcome["dropped"],
+            latencies=outcome["latencies"],
+            weights=outcome["weights"],
+            queue_mass=float(new_mass.sum()),
+            max_rho=outcome["max_rho"],
+        )
+
+    def _step_arrays(self, cols, now, dt, offered):
+        mass = cols["mass"]
+        mid = now + dt / 2.0
+        mult = _ref_warm_multiplier(
+            mid, cols["since"], cols["warmup"], cols["cold"]
+        )
+        serving = cols["since"] <= mid
+        mu = np.where(serving, cols["capacity"] / mult, 0.0)
+        potential = mu * dt
+        mass_cap = cols["workers"] + mu * cols["queue_limit"]
+        room = np.maximum(0.0, mass_cap - mass) + potential
+        accepting = serving & ~cols["draining"]
+        room = np.where(accepting, room, 0.0)
+        weights = np.where(accepting, cols["capacity"], 0.0)
+        offered_per = _ref_split_offered(offered, weights)
+        admitted = np.minimum(offered_per, room)
+        overflow = float((offered_per - admitted).sum())
+        room_left = room - admitted
+        retried = _ref_split_offered(overflow, room_left)
+        retried = np.minimum(retried, room_left)
+        admitted = admitted + retried
+        dropped = max(0.0, offered - float(admitted.sum()))
+        service_eff = cols["service"] * mult
+        rho = np.where(
+            potential > 0, admitted / np.maximum(potential, 1e-12), 0.0
+        )
+        backlog = np.where(
+            mu > 0,
+            np.maximum(0.0, mass - cols["workers"]) / np.maximum(mu, 1e-12),
+            0.0,
+        )
+        wait = backlog + _ref_stochastic_wait(rho, service_eff, cols["workers"])
+        total = mass + admitted
+        response_mean = wait + service_eff
+        residual = admitted * np.minimum(response_mean, dt) / dt
+        served = np.minimum(total, potential)
+        served = np.minimum(served, np.maximum(total - residual, 0.0))
+        new_mass = total - served
+        active = served > 1e-12
+        nodes = _ref_response_nodes(wait[active], service_eff[active])
+        node_w = served[active][:, None] * _REF_NODE_MASS[None, :]
+        return {
+            "mass": new_mass,
+            "served": float(served.sum()),
+            "dropped": dropped,
+            "latencies": nodes.ravel(),
+            "weights": node_w.ravel(),
+            "max_rho": float(rho.max()) if rho.size else 0.0,
+        }
+
+    def withdraw(self):
+        self._synced = None
+        counts = {}
+        for sid in sorted(self._mass):
+            n = int(self._mass[sid])
+            if n > 0:
+                counts[sid] = n
+                self._mass[sid] -= n
+                self.withdrawn_total += n
+        return counts
+
+    def deposit(self, server_id, count):
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        if count == 0:
+            return
+        self._synced = None
+        self._mass[server_id] = self._mass.get(server_id, 0.0) + count
+        self.deposited_total += count
+
+
+class ReferenceLatencyDigest(LatencyDigest):
+    """:meth:`~repro.obs.slo.LatencyDigest.add_masses` as it was."""
+
+    def add_masses(self, latencies, weights):
+        lat = np.asarray(latencies, dtype=np.float64).ravel()
+        w = np.asarray(weights, dtype=np.float64).ravel()
+        if lat.shape != w.shape:
+            raise ValueError("latencies and weights must have the same shape")
+        if lat.size == 0:
+            return
+        if float(lat.min()) < 0 or float(w.min()) < 0:
+            raise ValueError("latencies and weights must be non-negative")
+        idx = np.minimum(
+            (lat / self.bin_width).astype(np.int64), self.num_bins
+        )
+        binned = np.bincount(idx, weights=w, minlength=self.num_bins + 1)
+        for i in np.flatnonzero(binned):
+            self.counts[i] += float(binned[i])
+        mass = float(w.sum())
+        if mass <= 0:
+            return
+        self.count += mass
+        self.total += float((lat * w).sum())
+        top = float(lat[w > 0].max())
+        if top > self.max:
+            self.max = top
+
+
+class ReferenceLatencyRecorder(LatencyRecorder):
+    """A default-digest :class:`~repro.simulator.metrics.LatencyRecorder`
+    with ``record_served_mass`` and its digest's ``add_masses`` as they
+    were: the nodes checked and summed twice."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.digest = ReferenceLatencyDigest()
+
+    def record_served_mass(self, timestamp, latencies, weights):
+        lat = np.asarray(latencies, dtype=np.float64).ravel()
+        w = np.asarray(weights, dtype=np.float64).ravel()
+        if lat.shape != w.shape:
+            raise ValueError("latencies and weights must have the same shape")
+        if lat.size == 0:
+            return
+        if float(lat.min()) < 0 or float(w.min()) < 0:
+            raise ValueError("latencies and weights must be non-negative")
+        mass = float(w.sum())
+        if mass <= 0:
+            return
+        timestamp = float(timestamp)
+        self._served += mass
+        self._late += float(w[lat > self.slo_threshold].sum())
+        self.digest.add_masses(lat, w)
+        if self.keep_raw:
+            counts = integer_masses(w)
+            expanded = np.repeat(lat, counts).tolist()
+            self.latencies.extend(expanded)
+            self.timestamps.extend([timestamp] * len(expanded))
+        if self.engine is not None:
+            self.engine.record_mass(timestamp, lat, w)
+
+
+def server_mass(fluid):
+    """A fluid engine's queue mass per server id, read from its mass
+    column: the truth between column rebuilds."""
+    return dict(zip(fluid._order, fluid._cols["mass"].tolist()))
+
+
 @pytest.fixture
 def bench_stubs(monkeypatch):
     """Stub every measurement ``repro bench`` takes with a value inside
@@ -301,6 +578,11 @@ def bench_stubs(monkeypatch):
             "workers": 4,
             "cpus": 4,
         },
+        "sessions": {
+            "sessions": [1000, 10000],
+            "draw_us": [4.0, 4.4],
+            "ratio": 1.1,
+        },
         "seen": {},
     }
 
@@ -316,4 +598,5 @@ def bench_stubs(monkeypatch):
     stub(sim, "check_hybrid_accuracy", "accuracy")
     stub(sim, "check_hybrid_speedup", "smoke")
     stub(sim, "check_parallel_speedup", "sweep")
+    stub(sim, "check_session_scaling", "sessions")
     return stubs

@@ -9,6 +9,7 @@ from repro.bench.mpo import bench_mpo
 from repro.bench.report import (
     SCHEMA_MPO,
     SCHEMA_SIM,
+    SESSION_SCALING_CEILING,
     bench_regressions,
     crossover_violations,
     format_bench_mpo,
@@ -18,7 +19,7 @@ from repro.bench.report import (
     sim_regressions,
     write_bench,
 )
-from repro.bench.sim import bench_sim
+from repro.bench.sim import bench_sim, check_session_scaling
 from repro.cli import main
 
 
@@ -282,3 +283,26 @@ class TestHybridSpeedup:
         root = Path(__file__).resolve().parents[1]
         sim = load_bench(root / "BENCH_sim.json")
         assert hybrid_speedup_violations(sim) == []
+
+
+class TestSessionScaling:
+    def test_real_draw_reports_both_counts(self):
+        result = check_session_scaling(draws=200, repeats=3, seed=0)
+        assert result["sessions"] == [1000, 10000]
+        assert all(us > 0 for us in result["draw_us"])
+        assert result["ratio"] == pytest.approx(
+            result["draw_us"][1] / result["draw_us"][0]
+        )
+
+    def test_bench_prints_the_draw(self, bench_stubs, tmp_path, capsys):
+        assert main(["bench", "--quick", "--out-dir", str(tmp_path)]) == 0
+        assert "session draw: 4.00 us at 1000 live sessions, 4.40 us at 10000 -> 1.10x" in (
+            capsys.readouterr().out
+        )
+
+    def test_bench_exits_past_the_ceiling(self, bench_stubs, tmp_path):
+        # Just past the bound: a draw that grows with the live sessions.
+        bench_stubs["sessions"]["ratio"] = SESSION_SCALING_CEILING + 0.01
+        with pytest.raises(SystemExit, match="SESSION_SCALING_CEILING.*3.01x"):
+            main(["bench", "--quick", "--out-dir", str(tmp_path)])
+

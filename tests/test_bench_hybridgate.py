@@ -83,4 +83,5 @@ class TestMain:
             "check_hybrid_accuracy": 7,
             "check_hybrid_speedup": 7,
             "check_parallel_speedup": 7,
+            "check_session_scaling": 7,
         }

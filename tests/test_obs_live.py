@@ -175,6 +175,22 @@ class TestSweepStream:
         assert plans and all("cell" in r["attrs"] for r in plans)
         assert any(r["kind"] == "telemetry.anomaly" for r in journal)
         assert [r for f in frames for r in f["events"]] == journal
+        # The caller's clock never advances during the sweep: each frame
+        # of adopted records holds one cell interval and is stamped from
+        # its last record; the flags follow at the stamp before them.
+        adopted = [f for f in frames if "cell" in f["events"][0]["attrs"]]
+        assert len(adopted) > 1
+        previous = None
+        for frame in frames:
+            stamp = (frame["t"], frame["interval"])
+            if frame in adopted:
+                last = frame["events"][-1]
+                assert stamp == (last["t"], last["interval"])
+                cells = {(r["attrs"]["cell"], r["interval"]) for r in frame["events"]}
+                assert len(cells) == 1
+            else:
+                assert stamp == previous
+            previous = stamp
 
 
 class TestPromFileWriter:

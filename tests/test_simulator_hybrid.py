@@ -27,6 +27,9 @@ from repro.simulator.hybrid import (
     TIER_REQUEST,
     HybridConfig,
 )
+from repro.simulator.metrics import LatencyRecorder
+
+from conftest import ReferenceFluidEngine, ReferenceLatencyRecorder, server_mass
 
 
 def build(engine="hybrid", *, servers=4, capacity=100.0, seed=0, **hybrid_kw):
@@ -111,7 +114,7 @@ class TestFluidEngineConservation:
         victim.kill()
         failed = fluid.sync(cluster.servers, 100.0)
         assert failed >= 0.0
-        assert 0 not in fluid._mass
+        assert 0 not in server_mass(fluid)
         assert fluid.balance_error() < 1e-6
 
     def test_steady_state_mass_tracks_littles_law(self):
@@ -124,6 +127,26 @@ class TestFluidEngineConservation:
         assert 300.0 * 0.05 < mass < 300.0 * 1.0
 
 
+LEDGER = ("offered", "served", "dropped", "failed", "deposited", "withdrawn")
+
+
+def bits(values):
+    """The float64 bytes of a number or a sequence of numbers."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_same_mass(a, b):
+    """Same per-server mass, bit for bit, given as id -> mass maps."""
+    assert sorted(a) == sorted(b)
+    assert bits([a[sid] for sid in sorted(a)]) == bits([b[sid] for sid in sorted(b)])
+
+
+def assert_same_ledger(a, b):
+    for total in LEDGER:
+        attr = f"{total}_total"
+        assert bits(getattr(a, attr)) == bits(getattr(b, attr)), attr
+
+
 def assert_same_engine(cached, fresh):
     """Bitwise equality of two engines' columns, order, mass and ledger."""
     assert cached._order == fresh._order
@@ -131,17 +154,26 @@ def assert_same_engine(cached, fresh):
     for name, col in cached._cols.items():
         assert col.dtype == fresh._cols[name].dtype, name
         assert col.tobytes() == fresh._cols[name].tobytes(), name
-    assert cached._mass == fresh._mass
-    for total in ("offered", "served", "dropped", "failed", "deposited", "withdrawn"):
-        attr = f"{total}_total"
-        assert getattr(cached, attr) == getattr(fresh, attr), attr
+    assert_same_mass(server_mass(cached), server_mass(fresh))
+    assert_same_ledger(cached, fresh)
 
 
 def assert_same_step(a, b):
     for name in ("t", "dt", "offered", "served", "dropped", "queue_mass", "max_rho"):
-        assert getattr(a, name) == getattr(b, name), name
+        assert bits(getattr(a, name)) == bits(getattr(b, name)), name
     for name in ("latencies", "weights"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+        assert getattr(a, name).shape == getattr(b, name).shape, name
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def assert_same_recorder(a, b):
+    """Bitwise equality of the served-mass state of two recorders."""
+    assert bits([a._served, a._late]) == bits([b._served, b._late])
+    da, db = a.digest, b.digest
+    assert [type(c) for c in da.counts] == [type(c) for c in db.counts]
+    assert bits(da.counts) == bits(db.counts)
+    assert bits([da.count, da.total, da.max]) == bits([db.count, db.total, db.max])
 
 
 class TestFluidSyncCache:
@@ -162,45 +194,83 @@ class TestFluidSyncCache:
         assert fluid._cols["draining"].tolist() == [True, False, False, False]
 
     def test_steady_run_never_rebuilds_columns(self):
-        # Count gate on the sync cache: a warm fleet that never changes
-        # keeps its columns through 300 fluid steps (rebuilding on every
-        # sync instead makes this 300).  Compare objects with `is`: a
-        # freed dict's id() can be reused by the next one.
+        # Count gate on the sync cache and the step's fleet work: a warm
+        # fleet that never changes keeps its columns, its fleet terms and
+        # its per-server map through 300 fluid steps (rebuilding on every
+        # sync, recomputing the terms every step or writing the map back
+        # after every step makes the matching count 300).  Compare objects
+        # with `is`: a freed object's id() can be reused by the next one.
         cluster = build(servers=40, capacity=100.0)
         rate = 0.8 * 40 * 100.0
         cluster.run(10.0, rate)  # the first fluid sync builds the columns
         fluid = cluster.fluid
-        real_sync = fluid.sync
-        rebuilds = 0
+
+        class CountingMap(dict):
+            writes = 0
+
+            def __setitem__(self, key, value):
+                self.writes += 1
+                super().__setitem__(key, value)
+
+            def update(self, *args, **kwargs):
+                self.writes += 1
+                super().update(*args, **kwargs)
+
+        fluid._mass = CountingMap(fluid._mass)
+        real_sync, real_step = fluid.sync, fluid.step
+        rebuilds = map_writes = 0
+        terms_used = []  # each fleet-terms object the steps ran on
 
         def counting_sync(servers, now):
-            nonlocal rebuilds
-            before = fluid._cols
+            nonlocal rebuilds, map_writes
+            before, writes = fluid._cols, fluid._mass.writes
             failed = real_sync(servers, now)
             rebuilds += fluid._cols is not before
+            map_writes += fluid._mass.writes != writes
             return failed
 
+        def counting_step(now, dt, rate):
+            nonlocal map_writes
+            writes = fluid._mass.writes
+            step = real_step(now, dt, rate)
+            map_writes += fluid._mass.writes != writes
+            if not terms_used or fluid._terms is not terms_used[-1]:
+                terms_used.append(fluid._terms)
+            return step
+
         fluid.sync = counting_sync
+        fluid.step = counting_step
         steps = dict(cluster.tier_steps)
         cluster.run(300 * cluster.hybrid.interval_seconds, rate)
         assert cluster.tier_steps[TIER_FLUID] - steps[TIER_FLUID] == 300
         assert cluster.tier_steps[TIER_REQUEST] == steps[TIER_REQUEST]
         assert rebuilds == 0
+        assert len(terms_used) == 1  # computed once, at the first warm step
+        assert map_writes == 0
 
     def test_cached_sync_matches_rebuild_every_step(self):
-        # A seeded random mix of fleet events, steps and handoffs: the
+        # A seeded random mix of fleet events, steps and handoffs.  The
         # cached engine must match, bit for bit, one that rebuilds on
-        # every sync.
+        # every sync, and the reference copy of the engine from before
+        # the fleet terms were cached and the map written lazily
+        # (conftest.ReferenceFluidEngine); a recorder fed by the cached
+        # engine must match the reference recorder fed by the reference.
+        # The mix covers boots with cold caches that warm up mid-run,
+        # prewarms into the past, partial-dt steps, an all-draining fleet
+        # (zero split weight) and rows that serve no mass in a step.
         config = ClusterConfig(seed=0)
         cluster = HybridClusterSimulation(config, engine="fluid")
         sim, servers = cluster.sim, cluster.servers
         cached, fresh = FluidEngine(sim), FluidEngine(sim)
+        reference = ReferenceFluidEngine(sim)
+        engines = (cached, fresh, reference)
+        recorder, ref_recorder = LatencyRecorder(), ReferenceLatencyRecorder()
         rng = np.random.default_rng(42)
         for _ in range(3):
             cluster.add_server(100.0, boot_seconds=0.0)
-        hits = rebuilds = 0
-        for _ in range(400):
-            event = rng.integers(0, 10)
+        hits = rebuilds = reused = warming = no_split = idle = 0
+        for _ in range(600):
+            event = rng.integers(0, 16)
             live = [sid for sid in sorted(servers) if servers[sid].alive]
             if event == 0:
                 cluster.add_server(
@@ -211,9 +281,16 @@ class TestFluidSyncCache:
                 servers[int(rng.choice(live))].drain()
             elif event == 2 and live:
                 servers[int(rng.choice(live))].kill()
+            elif event == 3 and live and rng.random() < 0.5:
+                # A warm fleet, as build() makes one: the terms freeze.
+                for sid in live:
+                    servers[sid].prewarm(
+                        sim.now - config.warmup_seconds - float(rng.uniform(0.0, 30.0))
+                    )
             elif event == 3 and live:
+                # Into the past: some rows land warm, some mid-warm-up.
                 servers[int(rng.choice(live))].prewarm(
-                    sim.now - float(rng.uniform(0.0, 90.0))
+                    sim.now - float(rng.uniform(0.0, 150.0))
                 )
             elif event == 4 and live:
                 # Revocation: warning now, kill when the window closes.
@@ -222,34 +299,66 @@ class TestFluidSyncCache:
                 sim.schedule(float(rng.uniform(0.5, 4.0)), victim.kill)
             elif event == 5:
                 counts = cached.withdraw()
-                assert counts == fresh.withdraw()
+                assert counts == fresh.withdraw() == reference.withdraw()
                 for sid in sorted(counts):
                     keep = counts[sid] // 2
-                    cached.deposit(sid, keep)
-                    fresh.deposit(sid, keep)
+                    for engine in engines:
+                        engine.deposit(sid, keep)
             elif event == 6 and live:
                 sid = int(rng.choice(live))
                 n = int(rng.integers(1, 20))
-                cached.deposit(sid, n)
-                fresh.deposit(sid, n)
+                for engine in engines:
+                    engine.deposit(sid, n)
+            elif event == 7 and rng.random() < 0.1:
+                # The whole fleet drains: nothing accepts new work.
+                for sid in live:
+                    servers[sid].drain()
+            elif event == 8:
+                assert bits(cached.total_mass()) == bits(reference.total_mass())
             t0 = sim.now
-            dt = float(rng.choice([0.5, 1.0]))
+            dt = float(rng.choice([0.5, 1.0, float(rng.uniform(0.05, 1.0))]))
             sim.advance(t0 + dt)  # boots and scheduled kills fire here
-            before = cached._cols
+            before, terms = cached._cols, cached._terms
             fresh._synced = None
-            assert cached.sync(servers, t0 + dt) == fresh.sync(servers, t0 + dt)
+            failed = cached.sync(servers, t0 + dt)
+            assert failed == fresh.sync(servers, t0 + dt)
+            assert failed == reference.sync(servers, t0 + dt)
             if cached._cols is before:
                 hits += 1
             else:
                 rebuilds += 1
             assert_same_engine(cached, fresh)
-            rate = float(rng.uniform(0.0, 1.2)) * sum(
-                s.capacity_rps for s in servers.values() if s.alive
-            )
-            assert_same_step(cached.step(t0, dt, rate), fresh.step(t0, dt, rate))
+            capacity = sum(s.capacity_rps for s in servers.values() if s.alive)
+            rate = float(rng.choice([0.0, float(rng.uniform(0.0, 1.2))])) * capacity
+            step = cached.step(t0, dt, rate)
+            assert_same_step(step, fresh.step(t0, dt, rate))
+            ref_step = reference.step(t0, dt, rate)
+            assert_same_step(step, ref_step)
             assert_same_engine(cached, fresh)
+            assert_same_mass(server_mass(cached), reference._mass)
+            for engine in (fresh, reference):
+                assert_same_ledger(cached, engine)
+            recorder.record_served_mass(t0 + dt, step.latencies, step.weights)
+            ref_recorder.record_served_mass(
+                t0 + dt, ref_step.latencies, ref_step.weights
+            )
+            assert_same_recorder(recorder, ref_recorder)
+            if cached._order:
+                all_serving = (cached._cols["since"] <= t0 + dt / 2.0).all()
+                reused += cached._terms is terms
+                warming += bool(all_serving) and cached._terms.valid_from > t0 + dt
+                no_split += cached._terms.share is None
+                idle += step.weights.size < cached._cols["mass"].size * (
+                    QUANTILE_EDGES.size - 1
+                )
         assert hits > 50 and rebuilds > 50
-        assert cached.balance_error() < 1e-6
+        # Every case the mix is meant to cover happened.
+        assert reused > 20 and warming > 50 and no_split > 20 and idle > 50
+        for engine in engines:
+            assert engine.balance_error() < 1e-6
+        assert bits([e.total_mass() for e in engines[1:]]) == bits(
+            [cached.total_mass()] * 2
+        )
 
 
 class TestHandoffs:

@@ -11,6 +11,8 @@ from repro.simulator import (
     Simulator,
 )
 
+from conftest import server_mass
+
 
 def make_server(sim=None, recorder=None, **kwargs):
     sim = sim or Simulator()
@@ -70,8 +72,9 @@ class TestLifecycle:
         fluid.sync({0: doomed, 1: healthy}, sim.now)
         step = fluid.step(sim.now, 1.0, 50.0)
         assert step.dropped == 0.0
-        assert fluid._mass[0] == 0.0
-        assert fluid._mass[1] == step.queue_mass == 50.0
+        mass = server_mass(fluid)
+        assert mass[0] == 0.0
+        assert mass[1] == step.queue_mass == 50.0
 
     def test_serving_since_is_read_only(self):
         sim, rec, server = make_server()
