@@ -18,7 +18,10 @@ Commands
   switch the in-process telemetry bus on: ``--serve-metrics PORT``
   (live OpenMetrics scrape endpoint, ``--serve-hold SEC`` keeps it up
   after the run) and ``--flightrec DIR`` (arm the flight recorder: SLO
-  burn-rate alerts and crashes dump a bundle, a window of the journal).
+  burn-rate alerts dump a bundle, a window of the journal, and an
+  exception leaving the run dumps a ``crash`` bundle).  Each run has a
+  recording of its own (:mod:`repro.obs.recording`): whatever it
+  switched on is off again when it returns or raises.
 - ``top <name>`` — live-refreshing ASCII dashboard of one run (fleet
   by market, RPS, P99, burn rate, cost, warnings, anomalies) driven
   off the telemetry bus; ``--once`` renders a single deterministic
@@ -33,8 +36,10 @@ Commands
   pack (journals per cell), list the registered families, or evaluate
   journals against their invariant packs (non-zero exit on violation).
   ``run --flightrec DIR`` arms the flight recorder for the whole pack:
-  in-episode SLO alerts auto-dump, and a failed ``--check`` dumps an
-  ``invariant.violation`` bundle naming the broken invariants.
+  in-episode SLO alerts auto-dump (with ``--parallel`` too: bundles are
+  numbered and listed in cell order either way), and a failed
+  ``--check`` dumps an ``invariant.violation`` bundle naming the broken
+  invariants.
 - ``list`` — list available experiments with one-line descriptions.
 - ``catalog`` — print the instance catalog / market universe.
 - ``advisor`` — print the emulated Spot Instance Advisor table for a
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import Callable
 
 __all__ = ["main", "build_parser", "EXPERIMENTS"]
@@ -209,75 +215,50 @@ _MODULES: dict[str, str] = {
 }
 
 
-class _Observed:
-    """The observability one command switches on, and its undo.
+@contextmanager
+def _recording(
+    *, trace=False, events=False, telemetry=False, flightrec=None,
+    serve_metrics=None,
+):
+    """The recording one command runs under, and its metrics endpoint.
 
-    ``run``, ``top`` and ``scenarios run --flightrec`` share this set-up:
-    reset the metrics registry, switch the tracer and journal on as asked,
-    and for telemetry enable the bus, subscribe an
-    :class:`~repro.obs.anomaly.AnomalyMonitor` first (so its flags reach
-    later sinks on the next frame, the order scenario episodes use) and
-    start and announce the metrics endpoint.
-    :meth:`restore` puts the tracer, journal, bus, flight recorder and
-    crash hook back as they were.  Commands call it on their normal
-    return, not in a ``finally``: an exception leaving ``main`` must
-    still find the recorder armed and the crash hook installed.
+    Fresh parts, switched on as asked; telemetry (frames carry the
+    journal, so it implies events) subscribes an
+    :class:`~repro.obs.anomaly.AnomalyMonitor` first, so its flags reach
+    later sinks on the next frame (the order scenario episodes use),
+    then the endpoint, then the recorder armed on ``flightrec``.  Yields
+    ``(recording, server)``; the endpoint stops on every exit.
     """
+    from repro.obs.anomaly import AnomalyMonitor
+    from repro.obs.events import EventLog
+    from repro.obs.flightrec import FlightRecorder
+    from repro.obs.live import MetricsServer, TelemetryBus
+    from repro.obs.recording import Recording
+    from repro.obs.tracer import Tracer
 
-    def __init__(
-        self, *, trace=False, events=False, telemetry=False, serve_metrics=None
-    ):
-        from repro.obs import events as ev
-        from repro.obs import flightrec, live, metrics, tracer
-        from repro.obs.anomaly import AnomalyMonitor
-
-        self._was = (
-            tracer.tracing_enabled(),
-            ev.events_enabled(),
-            live.telemetry_enabled(),
-            flightrec.flightrec_enabled(),
-            sys.excepthook,
-        )
-        self._sinks: list[Callable[[dict], None]] = []
-        metrics.reset_metrics()
-        if trace:
-            tracer.enable_tracing()
-        if events or telemetry:
-            ev.enable_events()
-        self.bus = live.enable_telemetry() if telemetry else None
-        self.server = None
-        if telemetry:
-            self.subscribe(AnomalyMonitor())
-            if serve_metrics is not None:
-                self.server = self.subscribe(live.MetricsServer(serve_metrics))
-                self.server.start()
-                # Announce before the run so scrapers can find the port.
-                print(f"serving metrics at {self.server.url}", flush=True)
-
-    def subscribe(self, fn):
-        """Subscribe ``fn`` to the bus until :meth:`restore`."""
-        self._sinks.append(self.bus.subscribe(fn))
-        return fn
-
-    def restore(self) -> None:
-        from repro.obs import events as ev
-        from repro.obs import flightrec, live, tracer
-
-        tracing, journaling, streaming, recording, hook = self._was
-        if self.server is not None:
-            self.server.stop()
-        for fn in self._sinks:
-            self.bus.unsubscribe(fn)
-        if not recording:
-            flightrec.disable_flightrec()
-        if sys.excepthook is not hook:
-            flightrec.uninstall_crash_hooks()
-        if not streaming:
-            live.disable_telemetry()
-        if not journaling:
-            ev.disable_events()
-        if not tracing:
-            tracer.disable_tracing()
+    recording = Recording(
+        tracer=Tracer(enabled=trace),
+        events=EventLog(enabled=events or telemetry),
+        bus=TelemetryBus(enabled=telemetry),
+        flightrec=None if flightrec is None else FlightRecorder(out_dir=flightrec),
+    )
+    server = None
+    if telemetry:
+        recording.bus.subscribe(AnomalyMonitor())
+        if serve_metrics is not None:
+            server = recording.bus.subscribe(MetricsServer(serve_metrics))
+    if recording.flightrec is not None:
+        recording.bus.subscribe(recording.flightrec)
+    with recording:
+        if server is not None:
+            server.start()
+            # Announce before the run so scrapers can find the port.
+            print(f"serving metrics at {server.url}", flush=True)
+        try:
+            yield recording, server
+        finally:
+            if server is not None:
+                server.stop()
 
 
 def _format_metrics(snapshot: dict) -> str:
@@ -307,7 +288,7 @@ def _cmd_run(args) -> str:
     Every opt-in also prints the metrics snapshot; ``--prom-out``
     additionally exports the registry in Prometheus text format (written
     atomically, and refreshed at every sim interval while the bus is
-    live).  On return the observability switches are as they were.
+    live).  The run has a recording of its own (:func:`_recording`).
     """
     import importlib
     import time
@@ -323,58 +304,50 @@ def _cmd_run(args) -> str:
     events_on = args.events is not None or telemetry_on
     if not (args.trace is not None or events_on or args.prom_out):
         return runner(args)
-    observed = _Observed(
+    with _recording(
         trace=args.trace is not None,
         events=events_on,
         telemetry=telemetry_on,
+        flightrec=args.flightrec,
         serve_metrics=args.serve_metrics,
-    )
-    recorder = None
-    if args.flightrec is not None:
-        from repro.obs.flightrec import enable_flightrec, install_crash_hooks
+    ) as (rec, server):
+        if telemetry_on and args.prom_out:
+            from repro.obs.live import PromFileWriter
 
-        recorder = enable_flightrec(args.flightrec)
-        install_crash_hooks()
-    if telemetry_on and args.prom_out:
-        from repro.obs.live import PromFileWriter
-
-        observed.subscribe(PromFileWriter(args.prom_out))
-    with tracer.get_tracer().span(f"experiment.{args.name}", quick=args.quick):
-        # The experiment module's import dominates a --quick run's
-        # wall-clock; give it a span so the root stays >95% covered.
-        with tracer.get_tracer().span("experiment.imports"):
-            importlib.import_module(f"repro.experiments.{_MODULES[args.name]}")
-        text = runner(args)
-    if observed.bus is not None:
-        observed.bus.flush()
-    if args.trace is not None:
-        records = tracer.get_tracer().records()
-        out = args.trace or f"TRACE_{args.name}.jsonl"
-        tracer.write_trace(records, out)
-        text += f"\nwrote {len(records)} spans to {out}"
-        if args.parallel:
-            text += "\nNOTE: spans from process-pool workers are not captured"
-    if events_on:
-        journal = events.get_events().records()
-        out = args.events or f"EVENTS_{args.name}.jsonl"
-        events.write_events(journal, out)
-        text += f"\nwrote {len(journal)} events to {out}"
-    if recorder is not None:
-        for bundle in recorder.dumped:
-            text += f"\nflight recorder dumped {bundle}"
-    snapshot = metrics.get_metrics().snapshot()
-    if args.prom_out:
-        metrics.write_prometheus(args.prom_out)
-        text += f"\nwrote Prometheus metrics to {args.prom_out}"
-    text += "\n" + _format_metrics(snapshot)
-    if observed.server is not None and args.serve_hold > 0:
-        # Keep the scrape endpoint alive for external pollers (CI curls
-        # it here), serving the final registry state.
-        observed.server.refresh()
-        print(text)
-        text = f"held metrics endpoint for {args.serve_hold:g}s"
-        time.sleep(args.serve_hold)
-    observed.restore()
+            rec.bus.subscribe(PromFileWriter(args.prom_out))
+        with rec.tracer.span(f"experiment.{args.name}", quick=args.quick):
+            # The experiment module's import dominates a --quick run's
+            # wall-clock; give it a span so the root stays >95% covered.
+            with rec.tracer.span("experiment.imports"):
+                importlib.import_module(f"repro.experiments.{_MODULES[args.name]}")
+            text = runner(args)
+        rec.bus.flush()
+        if args.trace is not None:
+            records = rec.tracer.records()
+            out = args.trace or f"TRACE_{args.name}.jsonl"
+            tracer.write_trace(records, out)
+            text += f"\nwrote {len(records)} spans to {out}"
+            if args.parallel:
+                text += "\nNOTE: spans from process-pool workers are not captured"
+        if events_on:
+            journal = rec.events.records()
+            out = args.events or f"EVENTS_{args.name}.jsonl"
+            events.write_events(journal, out)
+            text += f"\nwrote {len(journal)} events to {out}"
+        if rec.flightrec is not None:
+            for bundle in rec.flightrec.dumped:
+                text += f"\nflight recorder dumped {bundle}"
+        if args.prom_out:
+            metrics.write_prometheus(args.prom_out, rec.metrics)
+            text += f"\nwrote Prometheus metrics to {args.prom_out}"
+        text += "\n" + _format_metrics(rec.metrics.snapshot())
+        if server is not None and args.serve_hold > 0:
+            # Keep the scrape endpoint alive for external pollers (CI curls
+            # it here), serving the final registry state.
+            server.refresh()
+            print(text)
+            text = f"held metrics endpoint for {args.serve_hold:g}s"
+            time.sleep(args.serve_hold)
     return text
 
 
@@ -420,37 +393,34 @@ def _cmd_events(args) -> str:
 def _cmd_top(args) -> str:
     """Live dashboard over one experiment run, driven off the bus.
 
-    Subscribes a :class:`~repro.obs.dash.DashRenderer` to the global
+    Subscribes a :class:`~repro.obs.dash.DashRenderer` to the command's
     telemetry bus and runs the experiment; each sim-interval frame
     repaints the board (in place on a TTY).  ``--once`` folds the stream
     silently into a :class:`~repro.obs.dash.DashState` and renders one
     final deterministic snapshot — no wall-clock datum enters the frame
     (the "last solve" cell renders ``-``), so identical-seed snapshots
-    are byte-identical.  On return the observability switches are as
-    they were.
+    are byte-identical.  The run has a recording of its own
+    (:func:`_recording`).
     """
     from repro.obs.dash import DashRenderer, DashState, render_dash
-    from repro.obs.metrics import get_metrics
 
     if args.quick:
         args.weeks = 1
         args.hours = 24
     _desc, runner = EXPERIMENTS[args.name]
-    observed = _Observed(telemetry=True, serve_metrics=args.serve_metrics)
     state = DashState()
-    if args.once:
-        observed.subscribe(state)
-    else:
-        observed.subscribe(DashRenderer(state, every=args.refresh))
-    runner(args)
-    observed.bus.flush()
-    observed.restore()
+    with _recording(telemetry=True, serve_metrics=args.serve_metrics) as (rec, _):
+        rec.bus.subscribe(
+            state if args.once else DashRenderer(state, every=args.refresh)
+        )
+        runner(args)
+        rec.bus.flush()
     if args.once:
         return render_dash(state)
     # The final frame may show the last optimizer latency: it is live
     # operator output, not a determinism-bearing artifact.
     solve_ms = None
-    values = get_metrics().histogram("controller.solve_ms").values
+    values = rec.metrics.histogram("controller.solve_ms").values
     if values:
         solve_ms = float(values[-1])
     return render_dash(state, solve_ms=solve_ms)
@@ -635,47 +605,39 @@ def _cmd_scenarios(args) -> str:
             if args.engine == "both"
             else (args.engine,)
         )
-        recorder = None
-        if args.flightrec:
-            # Episode runners subscribe the armed global recorder to
-            # their private buses, so SLO alerts auto-dump per episode.
-            # Pool workers have their own unarmed recorder: --flightrec
-            # captures bundles from serial (non --parallel) runs.
-            from repro.obs.flightrec import enable_flightrec
-
-            observed = _Observed()
-            recorder = enable_flightrec(args.flightrec)
-        runs = scenarios.run_suite(
-            args.scenario or None,
-            pack=args.pack,
-            engines=engines,
-            seed=args.seed,
-            max_workers=(args.workers if args.parallel else 1),
-        )
-        lines = []
-        for run in runs:
-            path = scenarios.write_run(run, args.out_dir)
-            lines.append(f"wrote {len(run.records)} events to {path}")
-        if recorder is not None:
-            for bundle in recorder.dumped:
-                lines.append(f"flight recorder dumped {bundle}")
-        if args.check:
-            violations = scenarios.check_runs(runs)
-            report = scenarios.format_check_report(runs, violations)
-            if violations:
-                if recorder is not None:
-                    bundle = recorder.dump(
-                        "invariant.violation",
-                        trigger={
-                            "violations": [str(v) for v in violations]
-                        },
-                    )
+        with _recording(flightrec=args.flightrec) as (rec, _):
+            # Each cell's recorder holds its episodes' bundles; pmap
+            # writes them here in cell order, serial or --parallel.
+            runs = scenarios.run_suite(
+                args.scenario or None,
+                pack=args.pack,
+                engines=engines,
+                seed=args.seed,
+                max_workers=(args.workers if args.parallel else 1),
+            )
+            lines = []
+            for run in runs:
+                path = scenarios.write_run(run, args.out_dir)
+                lines.append(f"wrote {len(run.records)} events to {path}")
+            recorder = rec.flightrec
+            if recorder is not None:
+                for bundle in recorder.dumped:
                     lines.append(f"flight recorder dumped {bundle}")
-                print("\n".join(lines))
-                raise SystemExit(report)
-            lines.append(report)
-        if recorder is not None:
-            observed.restore()
+            if args.check:
+                violations = scenarios.check_runs(runs)
+                report = scenarios.format_check_report(runs, violations)
+                if violations:
+                    if recorder is not None:
+                        bundle = recorder.dump(
+                            "invariant.violation",
+                            trigger={
+                                "violations": [str(v) for v in violations]
+                            },
+                        )
+                        lines.append(f"flight recorder dumped {bundle}")
+                    print("\n".join(lines))
+                    raise SystemExit(report)
+                lines.append(report)
         return "\n".join(lines)
 
     # action == "check": evaluate existing journals.
@@ -968,7 +930,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="arm the flight recorder during `run`; SLO-alert and "
-        "invariant-violation bundles land in this directory",
+        "invariant-violation bundles land in this directory (serial "
+        "and --parallel runs write the same bundles)",
     )
     p_scn.add_argument(
         "--parallel",

@@ -33,10 +33,16 @@ flight recorder dumps windows of.
   over SLO/cost series, emitting ``telemetry.anomaly`` journal events.
 - :mod:`repro.obs.dash` — the ``python -m repro top`` dashboard: bus-fed
   state and deterministic ASCII rendering.
+- :mod:`repro.obs.recording` — the :class:`~repro.obs.recording.Recording`
+  a command, scenario episode or sweep cell runs under: it puts a
+  tracer, journal, bus, metrics registry and flight recorder in force
+  for its extent, restores the previous ones on every exit, and dumps a
+  ``crash`` bundle when an exception leaves the recording that armed
+  the recorder.
 
-The package exports only the four process-global accessors that
-instrumented code calls; everything else is imported from the submodule
-that defines it.
+The package exports only the four accessors that instrumented code
+calls, each one read of the part the recording in force installed;
+everything else is imported from the submodule that defines it.
 """
 
 from repro.obs.events import get_events

@@ -27,8 +27,9 @@ carry that id in their ``cause`` field, and the warning is closed by a
 The journal is **off by default** behind a shared no-op sink: when
 disabled, every instrumented site costs one method call (or one local
 boolean check in the DES hot loop), so tier-1 runtime and bitwise
-experiment outputs are unchanged.  Opt in with ``--events`` on the CLI
-or :func:`enable_events`.
+experiment outputs are unchanged.  Opt in with ``--events`` on the CLI,
+or run under a :class:`~repro.obs.recording.Recording` holding an
+enabled log.
 
 Journals export as schema-tagged JSONL (``spotweb-events/1``): a header
 line carrying the schema tag, then one event per line with fields
@@ -55,10 +56,6 @@ __all__ = [
     "EventValidationError",
     "EventLog",
     "get_events",
-    "set_events",
-    "enable_events",
-    "disable_events",
-    "events_enabled",
     "write_events",
     "read_events",
     "load_events",
@@ -105,7 +102,7 @@ class EventValidationError(ValueError):
 class EventLog:
     """Deterministic, sim-time-keyed domain-event collector.
 
-    One log is active per process (see :func:`get_events`); instrumented
+    One log is in force at a time (see :func:`get_events`); instrumented
     code does::
 
         ev = get_events()
@@ -394,30 +391,6 @@ _EVENTS = EventLog()
 def get_events() -> EventLog:
     """The process-global event log (disabled unless opted in)."""
     return _EVENTS
-
-
-def set_events(log: EventLog) -> EventLog:
-    """Replace the global log (tests, sweep cells); returns the old one."""
-    global _EVENTS
-    old, _EVENTS = _EVENTS, log
-    return old
-
-
-def enable_events() -> EventLog:
-    """Switch the global log on (fresh seq counter, empty journal)."""
-    _EVENTS.enabled = True
-    _EVENTS.clear()
-    return _EVENTS
-
-
-def disable_events() -> EventLog:
-    """Switch the global log off; keeps already-recorded events."""
-    _EVENTS.enabled = False
-    return _EVENTS
-
-
-def events_enabled() -> bool:
-    return _EVENTS.enabled
 
 
 # ---------------------------------------------------------------- journal files

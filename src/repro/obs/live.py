@@ -21,7 +21,9 @@ identical-seed runs publish identical frames.
 The bus is off by default behind the shared no-op pattern: when
 disabled, :meth:`~TelemetryBus.tick` is a single attribute check, so
 tier-1 runtime and bitwise run outputs are unchanged.  Opt in with the
-CLI telemetry flags or :func:`enable_telemetry`.
+CLI telemetry flags, or run under a
+:class:`~repro.obs.recording.Recording` holding an enabled bus (and the
+enabled journal it streams).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from repro.obs.events import enable_events, events_enabled, get_events
+from repro.obs.events import get_events
 from repro.obs.metrics import get_metrics, prometheus_text, write_prometheus
 
 if TYPE_CHECKING:
@@ -41,10 +43,6 @@ __all__ = [
     "PromFileWriter",
     "MetricsServer",
     "get_bus",
-    "set_bus",
-    "enable_telemetry",
-    "disable_telemetry",
-    "telemetry_enabled",
 ]
 
 
@@ -61,7 +59,6 @@ class TelemetryBus:
         self.enabled = bool(enabled)
         self._subscribers: list[Callable[[dict], None]] = []
         self._event_cursor = 0
-        self._event_log_id: int | None = None
 
     # ----------------------------------------------------------- subscribers
     def subscribe(self, fn: Callable[[dict], None]) -> Callable[[dict], None]:
@@ -69,19 +66,13 @@ class TelemetryBus:
         self._subscribers.append(fn)
         return fn
 
-    def unsubscribe(self, fn: Callable[[dict], None]) -> None:
-        """Remove a subscriber (no-op if not subscribed)."""
-        if fn in self._subscribers:
-            self._subscribers.remove(fn)
-
     # ------------------------------------------------------------ publishing
     def tick(self, t: float, interval: int | None = None) -> None:
         """Publish the frame of one sim-interval boundary.
 
         The frame holds the journal records appended since the last tick
-        (cursoring on :meth:`EventLog.record_count`; a swapped log object
-        or a shrunk count means the journal restarted and the cursor
-        goes back to zero).  Records a ``pmap`` sweep adopted from its
+        (cursoring on :meth:`EventLog.record_count`; a shrunk count means
+        the journal was cleared and the cursor goes back to zero).  Records a ``pmap`` sweep adopted from its
         cells go out in frames of their own, one per cell interval (see
         :func:`_frames`).  No-op while disabled.
         """
@@ -95,8 +86,7 @@ class TelemetryBus:
         """Publish the pending records; returns the last frame's stamp."""
         ev = get_events()
         count = ev.record_count()
-        if id(ev) != self._event_log_id or count < self._event_cursor:
-            self._event_log_id = id(ev)
+        if count < self._event_cursor:
             self._event_cursor = 0
         frames = _frames(ev.records_since(self._event_cursor), t, interval)
         self._event_cursor = count
@@ -119,11 +109,6 @@ class TelemetryBus:
         stamp = self._publish(ev.clock if t is None else float(t), ev.interval)
         while self._event_cursor < ev.record_count():
             stamp = self._publish(*stamp)
-
-    def reset(self) -> None:
-        """Restart the stream at the head of the journal."""
-        self._event_cursor = 0
-        self._event_log_id = None
 
 
 def _frames(records: list[dict], t: float, interval: int | None) -> list[dict]:
@@ -171,7 +156,7 @@ class MetricsServer:
     """Live OpenMetrics scrape endpoint on a background thread.
 
     Serves ``GET /metrics`` (and ``/``) from a cached render of the
-    global registry; the cache refreshes when the server is subscribed
+    registry in force; the cache refreshes when the server is subscribed
     to a ticking bus (every frame) or via :meth:`refresh`.  Render and
     serve are decoupled so scrapes never race a half-updated registry:
     the handler only ever reads the cached text under a lock.
@@ -270,33 +255,3 @@ _BUS = TelemetryBus()
 def get_bus() -> TelemetryBus:
     """The process-global telemetry bus (disabled unless opted in)."""
     return _BUS
-
-
-def set_bus(bus: TelemetryBus) -> TelemetryBus:
-    """Replace the global bus (tests, scenario episodes); returns the old."""
-    global _BUS
-    old, _BUS = _BUS, bus
-    return old
-
-
-def enable_telemetry() -> TelemetryBus:
-    """Switch the global bus on (fresh stream state).
-
-    Frames carry the events journal, so this also enables the global
-    event log if it is not already on.
-    """
-    _BUS.enabled = True
-    _BUS.reset()
-    if not events_enabled():
-        enable_events()
-    return _BUS
-
-
-def disable_telemetry() -> TelemetryBus:
-    """Switch the global bus off; keeps subscribers attached."""
-    _BUS.enabled = False
-    return _BUS
-
-
-def telemetry_enabled() -> bool:
-    return _BUS.enabled

@@ -34,8 +34,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_metrics",
-    "set_metrics",
-    "reset_metrics",
     "prometheus_text",
     "write_prometheus",
 ]
@@ -331,15 +329,3 @@ _METRICS = MetricsRegistry()
 def get_metrics() -> MetricsRegistry:
     """The process-global metrics registry."""
     return _METRICS
-
-
-def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Replace the global registry (tests); returns the old one."""
-    global _METRICS
-    old, _METRICS = _METRICS, registry
-    return old
-
-
-def reset_metrics() -> None:
-    """Clear every metric in the global registry."""
-    _METRICS.reset()

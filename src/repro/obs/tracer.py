@@ -9,7 +9,8 @@ loop, and the load balancer's warning → migrate → replace path.
 Tracing is **off by default** and adds a single shared no-op context
 manager per instrumented block when disabled, so the tier-1 runtime and the
 bitwise experiment outputs are unchanged.  Opt in with ``--trace`` on the
-CLI or :func:`enable_tracing` programmatically.
+CLI, or run under a :class:`~repro.obs.recording.Recording` holding an
+enabled tracer.
 
 Completed spans export to schema-tagged JSONL (``spotweb-trace/1``, the
 same convention as the ``BENCH_*.json`` baselines): the first line is a
@@ -33,10 +34,6 @@ __all__ = [
     "NullSpan",
     "Tracer",
     "get_tracer",
-    "set_tracer",
-    "enable_tracing",
-    "disable_tracing",
-    "tracing_enabled",
     "write_trace",
     "load_trace",
     "validate_trace",
@@ -118,7 +115,7 @@ _NULL_SPAN = NullSpan()
 class Tracer:
     """Collects nested spans on a monotonic clock.
 
-    One tracer is active per process (see :func:`get_tracer`); instrumented
+    One tracer is in force at a time (see :func:`get_tracer`); instrumented
     code does::
 
         with get_tracer().span("controller.step", step=t) as sp:
@@ -196,30 +193,6 @@ _TRACER = Tracer(enabled=False)
 def get_tracer() -> Tracer:
     """The process-global tracer (disabled unless opted in)."""
     return _TRACER
-
-
-def set_tracer(tracer: Tracer) -> Tracer:
-    """Replace the global tracer (tests, embedded use); returns the old one."""
-    global _TRACER
-    old, _TRACER = _TRACER, tracer
-    return old
-
-
-def enable_tracing() -> Tracer:
-    """Switch the global tracer on (fresh epoch, empty span list)."""
-    _TRACER.enabled = True
-    _TRACER.clear()
-    return _TRACER
-
-
-def disable_tracing() -> Tracer:
-    """Switch the global tracer off; keeps already-recorded spans."""
-    _TRACER.enabled = False
-    return _TRACER
-
-
-def tracing_enabled() -> bool:
-    return _TRACER.enabled
 
 
 # ----------------------------------------------------------------- trace files

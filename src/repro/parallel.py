@@ -31,8 +31,10 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
-from repro.obs.events import EventLog, get_events, set_events
-from repro.obs.live import TelemetryBus, get_bus, set_bus
+from repro.obs.events import EventLog
+from repro.obs.flightrec import FlightRecorder
+from repro.obs.live import TelemetryBus
+from repro.obs.recording import Recording, current
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -76,34 +78,43 @@ def clear_shared_setup() -> None:
     _SETUP_CACHE.clear()
 
 
-class _EventCell:
-    """Picklable wrapper running one sweep cell under a fresh event log.
+class _Cell:
+    """Picklable wrapper running one sweep cell under its own recording.
 
-    Each cell journals into its own :class:`EventLog`; the wrapper returns
-    ``(result, records)`` so :func:`pmap` can adopt every cell's events in
-    item order.  The cell also ticks a private telemetry bus with no
-    subscribers, enabled as the caller's is (the simulators journal
-    telemetry records only while a bus is live): the caller's bus streams
-    the records once they are adopted, so its subscribers see each record
-    once, in the form the journal holds.  The same wrapper runs on the
-    serial fallback path, which is what makes serial and parallel
-    journals byte-identical.
+    The cell's :class:`~repro.obs.recording.Recording` has a private
+    journal enabled as the caller's and a subscriber-less bus enabled as
+    the caller's (the simulators journal telemetry records only while a
+    bus is live), and shares the tracer and metrics.  When the caller
+    has a flight recorder, the cell gets one configured like it that
+    holds its bundles.  The wrapper returns ``(result, records,
+    bundles)``; :func:`pmap` adopts the records and writes the bundles
+    in item order, and the caller's bus streams the adopted records, so
+    its subscribers see each record once, in the form the journal holds.
+    The same wrapper runs on the serial fallback path, which is what
+    makes serial and parallel journals and bundles byte-identical.
     """
 
-    __slots__ = ("fn",)
+    __slots__ = ("fn", "journal", "bus", "recorder")
 
-    def __init__(self, fn: Callable[[T], R]) -> None:
+    def __init__(self, fn: Callable[[T], R], caller: Recording) -> None:
         self.fn = fn
+        self.journal = caller.events.enabled
+        self.bus = caller.bus.enabled
+        rec = caller.flightrec
+        self.recorder = None if rec is None else {
+            "max_records": rec.max_records,
+            "window_seconds": rec.window_seconds,
+        }
 
-    def __call__(self, item: T) -> tuple[R, list[dict]]:
-        old = set_events(EventLog(enabled=True))
-        old_bus = set_bus(TelemetryBus(enabled=get_bus().enabled))
-        try:
+    def __call__(self, item: T) -> tuple[R, list[dict], list]:
+        recorder = None if self.recorder is None else FlightRecorder(**self.recorder)
+        with current().replace(
+            events=EventLog(enabled=self.journal),
+            bus=TelemetryBus(enabled=self.bus),
+            flightrec=recorder,
+        ) as cell:
             result = self.fn(item)
-            return result, get_events().records()
-        finally:
-            set_events(old)
-            set_bus(old_bus)
+        return result, cell.events.records(), [] if recorder is None else recorder.held
 
 
 def pmap(
@@ -123,19 +134,20 @@ def pmap(
     :func:`shared_setup` and derive their randomness with
     :func:`derive_seed`, which keeps parallel output identical to serial.
 
-    When the event journal is enabled, every cell runs under its own fresh
-    :class:`~repro.obs.events.EventLog` (serial or parallel alike) and the
-    caller's log adopts the cells' events in item order — so the journal,
-    like the results, is bit-identical between serial and parallel runs.
-    The telemetry bus publishes the adopted records on its next tick.
+    Every cell runs under its own recording (serial or parallel alike,
+    see :class:`_Cell`): the caller's journal adopts the cells' events
+    and the caller's flight recorder writes the cells' bundles, in item
+    order — so the journal and the bundles, like the results, are
+    bit-identical between serial and parallel runs.  The telemetry bus
+    publishes the adopted records on its next tick.
     """
     items = list(items)
     if not items:
         return []
     if max_workers is None:
         max_workers = min(len(items), os.cpu_count() or 1)
-    parent = get_events()
-    run: Callable = _EventCell(fn) if parent.enabled else fn
+    caller = current()
+    run = _Cell(fn, caller)
     if max_workers <= 1:
         out = [run(item) for item in items]
     else:
@@ -145,13 +157,13 @@ def pmap(
         except (OSError, PermissionError, ValueError):
             # No process support (restricted sandbox): degrade to serial.
             out = [run(item) for item in items]
-    if parent.enabled:
-        results = []
-        for cell, (result, records) in enumerate(out):
-            parent.adopt(records, cell=cell)
-            results.append(result)
-        return results
-    return out
+    results = []
+    for cell, (result, records, bundles) in enumerate(out):
+        caller.events.adopt(records, cell=cell)
+        for header, bundle in bundles:
+            caller.flightrec.write(header, bundle)
+        results.append(result)
+    return results
 
 
 def sweep_grid(**axes: Iterable) -> list[dict]:

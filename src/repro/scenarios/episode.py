@@ -23,10 +23,10 @@ import numpy as np
 
 from repro.loadbalancer import TransiencyAwareLoadBalancer
 from repro.obs.anomaly import AnomalyMonitor
-from repro.obs.events import EventLog, get_events, set_events
-from repro.obs.flightrec import flightrec_enabled, get_flightrec
-from repro.obs.live import TelemetryBus, set_bus
-from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.events import EventLog
+from repro.obs.live import TelemetryBus
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.recording import current
 from repro.parallel import derive_seed
 from repro.simulator import HybridClusterSimulation
 from repro.simulator.cluster import ClusterConfig
@@ -141,33 +141,36 @@ def run_episode(
 ) -> list[dict]:
     """Replay one episode under ``engine``; returns its journal records.
 
-    The run journals into a private :class:`EventLog` (the caller's
-    global log is restored afterwards), bracketed by ``scenario.begin``
-    and ``scenario.outcome`` events; the outcome carries the aggregates
-    the invariant packs read — cost, stranded sessions, fluid ledger
-    error, drop rate, and the recorder's served/dropped/failed counts.
+    The run is a :class:`~repro.obs.recording.Recording` of its own:
+    it journals into a private :class:`EventLog`, bracketed by
+    ``scenario.begin`` and ``scenario.outcome`` events; the outcome
+    carries the aggregates the invariant packs read — cost, stranded
+    sessions, fluid ledger error, drop rate, and the recorder's
+    served/dropped/failed counts.
 
     A private telemetry bus streams the episode to a fresh
     :class:`~repro.obs.anomaly.AnomalyMonitor` (so ``telemetry.anomaly``
     events land in the journal for the invariant oracle) and, when the
-    global flight recorder is armed, to the recorder — all per-episode
-    state, so parallel sweep cells stay byte-identical to serial runs.
-    The episode also counts into a private metrics registry, so the
-    metrics a flight bundle's header carries are a function of
-    ``(spec, engine, seed)`` too.
+    caller's recording holds a flight recorder, to that recorder — all
+    per-episode state, so parallel sweep cells stay byte-identical to
+    serial runs.  The episode also counts into a private metrics
+    registry, so the metrics a flight bundle's header carries are a
+    function of ``(spec, engine, seed)`` too.  It shares the caller's
+    tracer.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     trace = _rate_trace(spec, seed)
-    old_log = set_events(EventLog(enabled=True))
-    old_metrics = set_metrics(MetricsRegistry())
+    caller = current()
     bus = TelemetryBus(enabled=True)
     bus.subscribe(AnomalyMonitor())
-    if flightrec_enabled():
-        bus.subscribe(get_flightrec())
-    old_bus = set_bus(bus)
-    try:
-        ev = get_events()
+    if caller.flightrec is not None:
+        bus.subscribe(caller.flightrec)
+    episode = caller.replace(
+        events=EventLog(enabled=True), bus=bus, metrics=MetricsRegistry()
+    )
+    with episode:
+        ev = episode.events
         config = ClusterConfig(
             seed=derive_seed(seed, spec.name, "des"),
             warning_seconds=spec.warning_seconds,
@@ -255,7 +258,3 @@ def run_episode(
         # journal and ``records()[-1]`` stays ``scenario.outcome``.
         bus.flush(spec.duration)
         return ev.records()
-    finally:
-        set_events(old_log)
-        set_metrics(old_metrics)
-        set_bus(old_bus)

@@ -26,7 +26,9 @@ import numpy as np
 from repro.baselines.qu import QuThresholdPolicy
 from repro.markets.catalog import default_catalog
 from repro.markets.dataset import MarketDataset, generate_market_dataset
-from repro.obs.events import EventLog, get_events, set_events
+from repro.obs.events import EventLog
+from repro.obs.live import TelemetryBus
+from repro.obs.recording import current
 from repro.parallel import derive_seed
 from repro.simulator.runner import CostSimulator
 from repro.workloads.flashcrowd import compose_flash_crowds, ramp_trace
@@ -115,8 +117,10 @@ def _build_trace(spec: PortfolioSpec, seed: int) -> WorkloadTrace:
 def run_portfolio(spec: PortfolioSpec, *, seed: int = 0) -> list[dict]:
     """Replay one portfolio scenario; returns its journal records.
 
-    Journals into a private :class:`EventLog` like the episode runner,
-    bracketed by ``scenario.begin`` / ``scenario.outcome``.  The outcome
+    Runs under a recording with a private :class:`EventLog` and a
+    private disabled telemetry bus, sharing the caller's other parts,
+    and journals like the episode runner, bracketed by
+    ``scenario.begin`` / ``scenario.outcome``.  The outcome
     carries ``compliance`` (served fraction — these journals have no
     ``slo.interval`` series), total cost, revocation count, unserved
     fraction, and the worst per-interval P99 estimate.
@@ -139,9 +143,10 @@ def run_portfolio(spec: PortfolioSpec, *, seed: int = 0) -> list[dict]:
     if spec.a_max is not None:
         policy = CappedPolicy(policy, spec.a_max)
 
-    old_log = set_events(EventLog(enabled=True))
-    try:
-        ev = get_events()
+    with current().replace(
+        events=EventLog(enabled=True), bus=TelemetryBus()
+    ) as portfolio:
+        ev = portfolio.events
         ev.emit(
             "scenario.begin",
             t=0.0,
@@ -173,5 +178,3 @@ def run_portfolio(spec: PortfolioSpec, *, seed: int = 0) -> list[dict]:
             ledger_error=0.0,
         )
         return ev.records()
-    finally:
-        set_events(old_log)

@@ -79,9 +79,9 @@ def run_scenario(
     return run_episode(scenario.spec, engine=engine, seed=seed)
 
 
-# spotlint: allow-shared-state -- each cell swaps in its own private
-# event log (via the episode/portfolio runners) and restores the global
-# one before returning; results depend only on the cell key.
+# spotlint: allow-shared-state -- each cell runs under its own recording
+# (via the episode/portfolio runners), restored before returning;
+# results depend only on the cell key.
 def run_cell(cell: tuple[str, str, int]) -> ScenarioRun:
     """Execute one ``(scenario, engine, seed)`` cell (pmap worker)."""
     name, engine, seed = cell

@@ -106,17 +106,12 @@ class TestCommands:
 
 class TestRunCommand:
     @pytest.fixture(autouse=True)
-    def _restore_obs(self):
-        from repro.obs.events import disable_events, get_events
-        from repro.obs.metrics import reset_metrics
-        from repro.obs.tracer import disable_tracing, get_tracer
+    def _same_recording_after(self):
+        from repro.obs.recording import current
 
+        before = current()
         yield
-        disable_tracing()
-        get_tracer().clear()
-        disable_events()
-        get_events().clear()
-        reset_metrics()
+        assert current() is before
 
     def test_run_without_trace_matches_experiment(self, capsys):
         assert main(["run", "fig6a", "--hours", "6"]) == 0
@@ -205,73 +200,89 @@ class TestRunCommand:
 
 
 class TestObservabilityRestored:
-    """``top``, ``run`` and ``scenarios run`` leave the observability
-    switches as they were."""
+    """``top``, ``run`` and ``scenarios run`` leave the recording in force
+    as they found it, however they exit."""
 
     @staticmethod
-    def _switches():
-        from repro.obs.events import events_enabled
-        from repro.obs.flightrec import flightrec_enabled
-        from repro.obs.live import telemetry_enabled
-        from repro.obs.tracer import tracing_enabled
+    def _in_force():
+        from repro.obs import get_bus, get_events, get_metrics, get_tracer
+        from repro.obs.recording import current
 
-        return (
-            tracing_enabled(),
-            events_enabled(),
-            telemetry_enabled(),
-            flightrec_enabled(),
-        )
+        return current(), get_tracer(), get_events(), get_bus(), get_metrics()
+
+    @staticmethod
+    def _same(a, b):
+        return all(x is y for x, y in zip(a, b))
 
     def test_top_and_run_restore_every_switch(self, capsys, tmp_path):
         import sys
 
-        from repro.obs.events import get_events
-        from repro.obs.flightrec import get_flightrec
-        from repro.obs.live import get_bus
-
-        hook = sys.excepthook
+        before, hook = self._in_force(), sys.excepthook
         assert main(["top", "fig6a", "--hours", "4", "--once"]) == 0
-        assert self._switches() == (False, False, False, False)
+        assert self._same(self._in_force(), before)
         argv = ["run", "fig6a", "--hours", "4", "--trace", str(tmp_path / "t")]
         argv += ["--events", str(tmp_path / "e"), "--flightrec", str(tmp_path)]
         assert main(argv) == 0
-        assert self._switches() == (False, False, False, False)
+        assert self._same(self._in_force(), before)
         assert sys.excepthook is hook
         argv = ["scenarios", "run", "--scenario", "storm_az", "--engine"]
         argv += ["request", "--out-dir", str(tmp_path / "j")]
         assert main(argv + ["--flightrec", str(tmp_path / "f")]) == 0
-        assert self._switches() == (False, False, False, False)
-        assert get_flightrec() not in get_bus()._subscribers
+        assert self._same(self._in_force(), before)
+        recording, tracer, log, bus, _ = before
+        assert recording.flightrec is None
+        assert not (tracer.enabled or log.enabled or bus.enabled)
         # A plain run after both journals nothing.
-        count = get_events().record_count()
+        count = log.record_count()
         assert main(["run", "fig6a", "--hours", "4"]) == 0
-        assert get_events().record_count() == count
+        assert log.record_count() == count
 
-    def test_exception_leaves_the_recorder_armed(self, monkeypatch, tmp_path):
+    def test_check_violation_dumps_and_restores(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # A failed --check exits through SystemExit: the invariant bundle
+        # is written and listed, and the recording before is back.
+        from repro import scenarios
+        from repro.obs.events import read_events
+        from repro.scenarios import Violation
+
+        broken = Violation("storm_az[request]", "slo_floor", "stubbed")
+        monkeypatch.setattr(scenarios, "check_runs", lambda runs: [broken])
+        before = self._in_force()
+        argv = ["scenarios", "run", "--scenario", "storm_az", "--engine"]
+        argv += ["request", "--out-dir", str(tmp_path / "j"), "--check"]
+        with pytest.raises(SystemExit, match="1 invariant violation"):
+            main(argv + ["--flightrec", str(tmp_path / "f")])
+        assert self._same(self._in_force(), before)
+        (bundle,) = (tmp_path / "f").glob("*_invariant_violation.jsonl")
+        assert f"flight recorder dumped {bundle}" in capsys.readouterr().out
+        header, _records = read_events(bundle)
+        assert header["trigger"] == {"violations": [str(broken)]}
+
+    def test_crash_dumps_a_bundle_and_restores(self, monkeypatch, tmp_path):
+        # The run completes a sweep, then raises: the recording flushes
+        # the sweep's adopted records to the recorder before the crash
+        # dump, so the bundle holds a window, not an empty buffer.
         import sys
 
         from repro import cli
-        from repro.obs.events import disable_events
-        from repro.obs.flightrec import disable_flightrec, uninstall_crash_hooks
-        from repro.obs.live import disable_telemetry
+        from repro.experiments.fig6a_constant import run_fig6a
+        from repro.obs.events import read_events
 
-        def boom(args):
+        def sweep_then_boom(args):
+            run_fig6a(hours=4)
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli.EXPERIMENTS, "fig6a", ("desc", boom))
-        hook = sys.excepthook
-        try:
-            with pytest.raises(RuntimeError, match="boom"):
-                main(["run", "fig6a", "--flightrec", str(tmp_path)])
-            # The crash hook must still find an armed recorder.
-            assert self._switches()[1:] == (True, True, True)
-            assert sys.excepthook is not hook
-        finally:
-            uninstall_crash_hooks()
-            disable_flightrec()
-            disable_telemetry()
-            disable_events()
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig6a", ("desc", sweep_then_boom))
+        before, hook = self._in_force(), sys.excepthook
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["run", "fig6a", "--flightrec", str(tmp_path)])
+        assert self._same(self._in_force(), before)
         assert sys.excepthook is hook
+        (bundle,) = tmp_path.glob("flightrec_*_crash.jsonl")
+        header, records = read_events(bundle)
+        assert header["trigger"] == {"exception": "RuntimeError", "message": "boom"}
+        assert header["records"] == len(records) > 0
 
 
 class TestTraceCommand:
@@ -375,7 +386,7 @@ class TestEventsCommand:
     def test_validate_and_summarize_a_bundle(self, capsys, tmp_path):
         from repro.obs.flightrec import FlightRecorder
 
-        recorder = FlightRecorder(enabled=True, out_dir=tmp_path)
+        recorder = FlightRecorder(out_dir=tmp_path)
         journal = self._write_journal(tmp_path)
         records = [json.loads(line) for line in journal.read_text().splitlines()]
         recorder({"t": 20.0, "interval": 0, "events": records[2:]})

@@ -16,23 +16,17 @@ import pytest
 
 from repro.loadbalancer import TransiencyAwareLoadBalancer
 from repro.obs.eventreport import diff_journals
-from repro.obs.events import (
-    EventLog,
-    get_events,
-    set_events,
-    validate_events,
-    write_events,
-)
+from repro.obs.events import EventLog, get_events, validate_events, write_events
+from repro.obs.recording import current
 from repro.parallel import pmap
 from repro.simulator import ClusterConfig, ClusterSimulation
 
 
 @pytest.fixture
 def evented():
-    """Install a fresh enabled global event log; restore the old after."""
-    old = set_events(EventLog(enabled=True))
-    yield get_events()
-    set_events(old)
+    """Put a fresh enabled event log in force; restore the old after."""
+    with current().replace(events=EventLog(enabled=True)) as rec:
+        yield rec.events
 
 
 def run_revocation_scenario(*, warning_seconds=20.0):
@@ -79,11 +73,8 @@ class TestDisabledIsInert:
 
     def test_results_identical_with_and_without_events(self, tmp_path):
         baseline = run_revocation_scenario()
-        old = set_events(EventLog(enabled=True))
-        try:
+        with current().replace(events=EventLog(enabled=True)):
             evented = run_revocation_scenario()
-        finally:
-            set_events(old)
         # Bitwise: every metric agrees exactly, not approximately.
         assert json.dumps(baseline, sort_keys=True) == json.dumps(
             evented, sort_keys=True
@@ -95,10 +86,10 @@ class TestJournalDeterminism:
         run_revocation_scenario()
         a = tmp_path / "a.jsonl"
         write_events(get_events().records(), a)
-        set_events(EventLog(enabled=True))
-        run_revocation_scenario()
-        b = tmp_path / "b.jsonl"
-        write_events(get_events().records(), b)
+        with current().replace(events=EventLog(enabled=True)):
+            run_revocation_scenario()
+            b = tmp_path / "b.jsonl"
+            write_events(get_events().records(), b)
         assert a.read_bytes() == b.read_bytes()
         assert diff_journals(
             json_lines(a), json_lines(b)
@@ -109,10 +100,10 @@ class TestJournalDeterminism:
         serial = pmap(_journal_cell, items, max_workers=1)
         a = tmp_path / "serial.jsonl"
         write_events(get_events().records(), a)
-        set_events(EventLog(enabled=True))
-        parallel = pmap(_journal_cell, items, max_workers=2)
-        b = tmp_path / "parallel.jsonl"
-        write_events(get_events().records(), b)
+        with current().replace(events=EventLog(enabled=True)):
+            parallel = pmap(_journal_cell, items, max_workers=2)
+            b = tmp_path / "parallel.jsonl"
+            write_events(get_events().records(), b)
         assert serial == parallel == [1, 4, 9, 16]
         assert a.read_bytes() == b.read_bytes()
 

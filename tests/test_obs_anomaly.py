@@ -10,15 +10,15 @@ from repro.obs.anomaly import (
     EwmaZScoreDetector,
     detect_series,
 )
-from repro.obs.events import EventLog, get_events, set_events
+from repro.obs.events import EventLog
 from repro.obs.live import TelemetryBus
+from repro.obs.recording import current
 
 
 @pytest.fixture
 def global_log():
-    old = set_events(EventLog(enabled=True))
-    yield get_events()
-    set_events(old)
+    with current().replace(events=EventLog(enabled=True)) as rec:
+        yield rec.events
 
 
 class TestDetectorConfig:

@@ -9,15 +9,12 @@ from repro.obs.events import (
     EVENTS_SCHEMA,
     EventLog,
     EventValidationError,
-    disable_events,
-    enable_events,
-    events_enabled,
     get_events,
     load_events,
-    set_events,
     validate_events,
     write_events,
 )
+from repro.obs.recording import current
 
 
 @pytest.fixture
@@ -27,10 +24,9 @@ def log():
 
 @pytest.fixture
 def global_log():
-    """Install a fresh enabled global event log; restore the old after."""
-    old = set_events(EventLog(enabled=True))
-    yield get_events()
-    set_events(old)
+    """Put a fresh enabled event log in force; restore the old after."""
+    with current().replace(events=EventLog(enabled=True)) as rec:
+        yield rec.events
 
 
 class TestEmission:
@@ -148,12 +144,14 @@ class TestAdopt:
 
 class TestGlobals:
     def test_enable_clears_previous_journal(self, global_log):
+        # A recording with an enabled log starts its journal empty; the
+        # log before it is back, records intact, when it ends.
         global_log.emit("lb.reweight", t=0.0)
-        log = enable_events()
-        assert log.records() == []
-        assert events_enabled()
-        disable_events()
-        assert not events_enabled()
+        with current().replace(events=EventLog(enabled=True)) as rec:
+            assert get_events() is rec.events
+            assert get_events().records() == []
+        assert get_events() is global_log
+        assert len(global_log.records()) == 1
 
 
 class TestIO:

@@ -10,30 +10,19 @@ from repro.obs.events import (
     EVENTS_SCHEMA,
     EventLog,
     EventValidationError,
-    get_events,
     load_events,
     read_events,
-    set_events,
 )
-from repro.obs.flightrec import (
-    FlightRecorder,
-    disable_flightrec,
-    enable_flightrec,
-    flightrec_enabled,
-    get_flightrec,
-    install_crash_hooks,
-    set_flightrec,
-    uninstall_crash_hooks,
-)
-from repro.obs.live import TelemetryBus, get_bus
-from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.flightrec import FlightRecorder
+from repro.obs.live import TelemetryBus
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.recording import Recording, current
 
 
 @pytest.fixture
 def global_log():
-    old = set_events(EventLog(enabled=True))
-    yield get_events()
-    set_events(old)
+    with current().replace(events=EventLog(enabled=True)) as rec:
+        yield rec.events
 
 
 def record(seq, t, kind="lb.reweight", *, event_id=None, cause=None, **attrs):
@@ -60,13 +49,13 @@ def alert(seq, t, state="firing"):
 
 class TestRingBuffer:
     def test_bounded_by_max_records(self):
-        rec = FlightRecorder(enabled=True, max_records=3)
+        rec = FlightRecorder(max_records=3)
         for i in range(10):
             rec(frame(float(i)))
         assert [f["t"] for f in rec.buffered()] == [7.0, 8.0, 9.0]
 
     def test_bounded_by_sim_time_window(self):
-        rec = FlightRecorder(enabled=True, window_seconds=5.0)
+        rec = FlightRecorder(window_seconds=5.0)
         for i in range(10):
             rec(frame(float(i)))
         # Newest is t=9; anything older than t=4 left the window.
@@ -76,20 +65,15 @@ class TestRingBuffer:
         # Each scenario episode (and each serial sweep cell) restarts sim
         # time at 0; the next run's window must not open with the tail
         # of the previous one.
-        rec = FlightRecorder(enabled=True, window_seconds=120.0)
+        rec = FlightRecorder(window_seconds=120.0)
         for i in range(17):
             rec(frame(360.0 + 7.5 * i, record(33 + i, 360.0 + 7.5 * i)))
         assert rec.buffered()[-1]["t"] == 480.0
         rec(frame(30.0, record(0, 30.0)))
         assert rec.buffered() == [frame(30.0, record(0, 30.0))]
 
-    def test_disabled_buffers_nothing(self):
-        rec = FlightRecorder(enabled=False)
-        rec(frame(0.0))
-        assert rec.buffered() == []
-
     def test_clear_keeps_dump_counter(self, tmp_path):
-        rec = FlightRecorder(enabled=True, out_dir=tmp_path)
+        rec = FlightRecorder(out_dir=tmp_path)
         rec(frame(0.0))
         rec.dump("manual")
         rec.clear()
@@ -106,7 +90,7 @@ class TestRingBuffer:
 
 class TestAutoDump:
     def test_firing_alert_dumps_pre_alert_window(self, tmp_path):
-        rec = FlightRecorder(enabled=True, out_dir=tmp_path)
+        rec = FlightRecorder(out_dir=tmp_path)
         rec(frame(30.0, record(0, 30.0)))
         rec(frame(60.0, alert(1, 60.0)))
         assert len(rec.dumped) == 1
@@ -117,12 +101,12 @@ class TestAutoDump:
         assert [r["seq"] for r in records] == [0, 1]
 
     def test_resolved_alert_does_not_dump(self, tmp_path):
-        rec = FlightRecorder(enabled=True, out_dir=tmp_path)
+        rec = FlightRecorder(out_dir=tmp_path)
         rec(frame(60.0, alert(0, 60.0, state="resolved")))
         assert rec.dumped == []
 
     def test_dump_filenames_are_deterministic(self, tmp_path):
-        rec = FlightRecorder(enabled=True, out_dir=tmp_path)
+        rec = FlightRecorder(out_dir=tmp_path)
         rec(frame(60.0, alert(0, 60.0)))
         rec(frame(90.0, alert(1, 90.0)))
         assert [p.name for p in rec.dumped] == [
@@ -132,51 +116,29 @@ class TestAutoDump:
 
 
 class TestGlobals:
-    def test_enable_arms_and_subscribes_once(self, tmp_path):
-        old = set_flightrec(FlightRecorder(enabled=False))
-        try:
-            assert not flightrec_enabled()
-            rec = enable_flightrec(tmp_path)
-            enable_flightrec(tmp_path)  # idempotent: no double-subscribe
-            assert flightrec_enabled()
-            assert rec.out_dir == tmp_path
-            assert get_bus()._subscribers.count(rec) == 1
-            disable_flightrec()
-            assert not flightrec_enabled()
-            assert rec not in get_bus()._subscribers
-        finally:
-            disable_flightrec()
-            set_flightrec(old)
-
     def test_crash_hook_dumps_and_chains(self, tmp_path):
-        old = set_flightrec(FlightRecorder(enabled=True, out_dir=tmp_path))
-        get_flightrec()(frame(1.0, record(0, 1.0)))
-        seen = []
-        orig_hook = sys.excepthook
-        sys.excepthook = lambda *exc: seen.append(exc)
-        try:
-            install_crash_hooks()
-            boom = RuntimeError("boom")
-            sys.excepthook(RuntimeError, boom, None)
-            assert seen and seen[0][1] is boom  # original hook still ran
-            (bundle,) = get_flightrec().dumped
-            header, records = read_events(bundle)
-            assert header["reason"] == "crash"
-            assert header["trigger"] == {
-                "exception": "RuntimeError",
-                "message": "boom",
-            }
-            assert records == [record(0, 1.0)]
-        finally:
-            uninstall_crash_hooks()
-            sys.excepthook = orig_hook
-            set_flightrec(old)
-        assert sys.excepthook is orig_hook
+        # An exception leaving the recording that armed the recorder
+        # dumps a crash bundle, then goes on to the caller; the recording
+        # before is back in force and sys.excepthook was never touched.
+        before, hook = current(), sys.excepthook
+        recorder = FlightRecorder(out_dir=tmp_path)
+        boom = RuntimeError("boom")
+        with pytest.raises(RuntimeError) as raised:
+            with Recording(flightrec=recorder):
+                recorder(frame(1.0, record(0, 1.0)))
+                raise boom
+        assert raised.value is boom
+        assert current() is before and sys.excepthook is hook
+        (bundle,) = recorder.dumped
+        header, records = read_events(bundle)
+        assert header["reason"] == "crash"
+        assert header["trigger"] == {"exception": "RuntimeError", "message": "boom"}
+        assert records == [record(0, 1.0)]
 
 
 class TestBundleFiles:
     def _dump(self, tmp_path, frames=None):
-        rec = FlightRecorder(enabled=True, out_dir=tmp_path)
+        rec = FlightRecorder(out_dir=tmp_path)
         for f in frames if frames is not None else [frame(1.0, record(0, 1.0))]:
             rec(f)
         return rec.dump("manual", trigger={"why": "test"})
@@ -301,14 +263,11 @@ class TestBundleFiles:
     def test_summarize_names_reason_trigger_and_alert(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("sim.intervals").inc(2)
-        old = set_metrics(registry)
-        try:
+        with current().replace(metrics=registry):
             path = self._dump(
                 tmp_path,
                 [frame(30.0, record(0, 30.0)), frame(60.0, alert(1, 60.0))],
             )
-        finally:
-            set_metrics(old)
         text = summarize_events_file(path)
         lines = text.splitlines()
         assert lines[0].startswith("flight bundle flightrec_")
@@ -324,7 +283,7 @@ class TestBundleFiles:
 class TestBusIntegration:
     def test_recorder_follows_live_stream(self, tmp_path, global_log):
         bus = TelemetryBus(enabled=True)
-        rec = bus.subscribe(FlightRecorder(enabled=True, out_dir=tmp_path))
+        rec = bus.subscribe(FlightRecorder(out_dir=tmp_path))
         global_log.emit("warning.issued", t=1.0, event_id="w1")
         bus.tick(1.0, 0)
         bus.tick(2.0, 1)
@@ -334,21 +293,39 @@ class TestBusIntegration:
         assert records == global_log.records()
 
 
-class TestScenarioBundles:
-    def test_quick_pack_bundles_are_journal_windows(self, tmp_path):
-        from repro.scenarios import run_suite
+def _scenario_bundles(out_dir, max_workers):
+    """Flight bundles of flash_crowd under both engines (two SLO alerts)."""
+    from repro.scenarios import run_suite
 
-        old = set_flightrec(FlightRecorder(enabled=False))
-        try:
-            recorder = enable_flightrec(tmp_path)
-            run_suite(pack="quick", engines=("request",), max_workers=1)
-        finally:
-            disable_flightrec()
-            set_flightrec(old)
-        assert recorder.dumped
-        for path in recorder.dumped:
+    with Recording(flightrec=FlightRecorder(out_dir=out_dir)) as rec:
+        run_suite(
+            ["flash_crowd"], engines=("request", "hybrid"), max_workers=max_workers
+        )
+    return rec.flightrec.dumped
+
+
+@pytest.fixture(scope="class")
+def serial_bundles(tmp_path_factory):
+    return _scenario_bundles(tmp_path_factory.mktemp("serial"), 1)
+
+
+class TestScenarioBundles:
+    def test_quick_pack_bundles_are_journal_windows(self, serial_bundles):
+        assert [p.name for p in serial_bundles] == [
+            "flightrec_001_slo_alert.jsonl",
+            "flightrec_002_slo_alert.jsonl",
+        ]
+        for path in serial_bundles:
             header, records = read_events(path)
             assert header["reason"] == "slo.alert"
             assert records and all(r["t"] <= header["t"] for r in records)
             # One episode's window: a single scenario, in journal order.
             assert len({r["attrs"].get("scenario") for r in records} - {None}) <= 1
+
+    def test_parallel_bundles_equal_serial(self, serial_bundles, tmp_path):
+        # Each pool worker's cell holds its episodes' bundles; the caller
+        # numbers, writes and lists them in cell order, as a serial run.
+        parallel = _scenario_bundles(tmp_path, 2)
+        assert [p.name for p in parallel] == [p.name for p in serial_bundles]
+        for a, b in zip(serial_bundles, parallel):
+            assert a.read_bytes() == b.read_bytes()

@@ -5,27 +5,26 @@ import urllib.request
 
 import pytest
 
-from repro.obs.events import EventLog, get_events, load_events, set_events
+from repro.obs.events import EventLog, get_events, load_events
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.live import MetricsServer, PromFileWriter, TelemetryBus, set_bus
-from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from repro.obs.live import MetricsServer, PromFileWriter, TelemetryBus
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.recording import Recording, current
 from repro.obs.slo import SLOEngine
 
 
 @pytest.fixture
 def global_log():
-    """Install a fresh enabled global event log; restore the old after."""
-    old = set_events(EventLog(enabled=True))
-    yield get_events()
-    set_events(old)
+    """Put a fresh enabled event log in force; restore the old after."""
+    with current().replace(events=EventLog(enabled=True)) as rec:
+        yield rec.events
 
 
 @pytest.fixture
 def global_registry():
-    """Install a fresh global metrics registry; restore the old after."""
-    old = set_metrics(MetricsRegistry())
-    yield get_metrics()
-    set_metrics(old)
+    """Put a fresh metrics registry in force; restore the old after."""
+    with current().replace(metrics=MetricsRegistry()) as rec:
+        yield rec.metrics
 
 
 def collect(bus):
@@ -70,7 +69,7 @@ class TestTelemetryBus:
         self, tmp_path, global_log, global_registry
     ):
         bus = TelemetryBus(enabled=True)
-        recorder = bus.subscribe(FlightRecorder(enabled=True, out_dir=tmp_path))
+        recorder = bus.subscribe(FlightRecorder(out_dir=tmp_path))
         global_registry.histogram("controller.solve_ms").observe(12.34)
         global_registry.histogram("mpo.iterations").observe(40.0)
         bus.tick(1.0)
@@ -78,29 +77,23 @@ class TestTelemetryBus:
         assert header["metrics"]["controller.solve_ms"] == {"count": 1}
         assert header["metrics"]["mpo.iterations"]["p50"] == 40.0
 
-    def test_event_cursor_survives_log_swap(
+    def test_event_cursor_resets_when_the_journal_shrinks(
         self, global_log, global_registry
     ):
         bus = TelemetryBus(enabled=True)
         frames = collect(bus)
         global_log.emit("warning.issued", t=1.0)
         bus.tick(1.0)
-        # A swapped journal object restarts the cursor at zero instead
-        # of silently dropping the new log's head — even when the new
-        # log has already grown past the old cursor.
-        set_events(EventLog(enabled=True))
-        get_events().emit("warning.resolved", t=2.0)
+        # A cleared journal is caught by the shrunk count: the cursor
+        # restarts at zero instead of skipping the new head.
+        global_log.clear()
         bus.tick(2.0)
-        # A cleared (same-object) journal is caught by the shrunk count.
-        get_events().clear()
+        global_log.emit("warning.resolved", t=3.0)
         bus.tick(3.0)
-        get_events().emit("warning.issued", t=4.0)
-        bus.tick(4.0)
         assert [[r["kind"] for r in f["events"]] for f in frames] == [
             ["warning.issued"],
-            ["warning.resolved"],
             [],
-            ["warning.issued"],
+            ["warning.resolved"],
         ]
 
     def test_subscribers_see_deltas_in_subscription_order(
@@ -108,34 +101,25 @@ class TestTelemetryBus:
     ):
         bus = TelemetryBus(enabled=True)
         order = []
-        first = bus.subscribe(lambda f: order.append("first"))
+        bus.subscribe(lambda f: order.append("first"))
         bus.subscribe(lambda f: order.append("second"))
         bus.tick(1.0)
-        assert order == ["first", "second"]
-        bus.unsubscribe(first)
         bus.tick(2.0)
-        assert order == ["first", "second", "second"]
+        assert order == ["first", "second", "first", "second"]
 
 
 class TestByteIdenticalStream:
     def _run_stream(self) -> tuple[list[dict], list[dict]]:
         """One seeded SLO-driven run: its frames and its journal."""
-        old_log = set_events(EventLog(enabled=True))
-        old_registry = set_metrics(MetricsRegistry())
         bus = TelemetryBus(enabled=True)
-        old_bus = set_bus(bus)
         frames = collect(bus)
-        try:
+        with Recording(events=EventLog(enabled=True), bus=bus):
             engine = SLOEngine(interval_seconds=30.0, slo_threshold=0.5)
             for i in range(600):
                 t = i * 0.5
                 engine.record(t, 0.1 if (i // 120) % 2 == 0 else 0.9)
             engine.finish(300.0)
             journal = get_events().records()
-        finally:
-            set_bus(old_bus)
-            set_events(old_log)
-            set_metrics(old_registry)
         return frames, journal
 
     def test_identical_runs_identical_bytes(self):
@@ -162,14 +146,11 @@ class TestSweepStream:
         from repro.obs.anomaly import AnomalyMonitor
 
         bus = TelemetryBus(enabled=True)
-        old_bus = set_bus(bus)
         bus.subscribe(AnomalyMonitor())
         frames = collect(bus)
-        try:
+        with current().replace(bus=bus):
             run_fig6a(hours=4)
             bus.flush()
-        finally:
-            set_bus(old_bus)
         journal = global_log.records()
         plans = [r for r in journal if r["kind"] == "interval.plan"]
         assert plans and all("cell" in r["attrs"] for r in plans)

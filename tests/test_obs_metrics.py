@@ -10,9 +10,8 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     get_metrics,
-    reset_metrics,
-    set_metrics,
 )
+from repro.obs.recording import current
 
 
 @pytest.fixture
@@ -116,25 +115,21 @@ class TestRegistry:
 
 class TestGlobalRegistry:
     def test_set_and_reset(self):
-        old = set_metrics(MetricsRegistry())
-        try:
+        before = get_metrics()
+        with current().replace(metrics=MetricsRegistry()) as rec:
             get_metrics().counter("t").inc(5)
-            assert get_metrics().snapshot() == {"t": 5}
-            reset_metrics()
-            assert get_metrics().snapshot() == {}
-        finally:
-            set_metrics(old)
+            assert rec.metrics.snapshot() == {"t": 5}
+            get_metrics().reset()
+            assert rec.metrics.snapshot() == {}
+        assert get_metrics() is before
 
     def test_instrumented_run_populates_expected_metrics(self):
         """A tiny end-to-end sim populates the documented metric names."""
         from repro.experiments.fig6a_constant import run_fig6a
 
-        old = set_metrics(MetricsRegistry())
-        try:
+        with current().replace(metrics=MetricsRegistry()):
             run_fig6a(hours=6, horizons=(2,))
             snap = get_metrics().snapshot()
-        finally:
-            set_metrics(old)
         for name in (
             "controller.steps",
             "controller.solve_ms",
@@ -156,12 +151,9 @@ class TestGlobalRegistry:
 
         snaps = []
         for _ in range(2):
-            old = set_metrics(MetricsRegistry())
-            try:
+            with current().replace(metrics=MetricsRegistry()):
                 run_fig6a(hours=4, horizons=(2,))
                 snaps.append(get_metrics().snapshot())
-            finally:
-                set_metrics(old)
 
         def normalize(snap):
             return {
@@ -250,10 +242,7 @@ class TestPrometheusExport:
     def test_write_prometheus_defaults_to_global_registry(self, tmp_path):
         from repro.obs.metrics import write_prometheus
 
-        old = set_metrics(MetricsRegistry())
-        try:
+        with current().replace(metrics=MetricsRegistry()):
             get_metrics().counter("g").inc(2)
             path = write_prometheus(tmp_path / "m.prom")
-        finally:
-            set_metrics(old)
         assert "spotweb_g_total 2" in path.read_text()

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.obs.events import EventLog, get_events, set_events
-from repro.obs.live import TelemetryBus, set_bus
+from repro.obs.events import EventLog
+from repro.obs.live import TelemetryBus
+from repro.obs.recording import current
 from repro.obs.slo import LatencyDigest, SLOEngine
 
 
 @pytest.fixture
 def global_log():
-    """Install a fresh enabled global event log; restore the old after."""
-    old = set_events(EventLog(enabled=True))
-    yield get_events()
-    set_events(old)
+    """Put a fresh enabled event log in force; restore the old after."""
+    with current().replace(events=EventLog(enabled=True)) as rec:
+        yield rec.events
 
 
 class TestLatencyDigest:
@@ -222,10 +222,9 @@ class TestDigestMassWithLiveBus:
         ``record_mass``.
         """
         bus = TelemetryBus(enabled=True)
-        old_bus = set_bus(bus)
         ticks = []
         bus.subscribe(ticks.append)
-        try:
+        with current().replace(bus=bus):
             eng = SLOEngine(slo_threshold=1.0, interval_seconds=60.0)
             eng.record(5.0, 0.4)
             eng.record(10.0, 1.6)  # late: burns budget like late mass
@@ -234,8 +233,6 @@ class TestDigestMassWithLiveBus:
             )
             eng.record_bad_mass(30.0, 2.0)
             eng.finish(60.0)
-        finally:
-            set_bus(old_bus)
         expected = LatencyDigest()
         expected.add(0.4)
         expected.add(1.6)

@@ -105,16 +105,13 @@ class TestFormatting:
 class TestTracedRunCoverage:
     def test_cell_spans_cover_sim_run(self):
         """An instrumented run's sim.run span is covered by its intervals."""
-        from repro.obs.tracer import Tracer, set_tracer
+        from repro.experiments.fig6a_constant import run_fig6a
+        from repro.obs.recording import current
+        from repro.obs.tracer import Tracer
 
         tracer = Tracer(enabled=True)
-        old = set_tracer(tracer)
-        try:
-            from repro.experiments.fig6a_constant import run_fig6a
-
+        with current().replace(tracer=tracer):
             run_fig6a(hours=6, horizons=(2,))
-        finally:
-            set_tracer(old)
         records = tracer.records()
         by_id = {r["id"]: r for r in records}
         coverage = child_coverage(records)

@@ -5,16 +5,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.obs.recording import current
 from repro.obs.tracer import (
     TRACE_SCHEMA,
     NullSpan,
     Tracer,
-    disable_tracing,
-    enable_tracing,
     get_tracer,
     load_trace,
-    set_tracer,
-    tracing_enabled,
     validate_trace,
     write_trace,
 )
@@ -27,10 +24,9 @@ def tracer():
 
 @pytest.fixture
 def global_tracer():
-    """Install a fresh enabled global tracer; restore the old one after."""
-    old = set_tracer(Tracer(enabled=True))
-    yield get_tracer()
-    set_tracer(old)
+    """Put a fresh enabled tracer in force; restore the old one after."""
+    with current().replace(tracer=Tracer(enabled=True)) as rec:
+        yield rec.tracer
 
 
 class TestSpanNesting:
@@ -129,12 +125,14 @@ class TestDisabledTracer:
         assert t.records() == []
 
     def test_global_toggle(self, global_tracer):
-        assert tracing_enabled()
-        disable_tracing()
-        assert not tracing_enabled()
-        assert isinstance(get_tracer().span("x"), NullSpan)
-        enable_tracing()
-        assert tracing_enabled()
+        # Tracing is on for the recording's extent and off outside it.
+        assert get_tracer() is global_tracer and global_tracer.enabled
+        with current().replace(tracer=Tracer(enabled=False)):
+            assert isinstance(get_tracer().span("x"), NullSpan)
+        assert get_tracer() is global_tracer
+        with global_tracer.span("x"):
+            pass
+        assert [r["name"] for r in global_tracer.records()] == ["x"]
 
 
 class TestNoopOverhead:
@@ -171,7 +169,7 @@ class TestNoopOverhead:
         spans_per_solve = len(tracer.records())
         assert spans_per_solve > 0
 
-        disable_tracing()
+        tracer.enabled = False
         calls = 200_000
         t0_s = time.perf_counter()
         for _ in range(calls):

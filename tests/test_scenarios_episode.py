@@ -3,7 +3,7 @@
 import pytest
 
 from repro.loadbalancer import TransiencyAwareLoadBalancer, VanillaLoadBalancer
-from repro.obs.events import EventLog, get_events, set_events
+from repro.obs.events import EventLog, get_events
 from repro.obs.metrics import get_metrics
 from repro.scenarios import EpisodeSpec, StormSpec, run_episode
 from repro.simulator import ClusterConfig, ClusterSimulation
@@ -136,8 +136,9 @@ class TestScheduleStorm:
         assert servers[2].alive
 
     def test_storm_emits_marker(self):
-        old = set_events(EventLog(enabled=True))
-        try:
+        from repro.obs.recording import current
+
+        with current().replace(events=EventLog(enabled=True)):
             cluster = self._cluster()
             for _ in range(2):
                 cluster.add_server(50.0, boot_seconds=0.0)
@@ -147,11 +148,9 @@ class TestScheduleStorm:
                 r for r in get_events().records()
                 if r["kind"] == "storm.begin"
             ]
-            assert len(storms) == 1
-            assert storms[0]["attrs"]["servers"] == 2
-            assert storms[0]["attrs"]["capacity_rps"] == pytest.approx(100.0)
-        finally:
-            set_events(old)
+        assert len(storms) == 1
+        assert storms[0]["attrs"]["servers"] == 2
+        assert storms[0]["attrs"]["capacity_rps"] == pytest.approx(100.0)
 
     def test_storm_validation(self):
         cluster = self._cluster()

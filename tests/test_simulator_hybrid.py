@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.obs.events import (
-    disable_events,
-    enable_events,
-    get_events,
-    validate_events,
-)
+from repro.obs.events import EventLog, validate_events
+from repro.obs.recording import current
 from repro.simulator import (
     ClusterConfig,
     FluidEngine,
@@ -461,15 +457,11 @@ class TestEngines:
 
 class TestTierSwitchEvents:
     def run_evented(self):
-        enable_events()
-        get_events().clear()
-        try:
+        with current().replace(events=EventLog(enabled=True)) as rec:
             cluster = build("hybrid")
             cluster.schedule_revocation(2, 30.0, warning_seconds=5.0)
             cluster.run(90.0, 300.0)
-            return get_events().records()
-        finally:
-            disable_events()
+        return rec.events.records()
 
     def test_tier_switch_events_validate_and_link(self):
         records = self.run_evented()

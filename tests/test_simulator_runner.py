@@ -20,39 +20,65 @@ class FixedCountsPolicy:
         return self.counts
 
 
+def _zero_fail(ds, interval_seconds):
+    """``ds`` without revocations, re-timed to ``interval_seconds``."""
+    return type(ds)(
+        markets=ds.markets,
+        prices=ds.prices,
+        failure_probs=np.zeros_like(ds.failure_probs),
+        interval_seconds=interval_seconds,
+    )
+
+
 class TestAccounting:
-    def test_billing_without_revocations(self, small_dataset):
+    """Billing and SLA charges scale with the interval length.
+
+    Each charge is checked at the 3,600-s default, where ``interval_h``
+    is 1, and at 900 s, where dropping ``* interval_h`` from either the
+    billing or the SLA line of :class:`CostSimulator` shows.
+    """
+
+    @staticmethod
+    def _check_billing(ds, interval_seconds):
         """With failure probs forced to zero, cost = sum(counts x price x h)."""
-        ds = small_dataset
-        zero_fail = type(ds)(
-            markets=ds.markets,
-            prices=ds.prices,
-            failure_probs=np.zeros_like(ds.failure_probs),
-            interval_seconds=ds.interval_seconds,
-        )
         # Demand below the single m4.large's 40 rps: no shortfall possible.
-        trace = constant_workload(24, 30.0)
-        sim = CostSimulator(zero_fail, trace, seed=0)
+        trace = constant_workload(24, 30.0, interval_seconds=interval_seconds)
+        sim = CostSimulator(_zero_fail(ds, interval_seconds), trace, seed=0)
         counts = np.array([1, 0, 0, 0, 0, 0])
         report = sim.run(FixedCountsPolicy(counts))
-        expected = zero_fail.prices[:24, 0].sum()  # 1 server, hourly billing
+        # 1 server, billed for each interval's hours at its price.
+        expected = ds.prices[:24, 0].sum() * interval_seconds / 3600.0
         assert report.provisioning_cost == pytest.approx(expected)
         assert report.sla_penalty_cost == 0.0
         assert report.revocation_events == 0
 
-    def test_under_provisioning_charged(self, small_dataset):
-        ds = small_dataset
-        zero_fail = type(ds)(
-            markets=ds.markets,
-            prices=ds.prices,
-            failure_probs=np.zeros_like(ds.failure_probs),
+    @staticmethod
+    def _check_under_provisioning(ds, interval_seconds):
+        trace = constant_workload(10, 1000.0, interval_seconds=interval_seconds)
+        sim = CostSimulator(
+            _zero_fail(ds, interval_seconds),
+            trace,
+            seed=0,
+            cost_model=CostModel(penalty=0.02),
         )
-        trace = constant_workload(10, 1000.0)
-        sim = CostSimulator(zero_fail, trace, seed=0, cost_model=CostModel(penalty=0.02))
         report = sim.run(FixedCountsPolicy(np.zeros(6)))
         # Shortfall is the full 1000 rps every interval.
         assert report.unserved_fraction == pytest.approx(1.0)
-        assert report.sla_penalty_cost == pytest.approx(0.02 * 1000.0 * 10)
+        assert report.sla_penalty_cost == pytest.approx(
+            0.02 * 1000.0 * 10 * interval_seconds / 3600.0
+        )
+
+    def test_billing_without_revocations(self, small_dataset):
+        self._check_billing(small_dataset, 3600.0)
+
+    def test_billing_without_revocations_at_900s(self, small_dataset):
+        self._check_billing(small_dataset, 900.0)
+
+    def test_under_provisioning_charged(self, small_dataset):
+        self._check_under_provisioning(small_dataset, 3600.0)
+
+    def test_under_provisioning_charged_at_900s(self, small_dataset):
+        self._check_under_provisioning(small_dataset, 900.0)
 
     def test_revocations_create_gaps(self, small_dataset):
         """High failure probabilities produce events and some shortfall."""
