@@ -19,6 +19,7 @@ from repro.bench.report import SCHEMA_MPO
 from repro.core import CostModel, MPOOptimizer
 from repro.experiments.fig7b_scalability import _replicated_markets
 from repro.markets import generate_market_dataset
+from repro.solvers.qp import lapack
 from repro.units import MS_PER_SECOND
 
 __all__ = ["bench_mpo"]
@@ -49,6 +50,7 @@ def _bench_cell(
             covariance,
         )
 
+    lapack()  # scipy.linalg's import is no part of a cold solve
     t0_s = time.perf_counter()
     optimizer.optimize(*inputs(0, 10_000.0))
     cold = time.perf_counter() - t0_s

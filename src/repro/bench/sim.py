@@ -36,6 +36,7 @@ from repro.markets import generate_market_dataset
 from repro.simulator import CostSimulator
 from repro.simulator.cluster import ClusterConfig, ClusterSimulation
 from repro.simulator.hybrid import HybridClusterSimulation, HybridConfig
+from repro.solvers.qp import lapack
 from repro.workloads import wikipedia_like
 
 __all__ = [
@@ -355,6 +356,9 @@ def check_parallel_speedup(
     from repro.experiments.table1 import run_table1_costs
 
     kwargs = dict(reps=reps, num_markets=num_markets, weeks=1, seed=seed)
+    # Load scipy.linalg outside both clocks: the serial leg would time its
+    # import, which the parallel leg's forked workers inherit.
+    lapack()
     t0_s = time.perf_counter()
     serial = run_table1_costs(parallel=False, **kwargs)
     t_serial = time.perf_counter() - t0_s

@@ -122,6 +122,8 @@ class MPOOptimizer:
         self.horizon = int(horizon)
         self.cost_model = cost_model or CostModel()
         self.constraints = constraints or AllocationConstraints()
+        # An unreachable allocation box raises here, not at the first solve.
+        self.constraints.build_bounds(len(self.markets), self.horizon)
         self.interval_hours = float(interval_hours)
         self.solver_options = dict(solver_options or {})
         self.capacities = np.array([m.capacity_rps for m in self.markets])

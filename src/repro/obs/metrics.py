@@ -201,6 +201,20 @@ class MetricsRegistry:
             for name, value in self.snapshot().items()
         }
 
+    def fold(self, other: MetricsRegistry) -> None:
+        """Take in ``other``'s metrics as if recorded here after this
+        registry's own: counters add, histogram samples append, gauges
+        take ``other``'s value.  ``pmap`` folds its cells' registries in
+        item order, so serial and parallel sweeps end equal."""
+        for name, metric in other._metrics.items():
+            mine = self._get(name, type(metric))
+            if isinstance(metric, Histogram):
+                mine.values.extend(metric.values)
+            elif isinstance(metric, Counter):
+                mine.value += metric.value
+            else:
+                mine.value = metric.value
+
     def reset(self) -> None:
         self._metrics.clear()
 

@@ -22,10 +22,11 @@ the code makes:
   and enabled bus, sharing the caller's tracer and recorder;
 - **a portfolio scenario episode's**: a private journal and disabled
   bus, sharing the rest;
-- **a** ``pmap`` **cell's**: a private journal and a subscriber-less bus
-  enabled as the caller's, and, when the caller has a recorder, a
-  recorder that holds its bundles for the caller to write; it shares
-  the tracer and metrics.
+- **a** ``pmap`` **cell's**: a private journal, a private metrics
+  registry and a subscriber-less bus enabled as the caller's, and, when
+  the caller has a recorder, a recorder that holds its bundles for the
+  caller to write; the caller folds in its journal, metrics and bundles,
+  and it shares the tracer.
 
 A recording *arms* its recorder when the recording it replaced did not
 hold that recorder.  An exception other than ``SystemExit`` that leaves

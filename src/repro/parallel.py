@@ -34,6 +34,7 @@ from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 from repro.obs.events import EventLog
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.live import TelemetryBus
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.recording import Recording, current
 
 T = TypeVar("T")
@@ -82,16 +83,18 @@ class _Cell:
     """Picklable wrapper running one sweep cell under its own recording.
 
     The cell's :class:`~repro.obs.recording.Recording` has a private
-    journal enabled as the caller's and a subscriber-less bus enabled as
-    the caller's (the simulators journal telemetry records only while a
-    bus is live), and shares the tracer and metrics.  When the caller
-    has a flight recorder, the cell gets one configured like it that
-    holds its bundles.  The wrapper returns ``(result, records,
-    bundles)``; :func:`pmap` adopts the records and writes the bundles
-    in item order, and the caller's bus streams the adopted records, so
-    its subscribers see each record once, in the form the journal holds.
-    The same wrapper runs on the serial fallback path, which is what
-    makes serial and parallel journals and bundles byte-identical.
+    journal enabled as the caller's, a private metrics registry and a
+    subscriber-less bus enabled as the caller's (the simulators journal
+    telemetry records only while a bus is live), and shares the tracer.
+    When the caller has a flight recorder, the cell gets one configured
+    like it that holds its bundles.  The wrapper returns ``(result,
+    records, metrics, bundles)``; :func:`pmap` adopts the records, folds
+    the metrics and writes the bundles in item order, and the caller's
+    bus streams the adopted records, so its subscribers see each record
+    once, in the form the journal holds.  The same wrapper runs on the
+    serial fallback path, which is what makes serial and parallel
+    journals and bundles byte-identical, and their metrics equal but for
+    wall-clock timings.
     """
 
     __slots__ = ("fn", "journal", "bus", "recorder")
@@ -106,15 +109,17 @@ class _Cell:
             "window_seconds": rec.window_seconds,
         }
 
-    def __call__(self, item: T) -> tuple[R, list[dict], list]:
+    def __call__(self, item: T) -> tuple[R, list[dict], MetricsRegistry, list]:
         recorder = None if self.recorder is None else FlightRecorder(**self.recorder)
         with current().replace(
             events=EventLog(enabled=self.journal),
             bus=TelemetryBus(enabled=self.bus),
+            metrics=MetricsRegistry(),
             flightrec=recorder,
         ) as cell:
             result = self.fn(item)
-        return result, cell.events.records(), [] if recorder is None else recorder.held
+        bundles = [] if recorder is None else recorder.held
+        return result, cell.events.records(), cell.metrics, bundles
 
 
 def pmap(
@@ -135,11 +140,13 @@ def pmap(
     :func:`derive_seed`, which keeps parallel output identical to serial.
 
     Every cell runs under its own recording (serial or parallel alike,
-    see :class:`_Cell`): the caller's journal adopts the cells' events
-    and the caller's flight recorder writes the cells' bundles, in item
-    order — so the journal and the bundles, like the results, are
-    bit-identical between serial and parallel runs.  The telemetry bus
-    publishes the adopted records on its next tick.
+    see :class:`_Cell`): the caller's journal adopts the cells' events,
+    the caller's metrics registry folds in the cells' metrics and the
+    caller's flight recorder writes the cells' bundles, in item order —
+    so the journal and the bundles, like the results, are bit-identical
+    between serial and parallel runs, and the metrics equal but for
+    wall-clock timings.  The telemetry bus publishes the adopted records
+    on its next tick.
     """
     items = list(items)
     if not items:
@@ -158,8 +165,9 @@ def pmap(
             # No process support (restricted sandbox): degrade to serial.
             out = [run(item) for item in items]
     results = []
-    for cell, (result, records, bundles) in enumerate(out):
+    for cell, (result, records, metrics, bundles) in enumerate(out):
         caller.events.adopt(records, cell=cell)
+        caller.metrics.fold(metrics)
         for header, bundle in bundles:
             caller.flightrec.write(header, bundle)
         results.append(result)

@@ -45,14 +45,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
 
 from repro.devtools.contracts import shapes
 from repro.obs import get_tracer
 from repro.solvers.result import SolverResult, SolverStatus
 
-__all__ = ["QPProblem", "ADMMCore", "ADMMSolver", "solve_qp"]
+__all__ = ["QPProblem", "ADMMCore", "ADMMSolver", "solve_qp", "lapack"]
 
 # Default algorithm parameters (OSQP defaults, tightened tolerances).
 _DEFAULT_RHO = 0.1
@@ -111,6 +109,21 @@ class QPProblem:
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=np.float64)
         return float(0.5 * x @ self.P @ x + self.q @ x)
+
+
+def lapack() -> tuple:
+    """``(cho_factor, dpotrs, cholesky_banded, dpbtrs)``: the routines the
+    dense and structured backends factor and solve with.
+
+    ``scipy.linalg`` loads here, on a process's first factorization (every
+    solver construction factorizes), not with this module: a run that
+    builds no QP solver loads no SciPy.  A timer that should not bracket
+    the import calls this before its clock starts.
+    """
+    from scipy.linalg import cho_factor, cholesky_banded
+    from scipy.linalg.lapack import dpbtrs, dpotrs
+
+    return cho_factor, dpotrs, cholesky_banded, dpbtrs
 
 
 def _inf_norm(v: np.ndarray) -> np.floating:
@@ -483,15 +496,16 @@ class ADMMSolver(ADMMCore):
         return self._AT @ w
 
     def _factorize(self) -> None:
+        cho_factor, self._potrs, _, _ = lapack()
         n = self.P.shape[0]
         kkt = self.P + self.sigma * np.eye(n) + self._rho * (self._AT @ self.A)
         self._chol, _ = cho_factor(kkt, lower=True, check_finite=False)
 
     def _solve_kkt(self, rhs: np.ndarray) -> np.ndarray:
-        # The LAPACK routine cho_solve dispatches to for float64, called
-        # directly: the wrapper's checks and lookup cost several times the
-        # O(n^2) solve at these sizes.
-        x, info = dpotrs(self._chol, rhs, lower=True)
+        # The LAPACK routine cho_solve dispatches to for float64 (dpotrs),
+        # called directly: the wrapper's checks and lookup cost several
+        # times the O(n^2) solve at these sizes.
+        x, info = self._potrs(self._chol, rhs, lower=True)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal potrs")
         return x

@@ -42,11 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded
-from scipy.linalg.lapack import dpbtrs
 
 from repro.devtools.contracts import freeze_arrays
-from repro.solvers.qp import ADMMCore, _RUIZ_ITERS
+from repro.solvers.qp import ADMMCore, _RUIZ_ITERS, lapack
 
 __all__ = ["MPOStructure", "BlockTridiagFactor", "StructuredADMMSolver"]
 
@@ -166,15 +164,18 @@ class BlockTridiagFactor:
             )
         if H > 1:
             ab[N, : (H - 1) * N] = offdiag.ravel()
+        _, _, cholesky_banded, self._pbtrs = lapack()
         self._cb = cholesky_banded(ab, lower=True, check_finite=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``K x = rhs`` for a flat ``(H * N,)`` right-hand side."""
-        # cho_solve_banded's float64 routine, called directly (see
+        # cho_solve_banded's float64 routine (dpbtrs), called directly (see
         # ADMMSolver._solve_kkt); same errors as the wrapper.
-        x, info = dpbtrs(self._cb, rhs, lower=True)
+        x, info = self._pbtrs(self._cb, rhs, lower=True)
         if info > 0:
-            raise LinAlgError(f"{info}th leading minor not positive definite")
+            raise np.linalg.LinAlgError(
+                f"{info}th leading minor not positive definite"
+            )
         if info < 0:
             raise ValueError(f"illegal value in {-info}th argument of internal pbtrs")
         return x

@@ -259,6 +259,30 @@ class TestObservabilityRestored:
         header, _records = read_events(bundle)
         assert header["trigger"] == {"violations": [str(broken)]}
 
+    def test_parallel_violation_bundle_carries_the_serial_metrics(
+        self, monkeypatch, tmp_path
+    ):
+        # The invariant bundle's header holds the sweep's metrics: a
+        # --parallel run's pool workers count into it as a serial run does.
+        from repro import scenarios
+        from repro.obs.events import read_events
+        from repro.scenarios import Violation
+
+        broken = Violation("price_war[interval]", "cost_ceiling", "stubbed")
+        monkeypatch.setattr(scenarios, "check_runs", lambda runs: [broken])
+        headers = []
+        for mode in ([], ["--parallel", "--workers", "2"]):
+            out = tmp_path / f"run{len(headers)}"
+            argv = ["scenarios", "run", "--scenario", "price_war", "--check"]
+            argv += ["--out-dir", str(out / "j"), "--flightrec", str(out / "f")]
+            with pytest.raises(SystemExit, match="1 invariant violation"):
+                main(argv + mode)
+            (bundle,) = (out / "f").glob("*_invariant_violation.jsonl")
+            headers.append(read_events(bundle)[0])
+        serial, parallel = headers
+        assert serial["metrics"]["sim.intervals"] > 0
+        assert parallel["metrics"] == serial["metrics"]
+
     def test_crash_dumps_a_bundle_and_restores(self, monkeypatch, tmp_path):
         # The run completes a sweep, then raises: the recording flushes
         # the sweep's adopted records to the recorder before the crash

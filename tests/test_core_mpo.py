@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AllocationConstraints, CostModel, MPOOptimizer
+from repro.core import AllocationConstraints, CostModel, MPOOptimizer, SPOOptimizer
 from repro.solvers import QPProblem
 from repro.solvers.reference import solve_qp_reference
 
@@ -197,6 +197,13 @@ class TestValidationAndCaching:
             MPOOptimizer([], horizon=1)
         with pytest.raises(ValueError):
             MPOOptimizer(small_markets, interval_hours=0.0)
+
+    def test_infeasible_box_rejected_at_construction(self, small_markets):
+        box = AllocationConstraints(a_market_max=0.1)  # 6 * 0.1 < a_total_min
+        with pytest.raises(ValueError, match="infeasible constraints"):
+            MPOOptimizer(small_markets, constraints=box)
+        with pytest.raises(ValueError, match="infeasible constraints"):
+            SPOOptimizer(small_markets, constraints=box)
 
     def test_solver_cached_across_calls(self, small_markets, small_dataset):
         opt = MPOOptimizer(small_markets, horizon=2)

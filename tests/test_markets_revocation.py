@@ -1,5 +1,7 @@
 """Unit and property tests for the revocation models."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,16 +171,17 @@ class TestCorrelatedRevocationSampler:
             CorrelatedRevocationSampler(np.ones((2, 3)))
 
 
-def _fresh_interpreter(code: str) -> str:
-    """Run ``code`` in a new interpreter that imports this process's repro."""
+def _fresh_interpreter(code: str, *paths: Path) -> str:
+    """Run ``code`` in a new interpreter that imports this process's repro
+    (and modules from ``paths``)."""
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import repro
 
-    path = [str(Path(repro.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    path = [str(Path(repro.__file__).parents[1]), *map(str, paths)]
+    path.append(os.environ.get("PYTHONPATH", ""))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -189,6 +192,10 @@ def _fresh_interpreter(code: str) -> str:
     )
     return out.stdout.strip()
 
+
+#: The end-to-end benchmark's directory: its ``workloads`` module imports
+#: what the benchmark's runs need.
+_E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 
 #: What no simulation run calls: the test oracles, the spline fit's FITPACK
 #: (until a fit), the metrics endpoint.  scipy.stats alone cost ~0.5 s and
@@ -263,6 +270,95 @@ for t in range(7):
 before = "scipy.interpolate" in sys.modules
 predictor.observe(11.0)
 print(before, predictor._spline is not None, "scipy.interpolate" in sys.modules)
+"""
+    assert _fresh_interpreter(code) == "False True True"
+
+
+def test_runs_without_a_solver_load_no_scipy():
+    """What the e2e workloads import, a Fig. 4(a) hybrid run with its
+    revocation and a warm fluid run build no QP solver, so they load no
+    SciPy at all."""
+    code = """
+import sys
+import workloads
+from repro.experiments.fig4a_loadbalancer import run_fig4a
+from repro.simulator import ClusterConfig, HybridClusterSimulation
+
+results = run_fig4a(scale=0.02, engine="hybrid")
+assert results["vanilla"].drop_rate > results["spotweb"].drop_rate > 0
+cluster = HybridClusterSimulation(ClusterConfig(seed=1), engine="hybrid", keep_raw=False)
+for _ in range(4):
+    cluster.add_server(100.0, boot_seconds=0.0)
+cluster.sim.advance(cluster.config.warmup_seconds + 1.0)
+cluster.run(30.0, lambda t: 200.0)
+assert cluster.tier_steps["fluid"] > 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    assert _fresh_interpreter(code, _E2E) == "[]"
+
+
+def test_closed_loop_loads_lapack_on_its_first_factorization():
+    """``scipy.linalg`` is deferred into the first MPO solve, not dropped."""
+    code = """
+import sys
+import numpy as np
+from repro.core import CostModel, SpotWebController
+from repro.markets import default_catalog, generate_market_dataset
+from repro.predictors import EWMAPredictor, ReactiveFailurePredictor, ReactivePricePredictor
+from repro.simulator import SpotWebSystem, SystemConfig
+from repro.workloads import WorkloadTrace
+
+markets = default_catalog().subset(["m4.large", "m5.large"]).spot_markets()
+dataset = generate_market_dataset(markets, intervals=2, seed=1, interval_seconds=60.0)
+controller = SpotWebController(
+    markets, EWMAPredictor(alpha=0.5), ReactivePricePredictor(2),
+    ReactiveFailurePredictor(2), horizon=2, cost_model=CostModel(churn_penalty=0.2),
+)
+system = SpotWebSystem(controller, dataset, SystemConfig(interval_seconds=60.0, seed=1))
+before = "scipy.linalg" in sys.modules
+report = system.run(WorkloadTrace(np.full(2, 4.0), 60.0, name="flat"))
+print(before, report.summary()["served"] > 0, "scipy.linalg" in sys.modules)
+"""
+    assert _fresh_interpreter(code) == "False True True"
+
+
+#: One cold clock each, in a process that has not factorized yet:
+#: (import, call).
+_COLD_CLOCKS = {
+    "bench_mpo": (
+        "from repro.bench.mpo import bench_mpo",
+        'bench_mpo(market_counts=(12,), horizons=(2,), backends=("admm",), repeats=1)',
+    ),
+    "fig7b": (
+        "from repro.experiments.fig7b_scalability import run_fig7b",
+        'run_fig7b(market_counts=(9,), horizons=(2,), repeats=1, backend="structured")',
+    ),
+    "parallel_speedup": (
+        "from repro.bench.sim import check_parallel_speedup",
+        "check_parallel_speedup(reps=1, num_markets=2, max_workers=1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COLD_CLOCKS))
+def test_timers_start_after_lapack_loads(name):
+    """No benchmark clock brackets ``scipy.linalg``'s import: every clock
+    read of a cold cell and of the serial sweep finds it loaded."""
+    setup, call = _COLD_CLOCKS[name]
+    code = f"""
+import sys
+import time
+{setup}
+before = "scipy.linalg" in sys.modules
+clock, loaded = time.perf_counter, []
+
+def perf_counter():
+    loaded.append("scipy.linalg" in sys.modules)
+    return clock()
+
+time.perf_counter = perf_counter
+{call}
+print(before, len(loaded) > 0, all(loaded))
 """
     assert _fresh_interpreter(code) == "False True True"
 

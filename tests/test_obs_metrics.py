@@ -92,6 +92,29 @@ class TestRegistry:
         # JSON-diffable: identical serialized form, no unstable floats.
         assert json.dumps(r1.snapshot()) == json.dumps(r2.snapshot())
 
+    def test_fold_adds_counters_appends_samples_takes_last_gauge(self):
+        # Recording into one registry and folding two are the same.
+        def record(reg, n, sample, level):
+            reg.counter("c").inc(n)
+            reg.histogram("h").observe(sample)
+            reg.gauge("g").set(level)
+
+        shared, first, second = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        for reg in (shared, first):
+            record(reg, 2, 1.0, 0.5)
+        for reg in (shared, second):
+            record(reg, 3, 4.0, 0.25)
+            reg.counter("only.second").inc()
+        folded = MetricsRegistry()
+        folded.fold(first)
+        folded.fold(second)
+        assert folded.snapshot() == shared.snapshot()
+        assert folded.histogram("h").values == [1.0, 4.0]
+        clash = MetricsRegistry()
+        clash.gauge("c")
+        with pytest.raises(TypeError, match="already registered"):
+            clash.fold(first)
+
     def test_sim_snapshot_cuts_wall_clock_histograms_to_count(self, registry):
         registry.histogram("controller.solve_ms").observe(12.5)
         registry.histogram("mpo.iterations").observe(40.0)

@@ -118,6 +118,23 @@ class TestSerialParallelIdentical:
             np.testing.assert_array_equal(rs.counts, rp.counts)
             np.testing.assert_array_equal(rs.interval_costs, rp.interval_costs)
 
+    def test_sweep_metrics_match_serial(self):
+        # Each cell counts into its own registry, which pmap folds into
+        # the caller's: a pool's workers lose none of their metrics.
+        from repro.experiments.fig6a_constant import run_fig6a
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.recording import current
+
+        snapshots = []
+        for workers in (1, 2):
+            clear_shared_setup()
+            with current().replace(metrics=MetricsRegistry()) as rec:
+                run_fig6a(hours=4, parallel=workers > 1, max_workers=workers)
+            snapshots.append(rec.metrics.sim_snapshot())
+        serial, parallel = snapshots
+        assert serial["mpo.solves"] > 0 and serial["sim.intervals"] > 0
+        assert parallel == serial
+
     @pytest.mark.slow
     def test_fig6a_parallel_matches_serial(self):
         from repro.experiments import fig6a_constant
