@@ -360,10 +360,10 @@ def check_parallel_speedup(
     # import, which the parallel leg's forked workers inherit.
     lapack()
     t0_s = time.perf_counter()
-    serial = run_table1_costs(parallel=False, **kwargs)
+    serial = run_table1_costs(workers=1, **kwargs)
     t_serial = time.perf_counter() - t0_s
     t0_s = time.perf_counter()
-    par = run_table1_costs(parallel=True, max_workers=max_workers, **kwargs)
+    par = run_table1_costs(workers=max_workers, **kwargs)
     t_par = time.perf_counter() - t0_s
     mismatches = [
         key

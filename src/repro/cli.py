@@ -2,22 +2,23 @@
 
 Commands
 --------
-- ``experiment <name>`` — run one paper experiment and print its rows
-  (``table1``, ``table1_costs``, ``fig3``, ``fig4a``, ``fig4bcd``,
-  ``fig5``, ``fig6a``, ``fig6b``, ``fig7a``, ``fig7b``, ``lookahead``).
-  ``--parallel``/``--workers`` fan independent cells over a process pool
-  with results identical to serial.
-- ``run <name>`` — like ``experiment`` plus observability: ``--trace
-  [PATH]`` records a span trace of the whole run to a ``spotweb-trace/1``
-  JSONL file and prints the metrics snapshot; ``--events [PATH]``
-  journals the service-level domain events (revocation warnings, drains,
-  migrations, SLO state) to a ``spotweb-events/1`` JSONL file;
-  ``--prom-out`` exports the metrics registry in Prometheus text format
-  (atomically, refreshed at every sim interval while the telemetry bus
-  is live); ``--quick`` shrinks the workload to CI size.  Two flags
-  switch the in-process telemetry bus on: ``--serve-metrics PORT``
-  (live OpenMetrics scrape endpoint, ``--serve-hold SEC`` keeps it up
-  after the run) and ``--flightrec DIR`` (arm the flight recorder: SLO
+- ``run <name>`` (alias ``experiment``) — run one paper experiment and
+  print its rows (``table1``, ``table1_costs``, ``fig3``, ``fig4a``,
+  ``fig4bcd``, ``fig5``, ``fig6a``, ``fig6b``, ``fig7a``, ``fig7b``,
+  ``lookahead``, ``gcloud``).  Each experiment takes exactly the options
+  its runner reads (:data:`EXPERIMENTS`); a sweep's ``--workers [N]``
+  fans its independent cells over N processes (bare: one per CPU;
+  absent: serial) with results identical to serial.  Observability:
+  ``--trace [PATH]`` records a span trace of the whole run to a
+  ``spotweb-trace/1`` JSONL file and prints the metrics snapshot;
+  ``--events [PATH]`` journals the service-level domain events
+  (revocation warnings, drains, migrations, SLO state) to a
+  ``spotweb-events/1`` JSONL file; ``--prom-out`` exports the metrics
+  registry in Prometheus text format (atomically, refreshed at every sim
+  interval while the telemetry bus is live).  Two flags switch the
+  in-process telemetry bus on: ``--serve-metrics PORT`` (live
+  OpenMetrics scrape endpoint, ``--serve-hold SEC`` keeps it up after
+  the run) and ``--flightrec DIR`` (arm the flight recorder: SLO
   burn-rate alerts dump a bundle, a window of the journal, and an
   exception leaving the run dumps a ``crash`` bundle).  Each run has a
   recording of its own (:mod:`repro.obs.recording`): whatever it
@@ -25,7 +26,8 @@ Commands
 - ``top <name>`` — live-refreshing ASCII dashboard of one run (fleet
   by market, RPS, P99, burn rate, cost, warnings, anomalies) driven
   off the telemetry bus; ``--once`` renders a single deterministic
-  final snapshot instead of repainting.
+  final snapshot instead of repainting.  Takes the same experiment
+  options as ``run``.
 - ``trace summarize|validate <file>`` — critical-path breakdown, top
   spans, and per-phase timeline of a recorded trace; or schema check.
 - ``events validate|summarize|timeline|diff <file> [file_b]`` — schema +
@@ -36,7 +38,7 @@ Commands
   pack (journals per cell), list the registered families, or evaluate
   journals against their invariant packs (non-zero exit on violation).
   ``run --flightrec DIR`` arms the flight recorder for the whole pack:
-  in-episode SLO alerts auto-dump (with ``--parallel`` too: bundles are
+  in-episode SLO alerts auto-dump (with ``--workers`` too: bundles are
   numbered and listed in cell order either way), and a failed
   ``--check`` dumps an ``invariant.violation`` bundle naming the broken
   invariants.
@@ -56,163 +58,126 @@ Commands
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from contextlib import contextmanager
-from typing import Callable
+from typing import Callable, NamedTuple
+
+from repro.textfmt import format_table
 
 __all__ = ["main", "build_parser", "EXPERIMENTS"]
 
 
-def _run_table1(args) -> str:
-    from repro.experiments import table1
+class _Experiment(NamedTuple):
+    """One paper experiment as ``run`` and ``top`` drive it."""
 
-    return table1.format_table1()
-
-
-def _run_table1_costs(args) -> str:
-    from repro.experiments import table1
-
-    return table1.format_table1_costs(
-        table1.run_table1_costs(
-            weeks=args.weeks,
-            workload=args.workload,
-            seed=args.seed,
-            parallel=args.parallel,
-            max_workers=args.workers,
-        )
-    )
+    description: str
+    #: the module of ``repro.experiments`` holding its runner
+    module: str
+    #: the options its runner reads, keys of :data:`_OPTIONS`
+    options: tuple[str, ...]
+    #: ``run(module, **options)`` runs it and formats its rows
+    run: Callable[..., str]
 
 
-def _run_fig3(args) -> str:
-    from repro.experiments import fig3_workloads
-
-    return fig3_workloads.format_fig3(
-        fig3_workloads.run_fig3(weeks=args.weeks, seed=args.seed)
-    )
-
-
-def _run_fig4a(args) -> str:
-    from repro.experiments import fig4a_loadbalancer
-
-    return fig4a_loadbalancer.format_fig4a(
-        fig4a_loadbalancer.run_fig4a(
-            seed=args.seed,
-            scale=args.scale,
-            engine=getattr(args, "engine", "request"),
-        )
-    )
-
-
-def _run_fig4bcd(args) -> str:
-    from repro.experiments import fig4bcd_prediction
-
-    return fig4bcd_prediction.format_fig4bcd(
-        fig4bcd_prediction.run_fig4bcd(weeks=args.weeks, seed=args.seed)
-    )
-
-
-def _run_fig5(args) -> str:
-    from repro.experiments import fig5_price_awareness
-
-    return fig5_price_awareness.format_fig5(
-        fig5_price_awareness.run_fig5(
-            seed=args.seed, parallel=args.parallel, max_workers=args.workers
-        )
-    )
-
-
-def _run_fig6a(args) -> str:
-    from repro.experiments import fig6a_constant
-
-    return fig6a_constant.format_fig6a(
-        fig6a_constant.run_fig6a(
-            hours=getattr(args, "hours", 72),
-            seed=args.seed,
-            parallel=args.parallel,
-            max_workers=args.workers,
-        )
-    )
-
-
-def _run_fig6b(args) -> str:
-    from repro.experiments import fig6b_exosphere
-
-    return fig6b_exosphere.format_fig6b(
-        fig6b_exosphere.run_fig6b(
-            weeks=args.weeks,
-            seeds=(args.seed,),
-            workload=args.workload,
-            parallel=args.parallel,
-            max_workers=args.workers,
-        )
-    )
-
-
-def _run_fig7a(args) -> str:
-    from repro.experiments import fig7a_accuracy
-
-    return fig7a_accuracy.format_fig7a(
-        fig7a_accuracy.run_fig7a(weeks=args.weeks, seed=args.seed)
-    )
-
-
-def _run_fig7b(args) -> str:
-    from repro.experiments import fig7b_scalability
-
-    return fig7b_scalability.format_fig7b(fig7b_scalability.run_fig7b())
-
-
-def _run_lookahead(args) -> str:
-    from repro.experiments import lookahead
-
-    return lookahead.format_lookahead(
-        lookahead.run_lookahead(
-            weeks=args.weeks,
-            seed=args.seed,
-            parallel=args.parallel,
-            max_workers=args.workers,
-        )
-    )
-
-
-def _run_gcloud(args) -> str:
-    from repro.experiments import gcloud
-
-    return gcloud.format_gcloud(
-        gcloud.run_gcloud(weeks=args.weeks, seed=args.seed)
-    )
-
-
-EXPERIMENTS: dict[str, tuple[str, Callable]] = {
-    "table1": ("qualitative comparison of approaches", _run_table1),
-    "table1_costs": ("Table-1 approaches head-to-head cost sweep", _run_table1_costs),
-    "fig3": ("workload trace shapes", _run_fig3),
-    "fig4a": ("transiency-aware load balancing (request-level DES)", _run_fig4a),
-    "fig4bcd": ("prediction error with/without CI padding", _run_fig4bcd),
-    "fig5": ("price-awareness, 3-market race", _run_fig5),
-    "fig6a": ("SpotWeb vs constant portfolio + oracle autoscaler", _run_fig6a),
-    "fig6b": ("SpotWeb vs ExoSphere-in-a-loop sweep", _run_fig6b),
-    "fig7a": ("savings vs prediction accuracy", _run_fig7a),
-    "fig7b": ("optimizer scalability", _run_fig7b),
-    "lookahead": ("Sec. 7: look-ahead vs startup time", _run_lookahead),
-    "gcloud": ("Sec. 7: Google-preemptible mode", _run_gcloud),
+EXPERIMENTS: dict[str, _Experiment] = {
+    "table1": _Experiment(
+        "qualitative comparison of approaches", "table1", (),
+        lambda m: m.format_table1(),
+    ),
+    "table1_costs": _Experiment(
+        "Table-1 approaches head-to-head cost sweep", "table1",
+        ("weeks", "workload", "seed", "workers"),
+        lambda m, **kw: m.format_table1_costs(m.run_table1_costs(**kw)),
+    ),
+    "fig3": _Experiment(
+        "workload trace shapes", "fig3_workloads", ("weeks", "seed"),
+        lambda m, **kw: m.format_fig3(m.run_fig3(**kw)),
+    ),
+    "fig4a": _Experiment(
+        "transiency-aware load balancing (request-level DES)",
+        "fig4a_loadbalancer", ("seed", "scale", "engine"),
+        lambda m, **kw: m.format_fig4a(m.run_fig4a(**kw)),
+    ),
+    "fig4bcd": _Experiment(
+        "prediction error with/without CI padding", "fig4bcd_prediction",
+        ("weeks", "seed"),
+        lambda m, **kw: m.format_fig4bcd(m.run_fig4bcd(**kw)),
+    ),
+    "fig5": _Experiment(
+        "price-awareness, 3-market race", "fig5_price_awareness",
+        ("seed", "workers"),
+        lambda m, **kw: m.format_fig5(m.run_fig5(**kw)),
+    ),
+    "fig6a": _Experiment(
+        "SpotWeb vs constant portfolio + oracle autoscaler", "fig6a_constant",
+        ("hours", "seed", "workers"),
+        lambda m, **kw: m.format_fig6a(m.run_fig6a(**kw)),
+    ),
+    "fig6b": _Experiment(
+        "SpotWeb vs ExoSphere-in-a-loop sweep", "fig6b_exosphere",
+        ("weeks", "seed", "workload", "workers"),
+        lambda m, seed, **kw: m.format_fig6b(m.run_fig6b(seeds=(seed,), **kw)),
+    ),
+    "fig7a": _Experiment(
+        "savings vs prediction accuracy", "fig7a_accuracy", ("weeks", "seed"),
+        lambda m, **kw: m.format_fig7a(m.run_fig7a(**kw)),
+    ),
+    "fig7b": _Experiment(
+        "optimizer scalability", "fig7b_scalability", (),
+        lambda m: m.format_fig7b(m.run_fig7b()),
+    ),
+    "lookahead": _Experiment(
+        "Sec. 7: look-ahead vs startup time", "lookahead",
+        ("weeks", "seed", "workers"),
+        lambda m, **kw: m.format_lookahead(m.run_lookahead(**kw)),
+    ),
+    "gcloud": _Experiment(
+        "Sec. 7: Google-preemptible mode", "gcloud", ("weeks", "seed"),
+        lambda m, **kw: m.format_gcloud(m.run_gcloud(**kw)),
+    ),
 }
 
-#: experiment name -> the module of ``repro.experiments`` its runner imports
-_MODULES: dict[str, str] = {
-    "table1": "table1",
-    "table1_costs": "table1",
-    "fig3": "fig3_workloads",
-    "fig4a": "fig4a_loadbalancer",
-    "fig4bcd": "fig4bcd_prediction",
-    "fig5": "fig5_price_awareness",
-    "fig6a": "fig6a_constant",
-    "fig6b": "fig6b_exosphere",
-    "fig7a": "fig7a_accuracy",
-    "fig7b": "fig7b_scalability",
-    "lookahead": "lookahead",
-    "gcloud": "gcloud",
+#: Every experiment option, declared once: name -> ``add_argument`` keywords.
+#: ``simulate``, ``scenarios``, ``advisor`` and ``bench`` share some of them.
+_OPTIONS: dict[str, dict] = {
+    "seed": {"type": int, "default": 0},
+    "weeks": {"type": int, "default": 2},
+    "hours": {"type": int, "default": 72},
+    "scale": {"type": float, "default": 0.5},
+    "engine": {
+        "choices": ("hybrid", "request", "fluid"),
+        "default": "request",
+        "help": "simulation engine",
+    },
+    "workload": {"choices": ("wikipedia", "vod"), "default": "wikipedia"},
+    "workers": {
+        "nargs": "?",
+        "type": int,
+        "default": 1,
+        "const": None,
+        "metavar": "N",
+        "help": "fan independent cells out over N processes, with results "
+        "identical to serial (bare: one per CPU; default: serial)",
+    },
 }
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **_OPTIONS[name])
+
+
+def _import_experiment(name: str):
+    """The ``repro.experiments`` module holding experiment ``name``."""
+    return importlib.import_module(f"repro.experiments.{EXPERIMENTS[name].module}")
+
+
+def _run_experiment(args) -> str:
+    """Run the experiment ``args`` names with the options its runner reads."""
+    exp = EXPERIMENTS[args.name]
+    options = {name: getattr(args, name) for name in exp.options}
+    return exp.run(_import_experiment(args.name), **options)
 
 
 @contextmanager
@@ -278,32 +243,28 @@ def _format_metrics(snapshot: dict) -> str:
 def _cmd_run(args) -> str:
     """Run one experiment with optional tracing, events and telemetry.
 
-    Identical to ``experiment`` when all observability is off (the no-op
-    tracer, event sink, and telemetry bus each add one method call per
-    instrumented site).  With ``--trace`` the whole run executes under
-    an ``experiment.<name>`` root span and the trace is written as
-    ``spotweb-trace/1`` JSONL; with ``--events`` the domain-event journal
-    is written as ``spotweb-events/1`` JSONL.  ``--serve-metrics`` and
-    ``--flightrec`` switch the telemetry bus on, which implies events.
-    Every opt-in also prints the metrics snapshot; ``--prom-out``
-    additionally exports the registry in Prometheus text format (written
-    atomically, and refreshed at every sim interval while the bus is
-    live).  The run has a recording of its own (:func:`_recording`).
+    With all observability off it only runs the experiment and returns
+    its rows (the no-op tracer, event sink, and telemetry bus each add
+    one method call per instrumented site).  With ``--trace`` the whole
+    run executes under an ``experiment.<name>`` root span and the trace
+    is written as ``spotweb-trace/1`` JSONL; with ``--events`` the
+    domain-event journal is written as ``spotweb-events/1`` JSONL.
+    ``--serve-metrics`` and ``--flightrec`` switch the telemetry bus on,
+    which implies events.  Every opt-in also prints the metrics snapshot;
+    ``--prom-out`` additionally exports the registry in Prometheus text
+    format (written atomically, and refreshed at every sim interval while
+    the bus is live).  The run has a recording of its own
+    (:func:`_recording`).
     """
-    import importlib
     import time
 
     from repro.obs import events, metrics, tracer
 
-    if args.quick:
-        args.weeks = 1
-        args.hours = 24
-    _desc, runner = EXPERIMENTS[args.name]
     telemetry_on = args.serve_metrics is not None or args.flightrec is not None
     # Frames carry the journal, so telemetry implies events.
     events_on = args.events is not None or telemetry_on
     if not (args.trace is not None or events_on or args.prom_out):
-        return runner(args)
+        return _run_experiment(args)
     with _recording(
         trace=args.trace is not None,
         events=events_on,
@@ -315,19 +276,19 @@ def _cmd_run(args) -> str:
             from repro.obs.live import PromFileWriter
 
             rec.bus.subscribe(PromFileWriter(args.prom_out))
-        with rec.tracer.span(f"experiment.{args.name}", quick=args.quick):
-            # The experiment module's import dominates a --quick run's
+        with rec.tracer.span(f"experiment.{args.name}"):
+            # The experiment module's import dominates a short run's
             # wall-clock; give it a span so the root stays >95% covered.
             with rec.tracer.span("experiment.imports"):
-                importlib.import_module(f"repro.experiments.{_MODULES[args.name]}")
-            text = runner(args)
+                _import_experiment(args.name)
+            text = _run_experiment(args)
         rec.bus.flush()
         if args.trace is not None:
             records = rec.tracer.records()
             out = args.trace or f"TRACE_{args.name}.jsonl"
             tracer.write_trace(records, out)
             text += f"\nwrote {len(records)} spans to {out}"
-            if args.parallel:
+            if getattr(args, "workers", 1) != 1:
                 text += "\nNOTE: spans from process-pool workers are not captured"
         if events_on:
             journal = rec.events.records()
@@ -404,16 +365,12 @@ def _cmd_top(args) -> str:
     """
     from repro.obs.dash import DashRenderer, DashState, render_dash
 
-    if args.quick:
-        args.weeks = 1
-        args.hours = 24
-    _desc, runner = EXPERIMENTS[args.name]
     state = DashState()
     with _recording(telemetry=True, serve_metrics=args.serve_metrics) as (rec, _):
         rec.bus.subscribe(
             state if args.once else DashRenderer(state, every=args.refresh)
         )
-        runner(args)
+        _run_experiment(args)
         rec.bus.flush()
     if args.once:
         return render_dash(state)
@@ -427,14 +384,11 @@ def _cmd_top(args) -> str:
 
 
 def _cmd_list(_args) -> str:
-    from repro.analysis import format_table
-
-    rows = [[name, desc] for name, (desc, _) in EXPERIMENTS.items()]
+    rows = [[name, exp.description] for name, exp in EXPERIMENTS.items()]
     return format_table(["experiment", "description"], rows)
 
 
 def _cmd_catalog(_args) -> str:
-    from repro.analysis import format_table
     from repro.markets import default_catalog
 
     catalog = default_catalog()
@@ -451,11 +405,11 @@ def _cmd_simulate(args) -> str:
     """Policy comparison over a shared universe via the sweep engine.
 
     Each policy run is an independent cell (module-level worker in
-    :mod:`repro.experiments.table1`), so ``--parallel`` fans them out with
+    :mod:`repro.experiments.table1`), so ``--workers`` fans them out with
     results identical to the serial run: every cell uses the same simulator
     seed, and the dataset/trace are rebuilt per process via ``shared_setup``.
     """
-    from repro.analysis import CostLedger, format_table
+    from repro.analysis import CostLedger
     from repro.experiments.table1 import POLICY_NAMES, _cost_cell
     from repro.parallel import pmap
 
@@ -477,9 +431,7 @@ def _cmd_simulate(args) -> str:
         }
         for name in names
     ]
-    reports = pmap(
-        _cost_cell, cells, max_workers=(args.workers if args.parallel else 1)
-    )
+    reports = pmap(_cost_cell, cells, max_workers=args.workers)
     ledger = CostLedger()
     for report in reports:
         ledger.add(report)
@@ -583,8 +535,6 @@ def _cmd_scenarios(args) -> str:
     from repro import scenarios
 
     if args.action == "list":
-        from repro.analysis import format_table
-
         rows = [
             [
                 s.name,
@@ -607,13 +557,13 @@ def _cmd_scenarios(args) -> str:
         )
         with _recording(flightrec=args.flightrec) as (rec, _):
             # Each cell's recorder holds its episodes' bundles; pmap
-            # writes them here in cell order, serial or --parallel.
+            # writes them here in cell order, serial or not.
             runs = scenarios.run_suite(
                 args.scenario or None,
                 pack=args.pack,
                 engines=engines,
                 seed=args.seed,
-                max_workers=(args.workers if args.parallel else 1),
+                workers=args.workers,
             )
             lines = []
             for run in runs:
@@ -658,7 +608,6 @@ def _cmd_scenarios(args) -> str:
 
 
 def _cmd_advisor(args) -> str:
-    from repro.analysis import format_table
     from repro.markets import advisor_table, default_catalog, generate_market_dataset
 
     markets = default_catalog().spot_markets(args.markets)
@@ -678,58 +627,28 @@ def _cmd_advisor(args) -> str:
     )
 
 
+def _experiment_command(
+    command: argparse.ArgumentParser,
+    common: argparse.ArgumentParser,
+    func: Callable[[argparse.Namespace], str],
+) -> None:
+    """One sub-parser per experiment under ``command``, each taking the
+    options its runner reads plus the command's own ``common`` ones."""
+    command.set_defaults(func=func)
+    names = command.add_subparsers(dest="name", required=True, metavar="name")
+    for name, exp in EXPERIMENTS.items():
+        parser = names.add_parser(name, help=exp.description, parents=[common])
+        _add_options(parser, *exp.options)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="SpotWeb (HPDC'19) reproduction toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_exp = sub.add_parser("experiment", help="run one paper experiment")
-    p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
-    p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--weeks", type=int, default=2)
-    p_exp.add_argument("--scale", type=float, default=0.5)
-    p_exp.add_argument(
-        "--engine",
-        choices=("hybrid", "request", "fluid"),
-        default="request",
-        help="simulation engine for cluster experiments (fig4a)",
-    )
-    p_exp.add_argument(
-        "--workload", choices=("wikipedia", "vod"), default="wikipedia"
-    )
-    p_exp.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan independent cells out over a process pool",
-    )
-    p_exp.add_argument(
-        "--workers", type=int, default=None, help="pool size (default: cpu count)"
-    )
-
-    p_run = sub.add_parser(
-        "run", help="run an experiment with optional tracing/metrics"
-    )
-    p_run.add_argument("name", choices=sorted(EXPERIMENTS))
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--weeks", type=int, default=2)
-    p_run.add_argument("--hours", type=int, default=72, help="fig6a length")
-    p_run.add_argument("--scale", type=float, default=0.5)
-    p_run.add_argument(
-        "--engine",
-        choices=("hybrid", "request", "fluid"),
-        default="request",
-        help="simulation engine for cluster experiments (fig4a)",
-    )
-    p_run.add_argument(
-        "--workload", choices=("wikipedia", "vod"), default="wikipedia"
-    )
-    p_run.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized workload (1 week / 24 hours)",
-    )
-    p_run.add_argument(
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument(
         "--trace",
         nargs="?",
         const="",
@@ -737,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="record a span trace to PATH (default: TRACE_<name>.jsonl)",
     )
-    p_run.add_argument(
+    run.add_argument(
         "--events",
         nargs="?",
         const="",
@@ -745,13 +664,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="journal domain events to PATH (default: EVENTS_<name>.jsonl)",
     )
-    p_run.add_argument(
+    run.add_argument(
         "--prom-out",
         default=None,
         help="write the metrics registry in Prometheus text format "
         "(atomic; refreshed every sim interval when telemetry is on)",
     )
-    p_run.add_argument(
+    run.add_argument(
         "--serve-metrics",
         type=int,
         default=None,
@@ -759,80 +678,58 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve live OpenMetrics on http://127.0.0.1:PORT/metrics "
         "during the run (0 picks an ephemeral port)",
     )
-    p_run.add_argument(
+    run.add_argument(
         "--serve-hold",
         type=float,
         default=0.0,
         metavar="SEC",
         help="keep the metrics endpoint up this long after the run",
     )
-    p_run.add_argument(
+    run.add_argument(
         "--flightrec",
         default=None,
         metavar="DIR",
         help="arm the flight recorder; SLO-alert and crash bundles "
         "land in this directory",
     )
-    p_run.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan independent cells out over a process pool",
-    )
-    p_run.add_argument(
-        "--workers", type=int, default=None, help="pool size (default: cpu count)"
+    _experiment_command(
+        sub.add_parser(
+            "run",
+            aliases=["experiment"],
+            help="run one paper experiment, with optional tracing/metrics",
+        ),
+        run,
+        _cmd_run,
     )
 
-    p_top = sub.add_parser(
-        "top", help="live ASCII dashboard over one experiment run"
-    )
-    p_top.add_argument("name", choices=sorted(EXPERIMENTS))
-    p_top.add_argument("--seed", type=int, default=0)
-    p_top.add_argument("--weeks", type=int, default=2)
-    p_top.add_argument("--hours", type=int, default=72, help="fig6a length")
-    p_top.add_argument("--scale", type=float, default=0.5)
-    p_top.add_argument(
-        "--engine",
-        choices=("hybrid", "request", "fluid"),
-        default="request",
-        help="simulation engine for cluster experiments (fig4a)",
-    )
-    p_top.add_argument(
-        "--workload", choices=("wikipedia", "vod"), default="wikipedia"
-    )
-    p_top.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized workload (1 week / 24 hours)",
-    )
-    p_top.add_argument(
+    top = argparse.ArgumentParser(add_help=False)
+    top.add_argument(
         "--once",
         action="store_true",
         help="render one deterministic final snapshot, no live repaints",
     )
-    p_top.add_argument(
+    top.add_argument(
         "--refresh",
         type=int,
         default=1,
         metavar="N",
         help="repaint every N telemetry frames (live mode)",
     )
-    p_top.add_argument(
+    top.add_argument(
         "--serve-metrics",
         type=int,
         default=None,
         metavar="PORT",
         help="also serve live OpenMetrics on this port during the run",
     )
-    p_top.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan independent cells out over a process pool",
-    )
-    p_top.add_argument(
-        "--workers", type=int, default=None, help="pool size (default: cpu count)"
+    _experiment_command(
+        sub.add_parser("top", help="live ASCII dashboard over one experiment run"),
+        top,
+        _cmd_top,
     )
 
     p_trace = sub.add_parser("trace", help="inspect a recorded span trace")
+    p_trace.set_defaults(func=_cmd_trace)
     p_trace.add_argument("action", choices=("summarize", "validate"))
     p_trace.add_argument("file")
     p_trace.add_argument(
@@ -840,6 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_events = sub.add_parser("events", help="inspect a journal or flight bundle")
+    p_events.set_defaults(func=_cmd_events)
     p_events.add_argument(
         "action", choices=("validate", "summarize", "timeline", "diff")
     )
@@ -851,12 +749,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=12, help="rows in the event-kinds table"
     )
 
-    sub.add_parser("list", help="list available experiments")
-    sub.add_parser("catalog", help="print the instance catalog")
+    sub.add_parser("list", help="list available experiments").set_defaults(
+        func=_cmd_list
+    )
+    sub.add_parser("catalog", help="print the instance catalog").set_defaults(
+        func=_cmd_catalog
+    )
 
     p_sim = sub.add_parser(
         "simulate", help="run a custom policy comparison simulation"
     )
+    p_sim.set_defaults(func=_cmd_simulate)
     p_sim.add_argument(
         "--policies",
         nargs="*",
@@ -867,22 +770,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--weeks", type=int, default=1)
     p_sim.add_argument("--peak", type=float, default=30_000.0)
     p_sim.add_argument("--horizon", type=int, default=4)
-    p_sim.add_argument(
-        "--workload", choices=("wikipedia", "vod"), default="wikipedia"
-    )
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run the policies concurrently (identical results to serial)",
-    )
-    p_sim.add_argument(
-        "--workers", type=int, default=None, help="pool size (default: cpu count)"
-    )
+    _add_options(p_sim, "workload", "seed", "workers")
 
     p_scn = sub.add_parser(
         "scenarios", help="run/list/check the adversarial scenario suite"
     )
+    p_scn.set_defaults(func=_cmd_scenarios)
     p_scn.add_argument("action", choices=("run", "list", "check"))
     p_scn.add_argument(
         "journals",
@@ -908,7 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="both",
         help="engine(s) for cluster scenarios (portfolio cells ignore it)",
     )
-    p_scn.add_argument("--seed", type=int, default=0)
     p_scn.add_argument(
         "--out-dir",
         default="scenario_journals",
@@ -931,32 +823,27 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="arm the flight recorder during `run`; SLO-alert and "
         "invariant-violation bundles land in this directory (serial "
-        "and --parallel runs write the same bundles)",
+        "and --workers runs write the same bundles)",
     )
-    p_scn.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan scenario cells out over a process pool",
-    )
-    p_scn.add_argument(
-        "--workers", type=int, default=None, help="pool size (default: cpu count)"
-    )
+    _add_options(p_scn, "seed", "workers")
 
     p_adv = sub.add_parser("advisor", help="print the emulated Spot Advisor")
+    p_adv.set_defaults(func=_cmd_advisor)
     p_adv.add_argument("--markets", type=int, default=12)
-    p_adv.add_argument("--seed", type=int, default=0)
+    _add_options(p_adv, "seed")
 
     p_bench = sub.add_parser(
         "bench",
         help="run the benchmarks, write BENCH_*.json, apply every perf gate",
     )
+    p_bench.set_defaults(func=_cmd_bench)
     p_bench.add_argument(
         "--quick",
         action="store_true",
         help="small CI-sized grid instead of the full baseline grid",
     )
     p_bench.add_argument("--out-dir", default=".")
-    p_bench.add_argument("--seed", type=int, default=0)
+    _add_options(p_bench, "seed")
     p_bench.add_argument(
         "--compare",
         default=None,
@@ -968,31 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "experiment":
-        _desc, runner = EXPERIMENTS[args.name]
-        print(runner(args))
-    elif args.command == "run":
-        print(_cmd_run(args))
-    elif args.command == "top":
-        print(_cmd_top(args))
-    elif args.command == "trace":
-        print(_cmd_trace(args))
-    elif args.command == "events":
-        print(_cmd_events(args))
-    elif args.command == "list":
-        print(_cmd_list(args))
-    elif args.command == "catalog":
-        print(_cmd_catalog(args))
-    elif args.command == "simulate":
-        print(_cmd_simulate(args))
-    elif args.command == "scenarios":
-        print(_cmd_scenarios(args))
-    elif args.command == "advisor":
-        print(_cmd_advisor(args))
-    elif args.command == "bench":
-        print(_cmd_bench(args))
+    args = build_parser().parse_args(argv)
+    print(args.func(args))
     return 0
 
 

@@ -138,24 +138,21 @@ def run_fig5(
     hours: int = 72,
     peak_rps: float = 4000.0,
     seed: int = 0,
-    parallel: bool = False,
-    max_workers: int | None = None,
+    workers: int | None = 1,
 ) -> Fig5Result:
     """Constant portfolio vs MPO on the three-market price race.
 
     Both sides get oracles (workload and price) so the comparison isolates
     portfolio adaptivity, exactly as the paper configures it.  The two
-    policy runs are independent; ``parallel=True`` fans them out over a
-    process pool with identical results.
+    policy runs are independent; ``workers=2`` (or ``None``, one process
+    per CPU) fans them out over a process pool with identical results.
     """
     dataset, trace = _fig5_setup(hours, peak_rps, seed)
     cells = [
         {"policy": name, "hours": hours, "peak_rps": peak_rps, "seed": seed}
         for name in ("spotweb", "constant")
     ]
-    spotweb, constant = pmap(
-        _fig5_policy_cell, cells, max_workers=(max_workers if parallel else 1)
-    )
+    spotweb, constant = pmap(_fig5_policy_cell, cells, max_workers=workers)
 
     cheapest = np.argmin(dataset.per_request_costs(), axis=1)
     switches = int(np.sum(np.diff(cheapest) != 0))

@@ -76,16 +76,13 @@ def run_fig6a(
     hours: int = 72,
     peak_rps: float = 4000.0,
     seed: int = 0,
-    parallel: bool = False,
-    max_workers: int | None = None,
+    workers: int | None = 1,
 ) -> Fig6aResult:
     base = {"hours": hours, "peak_rps": peak_rps, "seed": seed}
     cells = [{"kind": "constant", **base}] + [
         {"kind": "spotweb", "horizon": h, **base} for h in horizons
     ]
-    reports = pmap(
-        _fig6a_cell, cells, max_workers=(max_workers if parallel else 1)
-    )
+    reports = pmap(_fig6a_cell, cells, max_workers=workers)
     return Fig6aResult(
         constant=reports[0],
         spotweb_by_horizon=dict(zip(horizons, reports[1:])),

@@ -12,7 +12,8 @@ checks for:
   predictions are noisier, and only the first interval executes anyway).
 
 The (market-count x seed) grid is embarrassingly parallel; pass
-``parallel=True`` to fan the cells out over a process pool.
+``workers=N`` (``None``: one per CPU) to fan the cells out over a process
+pool.
 """
 
 from __future__ import annotations
@@ -96,8 +97,7 @@ def run_fig6b(
     peak_rps: float = 30_000.0,
     seeds: tuple[int, ...] = (3, 17),
     workload: str = "wikipedia",
-    parallel: bool = False,
-    max_workers: int | None = None,
+    workers: int | None = 1,
 ) -> Fig6bResult:
     """Sweep (market count x horizon), averaging savings over seeds."""
     result = Fig6bResult(
@@ -115,9 +115,7 @@ def run_fig6b(
         for nm in market_counts
         for seed in seeds
     ]
-    outputs = pmap(
-        _run_cell, cells, max_workers=(max_workers if parallel else 1)
-    )
+    outputs = pmap(_run_cell, cells, max_workers=workers)
     per_config: dict[tuple[int, int], list[float]] = {}
     for nm, _seed, savings in outputs:
         for h, value in savings.items():

@@ -83,8 +83,7 @@ def run_lookahead(
     weeks: int = 2,
     peak_rps: float = 30_000.0,
     seed: int = 7,
-    parallel: bool = False,
-    max_workers: int | None = None,
+    workers: int | None = 1,
 ) -> LookaheadResult:
     base = {
         "num_markets": num_markets,
@@ -96,9 +95,7 @@ def run_lookahead(
         {**cell, **base}
         for cell in sweep_grid(startup=startups, horizon=horizons)
     ]
-    totals = pmap(
-        _lookahead_cell, cells, max_workers=(max_workers if parallel else 1)
-    )
+    totals = pmap(_lookahead_cell, cells, max_workers=workers)
     costs = {
         (cell["startup"], cell["horizon"]): total
         for cell, total in zip(cells, totals)

@@ -207,8 +207,7 @@ def run_table1_costs(
     horizon: int = 4,
     workload: str = "wikipedia",
     seed: int = 0,
-    parallel: bool = False,
-    max_workers: int | None = None,
+    workers: int | None = 1,
 ) -> Table1Costs:
     """Run the Table-1 approaches head-to-head over ``reps`` seeds.
 
@@ -233,9 +232,7 @@ def run_table1_costs(
         for p in policies
         for r in rep_ids
     ]
-    reports = pmap(
-        _cost_cell, cells, max_workers=(max_workers if parallel else 1)
-    )
+    reports = pmap(_cost_cell, cells, max_workers=workers)
     return Table1Costs(
         reports={(c["policy"], c["rep"]): rep for c, rep in zip(cells, reports)},
         policies=tuple(policies),

@@ -306,26 +306,12 @@ class EventLog:
         """Records appended at index ``start`` and later.
 
         Streaming consumers (the telemetry bus) keep a cursor of
-        :meth:`record_count` and drain only the new tail each tick; a
-        count smaller than the cursor means the log was cleared or
-        swapped, so callers should reset their cursor to zero.
+        :meth:`record_count` and drain only the new tail each tick.
         """
         return list(self._records[start:])
 
     def open_warning_count(self) -> int:
         return len(self._open_warnings)
-
-    def clear(self) -> None:
-        """Drop every event and reset ids, clock, and causal state."""
-        self._records.clear()
-        self._seq = 0
-        self._next_warning = 0
-        self._open_warnings.clear()
-        self._backend_warning.clear()
-        self._last_warning = None
-        self._cause_stack.clear()
-        self.clock = 0.0
-        self.interval = None
 
     def adopt(self, records: Iterable[dict], *, cell: int | None = None) -> None:
         """Merge a sub-run's journal (e.g. one parallel sweep cell).

@@ -95,10 +95,6 @@ class FlightRecorder:
         """The frames currently retained, oldest first."""
         return list(self._buffer)
 
-    def clear(self) -> None:
-        """Drop the buffer (dump counter and written paths are kept)."""
-        self._buffer.clear()
-
     def dump(self, reason: str, *, trigger: dict | None = None) -> Path | None:
         """Write (or, without an ``out_dir``, hold) the buffered window.
 

@@ -71,10 +71,9 @@ class TelemetryBus:
         """Publish the frame of one sim-interval boundary.
 
         The frame holds the journal records appended since the last tick
-        (cursoring on :meth:`EventLog.record_count`; a shrunk count means
-        the journal was cleared and the cursor goes back to zero).  Records a ``pmap`` sweep adopted from its
-        cells go out in frames of their own, one per cell interval (see
-        :func:`_frames`).  No-op while disabled.
+        (cursoring on :meth:`EventLog.record_count`).  Records a ``pmap``
+        sweep adopted from its cells go out in frames of their own, one
+        per cell interval (see :func:`_frames`).  No-op while disabled.
         """
         if not self.enabled:
             return
@@ -86,8 +85,6 @@ class TelemetryBus:
         """Publish the pending records; returns the last frame's stamp."""
         ev = get_events()
         count = ev.record_count()
-        if count < self._event_cursor:
-            self._event_cursor = 0
         frames = _frames(ev.records_since(self._event_cursor), t, interval)
         self._event_cursor = count
         for frame in frames:

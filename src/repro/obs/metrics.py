@@ -215,9 +215,6 @@ class MetricsRegistry:
             else:
                 mine.value = metric.value
 
-    def reset(self) -> None:
-        self._metrics.clear()
-
 
 #: Prefix of every exported Prometheus family name.
 _PROM_PREFIX = "spotweb_"

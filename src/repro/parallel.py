@@ -6,8 +6,8 @@ is an independent simulation.  This module is the sweep engine every
 experiment runner and the CLI share:
 
 - :func:`pmap` — map a picklable function over items with a process pool,
-  preserving order; degrades gracefully to serial execution when a pool is
-  unavailable (restricted environments) or ``max_workers <= 1``.
+  preserving order; runs serially when ``max_workers <= 1`` or when no
+  pool can start (restricted environments).
 - :func:`sweep_grid` — expand a parameter grid into keyword dictionaries,
   the usual shape of an experiment sweep.
 - :func:`derive_seed` — deterministic, hash-randomization-proof seed
@@ -29,6 +29,7 @@ import hashlib
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from repro.obs.events import EventLog
@@ -92,9 +93,9 @@ class _Cell:
     the metrics and writes the bundles in item order, and the caller's
     bus streams the adopted records, so its subscribers see each record
     once, in the form the journal holds.  The same wrapper runs on the
-    serial fallback path, which is what makes serial and parallel
-    journals and bundles byte-identical, and their metrics equal but for
-    wall-clock timings.
+    serial path, which is what makes serial and parallel journals and
+    bundles byte-identical, and their metrics equal but for wall-clock
+    timings.
     """
 
     __slots__ = ("fn", "journal", "bus", "recorder")
@@ -127,26 +128,28 @@ def pmap(
     items: Sequence[T],
     *,
     max_workers: int | None = None,
-    chunksize: int = 1,
 ) -> list[R]:
     """Parallel, order-preserving map over ``items``.
 
     ``max_workers=None`` uses ``os.cpu_count()`` capped by the item count;
-    ``max_workers<=1`` (or a pool failure, e.g. sandboxed environments with
-    no semaphores) falls back to a plain serial loop, so callers never need
-    two code paths.  Workers must not rely on shared mutable state — cells
-    that need expensive common inputs should fetch them via
-    :func:`shared_setup` and derive their randomness with
-    :func:`derive_seed`, which keeps parallel output identical to serial.
+    ``max_workers<=1`` runs a plain serial loop, as does a pool that
+    cannot start (e.g. sandboxed environments with no semaphores), so
+    callers never need two code paths.  An exception a cell raises
+    reaches the caller on either path, and no cell runs twice.  Workers
+    must not rely on shared mutable state — cells that need expensive
+    common inputs should fetch them via :func:`shared_setup` and derive
+    their randomness with :func:`derive_seed`, which keeps parallel
+    output identical to serial.
 
     Every cell runs under its own recording (serial or parallel alike,
     see :class:`_Cell`): the caller's journal adopts the cells' events,
     the caller's metrics registry folds in the cells' metrics and the
-    caller's flight recorder writes the cells' bundles, in item order —
-    so the journal and the bundles, like the results, are bit-identical
-    between serial and parallel runs, and the metrics equal but for
-    wall-clock timings.  The telemetry bus publishes the adopted records
-    on its next tick.
+    caller's flight recorder writes the cells' bundles, cell by cell in
+    item order as each arrives — so the journal and the bundles, like
+    the results, are bit-identical between serial and parallel runs, the
+    metrics equal but for wall-clock timings, and a cell that raises
+    leaves the caller holding every cell before it.  The telemetry bus
+    publishes the adopted records on its next tick.
     """
     items = list(items)
     if not items:
@@ -155,22 +158,22 @@ def pmap(
         max_workers = min(len(items), os.cpu_count() or 1)
     caller = current()
     run = _Cell(fn, caller)
-    if max_workers <= 1:
-        out = [run(item) for item in items]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                out = list(pool.map(run, items, chunksize=max(1, chunksize)))
-        except (OSError, PermissionError, ValueError):
-            # No process support (restricted sandbox): degrade to serial.
-            out = [run(item) for item in items]
     results = []
-    for cell, (result, records, metrics, bundles) in enumerate(out):
-        caller.events.adopt(records, cell=cell)
-        caller.metrics.fold(metrics)
-        for header, bundle in bundles:
-            caller.flightrec.write(header, bundle)
-        results.append(result)
+    with ExitStack() as stack:
+        outcomes = map(run, items)
+        if max_workers > 1:
+            try:
+                pool = ProcessPoolExecutor(max_workers=max_workers)
+                outcomes = stack.enter_context(pool).map(run, items)
+            except OSError:
+                # No process support (restricted sandbox): run serially.
+                pass
+        for cell, (result, records, metrics, bundles) in enumerate(outcomes):
+            caller.events.adopt(records, cell=cell)
+            caller.metrics.fold(metrics)
+            for header, bundle in bundles:
+                caller.flightrec.write(header, bundle)
+            results.append(result)
     return results
 
 

@@ -97,9 +97,13 @@ def run_suite(
     pack: str = "quick",
     engines: tuple[str, ...] = ("request", "hybrid"),
     seed: int = 0,
-    max_workers: int | None = None,
+    workers: int | None = 1,
 ) -> list[ScenarioRun]:
-    """Run a scenario pack across engines; returns runs in cell order."""
+    """Run a scenario pack across engines; returns runs in cell order.
+
+    ``workers`` is :func:`~repro.parallel.pmap`'s pool size: ``1`` runs
+    the cells serially, ``None`` one process per CPU.
+    """
     if names is None:
         names = scenario_names(pack)
     cells: list[tuple[str, str, int]] = []
@@ -107,7 +111,7 @@ def run_suite(
         scenario = get_scenario(name)
         for engine in engines_for(scenario, tuple(engines)):
             cells.append((name, engine, seed))
-    return pmap(run_cell, cells, max_workers=max_workers)
+    return pmap(run_cell, cells, max_workers=workers)
 
 
 def write_run(run: ScenarioRun, out_dir: str | Path) -> Path:

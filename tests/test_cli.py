@@ -1,10 +1,57 @@
 """Unit tests for the CLI."""
 
+import importlib
+import inspect
 import json
 
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+
+#: The options each experiment's runner reads: what ``run`` and ``top``
+#: accept for it.
+READS = {
+    "table1": set(),
+    "table1_costs": {"weeks", "workload", "seed", "workers"},
+    "fig3": {"weeks", "seed"},
+    "fig4a": {"seed", "scale", "engine"},
+    "fig4bcd": {"weeks", "seed"},
+    "fig5": {"seed", "workers"},
+    "fig6a": {"hours", "seed", "workers"},
+    "fig6b": {"weeks", "seed", "workload", "workers"},
+    "fig7a": {"weeks", "seed"},
+    "fig7b": set(),
+    "lookahead": {"weeks", "seed", "workers"},
+    "gcloud": {"weeks", "seed"},
+}
+
+#: Every experiment option: a non-default value as typed, and as parsed.
+VALUES = {
+    "seed": ("3", 3),
+    "weeks": ("1", 1),
+    "hours": ("5", 5),
+    "scale": ("0.2", 0.2),
+    "engine": ("fluid", "fluid"),
+    "workload": ("vod", "vod"),
+    "workers": ("2", 2),
+}
+
+
+def _fresh_interpreter(code: str) -> str:
+    """The last line ``code`` prints in a new interpreter."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=env,
+    )
+    return out.stdout.strip().splitlines()[-1]
 
 
 class TestParser:
@@ -35,11 +82,17 @@ class TestParser:
     def test_every_experiment_names_an_importable_module(self):
         import importlib.util
 
-        from repro import cli
+        for exp in EXPERIMENTS.values():
+            assert importlib.util.find_spec(f"repro.experiments.{exp.module}")
 
-        assert set(cli._MODULES) == set(EXPERIMENTS)
-        for module in cli._MODULES.values():
-            assert importlib.util.find_spec(f"repro.experiments.{module}")
+    def test_experiment_is_an_alias_of_run(self):
+        from repro.cli import _cmd_run
+
+        parser = build_parser()
+        argv = ["fig6a", "--hours", "4", "--workers", "--trace"]
+        alias, run = (parser.parse_args([cmd, *argv]) for cmd in ("experiment", "run"))
+        assert alias.func is run.func is _cmd_run
+        assert vars(alias) == dict(vars(run), command="experiment")
 
     def test_bench_takes_four_flags(self, capsys):
         import re
@@ -50,11 +103,96 @@ class TestParser:
         assert flags == {"--help", "--quick", "--out-dir", "--seed", "--compare"}
 
 
+class _Spy:
+    """Stands in for an experiment module: checks each call's arguments
+    bind to the real function's signature and keeps its keywords."""
+
+    def __init__(self, module):
+        self.module, self.keywords = module, []
+
+    def __getattr__(self, name):
+        real = getattr(self.module, name)
+
+        def call(*args, **kwargs):
+            inspect.signature(real).bind(*args, **kwargs)
+            self.keywords.extend(kwargs.values())
+            return name
+
+        return call
+
+
+class TestExperimentOptions:
+    def test_table_lists_what_each_runner_reads(self):
+        assert {name: set(exp.options) for name, exp in EXPERIMENTS.items()} == READS
+
+    @pytest.mark.parametrize("command", ["run", "top"])
+    def test_each_experiment_accepts_exactly_its_options(self, command, capsys):
+        parser = build_parser()
+        for name, reads in READS.items():
+            for option, (typed, parsed) in VALUES.items():
+                argv = [command, name, f"--{option}", typed]
+                if option in reads:
+                    assert getattr(parser.parse_args(argv), option) == parsed
+                    continue
+                with pytest.raises(SystemExit) as exited:
+                    parser.parse_args(argv)
+                assert exited.value.code == 2
+                err = capsys.readouterr().err
+                assert f"unrecognized arguments: --{option}" in err
+            for gone in ("--quick", "--parallel"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, name, gone])
+
+    def test_defaults_and_bare_workers(self):
+        args = build_parser().parse_args(["run", "fig6b"])
+        assert (args.weeks, args.seed, args.workload) == (2, 0, "wikipedia")
+        assert args.workers == 1  # absent: serial
+        args = build_parser().parse_args(["top", "fig4a"])
+        assert (args.seed, args.scale, args.engine) == (0, 0.5, "request")
+        assert build_parser().parse_args(["run", "fig6a"]).hours == 72
+        bare = build_parser().parse_args(["run", "fig6a", "--workers"])
+        assert bare.workers is None  # one process per CPU
+
+    def test_each_adapter_passes_every_option_through(self):
+        for name, exp in EXPERIMENTS.items():
+            spy = _Spy(importlib.import_module(f"repro.experiments.{exp.module}"))
+            values = {option: f"<{name}.{option}>" for option in exp.options}
+            exp.run(spy, **values)
+            passed = set()
+            for value in spy.keywords:
+                passed.update(value if isinstance(value, tuple) else (value,))
+            assert set(values.values()) <= passed, name
+
+    def test_workers_reach_the_sweep(self, monkeypatch, capsys):
+        from repro.experiments import fig6a_constant
+
+        seen, real = [], fig6a_constant.pmap
+
+        def spy(fn, items, *, max_workers):
+            seen.append(max_workers)
+            return real(fn, items, max_workers=1)
+
+        monkeypatch.setattr(fig6a_constant, "pmap", spy)
+        for flags in (["--workers", "4"], ["--workers"], []):
+            assert main(["run", "fig6a", "--hours", "4", *flags]) == 0
+        assert seen == [4, None, 1]
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig6b" in out
+
+    def test_list_loads_no_simulation_stack(self):
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "main(['list'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['repro', 'simulator'], ['repro', 'core'])))\n"
+        )
+        assert _fresh_interpreter(code) == "[]"
 
     def test_catalog(self, capsys):
         assert main(["catalog"]) == 0
@@ -135,43 +273,18 @@ class TestRunCommand:
         assert "qp.iterate" in names
 
     def test_run_fig4bcd_quick(self, capsys):
-        assert main(["run", "fig4bcd", "--quick"]) == 0
+        assert main(["run", "fig4bcd", "--weeks", "1"]) == 0
         assert "spotweb" in capsys.readouterr().out
 
     def test_run_imports_only_its_own_experiment(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repro
-
         code = (
             "import sys\n"
             "from repro.cli import main\n"
             f"main(['run', 'table1', '--trace', {str(tmp_path / 't.jsonl')!r}])\n"
             "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            check=True, env=env,
-        )
-        last = out.stdout.strip().splitlines()[-1]
+        last = _fresh_interpreter(code)
         assert last == "['repro.experiments', 'repro.experiments.table1']"
-
-    def test_quick_shrinks_workload(self, monkeypatch):
-        seen = {}
-        from repro import cli
-
-        def fake_runner(args):
-            seen["weeks"] = args.weeks
-            seen["hours"] = args.hours
-            return "ok"
-
-        monkeypatch.setitem(cli.EXPERIMENTS, "fig6a", ("desc", fake_runner))
-        assert main(["run", "fig6a", "--quick"]) == 0
-        assert seen == {"weeks": 1, "hours": 24}
 
     def test_run_with_events_writes_valid_journal(self, capsys, tmp_path):
         from repro.obs.events import load_events
@@ -263,7 +376,7 @@ class TestObservabilityRestored:
         self, monkeypatch, tmp_path
     ):
         # The invariant bundle's header holds the sweep's metrics: a
-        # --parallel run's pool workers count into it as a serial run does.
+        # --workers run's pool workers count into it as a serial run does.
         from repro import scenarios
         from repro.obs.events import read_events
         from repro.scenarios import Violation
@@ -271,7 +384,7 @@ class TestObservabilityRestored:
         broken = Violation("price_war[interval]", "cost_ceiling", "stubbed")
         monkeypatch.setattr(scenarios, "check_runs", lambda runs: [broken])
         headers = []
-        for mode in ([], ["--parallel", "--workers", "2"]):
+        for mode in ([], ["--workers", "2"]):
             out = tmp_path / f"run{len(headers)}"
             argv = ["scenarios", "run", "--scenario", "price_war", "--check"]
             argv += ["--out-dir", str(out / "j"), "--flightrec", str(out / "f")]
@@ -293,11 +406,12 @@ class TestObservabilityRestored:
         from repro.experiments.fig6a_constant import run_fig6a
         from repro.obs.events import read_events
 
-        def sweep_then_boom(args):
+        def sweep_then_boom(module, **options):
             run_fig6a(hours=4)
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli.EXPERIMENTS, "fig6a", ("desc", sweep_then_boom))
+        boom = cli.EXPERIMENTS["fig6a"]._replace(run=sweep_then_boom)
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig6a", boom)
         before, hook = self._in_force(), sys.excepthook
         with pytest.raises(RuntimeError, match="boom"):
             main(["run", "fig6a", "--flightrec", str(tmp_path)])

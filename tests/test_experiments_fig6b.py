@@ -26,8 +26,8 @@ class TestFig6bSweep:
         assert res.savings[(6, 2)] == pytest.approx(float(np.mean(raws)))
 
     def test_parallel_matches_serial(self, small_sweep):
-        serial = f.run_fig6b(**small_sweep, parallel=False)
-        par = f.run_fig6b(**small_sweep, parallel=True, max_workers=2)
+        serial = f.run_fig6b(**small_sweep, workers=1)
+        par = f.run_fig6b(**small_sweep, workers=2)
         assert serial.savings == par.savings
         assert sorted(serial.raw_savings[(6, 2)]) == sorted(
             par.raw_savings[(6, 2)]

@@ -72,15 +72,6 @@ class TestRingBuffer:
         rec(frame(30.0, record(0, 30.0)))
         assert rec.buffered() == [frame(30.0, record(0, 30.0))]
 
-    def test_clear_keeps_dump_counter(self, tmp_path):
-        rec = FlightRecorder(out_dir=tmp_path)
-        rec(frame(0.0))
-        rec.dump("manual")
-        rec.clear()
-        assert rec.buffered() == []
-        second = rec.dump("manual")
-        assert second.name == "flightrec_002_manual.jsonl"
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="max_records"):
             FlightRecorder(max_records=0)
@@ -293,13 +284,13 @@ class TestBusIntegration:
         assert records == global_log.records()
 
 
-def _scenario_bundles(out_dir, max_workers):
+def _scenario_bundles(out_dir, workers):
     """Flight bundles of flash_crowd under both engines (two SLO alerts)."""
     from repro.scenarios import run_suite
 
     with Recording(flightrec=FlightRecorder(out_dir=out_dir)) as rec:
         run_suite(
-            ["flash_crowd"], engines=("request", "hybrid"), max_workers=max_workers
+            ["flash_crowd"], engines=("request", "hybrid"), workers=workers
         )
     return rec.flightrec.dumped
 

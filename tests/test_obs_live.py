@@ -77,25 +77,6 @@ class TestTelemetryBus:
         assert header["metrics"]["controller.solve_ms"] == {"count": 1}
         assert header["metrics"]["mpo.iterations"]["p50"] == 40.0
 
-    def test_event_cursor_resets_when_the_journal_shrinks(
-        self, global_log, global_registry
-    ):
-        bus = TelemetryBus(enabled=True)
-        frames = collect(bus)
-        global_log.emit("warning.issued", t=1.0)
-        bus.tick(1.0)
-        # A cleared journal is caught by the shrunk count: the cursor
-        # restarts at zero instead of skipping the new head.
-        global_log.clear()
-        bus.tick(2.0)
-        global_log.emit("warning.resolved", t=3.0)
-        bus.tick(3.0)
-        assert [[r["kind"] for r in f["events"]] for f in frames] == [
-            ["warning.issued"],
-            [],
-            ["warning.resolved"],
-        ]
-
     def test_subscribers_see_deltas_in_subscription_order(
         self, global_log, global_registry
     ):

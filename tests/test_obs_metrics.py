@@ -125,11 +125,6 @@ class TestRegistry:
         assert sim["lb.warnings"] == 1
         assert list(sim) == list(registry.snapshot())
 
-    def test_reset(self, registry):
-        registry.counter("a").inc()
-        registry.reset()
-        assert registry.snapshot() == {}
-
     def test_iter_is_sorted(self, registry):
         registry.counter("b")
         registry.counter("a")
@@ -142,8 +137,6 @@ class TestGlobalRegistry:
         with current().replace(metrics=MetricsRegistry()) as rec:
             get_metrics().counter("t").inc(5)
             assert rec.metrics.snapshot() == {"t": 5}
-            get_metrics().reset()
-            assert rec.metrics.snapshot() == {}
         assert get_metrics() is before
 
     def test_instrumented_run_populates_expected_metrics(self):

@@ -1,10 +1,15 @@
 """Unit tests for the parallel sweep helpers."""
 
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.obs.events import EventLog, get_events, read_events
+from repro.obs.flightrec import FlightRecorder
+from repro.obs.live import TelemetryBus
+from repro.obs.recording import Recording
 from repro.parallel import (
     clear_shared_setup,
     derive_seed,
@@ -20,6 +25,23 @@ def _square(x):
 
 def _pid_tag(x):
     return (x, os.getpid())
+
+
+def _logged_cell(item):
+    """Module-level cell: note the run in its log, journal one event, and
+    raise when the item is the sweep's failing one."""
+    log, x, failing = item
+    with open(log, "a") as fh:
+        fh.write(f"{x}\n")
+    get_events().emit("test.cell", t=float(x))
+    if x == failing:
+        raise ValueError(f"cell {x} failed")
+    return x * x
+
+
+def _runs(log):
+    """How often each item ran, as its log says."""
+    return Counter(int(line) for line in log.read_text().split())
 
 
 class TestPmap:
@@ -40,6 +62,52 @@ class TestPmap:
         # fallback (exactly this process) — both are correct.
         assert len(pids) >= 1
         assert [x for x, _ in out] == list(range(8))
+
+
+class TestPmapFailures:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_cell_leaves_its_predecessors_in_the_crash_bundle(
+        self, workers, tmp_path
+    ):
+        # Each cell runs once, the cell's ValueError reaches the caller,
+        # and the cells before it were adopted as they arrived: the crash
+        # bundle holds their records.
+        log = tmp_path / "runs.log"
+        recording = Recording(
+            events=EventLog(enabled=True),
+            bus=TelemetryBus(enabled=True),
+            flightrec=FlightRecorder(out_dir=tmp_path / "fr"),
+        )
+        recording.bus.subscribe(recording.flightrec)
+        items = [(str(log), x, 2) for x in range(4)]
+        with pytest.raises(ValueError, match="cell 2 failed"):
+            with recording:
+                pmap(_logged_cell, items, max_workers=workers)
+        runs = _runs(log)
+        assert [runs[x] for x in range(3)] == [1, 1, 1] and runs[3] <= 1
+        (bundle,) = recording.flightrec.dumped
+        header, records = read_events(bundle)
+        assert header["reason"] == "crash" and header["records"] == 2
+        assert [r["attrs"]["cell"] for r in records] == [0, 1]
+
+    def test_a_pool_that_cannot_start_runs_the_cells_serially(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.parallel
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        serial = pmap(
+            _logged_cell,
+            [(str(tmp_path / "serial.log"), x, None) for x in range(4)],
+            max_workers=1,
+        )
+        monkeypatch.setattr(repro.parallel, "ProcessPoolExecutor", no_pool)
+        log = tmp_path / "fallback.log"
+        items = [(str(log), x, None) for x in range(4)]
+        assert pmap(_logged_cell, items, max_workers=2) == serial
+        assert _runs(log) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 class TestSweepGrid:
@@ -109,7 +177,7 @@ class TestSerialParallelIdentical:
         )
         serial = table1.run_table1_costs(**kw)
         clear_shared_setup()
-        parallel = table1.run_table1_costs(**kw, parallel=True, max_workers=2)
+        parallel = table1.run_table1_costs(**kw, workers=2)
         assert set(serial.reports) == set(parallel.reports)
         for key, rs in serial.reports.items():
             rp = parallel.reports[key]
@@ -129,7 +197,7 @@ class TestSerialParallelIdentical:
         for workers in (1, 2):
             clear_shared_setup()
             with current().replace(metrics=MetricsRegistry()) as rec:
-                run_fig6a(hours=4, parallel=workers > 1, max_workers=workers)
+                run_fig6a(hours=4, workers=workers)
             snapshots.append(rec.metrics.sim_snapshot())
         serial, parallel = snapshots
         assert serial["mpo.solves"] > 0 and serial["sim.intervals"] > 0
@@ -142,7 +210,7 @@ class TestSerialParallelIdentical:
         kw = dict(horizons=(2,), hours=24, seed=3)
         serial = fig6a_constant.run_fig6a(**kw)
         clear_shared_setup()
-        par = fig6a_constant.run_fig6a(**kw, parallel=True, max_workers=2)
+        par = fig6a_constant.run_fig6a(**kw, workers=2)
         assert serial.constant.total_cost == par.constant.total_cost
         assert (
             serial.spotweb_by_horizon[2].total_cost

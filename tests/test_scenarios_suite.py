@@ -81,10 +81,10 @@ class TestRegistry:
 class TestRunnerAndOracle:
     def test_serial_equals_parallel(self):
         serial = run_suite(
-            names=["storm_az"], engines=("hybrid",), max_workers=1
+            names=["storm_az"], engines=("hybrid",), workers=1
         )
         parallel = run_suite(
-            names=["storm_az"], engines=("hybrid",), max_workers=2
+            names=["storm_az"], engines=("hybrid",), workers=2
         )
         assert [r.label for r in serial] == [r.label for r in parallel]
         assert [r.records for r in serial] == [r.records for r in parallel]
