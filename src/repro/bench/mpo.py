@@ -4,9 +4,10 @@ The protocol mirrors :mod:`repro.experiments.fig7b_scalability` (and real
 deployment): construct the optimizer once per cell, time the first call
 (cold: construction + first KKT factorization + solve), then time
 ``repeats`` warm re-solves with fresh prices/targets, warm-started from the
-previous plan.  Every backend sees the identical target stream, so the
-final objectives are directly comparable and their gap measures backend
-agreement, not input drift.
+previous plan, and record their mean ADMM iteration count and the solver
+loop's microseconds per iteration.  Every backend sees the identical target
+stream, so the final objectives are directly comparable and their gap
+measures backend agreement, not input drift.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ def _bench_cell(
     cold = time.perf_counter() - t0_s
 
     samples = []
+    iterations = 0
+    iterate_s = 0.0
     fractions = None
     objective = float("nan")
     for r in range(repeats):
@@ -67,6 +70,8 @@ def _bench_cell(
         samples.append(time.perf_counter() - t0_s)
         fractions = res.plan.first.fractions
         objective = float(res.solver.objective)
+        iterations += res.solver.iterations
+        iterate_s += res.solver.solve_time
     return {
         "markets": len(markets),
         "horizon": horizon,
@@ -76,6 +81,10 @@ def _bench_cell(
         "cold_ms": MS_PER_SECOND * cold,
         "warm_median_ms": MS_PER_SECOND * float(np.median(samples)),
         "warm_max_ms": MS_PER_SECOND * float(np.max(samples)),
+        # The warm solves' work and its unit cost, so a moved median shows
+        # whether an iteration got dearer or the iteration count grew.
+        "warm_iters_mean": iterations / repeats,
+        "warm_us_per_iter": 1e6 * iterate_s / max(iterations, 1),
         "final_objective": objective,
     }
 

@@ -363,6 +363,7 @@ def format_checks(
 def format_bench_mpo(data: dict) -> str:
     from repro.textfmt import format_table
 
+    # Files recorded before the per-iteration keys existed print "-".
     rows = [
         [
             c["markets"],
@@ -371,11 +372,22 @@ def format_bench_mpo(data: dict) -> str:
             c["cold_ms"],
             c["warm_median_ms"],
             c["warm_max_ms"],
+            c.get("warm_iters_mean", "-"),
+            c.get("warm_us_per_iter", "-"),
         ]
         for c in data["cells"]
     ]
     table = format_table(
-        ["markets", "H", "backend", "cold_ms", "warm_med_ms", "warm_max_ms"],
+        [
+            "markets",
+            "H",
+            "backend",
+            "cold_ms",
+            "warm_med_ms",
+            "warm_max_ms",
+            "warm_iters",
+            "us_per_iter",
+        ],
         rows,
         title="MPO solve latency",
     )

@@ -80,6 +80,10 @@ def clear_shared_setup() -> None:
     _SETUP_CACHE.clear()
 
 
+#: The attribute on which a raising cell's exception carries its records.
+_OUTCOME = "_pmap_cell_outcome"
+
+
 class _Cell:
     """Picklable wrapper running one sweep cell under its own recording.
 
@@ -92,10 +96,13 @@ class _Cell:
     records, metrics, bundles)``; :func:`pmap` adopts the records, folds
     the metrics and writes the bundles in item order, and the caller's
     bus streams the adopted records, so its subscribers see each record
-    once, in the form the journal holds.  The same wrapper runs on the
-    serial path, which is what makes serial and parallel journals and
-    bundles byte-identical, and their metrics equal but for wall-clock
-    timings.
+    once, in the form the journal holds.  A cell that raises carries its
+    ``(records, metrics, bundles)`` back on the exception, as
+    :data:`_OUTCOME`, which pickles with it from a pool worker; the
+    bundles then include the cell's own ``crash`` bundle.  The same
+    wrapper runs on the serial path, which is what makes serial and
+    parallel journals and bundles byte-identical, and their metrics equal
+    but for wall-clock timings.
     """
 
     __slots__ = ("fn", "journal", "bus", "recorder")
@@ -112,15 +119,40 @@ class _Cell:
 
     def __call__(self, item: T) -> tuple[R, list[dict], MetricsRegistry, list]:
         recorder = None if self.recorder is None else FlightRecorder(**self.recorder)
-        with current().replace(
+        cell = current().replace(
             events=EventLog(enabled=self.journal),
             bus=TelemetryBus(enabled=self.bus),
             metrics=MetricsRegistry(),
             flightrec=recorder,
-        ) as cell:
-            result = self.fn(item)
-        bundles = [] if recorder is None else recorder.held
-        return result, cell.events.records(), cell.metrics, bundles
+        )
+        try:
+            with cell:
+                result = self.fn(item)
+        except Exception as exc:  # spotlint: disable=SW006 -- re-raised
+            # pmap adopts the records the exception carries, then re-raises it.
+            setattr(exc, _OUTCOME, _outcome(cell))
+            raise
+        return (result, *_outcome(cell))
+
+
+def _outcome(cell: Recording) -> tuple[list[dict], MetricsRegistry, list]:
+    """A finished cell's journal records, metrics and held bundles."""
+    bundles = [] if cell.flightrec is None else cell.flightrec.held
+    return cell.events.records(), cell.metrics, bundles
+
+
+def _adopt(
+    caller: Recording,
+    cell: int,
+    records: list[dict],
+    metrics: MetricsRegistry,
+    bundles: list,
+) -> None:
+    """Fold one cell's outcome into the caller's recording."""
+    caller.events.adopt(records, cell=cell)
+    caller.metrics.fold(metrics)
+    for header, bundle in bundles:
+        caller.flightrec.write(header, bundle)
 
 
 def pmap(
@@ -148,8 +180,9 @@ def pmap(
     item order as each arrives — so the journal and the bundles, like
     the results, are bit-identical between serial and parallel runs, the
     metrics equal but for wall-clock timings, and a cell that raises
-    leaves the caller holding every cell before it.  The telemetry bus
-    publishes the adopted records on its next tick.
+    leaves the caller holding every cell up to and including itself
+    before its exception goes on.  The telemetry bus publishes the
+    adopted records on its next tick.
     """
     items = list(items)
     if not items:
@@ -168,12 +201,15 @@ def pmap(
             except OSError:
                 # No process support (restricted sandbox): run serially.
                 pass
-        for cell, (result, records, metrics, bundles) in enumerate(outcomes):
-            caller.events.adopt(records, cell=cell)
-            caller.metrics.fold(metrics)
-            for header, bundle in bundles:
-                caller.flightrec.write(header, bundle)
-            results.append(result)
+        try:
+            for cell, (result, *outcome) in enumerate(outcomes):
+                _adopt(caller, cell, *outcome)
+                results.append(result)
+        except Exception as exc:  # spotlint: disable=SW006 -- re-raised
+            outcome = vars(exc).pop(_OUTCOME, None)
+            if outcome is not None:
+                _adopt(caller, len(results), *outcome)
+            raise
     return results
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.devtools.contracts import freeze_arrays
-from repro.solvers.qp import ADMMCore, _RUIZ_ITERS, lapack
+from repro.solvers.qp import ADMMCore, _RUIZ_ITERS, _solved_in_place, lapack
 
 __all__ = ["MPOStructure", "BlockTridiagFactor", "StructuredADMMSolver"]
 
@@ -169,16 +169,22 @@ class BlockTridiagFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``K x = rhs`` for a flat ``(H * N,)`` right-hand side."""
+        return self.solve_in_place(np.array(rhs, dtype=np.float64, order="F"))
+
+    def solve_in_place(self, rhs: np.ndarray) -> np.ndarray:
+        """Overwrite the contiguous float64 ``rhs`` with ``K^-1 rhs``; returns
+        it, and raises ``ValueError`` for a buffer LAPACK would copy."""
         # cho_solve_banded's float64 routine (dpbtrs), called directly (see
-        # ADMMSolver._solve_kkt); same errors as the wrapper.
-        x, info = self._pbtrs(self._cb, rhs, lower=True)
+        # ADMMSolver._solve_kkt_in_place); same errors as the wrapper.
+        # (ab, b, lower, ldab, overwrite_b), positionally: see there.
+        x, info = self._pbtrs(self._cb, rhs, True, self._cb.shape[0], True)
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"{info}th leading minor not positive definite"
             )
         if info < 0:
             raise ValueError(f"illegal value in {-info}th argument of internal pbtrs")
-        return x
+        return _solved_in_place(x, rhs, "pbtrs")
 
 
 class StructuredADMMSolver(ADMMCore):
@@ -232,6 +238,12 @@ class StructuredADMMSolver(ADMMCore):
         self._offdiag = (
             -self._churn * d[1:] * d[:-1] if H > 1 else np.zeros((0, N))
         )
+        # The operators' constant factors and scratch.
+        self._churn_coeffs = self._churn * self._coeffs[:, None]  # (H, 1)
+        self._churn_d = self._churn * d  # (H, N)
+        self._d_v = np.empty((H, N))
+        self._scratch = np.empty((H, N))
+        self._sum_rows = np.empty(H)
         self._init_core()
 
     # ------------------------------------------------------- equilibration
@@ -288,28 +300,35 @@ class StructuredADMMSolver(ADMMCore):
         return d, e_box, e_sum
 
     # ----------------------------------------------------- operator hooks
-    def _apply_P(self, v: np.ndarray) -> np.ndarray:
-        vh = v.reshape(self._H, self._N)
-        w = self._d * vh
-        out = w @ self._risk
-        out += self._churn * self._coeffs[:, None] * w
-        out *= self._d
+    # Each hook writes through (H, N) views of its flat operand and output,
+    # with (H, N) and (H,) scratch the solver owns.
+    def _apply_P_into(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        w = np.multiply(self._d, v.reshape(self._H, self._N), out=self._d_v)
+        o = np.matmul(w, self._risk, out=out.reshape(self._H, self._N))
+        o += np.multiply(self._churn_coeffs, w, out=self._scratch)
+        o *= self._d
         if self._H > 1 and self._churn > 0:
-            out[1:] -= self._churn * self._d[1:] * w[:-1]
-            out[:-1] -= self._churn * self._d[:-1] * w[1:]
-        return out.ravel()
+            tail = self._scratch[1:]
+            o[1:] -= np.multiply(self._churn_d[1:], w[:-1], out=tail)
+            o[:-1] -= np.multiply(self._churn_d[:-1], w[1:], out=tail)
+        return out
 
-    def _apply_A(self, v: np.ndarray) -> np.ndarray:
-        vh = v.reshape(self._H, self._N)
-        w = self._d * vh
-        return np.concatenate([(self._e_box * w).ravel(), self._e_sum * w.sum(axis=1)])
-
-    def _apply_AT(self, w: np.ndarray) -> np.ndarray:
+    def _apply_A_into(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         n = self.n
-        wb = w[:n].reshape(self._H, self._N)
-        ws = w[n:]
-        out = self._d * (self._e_box * wb + self._e_sum[:, None] * ws[:, None])
-        return out.ravel()
+        w = np.multiply(self._d, v.reshape(self._H, self._N), out=self._d_v)
+        np.multiply(self._e_box, w, out=out[:n].reshape(self._H, self._N))
+        row_sums = w.sum(axis=1, out=out[n:])
+        np.multiply(self._e_sum, row_sums, out=row_sums)
+        return out
+
+    def _apply_AT_into(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+        n = self.n
+        o = out.reshape(self._H, self._N)
+        np.multiply(self._e_box, w[:n].reshape(self._H, self._N), out=o)
+        np.multiply(self._e_sum, w[n:], out=self._sum_rows)
+        o += self._sum_rows[:, None]
+        o *= self._d
+        return out
 
     def _factorize(self) -> None:
         rho = self._rho
@@ -321,8 +340,8 @@ class StructuredADMMSolver(ADMMCore):
         )
         self._factor = BlockTridiagFactor(blocks, self._offdiag)
 
-    def _solve_kkt(self, rhs: np.ndarray) -> np.ndarray:
-        return self._factor.solve(rhs)
+    def _solve_kkt_in_place(self, rhs: np.ndarray) -> np.ndarray:
+        return self._factor.solve_in_place(rhs)
 
     def _objective_orig(self, x: np.ndarray) -> float:
         xh = x.reshape(self._H, self._N)

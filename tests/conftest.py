@@ -93,11 +93,32 @@ def random_feasible_qp(rng: np.random.Generator, n: int, m: int):
     return QPProblem(P, q, A, Ax0 - slack_lo, Ax0 + slack_hi)
 
 
+def mpo_program(N, H, seed):
+    """An MPO-shaped program of ``N`` markets over ``H`` periods and a
+    seeded sequence of six ``(q, l, u)`` solves, the fourth with its prices
+    scaled by 1e4 so that the adaptive rho retunes."""
+    from repro.solvers import MPOStructure
+
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(N, N))
+    M = M @ M.T / N + 0.1 * np.eye(N)
+    structure = MPOStructure(N, H, risk=2.0 * 5.0 * M, churn=2.0 * 0.2)
+    lower = np.concatenate([np.zeros(N * H), np.full(H, 1.0)])
+    upper = np.concatenate([np.full(N * H, 1.5), np.full(H, 1.4)])
+    calls = []
+    for k in range(6):
+        q = rng.normal(size=N * H)
+        calls.append((1e4 * q if k == 3 else q, lower, upper))
+    return structure, calls
+
+
 class ReferenceADMMLoop:
     """The ADMM iteration as written before its per-iteration overhead was
-    removed: ``np.clip``, ``np.linalg.norm`` and the infinite-bound masks
-    rebuilt at every check.  Mix in ahead of a backend, together with that
-    backend's ``cho_solve``/``cho_solve_banded`` KKT solve; the optimized
+    removed: a fresh array from every operation on ``x``, ``z`` and ``y``
+    held apart, ``np.clip``, ``np.linalg.norm``, the infinite-bound masks
+    rebuilt at every check, and every infeasibility test evaluated.  Mix in
+    ahead of a backend, together with that backend's
+    ``cho_solve``/``cho_solve_banded`` KKT solve; the optimized
     :meth:`repro.solvers.ADMMCore.solve` must match it bit for bit."""
 
     def solve(self, q, l, u):
@@ -207,6 +228,21 @@ class ReferenceADMMLoop:
         return None
 
 
+def assert_same_result(got, want):
+    """Every ``SolverResult`` field but ``solve_time`` matches bit for bit."""
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.y.tobytes() == want.y.tobytes()
+    assert (got.objective, got.status, got.iterations) == (
+        want.objective,
+        want.status,
+        want.iterations,
+    )
+    assert (got.primal_residual, got.dual_residual) == (
+        want.primal_residual,
+        want.dual_residual,
+    )
+
+
 def run_pair(fast, ref, calls):
     """Solve each ``(q, l, u)`` on both solvers, warm-starting the next solve
     from the last ``x``.  Every ``SolverResult`` field but ``solve_time``
@@ -214,17 +250,7 @@ def run_pair(fast, ref, calls):
     results = []
     for q, l, u in calls:
         got, want = fast.solve(q, l, u), ref.solve(q, l, u)
-        assert got.x.tobytes() == want.x.tobytes()
-        assert got.y.tobytes() == want.y.tobytes()
-        assert (got.objective, got.status, got.iterations) == (
-            want.objective,
-            want.status,
-            want.iterations,
-        )
-        assert (got.primal_residual, got.dual_residual) == (
-            want.primal_residual,
-            want.dual_residual,
-        )
+        assert_same_result(got, want)
         results.append(got)
         fast.warm_start(got.x)
         ref.warm_start(got.x)

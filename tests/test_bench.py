@@ -51,6 +51,23 @@ class TestBenchMPO:
         out = format_bench_mpo(tiny_mpo)
         assert "structured" in out and "cold_ms" in out
 
+    def test_cells_record_the_warm_solves_work(self, tiny_mpo):
+        for cell in tiny_mpo["cells"]:
+            assert cell["warm_iters_mean"] >= 1
+            assert cell["warm_us_per_iter"] > 0
+
+    def test_cells_recorded_without_the_work_keys_still_render(self, tiny_mpo):
+        work_keys = ("warm_iters_mean", "warm_us_per_iter")
+        old = {
+            **tiny_mpo,
+            "cells": [
+                {k: v for k, v in c.items() if k not in work_keys}
+                for c in tiny_mpo["cells"]
+            ],
+        }
+        rows = format_bench_mpo(old).splitlines()[3:5]
+        assert all(row.split("|")[-1].strip() == "-" for row in rows)
+
 
 class TestBenchSim:
     def test_throughput_positive(self):

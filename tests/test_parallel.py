@@ -70,8 +70,10 @@ class TestPmapFailures:
         self, workers, tmp_path
     ):
         # Each cell runs once, the cell's ValueError reaches the caller,
-        # and the cells before it were adopted as they arrived: the crash
-        # bundle holds their records.
+        # the cells before it were adopted as they arrived, and the failing
+        # cell's records came back with its exception: the crash bundle
+        # holds all three cells' records.  The cell's own crash bundle is
+        # written first, in item order.
         log = tmp_path / "runs.log"
         recording = Recording(
             events=EventLog(enabled=True),
@@ -85,10 +87,13 @@ class TestPmapFailures:
                 pmap(_logged_cell, items, max_workers=workers)
         runs = _runs(log)
         assert [runs[x] for x in range(3)] == [1, 1, 1] and runs[3] <= 1
-        (bundle,) = recording.flightrec.dumped
+        cell_bundle, bundle = recording.flightrec.dumped
         header, records = read_events(bundle)
-        assert header["reason"] == "crash" and header["records"] == 2
-        assert [r["attrs"]["cell"] for r in records] == [0, 1]
+        assert header["reason"] == "crash" and header["records"] == 3
+        assert [r["attrs"]["cell"] for r in records] == [0, 1, 2]
+        cell_header, _ = read_events(cell_bundle)
+        assert cell_header["reason"] == "crash"
+        assert cell_header["trigger"]["message"] == "cell 2 failed"
 
     def test_a_pool_that_cannot_start_runs_the_cells_serially(
         self, monkeypatch, tmp_path

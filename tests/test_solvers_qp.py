@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, cho_solve_banded
 
 from repro.baselines import ExoSphereLoopPolicy
 from repro.core import CostModel, SpotWebController
@@ -15,10 +15,23 @@ from repro.predictors import (
     SplinePredictor,
 )
 from repro.simulator import CostSimulator
-from repro.solvers import ADMMCore, ADMMSolver, QPProblem, SolverStatus, solve_qp
+from repro.solvers import (
+    ADMMCore,
+    ADMMSolver,
+    QPProblem,
+    SolverStatus,
+    StructuredADMMSolver,
+    solve_qp,
+)
 from repro.solvers.kkt import kkt_residuals
 
-from conftest import ReferenceADMMLoop, random_feasible_qp, run_pair
+from conftest import (
+    ReferenceADMMLoop,
+    assert_same_result,
+    mpo_program,
+    random_feasible_qp,
+    run_pair,
+)
 
 
 class TestQPProblem:
@@ -236,6 +249,119 @@ class TestMatchesReferenceLoop:
         calls = [(np.array([1.0, -2.0, 0.5]), np.zeros(0), np.zeros(0))]
         results = run_pair(ADMMSolver(P, A), _ReferenceADMMSolver(P, A), calls)
         assert results[0].status is SolverStatus.OPTIMAL
+
+    def test_costsim_vod_program_warm_sequence_with_rho_retune(self):
+        """The dense backend at the size of costsim_vod's program: 12
+        markets x H=4, Ruiz-scaled, box rows then sum rows."""
+        structure, calls = mpo_program(12, 4, seed=12)
+        P, A = structure.dense_hessian(), structure.dense_constraints()
+        fast, ref = ADMMSolver(P, A), _ReferenceADMMSolver(P, A)
+        results = run_pair(fast, ref, calls)
+        assert all(r.status is SolverStatus.OPTIMAL for r in results)
+        assert fast.rho != pytest.approx(0.1)  # a retune fired
+        assert fast.rho == ref.rho
+
+
+@pytest.fixture(params=["dense", "structured"])
+def backend(request):
+    """``(make, calls, reference_kkt)`` for one backend: a solver factory on
+    a small MPO-shaped program, its solve sequence, and SciPy's wrapped
+    solve with the solver's factor, which the in-place solve must match."""
+    structure, calls = mpo_program(4, 3, seed=5)
+    if request.param == "dense":
+        P, A = structure.dense_hessian(), structure.dense_constraints()
+        return (
+            lambda: ADMMSolver(P, A),
+            calls,
+            lambda s, rhs: cho_solve((s._chol, True), rhs, check_finite=False),
+        )
+    return (
+        lambda: StructuredADMMSolver(structure),
+        calls,
+        lambda s, rhs: cho_solve_banded(
+            (s._factor._cb, True), rhs, check_finite=False
+        ),
+    )
+
+
+class TestSolverState:
+    """The iteration runs in buffers the solver owns: what goes in or comes
+    out never aliases them, and a refused or reset solve leaves no trace."""
+
+    def test_results_and_warm_start_arrays_do_not_alias_the_state(self, backend):
+        make, calls, _ = backend
+        solver, twin = make(), make()
+        first = solver.solve(*calls[0])
+        assert_same_result(first, twin.solve(*calls[0]))
+        seed_x, seed_y = np.array(first.x), np.array(first.y)
+        solver.warm_start(seed_x, seed_y)
+        twin.warm_start(first.x.copy(), first.y.copy())
+        # Scribble over everything the caller holds.
+        for arr in (seed_x, seed_y, first.x, first.y):
+            arr.setflags(write=True)
+            arr[:] = np.nan
+        assert_same_result(solver.solve(*calls[1]), twin.solve(*calls[1]))
+
+    def test_reset_then_solve_equals_a_fresh_solver(self, backend):
+        make, calls, _ = backend
+        solver = make()
+        for q, l, u in calls[:4]:
+            solver.warm_start(solver.solve(q, l, u).x)
+        assert solver.rho != make().rho  # the 1e4 prices retuned rho
+        solver.reset()
+        assert_same_result(solver.solve(*calls[4]), make().solve(*calls[4]))
+
+    @pytest.mark.parametrize(
+        "bad", [[np.nan, 0, 0], [np.inf, 0, 0], [0, -np.inf, 0]]
+    )
+    def test_refuses_a_non_finite_cost(self, backend, bad):
+        make, calls, _ = backend
+        q, l, u = calls[0]
+        q_bad = q.copy()
+        q_bad[:3] = bad
+        with pytest.raises(ValueError, match="q must be finite"):
+            make().solve(q_bad, l, u)
+
+    @pytest.mark.parametrize("side", ["l", "u"])
+    def test_refuses_a_nan_bound(self, backend, side):
+        make, calls, _ = backend
+        q, l, u = calls[0]
+        l, u = l.copy(), u.copy()
+        (l if side == "l" else u)[1] = np.nan
+        with pytest.raises(ValueError, match="must not be NaN"):
+            make().solve(q, l, u)
+
+    def test_a_refused_solve_leaves_the_state_alone(self, backend):
+        make, calls, _ = backend
+        solver, twin = make(), make()
+        for q, l, u in calls[:2]:
+            assert_same_result(solver.solve(q, l, u), twin.solve(q, l, u))
+        q, l, u = calls[2]
+        with pytest.raises(ValueError):
+            solver.solve(np.full_like(q, np.nan), l, u)
+        l_nan = l.copy()
+        l_nan[0] = np.nan
+        with pytest.raises(ValueError):
+            solver.solve(q, l_nan, u)
+        assert_same_result(solver.solve(q, l, u), twin.solve(q, l, u))
+        # And a fresh solver's first solve after a refusal is a fresh solve.
+        refused = make()
+        with pytest.raises(ValueError):
+            refused.solve(np.full_like(q, np.nan), l, u)
+        assert_same_result(refused.solve(q, l, u), make().solve(q, l, u))
+
+    def test_in_place_kkt_solve_matches_scipy_and_refuses_a_copy(self, backend):
+        make, _, reference_kkt = backend
+        solver = make()
+        rhs = np.random.default_rng(3).normal(size=solver.n)
+        buf = rhs.copy()
+        assert solver._solve_kkt_in_place(buf) is buf
+        assert buf.tobytes() == reference_kkt(solver, rhs).tobytes()
+        # LAPACK solves a copy of a strided buffer and returns the copy.
+        strided = np.zeros(2 * solver.n)[::2]
+        strided[:] = rhs
+        with pytest.raises(ValueError, match="solved a copy"):
+            solver._solve_kkt_in_place(strided)
 
 
 class TestWorkCounts:

@@ -22,7 +22,7 @@ from repro.solvers import (
 )
 from repro.solvers.reference import solve_qp_reference
 
-from conftest import ReferenceADMMLoop, run_pair
+from conftest import ReferenceADMMLoop, mpo_program, run_pair
 
 TIGHT = dict(eps_abs=1e-10, eps_rel=1e-10)
 
@@ -277,6 +277,16 @@ class TestMatchesReferenceLoop:
             q = rng.normal(size=N * H)
             calls.append((1e4 * q if k == 3 else q, lower, upper))
         fast, ref = self.pair(structure, scale=False)
+        results = run_pair(fast, ref, calls)
+        assert all(r.status is SolverStatus.OPTIMAL for r in results)
+        assert fast.rho != pytest.approx(0.1)  # a retune fired
+        assert fast.rho == ref.rho
+
+    def test_costsim_fig6b_program_warm_sequence_with_rho_retune(self):
+        """At the size of costsim_fig6b's program: 36 markets x H=10,
+        Ruiz-scaled."""
+        structure, calls = mpo_program(36, 10, seed=36)
+        fast, ref = self.pair(structure)
         results = run_pair(fast, ref, calls)
         assert all(r.status is SolverStatus.OPTIMAL for r in results)
         assert fast.rho != pytest.approx(0.1)  # a retune fired
