@@ -1,32 +1,6 @@
-"""Benchmark harness configuration.
-
-Each benchmark regenerates one table/figure of the paper at (near-)paper
-scale and prints the corresponding rows/series, so running
-
-    pytest benchmarks/ --benchmark-only -s
-
-reproduces the evaluation section end to end.  Timing is measured once per
-experiment (rounds=1): these are scenario replays, not microbenchmarks.
-"""
-
-from __future__ import annotations
-
-import pytest
+"""Benchmarks measure the hot path as deployed: runtime contracts off
+(equivalent to running with SPOTWEB_CONTRACTS=0)."""
 
 from repro.devtools.contracts import set_contracts
 
-# Benchmarks measure the hot path as deployed: runtime contracts off
-# (equivalent to running with SPOTWEB_CONTRACTS=0).
 set_contracts(False)
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-
-    def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(
-            fn, args=args, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0
-        )
-
-    return runner

@@ -15,8 +15,8 @@ Note on fidelity: like the paper's own CVXPY formulation, the optimizer is a
 continuous relaxation — it allocates *fractions* of demand by per-request
 cost, and integer server effects (3 small at 6 c vs 1 large at 15 c) appear
 only after rounding.  The transaction-cost benefit of multi-period planning
-is measured at system level in ``benchmarks/test_ablations.py`` (churn
-ablation) and Fig. 6(b).
+is measured at system level by the churn ablation (the ``ablations.churn``
+row of ``repro.experiments.claims``) and Fig. 6(b).
 """
 
 import numpy as np

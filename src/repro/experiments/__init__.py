@@ -1,9 +1,10 @@
 """Experiment runners — one module per table/figure of the paper.
 
 Each module exposes a ``run_*`` function returning a result dataclass plus a
-``format_*`` helper producing the rows/series the paper reports.  The
-``benchmarks/`` tree calls these under pytest-benchmark; the ``examples/``
-scripts call them directly.
+``format_*`` helper producing the rows/series the paper reports.
+:mod:`claims` states what each result must show, as one table that the
+tests check at small grids and ``benchmarks/test_claims.py`` at the
+paper's; the ``examples/`` scripts call the runners directly.
 
 Index (see DESIGN.md for the full mapping):
 
@@ -24,6 +25,8 @@ Index (see DESIGN.md for the full mapping):
   (slow-start servers).
 - :mod:`gcloud` — Sec. 7 discussion: Google-preemptible mode (flat prices,
   24-hour forced lifetime).
+- :mod:`claims` — the paper's claims as one table over the runners above,
+  plus the ablations and the predictor shootout.
 
 Nothing is imported here: each command imports only its own module, so a
 run of one experiment does not load the other ten (``table1`` alone brings
@@ -42,4 +45,5 @@ __all__ = [
     "fig7b_scalability",
     "lookahead",
     "gcloud",
+    "claims",
 ]

@@ -222,11 +222,6 @@ class EventLog:
             return self._last_warning
         return None
 
-    def warning_migrations(self, warning_id: str | None) -> int:
-        """Sessions migrated so far under an open warning."""
-        info = self._open_warnings.get(warning_id)
-        return 0 if info is None else int(info["migrated"])
-
     @units(None, t="s")
     def resolve_warning(
         self,

@@ -3,7 +3,8 @@
 An aircraft-style black box for simulation runs: a
 :class:`FlightRecorder` subscribes to the telemetry bus
 (:mod:`repro.obs.live`) and keeps the last ``max_records`` frames inside
-a sliding ``window_seconds`` of sim time.  When something goes wrong —
+a sliding ``window_seconds`` of sim time, stretched to the newest few
+frames when they lie further apart.  When something goes wrong —
 an SLO burn-rate alert fires (auto-detected in the frames), a scenario
 invariant is violated, or an exception leaves the recording that armed
 the recorder (:mod:`repro.obs.recording`) — it dumps a **bundle**
@@ -29,13 +30,21 @@ from repro.obs.metrics import get_metrics
 
 __all__ = ["FlightRecorder"]
 
+#: The fewest frames the window keeps, however far apart they lie.  A
+#: cluster run ticks at every 30-s SLO interval close, so its default
+#: 120-s window holds five frames and this changes nothing; an
+#: interval-level run ticks every 3,600 s, and keeps its last four
+#: intervals instead of one.
+_MIN_FRAMES = 4
+
 
 class FlightRecorder:
     """Ring buffer of telemetry frames, dumped on incidents.
 
     Subscribe it to a bus (``bus.subscribe(recorder)``); it retains at
     most ``max_records`` frames no older than ``window_seconds`` of sim
-    time behind the newest.  A ``slo.alert`` journal event arriving in
+    time behind the newest, or the newest :data:`_MIN_FRAMES` frames
+    when those span more.  A ``slo.alert`` journal event arriving in
     the ``firing`` state triggers a dump immediately — the buffer still
     holds the pre-alert window at that point, which is exactly the
     forensic value.  A frame earlier than the newest buffered one starts
@@ -75,7 +84,10 @@ class FlightRecorder:
         if self._buffer and t < self._buffer[-1]["t"]:
             self._buffer.clear()
         self._buffer.append(frame)
-        while self._buffer[0]["t"] < t - self.window_seconds:
+        while (
+            len(self._buffer) > _MIN_FRAMES
+            and self._buffer[0]["t"] < t - self.window_seconds
+        ):
             self._buffer.popleft()
         for rec in frame["events"]:
             if rec["kind"] == "slo.alert" and rec["attrs"].get("state") == "firing":

@@ -99,7 +99,8 @@ class _Cell:
     once, in the form the journal holds.  A cell that raises carries its
     ``(records, metrics, bundles)`` back on the exception, as
     :data:`_OUTCOME`, which pickles with it from a pool worker; the
-    bundles then include the cell's own ``crash`` bundle.  The same
+    bundles then include the cell's own ``crash`` bundle, unless it
+    holds no records (see :func:`_outcome`).  The same
     wrapper runs on the serial path, which is what makes serial and
     parallel journals and bundles byte-identical, and their metrics equal
     but for wall-clock timings.
@@ -136,8 +137,15 @@ class _Cell:
 
 
 def _outcome(cell: Recording) -> tuple[list[dict], MetricsRegistry, list]:
-    """A finished cell's journal records, metrics and held bundles."""
-    bundles = [] if cell.flightrec is None else cell.flightrec.held
+    """A finished cell's journal records, metrics and held bundles.
+
+    A bundle without records is left out.  Only a scenario episode
+    subscribes the cell's recorder to a bus, so any other cell that
+    raises dumps an empty window, and the caller's own crash bundle
+    holds that cell's records.
+    """
+    held = [] if cell.flightrec is None else cell.flightrec.held
+    bundles = [(header, records) for header, records in held if records]
     return cell.events.records(), cell.metrics, bundles
 
 

@@ -185,11 +185,6 @@ class HybridClusterSimulation(ClusterSimulation):
         self.tier_switches = 0
 
     # --------------------------------------------------------------- windows
-    @property
-    def fidelity_window_until(self) -> float:
-        """Sim time until which chunks run at request-level fidelity."""
-        return self._window_until
-
     def _open_window(
         self, until: float, *, cause: str | None, trigger: str
     ) -> None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +33,6 @@ class ServerPhase(enum.Enum):
     RUNNING = "running"
     DRAINING = "draining"  # revocation warning received: no new requests
     DEAD = "dead"
-
-
-@dataclass
-class _InFlight:
-    arrived: float
-    session_id: int | None
 
 
 class SimServer:

@@ -46,10 +46,6 @@ class WorkloadTrace:
         return float(self.rates[idx])
 
     @property
-    def duration_seconds(self) -> float:
-        return self.rates.size * self.interval_seconds
-
-    @property
     def intervals_per_day(self) -> int:
         return max(1, int(round(SECONDS_PER_DAY / self.interval_seconds)))
 

@@ -61,6 +61,23 @@ def catalog():
 
 
 @pytest.fixture(scope="session")
+def quick_result():
+    """``quick_result(name)``: the claims experiment ``name`` run at its
+    quick grid, once per session however many tests read it."""
+    from repro.experiments.claims import EXPERIMENTS
+
+    results = {}
+
+    def get(name):
+        if name not in results:
+            experiment = EXPERIMENTS[name]
+            results[name] = experiment.run(**experiment.quick)
+        return results[name]
+
+    return get
+
+
+@pytest.fixture(scope="session")
 def small_markets(catalog):
     """Six spot markets — enough for portfolio structure, fast to solve."""
     return catalog.spot_markets(6)

@@ -1,4 +1,5 @@
-"""Tests for the repro.bench benchmark/baseline layer."""
+"""Tests for the repro.bench benchmark/baseline layer and the gates of
+``repro bench``."""
 
 from pathlib import Path
 
@@ -19,7 +20,14 @@ from repro.bench.report import (
     sim_regressions,
     write_bench,
 )
-from repro.bench.sim import bench_sim, check_session_scaling
+from repro.bench.sim import (
+    ACCURACY_GRID,
+    bench_sim,
+    check_hybrid_accuracy,
+    check_hybrid_speedup,
+    check_parallel_speedup,
+    check_session_scaling,
+)
 from repro.cli import main
 
 
@@ -323,3 +331,151 @@ class TestSessionScaling:
         with pytest.raises(SystemExit, match="SESSION_SCALING_CEILING.*3.01x"):
             main(["bench", "--quick", "--out-dir", str(tmp_path)])
 
+
+
+class _FakeReport:
+    def __init__(self, total_cost):
+        self.total_cost = total_cost
+
+
+class _FakeSweep:
+    def __init__(self, costs):
+        self.reports = {k: _FakeReport(v) for k, v in costs.items()}
+
+
+class TestCheckParallelSpeedup:
+    """Four workers at least 2x faster than serial, bitwise equal."""
+
+    def test_real_tiny_sweep_matches_bitwise(self):
+        result = check_parallel_speedup(
+            reps=2, num_markets=4, seed=0, max_workers=2
+        )
+        assert result["mismatches"] == []
+        assert result["serial_seconds"] > 0
+        assert result["parallel_seconds"] > 0
+        assert result["speedup"] > 0
+        assert result["workers"] == 2 and result["cpus"] >= 1
+
+    def test_detects_mismatch(self, monkeypatch):
+        outputs = iter(
+            [
+                _FakeSweep({("spotweb", 0): 10.0, ("qu", 0): 20.0}),
+                _FakeSweep({("spotweb", 0): 10.0, ("qu", 0): 20.5}),
+            ]
+        )
+        from repro.experiments import table1
+
+        monkeypatch.setattr(
+            table1, "run_table1_costs", lambda **kwargs: next(outputs)
+        )
+        result = check_parallel_speedup(reps=1)
+        assert result["mismatches"] == [("qu", 0)]
+
+
+#: One cheap cell (the committed ACCURACY_GRID runs 180 s horizons; this
+#: keeps unit-test wall time down while exercising the same code path).
+TINY_GRID = (
+    {
+        "peak_rps": 300.0,
+        "servers": 5,
+        "capacity_rps": 100.0,
+        "sim_seconds": 40.0,
+        "revoke": True,
+    },
+)
+
+
+class TestHybridChecks:
+    """The P99 accuracy grid and the 2k req/s speedup smoke cell."""
+
+    def test_accuracy_cells_report_both_engines(self):
+        (cell,) = check_hybrid_accuracy(scenarios=TINY_GRID, seed=0)
+        assert cell["revoke"] is True
+        assert cell["p99_hybrid_s"] > 0
+        assert cell["p99_request_s"] > 0
+        assert cell["rel_error"] >= 0
+        # The revocation opens a fidelity window: both tiers must run.
+        assert cell["tier_steps"]["fluid"] > 0
+        assert cell["tier_steps"]["request"] > 0
+
+    def test_speedup_smoke_reports_positive_ratio(self):
+        smoke = check_hybrid_speedup(
+            peak_rps=400.0, servers=5, sim_seconds=30.0, seed=0
+        )
+        assert smoke["hybrid_intervals_per_sec"] > 0
+        assert smoke["request_intervals_per_sec"] > 0
+        assert smoke["speedup"] > 0
+
+    def test_committed_grid_stays_below_saturation(self):
+        # At rho >= 1 the P99 comparison measures noise, not accuracy; the
+        # grid must keep post-kill utilization under 1 by construction.
+        for scenario in ACCURACY_GRID:
+            alive = scenario["servers"] - (1 if scenario["revoke"] else 0)
+            rho = scenario["peak_rps"] / (alive * scenario["capacity_rps"])
+            assert rho < 0.9
+
+
+class TestMain:
+    """`repro bench --quick` exits non-zero naming each broken gate."""
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        return ["bench", "--quick", "--out-dir", str(tmp_path)]
+
+    def test_exit_zero_when_fast_and_equal(self, bench_stubs, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "4 workers 1.0s -> 4.00x" in out
+        assert "not applied" not in out
+
+    def test_exit_one_on_slow_pool(self, bench_stubs, argv):
+        bench_stubs["sweep"]["speedup"] = 1.99
+        with pytest.raises(SystemExit, match="PARALLEL_SPEEDUP_FLOOR.*1.99x"):
+            main(argv)
+
+    def test_floor_not_applied_below_four_cpus(self, bench_stubs, argv, capsys):
+        bench_stubs["sweep"].update(speedup=1.0, cpus=2)
+        assert main(argv) == 0
+        assert "floor (2x) not applied: 2 CPUs < 4 workers" in (
+            capsys.readouterr().out
+        )
+
+    def test_exit_one_on_mismatch(self, bench_stubs, argv):
+        # The bitwise check gates on any host, however few its CPUs.
+        bench_stubs["sweep"].update(mismatches=[("spotweb", 1)], cpus=2)
+        with pytest.raises(SystemExit, match="parallel sweep != serial"):
+            main(argv)
+
+    def test_exit_zero_when_accurate_and_fast(self, bench_stubs, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "rel err 5.0%" in out and "40.0x" in out
+        assert "every perf gate holds" in out
+
+    def test_exit_one_on_accuracy_failure(self, bench_stubs, argv):
+        bench_stubs["accuracy"][0]["rel_error"] = 0.26
+        with pytest.raises(SystemExit, match="P99_TOLERANCE.*beyond 25%"):
+            main(argv)
+
+    def test_exit_one_on_slow_hybrid(self, bench_stubs, argv):
+        bench_stubs["smoke"]["speedup"] = 9.9
+        with pytest.raises(SystemExit, match="SMOKE_SPEEDUP_FLOOR.*only 9.9x"):
+            main(argv)
+
+    def test_exit_one_below_the_fresh_request_cell_floor(self, bench_stubs, argv):
+        # 49.9 hybrid intervals/s over the same run's 1.0 request cell.
+        bench_stubs["sim"]["cells"][1]["intervals_per_sec_median"] = 49.9
+        with pytest.raises(SystemExit, match="HYBRID_SPEEDUP_FLOOR.*49.9x"):
+            main(argv)
+
+    def test_seed_reaches_checks(self, bench_stubs, argv):
+        assert main(argv + ["--seed", "7"]) == 0
+        seen = bench_stubs["seen"]
+        assert {name: kwargs["seed"] for name, kwargs in seen.items()} == {
+            "bench_mpo": 7,
+            "bench_sim": 7,
+            "check_hybrid_accuracy": 7,
+            "check_hybrid_speedup": 7,
+            "check_parallel_speedup": 7,
+            "check_session_scaling": 7,
+        }

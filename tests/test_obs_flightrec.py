@@ -61,6 +61,20 @@ class TestRingBuffer:
         # Newest is t=9; anything older than t=4 left the window.
         assert [f["t"] for f in rec.buffered()] == [4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
 
+    def test_sparse_frames_keep_the_newest_few(self):
+        # An interval-level run ticks every 3,600 s, far beyond the 120-s
+        # window: the window stretches to the newest frames, so a bundle
+        # holds more than the last interval.
+        rec = FlightRecorder()
+        for i in range(1, 11):
+            rec(frame(3600.0 * i, record(i, 3600.0 * i)))
+        assert [f["t"] for f in rec.buffered()] == [
+            25200.0,
+            28800.0,
+            32400.0,
+            36000.0,
+        ]
+
     def test_earlier_frame_starts_a_new_window(self):
         # Each scenario episode (and each serial sweep cell) restarts sim
         # time at 0; the next run's window must not open with the tail
