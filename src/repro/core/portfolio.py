@@ -80,9 +80,11 @@ def allocation_to_counts(
 ) -> np.ndarray:
     """``n_i = ceil(A_i * lambda / r_i)`` — fractional allocation to servers.
 
-    Rounds up so the deployed capacity never falls below the planned one.
-    Tiny fractions (below what half a server could carry at the smallest
-    scale) are floored to zero to avoid churning single servers over noise.
+    Rounds up, so the deployed capacity covers the plan, except that a
+    market whose demand is below a millionth of a server gets no server
+    (solver noise churns no single servers).  If every market floors to
+    zero while the plan is positive, one server goes to the market with
+    the largest demand, so a positive plan never deploys nothing.
     """
     fractions = np.asarray(fractions, dtype=np.float64).ravel()
     capacities = np.asarray(capacities, dtype=np.float64).ravel()
@@ -95,6 +97,8 @@ def allocation_to_counts(
     demand = fractions * workload_rps / capacities
     counts = np.ceil(demand - 1e-9)
     counts[demand < 1e-6] = 0
+    if not counts.any() and np.any(demand > 0):
+        counts[np.argmax(demand)] = 1
     return counts.astype(np.int64)
 
 

@@ -14,12 +14,14 @@ directions:
   ``python -m repro.devtools src/ tests/ --exclude tests/fixtures`` or the
   ``spotlint`` console script; CI gates on no findings beyond the
   committed ``spotlint-baseline.json``.
-- :mod:`repro.devtools.contracts` — runtime shape/sign/unit contracts
-  (``@shapes``, ``@nonneg``, unit-tagged scalars) applied at the hot
-  seams and toggled by the ``SPOTWEB_CONTRACTS`` environment variable.
+- :mod:`repro.devtools.contracts` — the contracts those analyzers read
+  at the hot seams: ``@shapes`` and ``@nonneg`` also check each call
+  while switched on (the test suite switches them on; every other
+  process runs with them off), while ``@units`` and ``@field_units``
+  are declarations that return the function or class unchanged.
 
-Importing this package loads only the runtime half (plus the spec
-grammar it shares with the analyzers); the lint rules and the analyzers
+Importing this package loads only the contracts (plus the spec grammar
+they share with the analyzers); the lint rules and the analyzers
 load when the driver runs.
 """
 
@@ -27,18 +29,12 @@ from __future__ import annotations
 
 from repro.devtools.contracts import (
     ContractError,
-    UnitScalar,
-    contracts_enabled,
     field_units,
     freeze_arrays,
     nonneg,
     per_request_prices,
-    require_unit,
-    rps,
     set_contracts,
     shapes,
-    usd_per_hour,
-    usd_per_hour_per_rps,
 )
 
 # NOTE: the ``units`` *decorator* is deliberately not re-exported here —
@@ -49,16 +45,10 @@ from repro.devtools.contracts import (
 
 __all__ = [
     "ContractError",
-    "UnitScalar",
-    "contracts_enabled",
     "field_units",
     "freeze_arrays",
     "nonneg",
     "per_request_prices",
-    "require_unit",
-    "rps",
     "set_contracts",
     "shapes",
-    "usd_per_hour",
-    "usd_per_hour_per_rps",
 ]

@@ -1,10 +1,9 @@
-"""Runtime array/shape/unit contracts for SpotWeb's hot seams.
+"""Contracts for SpotWeb's hot seams: shape and sign checks, unit declarations.
 
 The optimizer pipeline moves ``(H, N)`` portfolio matrices, ``(N,)`` price
 vectors and per-request prices between layers; a transposed matrix or a
 $/hour value where $/hour-per-req/s is expected fails *silently* — the QP
-still solves, the answer is just wrong.  This module provides cheap,
-switchable call-time checks:
+still solves, the answer is just wrong.  This module provides:
 
 - :func:`shapes` — declare symbolic shapes per parameter
   (``@shapes("(H,N)", "(N,)")``); dimension symbols must bind consistently
@@ -16,30 +15,28 @@ switchable call-time checks:
 - :func:`freeze_arrays` — make ndarray fields of a (frozen) dataclass
   genuinely immutable from ``__post_init__``.
 - :func:`units` — declare units of measure per parameter in the shared
-  spec grammar (``@units("req/s", "s/interval", ret="usd")``); tagged
-  :class:`UnitScalar` arguments are checked for dimensional equivalence
-  at call time, and the same declarations drive the static ``spotunits``
-  analyzer as interprocedural call summaries.
+  spec grammar (``@units("req/s", "s/interval", ret="usd")``).
 - :func:`field_units` — declare units of a class's attributes (dataclass
-  fields, ``__init__``-assigned attributes, or properties); checked where
-  tagged values are constructed, and read statically by ``spotunits`` to
-  seed attribute units.
-- Unit-tagged scalars (:class:`UnitScalar` plus :func:`usd_per_hour`,
-  :func:`usd_per_hour_per_rps`, :func:`rps`) and the canonical
-  :func:`per_request_prices` conversion, so the $/hour → $/hour-per-req/s
-  cleaning step happens in exactly one audited place.
+  fields, ``__init__``-assigned attributes, or properties).
+- The canonical :func:`per_request_prices` conversion, so the $/hour →
+  $/hour-per-req/s cleaning step happens in exactly one audited place.
 
-Checks are active by default and controlled by the ``SPOTWEB_CONTRACTS``
-environment variable (``0``/``false``/``off`` disables them — benchmarks
-run with checks off).  When disabled the wrappers reduce to a single
-boolean test per call.
+``@shapes`` and ``@nonneg`` check each call while they are switched on:
+they start off in every process, where a wrapper costs one boolean test
+per call, and the test suite switches them on with :func:`set_contracts`.
+Every check on input from outside the program is an explicit
+``ValueError`` next to its contract, so no outside-facing check depends
+on the switch.  ``@units`` and ``@field_units`` are declarations: they
+validate their specs at import and return the function or class
+unchanged, and the static ``spotunits`` analyzer reads them from the
+source as interprocedural summaries.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import inspect
-import os
 from collections.abc import Mapping
 from typing import Any, Callable, TypeVar
 
@@ -50,47 +47,33 @@ from repro.devtools.specs import (
     ShapeSpec,
     UnitSpec,
     format_spec,
-    format_unit,
     parse_spec,
     parse_unit,
 )
 
 __all__ = [
     "ContractError",
-    "contracts_enabled",
     "set_contracts",
     "shapes",
     "nonneg",
     "freeze_arrays",
     "units",
     "field_units",
-    "UnitScalar",
-    "usd_per_hour",
-    "usd_per_hour_per_rps",
-    "rps",
-    "require_unit",
     "per_request_prices",
 ]
 
 _F = TypeVar("_F", bound=Callable[..., Any])
 
-_ENV_VAR = "SPOTWEB_CONTRACTS"
-_DISABLED_VALUES = {"0", "false", "off", "no"}
-
-_enabled = os.environ.get(_ENV_VAR, "1").strip().lower() not in _DISABLED_VALUES
+_enabled = False
 
 
 class ContractError(ValueError):
-    """A runtime contract (shape, sign, or unit) was violated."""
-
-
-def contracts_enabled() -> bool:
-    """Whether contract checks run on this process right now."""
-    return _enabled
+    """A runtime contract (shape or sign) was violated."""
 
 
 def set_contracts(flag: bool) -> bool:
-    """Enable/disable checks process-wide; returns the previous state."""
+    """Switch the ``@shapes``/``@nonneg`` checks process-wide; returns the
+    previous state."""
     global _enabled
     previous = _enabled
     _enabled = bool(flag)
@@ -103,7 +86,38 @@ def set_contracts(flag: bool) -> bool:
 
 _SKIP = (None, "*", "...")
 
-_parse_spec = parse_spec
+
+def _param_specs(
+    func: Callable[..., Any],
+    kind: str,
+    parse: Callable[[str], Any],
+    pos_specs: tuple[str | None, ...],
+    kw_specs: dict[str, str],
+) -> dict[str, Any]:
+    """Parse one decorator's per-parameter specs for ``func``.
+
+    Positional specs map onto the parameters in order (``self``/``cls``
+    skipped), keyword specs by name; a spec that does not parse, or names
+    a parameter ``func`` lacks, raises ``ValueError`` at import.
+    """
+    params = list(inspect.signature(func).parameters)
+    names = params[1:] if params and params[0] in ("self", "cls") else params
+    if len(pos_specs) > len(names):
+        raise ValueError(
+            f"{func.__qualname__}: {len(pos_specs)} {kind} specs for "
+            f"{len(names)} parameters"
+        )
+    specs = {name: spec for name, spec in kw_specs.items() if spec not in _SKIP}
+    specs.update(
+        (name, spec) for name, spec in zip(names, pos_specs) if spec not in _SKIP
+    )
+    unknown = set(specs) - set(params)
+    if unknown:
+        raise ValueError(
+            f"{func.__qualname__}: {kind} specs for unknown parameters "
+            f"{sorted(unknown)}"
+        )
+    return {name: parse(spec) for name, spec in specs.items()}
 
 
 def _try_bind(
@@ -171,31 +185,11 @@ def shapes(*pos_specs: str | None, ret: str | None = None, **kw_specs: str) -> C
     ``None`` argument values at call time.  ``ret=`` checks the return
     value against the same symbol bindings.
     """
-    parsed_kw = {
-        name: _parse_spec(spec) for name, spec in kw_specs.items() if spec not in _SKIP
-    }
-    parsed_ret = _parse_spec(ret) if ret not in _SKIP else None
+    parsed_ret = parse_spec(ret) if ret not in _SKIP else None
 
     def decorate(func: _F) -> _F:
         signature = inspect.signature(func)
-        names = list(signature.parameters)
-        if names and names[0] in ("self", "cls"):
-            names = names[1:]
-        if len(pos_specs) > len(names):
-            raise ValueError(
-                f"{func.__qualname__}: {len(pos_specs)} shape specs for "
-                f"{len(names)} parameters"
-            )
-        spec_map = dict(parsed_kw)
-        for name, spec in zip(names, pos_specs):
-            if spec not in _SKIP:
-                spec_map[name] = _parse_spec(spec)
-        unknown = set(spec_map) - set(signature.parameters)
-        if unknown:
-            raise ValueError(
-                f"{func.__qualname__}: shape specs for unknown parameters "
-                f"{sorted(unknown)}"
-            )
+        spec_map = _param_specs(func, "shape", parse_spec, pos_specs, kw_specs)
 
         @functools.wraps(func)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
@@ -275,33 +269,6 @@ def _cached_unit(text: str) -> UnitSpec:
     return parse_unit(text)
 
 
-def _check_unit(qualname: str, pname: str, value: Any, spec: UnitSpec) -> None:
-    """Tagged values must be dimensionally equivalent; untagged pass."""
-    if not isinstance(value, UnitScalar):
-        return
-    try:
-        actual = _cached_unit(value.unit)
-    except ValueError:
-        # Legacy free-text tags fall back to exact-string semantics.
-        return
-    if not actual.equivalent(spec):
-        raise ContractError(
-            f"{qualname}: parameter '{pname}' has unit "
-            f"{format_unit(actual)}, expected {format_unit(spec)}"
-        )
-
-
-def _any_tagged(args: tuple, kwargs: dict) -> bool:
-    """Whether any argument is a :class:`UnitScalar` (the only kind checked)."""
-    for value in args:
-        if isinstance(value, UnitScalar):
-            return True
-    for value in kwargs.values():
-        if isinstance(value, UnitScalar):
-            return True
-    return False
-
-
 def units(
     *pos_specs: str | None, ret: str | None = None, **kw_specs: str
 ) -> Callable[[_F], _F]:
@@ -311,65 +278,20 @@ def units(
     (``self``/``cls`` is skipped automatically); keyword specs address
     parameters by name; ``None`` or ``"*"`` skips a parameter.  Specs use
     the shared grammar from :mod:`repro.devtools.specs` — ``"req/s"``,
-    ``"usd/(server*hr)"``, ``"s/interval"`` — so a spec that the runtime
-    accepts is exactly one the static ``spotunits`` analyzer understands,
-    and vice versa.
+    ``"usd/(server*hr)"``, ``"s/interval"``.
 
-    At call time only :class:`UnitScalar`-tagged arguments are checked
-    (plain floats/arrays carry no unit evidence and pass); a tagged value
-    whose unit is not dimensionally equivalent raises
-    :class:`ContractError` naming the offending parameter.  ``ret=``
-    checks a tagged return value.  The declarations are also extracted
-    statically, where they seed and check *untagged* dataflow — the
-    runtime and static halves enforce the same spec from the same parser.
+    A declaration, not a check: at import every spec must parse and name
+    a real parameter (else ``ValueError``), and the function comes back
+    unchanged, so its calls cost nothing.  The static ``spotunits``
+    analyzer reads the same text from the source and checks every call
+    site, field store and return against it.
     """
-    parsed_kw = {
-        name: _cached_unit(spec)
-        for name, spec in kw_specs.items()
-        if spec not in _SKIP
-    }
-    parsed_ret = _cached_unit(ret) if ret not in _SKIP else None
+    if ret not in _SKIP:
+        _cached_unit(ret)
 
     def decorate(func: _F) -> _F:
-        signature = inspect.signature(func)
-        names = list(signature.parameters)
-        if names and names[0] in ("self", "cls"):
-            names = names[1:]
-        if len(pos_specs) > len(names):
-            raise ValueError(
-                f"{func.__qualname__}: {len(pos_specs)} unit specs for "
-                f"{len(names)} parameters"
-            )
-        spec_map = dict(parsed_kw)
-        for name, spec in zip(names, pos_specs):
-            if spec not in _SKIP:
-                spec_map[name] = _cached_unit(spec)
-        unknown = set(spec_map) - set(signature.parameters)
-        if unknown:
-            raise ValueError(
-                f"{func.__qualname__}: unit specs for unknown parameters "
-                f"{sorted(unknown)}"
-            )
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not _enabled:
-                return func(*args, **kwargs)
-            # Untagged arguments always pass, so a call without one skips
-            # the (comparatively costly) bind.
-            if _any_tagged(args, kwargs):
-                bound = signature.bind(*args, **kwargs)
-                for pname, spec in spec_map.items():
-                    value = bound.arguments.get(pname, None)
-                    if value is None:
-                        continue
-                    _check_unit(func.__qualname__, pname, value, spec)
-            result = func(*args, **kwargs)
-            if parsed_ret is not None and result is not None:
-                _check_unit(func.__qualname__, "<return>", result, parsed_ret)
-            return result
-
-        return wrapper  # type: ignore[return-value]
+        _param_specs(func, "unit", _cached_unit, pos_specs, kw_specs)
+        return func
 
     return decorate
 
@@ -377,35 +299,25 @@ def units(
 def field_units(**specs: str) -> Callable[[type], type]:
     """Declare units for a class's attributes (``@field_units(rates="req/s")``).
 
-    A declaration-first contract: specs are parsed (and therefore
-    validated) at decoration time and stored on the class as
-    ``__unit_fields__``, where the static ``spotunits`` analyzer reads
-    them to give attribute loads (``self.x``, ``obj.x`` for objects of
-    annotated type) known units.  When the class is a dataclass, declared
-    names must name real fields or class attributes — a typo fails at
-    import, not silently.
+    A declaration like :func:`units`: every spec must parse at import,
+    and on a dataclass every name must be a field or class attribute, so
+    a typo fails at import.  The class comes back unchanged; ``spotunits``
+    reads the table from the source to give attribute loads (``self.x``,
+    ``obj.x`` for objects of annotated type) known units.
     """
-    parsed = {name: _cached_unit(spec) for name, spec in specs.items()}
+    for spec in specs.values():
+        _cached_unit(spec)
 
     def decorate(cls: type) -> type:
-        import dataclasses
-
-        known: set[str] | None = None
         if dataclasses.is_dataclass(cls):
             known = {f.name for f in dataclasses.fields(cls)}
-            known.update(
-                name for name in dir(cls) if not name.startswith("__")
-            )
-        if known is not None:
-            unknown = set(parsed) - known
+            known.update(name for name in dir(cls) if not name.startswith("__"))
+            unknown = set(specs) - known
             if unknown:
                 raise ValueError(
                     f"{cls.__qualname__}: unit specs for unknown fields "
                     f"{sorted(unknown)}"
                 )
-        inherited = dict(getattr(cls, "__unit_fields__", {}))
-        inherited.update({name: format_unit(u) for name, u in parsed.items()})
-        cls.__unit_fields__ = inherited
         return cls
 
     return decorate
@@ -428,73 +340,6 @@ def freeze_arrays(obj: Any, *field_names: str) -> None:
         arr = np.asarray(getattr(obj, name), dtype=np.float64)
         arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
-
-
-# --------------------------------------------------------------------------
-# Unit-tagged scalars
-# --------------------------------------------------------------------------
-
-
-class UnitScalar(float):
-    """A float carrying a unit tag; arithmetic degrades to plain float.
-
-    The tag exists to be *checked at seams* with :func:`require_unit`, not
-    to implement dimensional analysis — this keeps the hot path as cheap
-    as ordinary floats.
-    """
-
-    __slots__ = ("unit",)
-
-    def __new__(cls, value: float, unit: str) -> "UnitScalar":
-        obj = super().__new__(cls, value)
-        obj.unit = unit
-        return obj
-
-    def __repr__(self) -> str:
-        return f"{float(self)!r} [{self.unit}]"
-
-
-def usd_per_hour(value: float) -> UnitScalar:
-    """Tag a server price in usd/(server*hr) (the raw market feed unit)."""
-    if value < 0:
-        raise ContractError(f"price must be non-negative, got {value!r}")
-    return UnitScalar(value, "usd/(server*hr)")
-
-
-def usd_per_hour_per_rps(value: float) -> UnitScalar:
-    """Tag a *cleaned* per-request price in usd/(rps*hr)."""
-    if value < 0:
-        raise ContractError(f"per-request price must be non-negative, got {value!r}")
-    return UnitScalar(value, "usd/(rps*hr)")
-
-
-def rps(value: float) -> UnitScalar:
-    """Tag a request rate in req/s."""
-    if value < 0:
-        raise ContractError(f"request rate must be non-negative, got {value!r}")
-    return UnitScalar(value, "req/s")
-
-
-def require_unit(value: float, unit: str) -> float:
-    """Check a tagged scalar's unit at a seam; returns the plain float.
-
-    Untagged plain floats pass through unchecked (the tags are opt-in),
-    but a *mismatched* tag is always an error, even with contracts
-    disabled — unit bugs are never acceptable.  Units compare by parsed
-    dimensional equivalence from the shared grammar, so ``"rps"`` and
-    ``"req/s"`` agree; tags that do not parse fall back to exact string
-    comparison.
-    """
-    if isinstance(value, UnitScalar) and value.unit != unit:
-        try:
-            equivalent = _cached_unit(value.unit).equivalent(
-                _cached_unit(unit)
-            )
-        except ValueError:
-            equivalent = False
-        if not equivalent:
-            raise ContractError(f"expected a value in {unit}, got {value!r}")
-    return float(value)
 
 
 @shapes("(N,)", "(N,)", ret="(N,) f8")

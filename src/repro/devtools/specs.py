@@ -1,10 +1,10 @@
 """The shared shape/dtype and units spec grammars for SpotWeb's contracts.
 
-One grammar, two consumers: :mod:`repro.devtools.contracts` enforces the
-specs at **runtime** on the decorated hot seams, and the static checkers
-(:mod:`repro.devtools.shape` / ``spotshape`` for shapes,
-:mod:`repro.devtools.units` / ``spotunits`` for units of measure) check
-the same specs **statically** as interprocedural call summaries.
+One grammar, two consumers: :mod:`repro.devtools.contracts` parses the
+specs at import (and checks shapes at **runtime** under the test suite),
+and the static checkers (:mod:`repro.devtools.shape` / ``spotshape`` for
+shapes, :mod:`repro.devtools.units` / ``spotunits`` for units of measure)
+check the same specs **statically** as interprocedural call summaries.
 Parsing lives here so the checkers cannot drift apart — a spec either
 means the same thing to both, or it is a parse error for both.
 
@@ -239,13 +239,6 @@ class UnitSpec:
                     10**12
                 )
         return total
-
-    def equivalent(self, other: "UnitSpec") -> bool:
-        """Same dimension vector *and* same net scale."""
-        return (
-            self.dimensions() == other.dimensions()
-            and self.scale() == other.scale()
-        )
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return format_unit(self)

@@ -7,8 +7,8 @@ every value carries a rational-exponent dimension vector over
 ``@units`` and ``@field_units`` declarations
 (:mod:`repro.devtools.contracts`) serve as interprocedural summaries
 (:mod:`repro.devtools.summaries`) — the same spec strings, parsed by the
-same grammar (:mod:`repro.devtools.specs`), that the runtime checker
-enforces.  See :mod:`repro.devtools.units.analyze` for the SW300-series
+same grammar (:mod:`repro.devtools.specs`), that the decorators validate
+at import.  See :mod:`repro.devtools.units.analyze` for the SW300-series
 rule inventory; the driver (:mod:`repro.devtools.check`, ``spotlint``)
 runs it.
 

@@ -83,17 +83,6 @@ _WALL_CLOCK_CALLS = frozenset(
     {"time.time", "time.perf_counter", "time.monotonic"}
 )
 
-#: tagged-scalar constructors from the contracts module: their return
-#: value carries the unit they stamp (both import spellings).
-_TAGGED_HELPERS: dict[str, str] = {}
-for _helper, _unit in (
-    ("usd_per_hour", "usd/(server*hr)"),
-    ("usd_per_hour_per_rps", "usd/(rps*hr)"),
-    ("rps", "req/s"),
-):
-    _TAGGED_HELPERS[f"repro.devtools.contracts.{_helper}"] = _unit
-    _TAGGED_HELPERS[f"repro.devtools.{_helper}"] = _unit
-
 #: dotted constant -> its unit, from the shared registry.
 _CONSTANT_UNITS: dict[str, UnitSpec] = {
     f"repro.units.{name}": parse_unit(unit) for name, unit in UNIT_OF.items()
@@ -472,11 +461,6 @@ class _UnitInterpreter(FunctionInterpreter):
     def external_call(self, resolved: str, node: ast.Call) -> UnitSpec | None:
         if resolved in _WALL_CLOCK_CALLS:
             return _WALL_SECONDS
-        helper_unit = _TAGGED_HELPERS.get(self.table.resolve(resolved))
-        if helper_unit is not None:
-            for arg in node.args:
-                self.eval(arg)
-            return parse_unit(helper_unit)
         return super().external_call(resolved, node)
 
     def method_call(self, func: ast.Attribute, node: ast.Call) -> UnitSpec | None:

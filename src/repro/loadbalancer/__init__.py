@@ -20,13 +20,10 @@ from repro.loadbalancer.wrr import SmoothWeightedRoundRobin
 from repro.loadbalancer.sessions import SessionTable
 from repro.loadbalancer.vanilla import VanillaLoadBalancer
 from repro.loadbalancer.transiency import TransiencyAwareLoadBalancer
-from repro.loadbalancer.stats import BalancerStats, RequestRecord
 
 __all__ = [
     "SmoothWeightedRoundRobin",
     "SessionTable",
     "VanillaLoadBalancer",
     "TransiencyAwareLoadBalancer",
-    "BalancerStats",
-    "RequestRecord",
 ]

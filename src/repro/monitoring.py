@@ -1,8 +1,8 @@
 """SpotWeb's system-monitoring component (Fig. 2).
 
 The monitoring hub aggregates the three feeds the optimizer depends on —
-market prices, revocation probabilities, and application-level statistics
-from the load balancer — performs the data cleaning the paper describes
+market prices, revocation probabilities, and the request rate observed
+at the load balancer — performs the data cleaning the paper describes
 (per-request price conversion), and hands the controller one immutable
 snapshot per interval.
 
@@ -15,7 +15,7 @@ balancer").
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,6 @@ class MonitoringSnapshot:
     per_request_prices: np.ndarray  # (N,) $/hour per req/s — the cleaned feed
     failure_probs: np.ndarray  # (N,)
     observed_rps: float
-    balancer_stats: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         freeze_arrays(self, "prices", "per_request_prices", "failure_probs")
@@ -67,7 +66,6 @@ class MonitoringHub:
         self._prices: np.ndarray | None = None
         self._failure_probs: np.ndarray | None = None
         self._observed_rps: float = 0.0
-        self._balancer_stats: dict[str, float] = {}
         self._snapshots: deque[MonitoringSnapshot] = deque(maxlen=history)
         self._warning_listeners: list[Callable[[int, float], None]] = []
 
@@ -94,9 +92,6 @@ class MonitoringHub:
         if observed_rps < 0:
             raise ValueError("observed_rps must be non-negative")
         self._observed_rps = float(observed_rps)
-
-    def ingest_balancer_stats(self, stats: dict[str, float]) -> None:
-        self._balancer_stats = dict(stats)
 
     # --------------------------------------------------------------- warnings
     def on_warning(self, listener: Callable[[int, float], None]) -> None:
@@ -128,7 +123,6 @@ class MonitoringHub:
                 ),
                 failure_probs=self._failure_probs.copy(),
                 observed_rps=self._observed_rps,
-                balancer_stats=dict(self._balancer_stats),
             )
         self._snapshots.append(snap)
         return snap

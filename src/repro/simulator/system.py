@@ -141,11 +141,6 @@ class SpotWebSystem:
             slo_threshold=self.config.slo_threshold, keep_raw=True
         )
         self.monitor = MonitoringHub(self.markets)
-        # halog-style application statistics: the feed the paper's workload
-        # predictor polls over REST.
-        from repro.loadbalancer.stats import BalancerStats
-
-        self.stats = BalancerStats(window_seconds=self.config.interval_seconds)
         self.balancer = TransiencyAwareLoadBalancer(
             self.recorder,
             reprovision=self._reprovision,
@@ -298,7 +293,6 @@ class SpotWebSystem:
         self.monitor.ingest_prices(self.dataset.prices[t])
         self.monitor.ingest_failure_probs(self.dataset.failure_probs[t])
         self.monitor.ingest_workload(observed)
-        self.monitor.ingest_balancer_stats(self.stats.snapshot())
         snapshot = self.monitor.snapshot(now)
 
         decision = self.controller.step(
@@ -338,11 +332,6 @@ class SpotWebSystem:
     def _arrival(self, rate: float, t_end: float) -> None:
         if self.balancer.dispatch(self.sim.now):
             self._served_this_interval += 1
-            # Coarse accepted-request record; per-request latencies land in
-            # the recorder on completion, the stats hub tracks arrival flow.
-            self.stats.record_served(self.sim.now, -1, 0.0)
-        else:
-            self.stats.record_unserved(self.sim.now)
         gap = float(self._rng.exponential(1.0 / max(rate, 1e-9)))
         if self.sim.now + gap < t_end:
             self.sim.schedule(gap, self._arrival, rate, t_end)

@@ -11,8 +11,8 @@ built from scratch on NumPy/SciPy:
 - :mod:`repro.solvers.structured` — a block-tridiagonal KKT fast path for
   MPO-shaped programs (per-period blocks coupled only by the churn term),
   O(H·N³) factorization instead of the dense path's O((N·H)³).
-- :mod:`repro.solvers.kkt` — KKT residual checks used by tests and by the
-  solver's own termination criteria.
+- :mod:`repro.solvers.kkt` — KKT residual checks; only tests use them
+  (the solver's own termination criteria live in :mod:`repro.solvers.qp`).
 
 Three test oracles are not imported here, because no simulation calls
 them and two of them load ``scipy.optimize``; import them from their

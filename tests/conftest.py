@@ -20,8 +20,8 @@ from repro.simulator.metrics import LatencyRecorder, integer_masses
 from repro.simulator.server import ServerPhase
 from repro.workloads import wikipedia_like
 
-# The runtime contract layer (shape/sign/unit checks at the hot seams) is
-# always active under the test suite, regardless of SPOTWEB_CONTRACTS.
+# The runtime shape/sign checks at the hot seams start off in every
+# process; the test suite runs with them on.
 set_contracts(True)
 
 

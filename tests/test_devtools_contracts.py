@@ -1,4 +1,5 @@
-"""Tests for the runtime contract layer (shapes, nonneg, units, freezing)."""
+"""Tests for the contracts: runtime shape/sign checks, unit declarations,
+freezing."""
 
 from __future__ import annotations
 
@@ -7,19 +8,13 @@ import pytest
 
 from repro.devtools.contracts import (
     ContractError,
-    UnitScalar,
-    contracts_enabled,
     field_units,
     freeze_arrays,
     nonneg,
     per_request_prices,
-    require_unit,
-    rps,
     set_contracts,
     shapes,
     units,
-    usd_per_hour,
-    usd_per_hour_per_rps,
 )
 
 
@@ -109,8 +104,7 @@ def test_shapes_is_a_noop_when_disabled():
     def f(v):
         return "ran"
 
-    set_contracts(False)
-    assert not contracts_enabled()
+    assert set_contracts(False) is True
     assert f(np.ones((2, 2))) == "ran"
 
 
@@ -217,9 +211,8 @@ def test_declared_contracts_roundtrip_to_static_summaries(tmp_path):
         assert format_spec(parse_spec(spec)) == spec
 
 
-def test_importing_contracts_loads_no_analyzer():
-    # Every simulation module imports the runtime contracts; the lint
-    # rules and the static analyzers load only when the driver runs.
+def _run_child(code: str, **env: str) -> str:
+    """Run ``code`` in a fresh interpreter, outside pytest; its stdout."""
     import os
     import subprocess
     import sys
@@ -227,14 +220,9 @@ def test_importing_contracts_loads_no_analyzer():
 
     import repro
 
-    code = (
-        "import sys\n"
-        "import repro.devtools.contracts\n"
-        "print(sorted(m for m in sys.modules if m.startswith('repro.devtools')))\n"
-    )
     # The child imports the same repro as this process.
     path = [str(Path(repro.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p), **env)
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -242,9 +230,32 @@ def test_importing_contracts_loads_no_analyzer():
         check=True,
         env=env,
     )
-    assert out.stdout.strip() == str(
+    return out.stdout.strip()
+
+
+def test_importing_contracts_loads_no_analyzer():
+    # Every simulation module imports the contracts; the lint rules and
+    # the static analyzers load only when the driver runs.
+    code = (
+        "import sys\n"
+        "import repro.devtools.contracts\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.devtools')))\n"
+    )
+    assert _run_child(code) == str(
         ["repro.devtools", "repro.devtools.contracts", "repro.devtools.specs"]
     )
+
+
+def test_checks_start_off_outside_the_test_suite():
+    # Only set_contracts switches the checks: a process outside pytest
+    # runs them off, whatever its environment says.
+    code = (
+        "import numpy as np\n"
+        "from repro.devtools.contracts import set_contracts, shapes\n"
+        "f = shapes('(N,)')(lambda v: 'ran')\n"
+        "print(f(np.ones((2, 2))), set_contracts(True))\n"
+    )
+    assert _run_child(code, SPOTWEB_CONTRACTS="1").split() == ["ran", "False"]
 
 
 # ------------------------------------------------------------------- nonneg
@@ -284,91 +295,27 @@ def test_freeze_arrays_makes_fields_readonly():
         box.data[0] = 9.0
 
 
-# -------------------------------------------------------------------- units
-def test_unit_scalars_tag_and_check():
-    price = usd_per_hour(0.123)
-    assert float(price) == pytest.approx(0.123)
-    assert price.unit == "usd/(server*hr)"
-    assert require_unit(price, "usd/(server*hr)") == pytest.approx(0.123)
-    # Equivalence is grammatical, not string equality.
-    assert require_unit(price, "usd/hr/server") == pytest.approx(0.123)
-    with pytest.raises(ContractError):
-        require_unit(price, "usd/(rps*hr)")
-    # Plain floats pass through: tags are opt-in.
-    assert require_unit(0.5, "usd/(server*hr)") == 0.5
-
-
-def test_unit_mismatch_raises_even_with_contracts_disabled():
-    set_contracts(False)
-    with pytest.raises(ContractError):
-        require_unit(rps(100.0), "usd/(server*hr)")
-
-
-def test_unit_helpers_reject_negative_values():
-    for helper in (usd_per_hour, usd_per_hour_per_rps, rps):
-        with pytest.raises(ContractError):
-            helper(-1.0)
-
-
-def test_unit_arithmetic_degrades_to_float():
-    total = usd_per_hour(0.1) * 3
-    assert not isinstance(total, UnitScalar)
-    assert total == pytest.approx(0.3)
-
-
-# ---------------------------------------------------- the @units decorator
-def test_units_checks_tagged_arguments_by_equivalence():
-    @units("req/s", "usd/(server*hr)", ret="usd")
-    def cost(rate, price):
-        return float(rate) * float(price)
-
-    # Tagged values with equivalent spellings pass; "rps" is "req/s".
-    assert cost(rps(100.0), usd_per_hour(0.1)) == pytest.approx(10.0)
-    # A tagged value in the wrong unit names the offending parameter.
-    with pytest.raises(ContractError, match="'rate'"):
-        cost(usd_per_hour(0.1), usd_per_hour(0.1))
-    # Untagged plain floats carry no unit evidence and pass.
-    assert cost(100.0, 0.1) == pytest.approx(10.0)
-
-
-def test_units_checks_tagged_return_values():
-    @units(None, ret="usd/(rps*hr)")
-    def lies(value):
-        return usd_per_hour(value)  # tagged usd/(server*hr), not per-rps
-
-    with pytest.raises(ContractError, match="<return>"):
-        lies(0.25)
-
-
+# ------------------------------------------------- the unit declarations
 def test_units_methods_skip_self_and_keyword_specs_bind_by_name():
     class Biller:
         @units("hr", price="usd/(server*hr)")
         def bill(self, hours, price):
             return float(hours) * float(price)
 
-    biller = Biller()
-    assert biller.bill(2.0, usd_per_hour(0.5)) == pytest.approx(1.0)
-    with pytest.raises(ContractError, match="'price'"):
-        biller.bill(2.0, price=rps(0.5))
+    assert Biller().bill(2.0, 0.5) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="3 unit specs for 2 parameters"):
 
+        class Overfull:
+            @units("hr", "usd/(server*hr)", "s")
+            def bill(self, hours, price):
+                return hours
 
-def test_units_checks_a_tagged_argument_among_untagged_ones():
-    # Calls with no tagged argument skip binding; one tagged argument,
-    # positional or keyword, still gets its spec checked, and the return
-    # check runs for untagged calls too.
-    @units("req/s", "s", ret="usd")
-    def f(rate, window, out=None):
-        return out
+    with pytest.raises(ValueError, match="unknown parameters"):
 
-    assert f(100.0, 2.0) is None
-    with pytest.raises(ContractError, match="'window'"):
-        f(100.0, rps(2.0))
-    with pytest.raises(ContractError, match="'window'"):
-        f(100.0, window=rps(2.0))
-    with pytest.raises(ContractError, match="<return>"):
-        f(100.0, 2.0, out=rps(1.0))
-    with pytest.raises(TypeError):
-        f(100.0)
+        class Misnamed:
+            @units("hr", prices="usd/(server*hr)")
+            def bill(self, hours, price):
+                return hours
 
 
 def test_units_decoration_time_validation():
@@ -390,26 +337,35 @@ def test_units_decoration_time_validation():
         def three(x):
             return x
 
+    with pytest.raises(ValueError):  # so must the return spec
+
+        @units("s", ret="furlongs")
+        def four(x):
+            return x
+
 
 def test_units_is_a_noop_when_disabled():
-    @units("req/s")
-    def f(rate):
-        return float(rate)
+    # A declaration, not a check: the function itself comes back whether
+    # the runtime checks are on or off, so its calls pay nothing.
+    def rate(requests, window):
+        return requests / window
 
+    assert units("req", window="s", ret="req/s")(rate) is rate
     set_contracts(False)
-    assert f(usd_per_hour(1.0)) == 1.0  # wrong tag, but checks are off
+    assert units("req", window="s", ret="req/s")(rate) is rate
 
 
 def test_field_units_records_and_validates_declarations():
     import dataclasses
 
-    @field_units(rate="req/s", width="s/interval")
     @dataclasses.dataclass
     class Obs:
         rate: float
         width: float
 
-    assert Obs.__unit_fields__ == {"rate": "req/s", "width": "s/interval"}
+    before = dict(vars(Obs))
+    assert field_units(rate="req/s", width="s/interval")(Obs) is Obs
+    assert dict(vars(Obs)) == before  # the source is the only record
 
     with pytest.raises(ValueError):  # a typo'd field fails at import time
 
@@ -418,18 +374,58 @@ def test_field_units_records_and_validates_declarations():
         class Typo:
             rate: float
 
+    with pytest.raises(ValueError):  # an unparseable spec fails likewise
 
-def test_field_units_inherits_and_overrides():
-    @field_units(t="s")
-    class Base:
-        pass
+        @field_units(rate="furlongs")
+        class Unparsed:
+            pass
 
-    @field_units(t="ms", cost="usd")
-    class Derived(Base):
-        pass
 
-    assert Base.__unit_fields__ == {"t": "s"}
-    assert Derived.__unit_fields__ == {"t": "ms", "cost": "usd"}
+def test_unit_declarations_in_src_leave_their_objects_unchanged():
+    # Walk spotunits' contract table for src/: every @units function is
+    # the undecorated function once its runtime @shapes/@nonneg checks
+    # are peeled off, and every @field_units class carries no table.
+    import ast
+    import importlib
+    import inspect
+    from pathlib import Path
+
+    import repro
+    from repro.devtools.rules import ModuleContext, module_name_for
+    from repro.devtools.units.analyze import summarize
+
+    def probe(v):
+        return v
+
+    runtime_checks = {shapes()(probe).__code__, nonneg()(probe).__code__}
+
+    def resolve(module: str, qualname: str):
+        obj = importlib.import_module(module)
+        for part in qualname.split("."):
+            obj = inspect.getattr_static(obj, part)
+        return obj
+
+    functions = classes = 0
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        module = module_name_for(path)
+        ctx = ModuleContext(path, module, ast.parse(path.read_text()))
+        declared = summarize(ctx)
+        for contract in declared.contracts:
+            fn = resolve(module, contract.qualname)
+            if isinstance(fn, property):
+                fn = fn.fget
+            while fn.__code__ in runtime_checks:
+                fn = fn.__wrapped__
+            assert inspect.isfunction(fn), contract.function
+            assert fn.__qualname__ == contract.qualname, contract.function
+            assert not hasattr(fn, "__wrapped__"), contract.function
+            functions += 1
+        for table in declared.classes:
+            cls = resolve(module, table.qualname)
+            assert inspect.isclass(cls), table.cls
+            assert not hasattr(cls, "__unit_fields__"), table.cls
+            classes += 1
+    assert functions and classes
 
 
 def test_per_request_prices_conversion():

@@ -1,6 +1,6 @@
 """Tests for the shared spec grammars (``repro.devtools.specs``).
 
-Each grammar has two consumers — the runtime contracts and a static
+Each grammar has two consumers — the contract decorators and a static
 checker (spotshape for shapes, spotunits for units of measure) — so
 parse/format behavior is pinned down here once.
 """
@@ -123,10 +123,16 @@ def test_unit_dimensions_and_scales_are_exact():
 
 
 def test_unit_equivalence_requires_dims_and_scale():
-    assert parse_unit("rps").equivalent(parse_unit("req/s"))
-    assert parse_unit("kreq/s").equivalent(parse_unit("req/ms"))  # both 1000x
-    assert not parse_unit("s").equivalent(parse_unit("hr"))
-    assert not parse_unit("s").equivalent(parse_unit("wall_s"))
+    # spotunits' mismatch ladder is the one judge of equivalence.
+    from repro.devtools.units.domain import classify_mismatch
+
+    def grade(a: str, b: str) -> str | None:
+        return classify_mismatch(parse_unit(a), parse_unit(b))
+
+    assert grade("rps", "req/s") is None
+    assert grade("kreq/s", "req/ms") is None  # both 1000x
+    assert grade("s", "hr") == "SW303"
+    assert grade("s", "wall_s") == "SW302"
     for alias, expansion in UNIT_ALIASES.items():
         assert parse_unit(alias) == parse_unit(expansion)
 
