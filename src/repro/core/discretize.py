@@ -81,7 +81,7 @@ def refine_counts(
     # Greedy trim: drop servers whose removal keeps the target covered,
     # most expensive waste first.
     order = np.argsort(-prices)
-    for j in order:
+    for j in order:  # spotlint: disable=SW204 -- sequential trim: deployed updates each step
         while counts[j] > 0 and deployed - capacities[j] >= target_rps - 1e-9:
             counts[j] -= 1
             deployed -= capacities[j]

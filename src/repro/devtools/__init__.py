@@ -12,8 +12,8 @@ directions:
   symbolic array shapes (:mod:`repro.devtools.shape`) and units of
   measure (:mod:`repro.devtools.units`).  Run it with
   ``python -m repro.devtools src/ tests/ --exclude tests/fixtures`` or the
-  ``spotlint`` console script; CI gates on no findings beyond the
-  committed ``spotlint-baseline.json``.
+  ``spotlint`` console script; CI gates on zero findings, and a finding
+  kept on purpose carries a ``# spotlint: disable=SWxxx`` comment.
 - :mod:`repro.devtools.contracts` — the contracts those analyzers read
   at the hot seams: ``@shapes`` and ``@nonneg`` also check each call
   while switched on (the test suite switches them on; every other

@@ -5,13 +5,12 @@ Usage::
     python -m repro.devtools src/ tests/ --exclude tests/fixtures   # the gate
     spotlint src/ --select SW101,SW102,SW103     # the layering rules only
     spotlint src/ --format json                  # spotweb-findings/1
-    spotlint src/ tests/ --exclude tests/fixtures --update-baseline
     spotlint --layers
     spotlint --list-rules
 
-Exit status is 0 when no new (non-baselined) finding remains, 1 when
-findings remain, 2 on usage errors.  Findings print as
-``path:line:col: SWxxx message`` so they are clickable in editors.
+Exit status is 0 when no finding remains, 1 when findings remain, 2 on
+usage errors.  Findings print as ``path:line:col: SWxxx message`` so they
+are clickable in editors.
 
 The analyzers
 -------------
@@ -23,10 +22,10 @@ analyzer runs only when one of its rules survives ``--select`` and
 ``--ignore``.
 
 Everything else happens here, once for all four: discover the files,
-read, hash and parse each file once, scan its ``# spotlint:`` comments,
-keep the cache, report ``SW000`` (unreadable or unparseable file) and
-``SW009`` (a suppression naming a rule id no analyzer owns), apply
-suppressions, the rule filter and the baseline, and print the report.
+read and parse each file once, scan its ``# spotlint:`` comments, report
+``SW000`` (unreadable or unparseable file) and ``SW009`` (a suppression
+naming a rule id no analyzer owns), apply suppressions and the rule
+filter, and print the report.  Each run reads only the tree.
 
 Comment grammar
 ---------------
@@ -40,42 +39,30 @@ Comment grammar
     # spotlint: allow-nondeterminism
     # spotlint: allow-shared-state
 
-A suppression may name any analyzer's rule.
-
-Cache
------
-``.spotlint-cache.json`` holds, per file and keyed by its path, content
-hash and module name, each cached analyzer's pass A (graph facts, shape
-and units contract summaries).  The per-file pass B of shape and units
-(the interpreter) is kept too, keyed additionally by the digest of the
-whole summary table, so editing a contract in one file re-analyzes every
-file.  Lint is not cached: SW007 on a package ``__init__.py`` reads its
-directory listing, which no content key captures.
+A suppression may name any analyzer's rule.  A finding the code keeps on
+purpose is accepted by a ``disable`` comment on its line, with the
+reason next to it.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import hashlib
 import io
-import json
 import re
 import sys
 import tokenize
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
-from repro.devtools.baseline import load_baseline, split_findings, write_baseline
 from repro.devtools.graph import GRAPH_RULES, analyze_project, render_layer_map
-from repro.devtools.graph.facts import ModuleFacts, Project, extract_module_facts
+from repro.devtools.graph.facts import Project, extract_module_facts
 from repro.devtools.lint import lint_module
 from repro.devtools.report import render_json, sort_findings
 from repro.devtools.rules import RULES, Finding, ModuleContext, module_name_for
 from repro.devtools.shape import analyze as shape
-from repro.devtools.summaries import ContractTable, ModuleContracts
+from repro.devtools.summaries import ContractTable
 from repro.devtools.units import analyze as units
 
 __all__ = [
@@ -96,32 +83,22 @@ ENGINE_RULES = {
     "SW009": "suppression comment references an unknown rule id",
 }
 
-# Bump whenever a cached pass changes its output: older entries are dropped.
-CACHE_SCHEMA = "spotlint-cache/2"
-
 
 @dataclass(frozen=True)
 class Analyzer:
     """One analyzer's own logic; :func:`analyze` does everything else.
 
-    ``summarize`` is pass A: one file's JSON facts, cached per file.
-    ``link`` joins every file's pass-A facts into one table, which
-    ``check_program`` (whole-program passes) or ``check_file`` (one file
-    at a time) checks.  ``check_file`` results are cached as well when
-    ``digest`` keys them by the whole table.
+    ``summarize`` is pass A: one file's facts.  ``link`` joins every
+    file's pass-A facts into one table, which ``check_program``
+    (whole-program passes) or ``check_file`` (one file at a time) checks.
     """
 
     name: str
     rules: Mapping[str, str]
     check_file: Callable[[ModuleContext, object], list[Finding]] | None = None
-    summarize: Callable[[ModuleContext], dict] | None = None
-    link: Callable[[list[dict]], object] | None = None
+    summarize: Callable[[ModuleContext], object] | None = None
+    link: Callable[[list], object] | None = None
     check_program: Callable[[object], list[Finding]] | None = None
-    digest: Callable[[object], str] | None = None
-
-
-def _link_contracts(facts: list[dict]) -> ContractTable:
-    return ContractTable(ModuleContracts.from_dict(f) for f in facts)
 
 
 ANALYZERS = (
@@ -133,25 +110,23 @@ ANALYZERS = (
     Analyzer(
         "graph",
         GRAPH_RULES,
-        summarize=lambda ctx: extract_module_facts(ctx).to_dict(),
-        link=lambda facts: Project(ModuleFacts.from_dict(f) for f in facts),
+        summarize=extract_module_facts,
+        link=Project,
         check_program=analyze_project,
     ),
     Analyzer(
         "shape",
         shape.SHAPE_RULES,
-        summarize=lambda ctx: shape.summarize(ctx).to_dict(),
-        link=_link_contracts,
+        summarize=shape.summarize,
+        link=ContractTable,
         check_file=shape.analyze_module,
-        digest=ContractTable.digest,
     ),
     Analyzer(
         "units",
         units.UNIT_RULES,
-        summarize=lambda ctx: units.summarize(ctx).to_dict(),
-        link=_link_contracts,
+        summarize=units.summarize,
+        link=ContractTable,
         check_file=units.analyze_module,
-        digest=ContractTable.digest,
     ),
 )
 
@@ -291,24 +266,15 @@ def scan_comments(source: str) -> Comments:
 
 
 class _Source:
-    """One file, read and hashed once; parsed and scanned on first use."""
+    """One file, scanned for ``# spotlint:`` comments and parsed; raises
+    :class:`SyntaxError`."""
 
     def __init__(self, path: Path, text: str) -> None:
         self.path = path
-        self.text = text
-        self.sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        self.module = module_name_for(path)
-
-    @cached_property
-    def comments(self) -> Comments:
-        return scan_comments(self.text)
-
-    @cached_property
-    def ctx(self) -> ModuleContext:
-        """The parsed module; raises :class:`SyntaxError`."""
-        tree = ast.parse(self.text, filename=str(self.path))
+        self.comments = scan_comments(text)
+        tree = ast.parse(text, filename=str(path))
         annotations = self.comments.annotations
-        return ModuleContext(self.path, self.module, tree, annotations)
+        self.ctx = ModuleContext(path, module_name_for(path), tree, annotations)
 
 
 # --------------------------------------------------------------------------
@@ -316,42 +282,14 @@ class _Source:
 # --------------------------------------------------------------------------
 
 
-def _load_cache(cache_path: Path | None) -> dict:
-    if cache_path is None or not cache_path.exists():
-        return {}
-    try:
-        data = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return {}
-    if not isinstance(data, dict) or data.get("schema") != CACHE_SCHEMA:
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(cache_path: Path | None, files: dict) -> None:
-    if cache_path is None:
-        return
-    payload = {"schema": CACHE_SCHEMA, "files": files}
-    try:
-        text = json.dumps(payload, sort_keys=True)
-        cache_path.write_text(text, encoding="utf-8")
-    except OSError:
-        return  # a read-only checkout must not fail the run
-
-
 def _run(
     paths: Iterable[Path | str],
     exclude: Iterable[Path | str],
     analyzers: Iterable[Analyzer],
-    cache_path: Path | str | None,
-    stats: dict | None,
 ) -> tuple[list[Finding], list[_Source], dict[str, object]]:
     """Run ``analyzers``: (unsuppressed findings, parsed files, tables)."""
-    cache_file = Path(cache_path) if cache_path is not None else None
-    cached = _load_cache(cache_file)
     findings: list[Finding] = []
-    files: list[tuple[_Source, dict]] = []
+    files: list[_Source] = []
     for path in iter_python_files(paths, exclude=exclude):
         try:
             src = _Source(path, path.read_text(encoding="utf-8"))
@@ -359,64 +297,25 @@ def _run(
             message = f"unreadable file: {exc}"
             findings.append(Finding("SW000", str(path), 1, 0, message))
             continue
-        entry = cached.get(str(path))
-        if (
-            not isinstance(entry, dict)
-            or entry.get("sha256") != src.sha256
-            or entry.get("module") != src.module
-        ):
-            # Only parseable files get an entry, so a hit needs no parse.
-            try:
-                src.ctx
-            except SyntaxError as exc:
-                message = f"syntax error: {exc.msg}"
-                line, col = exc.lineno or 1, exc.offset or 0
-                findings.append(Finding("SW000", str(path), line, col, message))
-                continue
-            entry = {"sha256": src.sha256, "module": src.module}
-        files.append((src, entry))
+        except SyntaxError as exc:
+            message = f"syntax error: {exc.msg}"
+            line, col = exc.lineno or 1, exc.offset or 0
+            findings.append(Finding("SW000", str(path), line, col, message))
+            continue
+        files.append(src)
 
     tables: dict[str, object] = {}
     for analyzer in analyzers:
         table = None
-        recomputed: set[Path] = set()  # files a cached pass had to redo
         if analyzer.summarize is not None:
-            facts = []
-            for src, entry in files:
-                slot = entry.setdefault(analyzer.name, {})
-                if "facts" not in slot:
-                    slot["facts"] = analyzer.summarize(src.ctx)
-                    recomputed.add(src.path)
-                facts.append(slot["facts"])
+            facts = [analyzer.summarize(src.ctx) for src in files]
             table = tables[analyzer.name] = analyzer.link(facts)
         if analyzer.check_program is not None:
             findings.extend(analyzer.check_program(table))
         if analyzer.check_file is not None:
-            digest = analyzer.digest(table) if analyzer.digest else None
-            for src, entry in files:
-                slot = entry.get(analyzer.name, {})
-                if digest is not None and slot.get("digest") == digest:
-                    findings.extend(
-                        Finding(rule, str(src.path), line, col, message)
-                        for rule, line, col, message in slot["findings"]
-                    )
-                    continue
-                found = analyzer.check_file(src.ctx, table)
-                findings.extend(found)
-                if digest is not None:
-                    recomputed.add(src.path)
-                    slot["digest"] = digest
-                    slot["findings"] = [
-                        [f.rule, f.line, f.col, f.message] for f in found
-                    ]
-        if stats is not None and analyzer.summarize is not None:
-            stats[analyzer.name] = {
-                "cached": len(files) - len(recomputed),
-                "analyzed": len(recomputed),
-            }
-
-    _save_cache(cache_file, {str(src.path): entry for src, entry in files})
-    return findings, [src for src, _ in files], tables
+            for src in files:
+                findings.extend(analyzer.check_file(src.ctx, table))
+    return findings, files, tables
 
 
 def analyze(
@@ -425,15 +324,11 @@ def analyze(
     exclude: Iterable[Path | str] = (),
     select: set[str] | None = None,
     ignore: set[str] | None = None,
-    cache_path: Path | str | None = None,
-    stats: dict | None = None,
 ) -> list[Finding]:
     """Every finding under ``paths``, suppressed and filtered, sorted.
 
     ``select``/``ignore`` are rule-id sets (``None``: no filter); an
-    analyzer none of whose rules is left does not run.  ``cache_path=None``
-    disables the cache; ``stats`` (when given) receives each cached
-    analyzer's ``cached``/``analyzed`` file counts.
+    analyzer none of whose rules is left does not run.
     """
 
     def keep(rule_id: str) -> bool:
@@ -442,7 +337,7 @@ def analyze(
         )
 
     active = [a for a in ANALYZERS if any(keep(rule) for rule in a.rules)]
-    findings, files, _ = _run(paths, exclude, active, cache_path, stats)
+    findings, files, _ = _run(paths, exclude, active)
     for src in files if keep("SW009") else ():
         for line, rule_id in src.comments.references:
             if rule_id not in RULE_TABLE and rule_id != "ALL":
@@ -511,26 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (json: spotweb-findings/1)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default="spotlint-baseline.json",
-        help="accepted-findings file (missing file = empty baseline)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="accept all current findings into --baseline and exit 0",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        default=".spotlint-cache.json",
-        help="analysis cache file",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the cache"
-    )
-    parser.add_argument(
         "--layers",
         action="store_true",
         help="print the declared layer map (plus observed deps) and exit",
@@ -551,10 +426,9 @@ def main(argv: list[str] | None = None) -> int:
         for rule_id, summary in RULE_TABLE.items():
             print(f"{rule_id}  {summary}")
         return 0
-    cache_path = None if args.no_cache else args.cache
     if args.layers:
         graph = [a for a in ANALYZERS if a.name == "graph"]
-        _, _, tables = _run(args.paths, args.exclude, graph, cache_path, None)
+        _, _, tables = _run(args.paths, args.exclude, graph)
         print(render_layer_map(tables["graph"]))
         return 0
 
@@ -567,50 +441,16 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.update_baseline and (select is not None or ignore is not None):
-        # A filtered update would overwrite the baseline with only the
-        # selected subset, un-accepting every other grandfathered finding.
-        print(
-            "spotlint: --update-baseline cannot be combined with "
-            "--select/--ignore; the baseline must cover the unfiltered "
-            "finding set",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        baseline = set() if args.update_baseline else load_baseline(args.baseline)
-    except ValueError as exc:
-        print(f"spotlint: {exc}", file=sys.stderr)
-        return 2
 
-    stats: dict = {}
-    findings = analyze(
-        args.paths,
-        exclude=args.exclude,
-        select=select,
-        ignore=ignore,
-        cache_path=cache_path,
-        stats=stats,
-    )
-    if args.update_baseline:
-        write_baseline(args.baseline, findings)
-        print(
-            f"spotlint: baseline updated with {len(findings)} finding(s) "
-            f"-> {args.baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    new, accepted = split_findings(findings, baseline)
+    findings = analyze(args.paths, exclude=args.exclude, select=select, ignore=ignore)
     if args.format == "json":
-        print(render_json(new, extra={"baselined": len(accepted), "cache": stats}))
+        print(render_json(findings))
     elif not args.quiet:
-        for finding in new:
+        for finding in findings:
             print(finding.format())
-    suffix = f" ({len(accepted)} baselined)" if accepted else ""
-    if new:
-        print(f"spotlint: {len(new)} new finding(s){suffix}", file=sys.stderr)
+    if findings:
+        print(f"spotlint: {len(findings)} finding(s)", file=sys.stderr)
         return 1
     if not args.quiet and args.format == "text":
-        print(f"spotlint: clean{suffix}")
+        print("spotlint: clean")
     return 0

@@ -2,9 +2,8 @@
 
 The whole-program passes in :mod:`repro.devtools.graph` (layering, taint,
 purity) never touch the AST directly — they run over :class:`ModuleFacts`
-records extracted here, one per file.  Facts are JSON-serializable on
-purpose: the driver (:mod:`repro.devtools.check`) caches them by file
-content, so a re-run only re-parses the files that changed.
+records extracted here, one per file, which the driver
+(:mod:`repro.devtools.check`) links into one :class:`Project`.
 
 Extracted per module:
 
@@ -150,7 +149,7 @@ class FunctionFacts:
 
 @dataclass(frozen=True)
 class ModuleFacts:
-    """The per-file extraction result (JSON-serializable, cacheable)."""
+    """The per-file extraction result."""
 
     path: str
     module: str | None
@@ -160,78 +159,6 @@ class ModuleFacts:
     export_aliases: dict[str, str] = field(default_factory=dict)
     annotations: tuple[str, ...] = ()
     pmap_dispatches: tuple[PmapDispatch, ...] = ()
-
-    # ------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "imports": [[e.target, e.line, e.typing_only] for e in self.imports],
-            "functions": [
-                {
-                    "qualname": f.qualname,
-                    "line": f.line,
-                    "col": f.col,
-                    "calls": [[c.target, c.line, c.col] for c in f.calls],
-                    "rng_calls": [
-                        [r.line, r.col, r.seeded, r.literal_seed,
-                         r.uses_derive_seed]
-                        for r in f.rng_calls
-                    ],
-                    "global_accesses": [
-                        [g.name, g.line, g.col, g.kind]
-                        for g in f.global_accesses
-                    ],
-                    "unordered_iters": [
-                        [u.line, u.col, u.desc] for u in f.unordered_iters
-                    ],
-                    "annotations": list(f.annotations),
-                    "allow_lines": list(f.allow_lines),
-                }
-                for f in self.functions
-            ],
-            "mutable_globals": list(self.mutable_globals),
-            "export_aliases": dict(self.export_aliases),
-            "annotations": list(self.annotations),
-            "pmap_dispatches": [
-                [d.worker, d.line, d.col, d.detail] for d in self.pmap_dispatches
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleFacts":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            imports=tuple(ImportEdge(t, ln, ty) for t, ln, ty in data["imports"]),
-            functions=tuple(
-                FunctionFacts(
-                    qualname=f["qualname"],
-                    line=f["line"],
-                    col=f["col"],
-                    calls=tuple(CallSite(t, ln, c) for t, ln, c in f["calls"]),
-                    rng_calls=tuple(
-                        RngCall(ln, c, s, lit, d) for ln, c, s, lit, d in f["rng_calls"]
-                    ),
-                    global_accesses=tuple(
-                        GlobalAccess(n, ln, c, k)
-                        for n, ln, c, k in f["global_accesses"]
-                    ),
-                    unordered_iters=tuple(
-                        UnorderedIter(ln, c, d) for ln, c, d in f["unordered_iters"]
-                    ),
-                    annotations=tuple(f["annotations"]),
-                    allow_lines=tuple(f["allow_lines"]),
-                )
-                for f in data["functions"]
-            ),
-            mutable_globals=tuple(data["mutable_globals"]),
-            export_aliases=dict(data["export_aliases"]),
-            annotations=tuple(data["annotations"]),
-            pmap_dispatches=tuple(
-                PmapDispatch(w, ln, c, d) for w, ln, c, d in data["pmap_dispatches"]
-            ),
-        )
 
 
 # --------------------------------------------------------------------------

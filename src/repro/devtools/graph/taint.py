@@ -24,9 +24,6 @@ are annotated ``# spotlint: allow-nondeterminism`` — on a source call's
 line it excuses that call, on a ``def`` it makes the whole function an
 accepted seam that neither reports nor propagates taint.
 
-Messages deliberately contain no line numbers so baseline fingerprints
-survive unrelated edits to the same file.
-
 Rules
 -----
 - ``SW110`` — deterministic scope transitively reaches a nondeterminism
@@ -67,7 +64,6 @@ DETERMINISTIC_PREFIXES: tuple[str, ...] = (
     "repro.baselines",
     "repro.bench.report",
     "repro.core",
-    "repro.devtools.baseline",
     "repro.devtools.interp",
     "repro.devtools.names",
     "repro.devtools.shape",

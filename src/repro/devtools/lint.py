@@ -1,10 +1,9 @@
 """The lint analyzer: every :mod:`repro.devtools.rules` rule, file by file.
 
 Each rule sees one parsed module at a time, so this analyzer has no
-whole-program pass and nothing to cache (SW007 on a package
-``__init__.py`` also reads its directory listing, which no per-file
-content key would capture).  File discovery, suppression comments, rule
-selection, the baseline and reporting belong to the one driver,
+whole-program pass (SW007 on a package ``__init__.py`` also reads its
+directory listing).  File discovery, suppression comments, rule
+selection and reporting belong to the one driver,
 :mod:`repro.devtools.check`.
 """
 

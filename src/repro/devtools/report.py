@@ -5,7 +5,7 @@ driver prints them as text, one ``path:line:col: RULE message`` line per
 finding (:meth:`Finding.format`: clickable in editors, greppable in CI
 logs), or as the schema-tagged JSON report built here
 (``spotweb-findings/1``, the same convention as the ``BENCH_*.json``
-baselines and ``spotweb-trace/1``), uploaded as a CI artifact.
+files and ``spotweb-trace/1``), uploaded as a CI artifact.
 
 Findings are always serialized in the canonical order
 ``(path, line, col, rule)`` regardless of the order they were produced,
@@ -33,8 +33,8 @@ def sort_findings(findings: Iterable[Finding]) -> list[Finding]:
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
 
 
-def render_json(findings: Iterable[Finding], *, extra: dict) -> str:
-    """The ``spotweb-findings/1`` report of one run, plus ``extra`` keys."""
+def render_json(findings: Iterable[Finding]) -> str:
+    """The ``spotweb-findings/1`` report of one run."""
     ordered = sort_findings(findings)
     payload = {
         "schema": FINDINGS_SCHEMA,
@@ -50,6 +50,5 @@ def render_json(findings: Iterable[Finding], *, extra: dict) -> str:
             }
             for f in ordered
         ],
-        **extra,
     }
     return json.dumps(payload, indent=2, sort_keys=True)

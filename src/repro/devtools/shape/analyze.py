@@ -25,8 +25,8 @@ Rule inventory
   (``for x in arr`` / ``for i in range(len(arr))``): the interpreter
   overhead NumPy vectorization exists to avoid.
 
-Parsing, suppression comments, the ``SW000``/``SW009`` engine rules and
-the two-pass cache belong to the driver, :mod:`repro.devtools.check`.
+Parsing, suppression comments and the ``SW000``/``SW009`` engine rules
+belong to the driver, :mod:`repro.devtools.check`.
 """
 
 from __future__ import annotations

@@ -5,31 +5,29 @@ records the contracts declared with :mod:`repro.devtools.contracts`:
 
 - per function, a :class:`Contract` — the parameter and return specs of
   its ``@shapes`` or ``@units`` decorator;
-- per class, a :class:`FieldTable` — its ``@field_units`` declarations.
+- per class, a :class:`FieldTable` — its ``@field_units`` declarations —
+  and, for units, a :class:`ClassDefs` — the attributes it defines.
 
 Pass B (the interpreters in :mod:`repro.devtools.interp`) looks them up
 in the linked :class:`ContractTable`: a contract seeds its function's
 environment, checks each call site and gives the call its value.  The
 two analyzers differ only in the decorator names and the spec grammar
 handed to :func:`extract_contracts` (``parse_spec`` or ``parse_unit``).
-
-Records serialize to JSON as the original spec *strings* (both grammars
-in :mod:`repro.devtools.specs` round-trip), which keeps the cache file
-human-readable and the table digest stable.
+Records keep the original spec *strings*; each interpreter parses them
+with its grammar from :mod:`repro.devtools.specs`.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.devtools.names import follow_reexports
 from repro.devtools.rules import ModuleContext
 
 __all__ = [
+    "ClassDefs",
     "Contract",
     "ContractTable",
     "FieldTable",
@@ -63,6 +61,15 @@ class FieldTable:
 
 
 @dataclass(frozen=True)
+class ClassDefs:
+    """The attributes one class defines itself, and the bases it names."""
+
+    cls: str
+    bases: tuple[str | None, ...]  # dotted; None where a base does not resolve
+    names: frozenset[str]
+
+
+@dataclass(frozen=True)
 class ModuleContracts:
     """Pass-A output for one file: contracts, class tables, re-exports."""
 
@@ -71,31 +78,7 @@ class ModuleContracts:
     contracts: tuple[Contract, ...]
     classes: tuple[FieldTable, ...] = ()
     exports: dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleContracts":
-        def pairs(items) -> tuple[tuple[str, str], ...]:
-            return tuple((name, spec) for name, spec in items)
-
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            contracts=tuple(
-                Contract(
-                    c["function"], c["qualname"], c["line"], tuple(c["args"]),
-                    pairs(c["params"]), c["ret"],
-                )
-                for c in data["contracts"]
-            ),
-            classes=tuple(
-                FieldTable(c["cls"], c["qualname"], c["line"], pairs(c["fields"]))
-                for c in data["classes"]
-            ),
-            exports=dict(data["exports"]),
-        )
+    class_defs: tuple[ClassDefs, ...] = ()
 
 
 # --------------------------------------------------------------------------
@@ -200,6 +183,34 @@ def _field_table(
     )
 
 
+def _class_defs(cls: ast.ClassDef, ctx: ModuleContext) -> ClassDefs:
+    """What ``cls`` defines: its class-level names and every ``self.x`` or
+    ``cls.x`` store in its body."""
+    names: set[str] = set()
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names.update(
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            )
+    names.update(
+        node.attr
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("self", "cls")
+    )
+    bases = tuple(
+        ctx.names.resolve(base)
+        for base in cls.bases
+        if not (isinstance(base, ast.Name) and base.id == "object")
+    )
+    return ClassDefs(f"{ctx.module}.{cls.name}", bases, frozenset(names))
+
+
 def extract_contracts(
     ctx: ModuleContext,
     decorators: frozenset[str],
@@ -208,7 +219,8 @@ def extract_contracts(
 ) -> ModuleContracts:
     """Pass A for one parsed file: the contracts whose decorator resolves
     into ``decorators`` and whose specs parse under ``grammar``, the
-    ``field_decorators`` class tables, and the module's re-exports."""
+    ``field_decorators`` class tables (with every class's definitions
+    when there are such decorators), and the module's re-exports."""
     contracts: list[Contract] = []
     for fn, qualname, class_name, _locals in ctx.names.functions:
         is_method = class_name is not None
@@ -218,17 +230,21 @@ def extract_contracts(
         if contract is not None:
             contracts.append(contract)
     classes: list[FieldTable] = []
+    class_defs: list[ClassDefs] = []
     for stmt in ctx.tree.body:
         if isinstance(stmt, ast.ClassDef):
             table = _field_table(stmt, ctx, field_decorators, grammar)
             if table is not None:
                 classes.append(table)
+            if field_decorators and ctx.module is not None:
+                class_defs.append(_class_defs(stmt, ctx))
     return ModuleContracts(
         path=str(ctx.path),
         module=ctx.module,
         contracts=tuple(contracts),
         classes=tuple(classes),
         exports=ctx.names.imports.exports,
+        class_defs=tuple(class_defs),
     )
 
 
@@ -245,12 +261,15 @@ class ContractTable:
         self.modules: list[ModuleContracts] = sorted(modules, key=lambda m: m.path)
         self.by_function: dict[str, Contract] = {}
         self.by_class: dict[str, FieldTable] = {}
+        self.class_defs: dict[str, ClassDefs] = {}
         self.reexports: dict[str, str] = {}
         for mod in self.modules:
             for contract in mod.contracts:
                 self.by_function[contract.function] = contract
             for table in mod.classes:
                 self.by_class[table.cls] = table
+            for defs in mod.class_defs:
+                self.class_defs[defs.cls] = defs
             if mod.module:
                 for local, dotted in mod.exports.items():
                     self.reexports[f"{mod.module}.{local}"] = dotted
@@ -271,13 +290,18 @@ class ContractTable:
             return None
         return self.by_class.get(self.resolve(dotted))
 
-    def digest(self) -> str:
-        """A stable digest of every contract — pass B's cross-file cache key."""
-        payload = json.dumps(
-            {
-                "functions": [asdict(c) for _, c in sorted(self.by_function.items())],
-                "classes": [asdict(c) for _, c in sorted(self.by_class.items())],
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    def defined_names(
+        self, dotted: str, seen: frozenset[str] = frozenset()
+    ) -> frozenset[str] | None:
+        """Every attribute a class or one of its bases defines; ``None`` when
+        a base is outside the table (it may define anything)."""
+        defs = self.class_defs.get(self.resolve(dotted))
+        if defs is None or defs.cls in seen:
+            return None
+        names = defs.names
+        for base in defs.bases:
+            inherited = self.defined_names(base, seen | {defs.cls}) if base else None
+            if inherited is None:
+                return None
+            names |= inherited
+        return names

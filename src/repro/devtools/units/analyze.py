@@ -15,7 +15,8 @@ Rule inventory
   ``min``/``max``) combines genuinely incompatible dimensions
   (``req/s`` + ``usd``).
 - ``SW301`` — a call site (or return) violates the callee's declared
-  ``@units`` contract.
+  ``@units`` contract, a store violates a ``@field_units`` field, or a
+  ``@field_units`` name is never defined by its class or a visible base.
 - ``SW302`` — simulated and wall-clock time mixed in one expression:
   the dimensions agree only if ``wall_time`` were ``sim_time``.
 - ``SW303`` — the same dimension combined at different scales
@@ -25,8 +26,8 @@ Rule inventory
   rescale a value that provably carries a time/request unit; the fix is
   the named constant in :mod:`repro.units`.
 
-Parsing, suppression comments, the ``SW000``/``SW009`` engine rules and
-the two-pass cache belong to the driver, :mod:`repro.devtools.check`.
+Parsing, suppression comments and the ``SW000``/``SW009`` engine rules
+belong to the driver, :mod:`repro.devtools.check`.
 """
 
 from __future__ import annotations
@@ -555,6 +556,36 @@ def summarize(ctx: ModuleContext) -> ModuleContracts:
     )
 
 
+def _undefined_fields(ctx: ModuleContext, table: ContractTable) -> list[Finding]:
+    """SW301 for each ``@field_units`` name its class never defines: not in
+    a method, not at class level, not in a base the table can see."""
+    findings: list[Finding] = []
+    for cls in ctx.tree.body:
+        if not isinstance(cls, ast.ClassDef) or ctx.module is None:
+            continue
+        dotted = f"{ctx.module}.{cls.name}"
+        defined = table.defined_names(dotted)
+        if table.lookup_class(dotted) is None or defined is None:
+            continue
+        for deco in cls.decorator_list:
+            if not (
+                isinstance(deco, ast.Call)
+                and ctx.names.resolve(deco.func) in _FIELD_UNITS_DECORATORS
+            ):
+                continue
+            findings.extend(
+                Finding(
+                    "SW301", str(ctx.path), kw.lineno, kw.col_offset,
+                    f"`@field_units` gives `{kw.arg}` a unit, but `{cls.name}` "
+                    "never defines it",
+                )
+                for kw in deco.keywords
+                if kw.arg is not None and kw.arg not in defined
+            )
+    return findings
+
+
 def analyze_module(ctx: ModuleContext, table: ContractTable) -> list[Finding]:
-    """Pass B for one parsed module: every function against the table."""
-    return _UnitInterpreter.check_module(ctx, table)
+    """Pass B for one parsed module: every function against the table, and
+    every ``@field_units`` name against its class."""
+    return _UnitInterpreter.check_module(ctx, table) + _undefined_fields(ctx, table)

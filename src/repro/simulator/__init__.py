@@ -20,7 +20,7 @@ The paper evaluates SpotWeb in two modes and so does this package:
 
 from repro.simulator.des import Simulator, Event
 from repro.simulator.server import SimServer, ServerPhase
-from repro.simulator.metrics import LatencyRecorder, RequestOutcome
+from repro.simulator.metrics import LatencyRecorder
 from repro.simulator.cluster import ClusterSimulation, ClusterConfig
 from repro.simulator.fluid import FluidEngine, FluidStep
 from repro.simulator.hybrid import HybridClusterSimulation, HybridConfig
@@ -33,7 +33,6 @@ __all__ = [
     "SimServer",
     "ServerPhase",
     "LatencyRecorder",
-    "RequestOutcome",
     "ClusterSimulation",
     "ClusterConfig",
     "FluidEngine",

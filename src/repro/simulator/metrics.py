@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from repro.obs.slo import LatencyDigest, SLOEngine
 
-__all__ = ["RequestOutcome", "LatencyRecorder", "integer_masses"]
+__all__ = ["LatencyRecorder", "integer_masses"]
 
 
 def integer_masses(weights: np.ndarray) -> np.ndarray:
@@ -31,14 +29,6 @@ def integer_masses(weights: np.ndarray) -> np.ndarray:
         order = np.argsort(-(w - floors), kind="stable")
         floors[order[: min(remainder, w.size)]] += 1
     return floors
-
-
-class RequestOutcome(enum.Enum):
-    """Terminal state of a simulated request."""
-
-    SERVED = "served"
-    DROPPED = "dropped"  # rejected by admission control or dead backend
-    FAILED = "failed"  # in flight on a server when it was reclaimed
 
 
 class LatencyRecorder:

@@ -11,21 +11,14 @@ built from scratch on NumPy/SciPy:
 - :mod:`repro.solvers.structured` — a block-tridiagonal KKT fast path for
   MPO-shaped programs (per-period blocks coupled only by the churn term),
   O(H·N³) factorization instead of the dense path's O((N·H)³).
-- :mod:`repro.solvers.kkt` — KKT residual checks; only tests use them
-  (the solver's own termination criteria live in :mod:`repro.solvers.qp`).
 
-Three test oracles are not imported here, because no simulation calls
-them and two of them load ``scipy.optimize``; import them from their
-modules: :mod:`repro.solvers.lp` (``solve_lp``, linear programs through
-``scipy.optimize.linprog``), :mod:`repro.solvers.reference`
-(``solve_qp_reference``, scipy ``trust-constr``) and
-:mod:`repro.solvers.active_set` (``solve_qp_active_set``, an exact
-primal active-set method).
+The solver's own termination criteria live in :mod:`repro.solvers.qp`.
+The independent solvers and KKT checks the tests compare these against
+live with the tests (``tests/oracles``), since no simulation calls them.
 """
 
 from repro.solvers.result import SolverResult, SolverStatus
 from repro.solvers.qp import ADMMCore, ADMMSolver, QPProblem, solve_qp
-from repro.solvers.kkt import kkt_residuals, check_kkt
 from repro.solvers.structured import (
     BlockTridiagFactor,
     MPOStructure,
@@ -39,8 +32,6 @@ __all__ = [
     "ADMMSolver",
     "QPProblem",
     "solve_qp",
-    "kkt_residuals",
-    "check_kkt",
     "BlockTridiagFactor",
     "MPOStructure",
     "StructuredADMMSolver",

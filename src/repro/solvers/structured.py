@@ -265,7 +265,7 @@ class StructuredADMMSolver(ADMMCore):
         e_sum = np.ones(H)
         for _ in range(_RUIZ_ITERS):
             # Column norms of P̂: weighted block column maxima.
-            col_P = np.empty((H, N))
+            col_P = np.empty((H, N))  # spotlint: disable=SW203 -- a fixed few passes, at solve setup
             if H > 1:
                 col_P[:-1] = np.max(
                     d[:-1, :, None] * abs_interior[None, :, :], axis=1

@@ -27,8 +27,8 @@ set_contracts(True)
 
 REPO = Path(__file__).resolve().parents[1]
 
-# The one static-analysis gate, exactly as CI and the baseline workflow
-# run it: every analyzer over src/ and tests/, fixtures excluded.
+# The one static-analysis gate, exactly as CI runs it: every analyzer
+# over src/ and tests/, fixtures excluded.
 GATE_ARGS = ["src/", "tests/", "--exclude", "tests/fixtures"]
 
 
@@ -41,8 +41,7 @@ class GateRun:
 
 @pytest.fixture(scope="session")
 def spotlint_gate():
-    """The canonical gate, run cold once per session from the repo root
-    (baseline fingerprints hash repo-relative paths)."""
+    """The canonical gate, run once per session from the repo root."""
     from repro.devtools.check import main
 
     out = io.StringIO()
@@ -50,7 +49,7 @@ def spotlint_gate():
         mp.chdir(REPO)
         start_s = time.perf_counter()
         with contextlib.redirect_stdout(out):
-            code = main([*GATE_ARGS, "--no-cache", "--format", "json"])
+            code = main([*GATE_ARGS, "--format", "json"])
         elapsed_s = time.perf_counter() - start_s
     return GateRun(code, json.loads(out.getvalue()), elapsed_s)
 

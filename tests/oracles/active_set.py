@@ -25,8 +25,9 @@ import time
 import numpy as np
 
 from repro.devtools.contracts import shapes
-from repro.solvers.lp import solve_lp
 from repro.solvers.result import SolverResult, SolverStatus
+
+from oracles.lp import solve_lp
 
 __all__ = ["solve_qp_active_set"]
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import AllocationConstraints, CostModel, MPOOptimizer, SPOOptimizer
 from repro.solvers import QPProblem
-from repro.solvers.reference import solve_qp_reference
+
+from oracles.reference import solve_qp_reference
 
 
 def flat_inputs(dataset, horizon, target=1000.0, t=0):

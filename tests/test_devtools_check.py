@@ -1,17 +1,16 @@
 """Tests for the one analyzer driver (:mod:`repro.devtools.check`):
 the fixture golden, the canonical gate over the real tree, file
-discovery, the shared comment grammar, rule scoping, the rule table,
-analyzer selection, the shared cache and the baseline update."""
+discovery, the shared comment grammar, rule scoping, the rule table and
+analyzer selection."""
 
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.baseline import load_baseline, write_baseline
+from repro.devtools import check
 from repro.devtools.check import (
     ANALYZERS,
     ENGINE_RULES,
@@ -25,6 +24,7 @@ from repro.devtools.check import (
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = json.loads((FIXTURES / "devtools_golden.json").read_text(encoding="utf-8"))
+GOLDEN_TREES = [(tool, tree) for tool, trees in GOLDEN.items() for tree in trees]
 BY_NAME = {analyzer.name: analyzer for analyzer in ANALYZERS}
 
 BAD_MODULE = (
@@ -38,35 +38,37 @@ BAD_MODULE = (
 )
 
 
+def _select(tool):
+    return ",".join(sorted(set(BY_NAME[tool].rules) | set(ENGINE_RULES)))
+
+
 # ------------------------------------------------------------------- golden
-@pytest.mark.parametrize(
-    "tool,tree",
-    [(tool, tree) for tool, trees in GOLDEN.items() for tree in trees],
-)
-def test_driver_reproduces_the_golden(tool, tree, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("tool,tree", GOLDEN_TREES)
+def test_driver_reproduces_the_golden(tool, tree, monkeypatch, capsys):
     # Each analyzer's findings over its fixture trees, byte for byte, as
     # the analyzer's own CLI reported them before the drivers merged.
     monkeypatch.chdir(REPO)
-    select = ",".join(sorted(set(BY_NAME[tool].rules) | set(ENGINE_RULES)))
-    main(
-        [tree, "--select", select, "--format", "json", "--no-cache",
-         "--baseline", str(tmp_path / "none.json")]
-    )
-    findings = json.loads(capsys.readouterr().out)["findings"]
+    code = main([tree, "--select", _select(tool), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
     got = [[f[key] for key in ("rule", "path", "line", "col", "message")]
-           for f in findings]
+           for f in payload["findings"]]
     assert got == GOLDEN[tool][tree]
+    assert code == (1 if got else 0)
+    assert set(payload) == {"schema", "tool", "count", "findings"}
+    assert (payload["schema"], payload["tool"], payload["count"]) == (
+        "spotweb-findings/1", "spotlint", len(got)
+    )
 
 
 def test_golden_covers_every_analyzer():
     assert set(GOLDEN) == set(BY_NAME)
-    assert sum(len(f) for trees in GOLDEN.values() for f in trees.values()) == 65
+    assert sum(len(f) for trees in GOLDEN.values() for f in trees.values()) == 67
 
 
 # --------------------------------------------------------- the real tree
 def test_canonical_command_is_clean(spotlint_gate):
-    # The gate (run once per session by the conftest fixture, cold):
-    # nothing beyond the one committed baseline, every entry still live.
+    # The gate (run once per session by the conftest fixture): zero
+    # findings; a finding kept on purpose is suppressed on its line.
     payload = spotlint_gate.payload
     report = "\n".join(
         f"{f['path']}:{f['line']}: {f['rule']} {f['message']}"
@@ -76,7 +78,6 @@ def test_canonical_command_is_clean(spotlint_gate):
         f"new findings ({spotlint_gate.elapsed_s:.1f} s):\n{report}"
     )
     assert payload["count"] == 0
-    assert payload["baselined"] == len(load_baseline(REPO / "spotlint-baseline.json"))
 
 
 # ------------------------------------------------------------ file discovery
@@ -203,74 +204,20 @@ def test_list_rules_prints_every_rule_once_in_order(capsys):
     [
         ({"SW101"}, None, {"graph"}),
         ({"SW200", "SW300"}, None, {"shape", "units"}),
-        (None, {*BY_NAME["graph"].rules, *BY_NAME["units"].rules}, {"shape"}),
-        ({"SW001", "SW009"}, None, set()),
+        (None, {*BY_NAME["graph"].rules, *BY_NAME["units"].rules}, {"lint", "shape"}),
+        ({"SW001", "SW009"}, None, {"lint"}),
     ],
 )
-def test_analyzer_runs_only_when_a_rule_survives(select, ignore, ran):
-    # stats records every cached analyzer that ran (lint is uncached).
-    stats: dict = {}
+def test_analyzer_runs_only_when_a_rule_survives(select, ignore, ran, monkeypatch):
+    # The pipeline records the analyzers it is handed to run.
+    seen: set[str] = set()
+    run = check._run
+
+    def spy(paths, exclude, analyzers):
+        seen.update(a.name for a in analyzers)
+        return run(paths, exclude, analyzers)
+
+    monkeypatch.setattr(check, "_run", spy)
     clean = FIXTURES / "units" / "clean.py"
-    analyze([clean], select=select, ignore=ignore, stats=stats)
-    assert set(stats) == ran
-
-
-# ------------------------------------------------------------------- cache
-def test_warm_cache_reproduces_the_cold_run(tmp_path):
-    tree = tmp_path / "trees"
-    for name in ("shape", "units"):
-        shutil.copytree(FIXTURES / name, tree / name)
-    shutil.copytree(FIXTURES / "graph" / "taint_bad", tree / "taint_bad")
-    cache = tmp_path / "cache.json"
-    cold_stats: dict = {}
-    cold = analyze([tree], cache_path=cache, stats=cold_stats)
-    warm_stats: dict = {}
-    warm = analyze([tree], cache_path=cache, stats=warm_stats)
-    assert warm == cold
-    assert set(warm_stats) == {"graph", "shape", "units"}
-    assert all(s["analyzed"] == 0 for s in warm_stats.values())
-    assert cold_stats["graph"]["analyzed"] == warm_stats["graph"]["cached"]
-
-
-def test_cache_is_keyed_by_the_path_as_spelled(tmp_path, monkeypatch):
-    # A finding carries the path as given on the command line, so an
-    # entry cached under one spelling is not reused under another.
-    shutil.copytree(FIXTURES / "units", tmp_path / "units")
-    monkeypatch.chdir(tmp_path)
-    cache = tmp_path / "cache.json"
-    relative = analyze(["units"], select={"SW302"}, cache_path=cache)
-    stats: dict = {}
-    absolute = analyze(
-        [tmp_path / "units"], select={"SW302"}, cache_path=cache, stats=stats
-    )
-    assert stats["units"]["cached"] == 0
-    assert [Path(f.path).resolve() for f in absolute] == [
-        Path(f.path).resolve() for f in relative
-    ]
-    assert all(Path(f.path).is_absolute() for f in absolute)
-
-
-# ---------------------------------------------------------------- baseline
-def test_update_baseline_keeps_the_reviewed_justification(tmp_path, capsys):
-    tree = str(FIXTURES / "shape")
-    baseline = tmp_path / "baseline.json"
-    update = [tree, "--no-cache", "--baseline", str(baseline), "--update-baseline"]
-    assert main(update) == 0
-    data = json.loads(baseline.read_text())
-    assert data["schema"] == "spotlint-baseline/1"
-    assert data["justification"].startswith("accepted by --update-baseline")
-
-    data["justification"] = "Reviewed: every entry is deliberate."
-    baseline.write_text(json.dumps(data))
-    assert main(update) == 0
-    kept = json.loads(baseline.read_text())
-    assert kept["justification"] == "Reviewed: every entry is deliberate."
-    assert kept["findings"] == data["findings"]
-    capsys.readouterr()
-
-
-def test_write_baseline_replaces_an_unreadable_file(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("{not json")
-    write_baseline(baseline, [])
-    assert load_baseline(baseline) == set()
+    analyze([clean], select=select, ignore=ignore)
+    assert seen == ran

@@ -1,6 +1,6 @@
 """Tests for spotgraph: per-rule fixtures (positive + negative), the
-transitive taint path, suppressions, and the graph analyzer's share of
-the driver's cache, baseline and CLI."""
+transitive taint path, suppressions, fact extraction, the CLI and the
+``--layers`` map."""
 
 from __future__ import annotations
 
@@ -12,12 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.baseline import (
-    fingerprint,
-    load_baseline,
-    split_findings,
-    write_baseline,
-)
 from repro.devtools.check import ENGINE_RULES, analyze, main
 from repro.devtools.graph import GRAPH_RULES
 from repro.devtools.graph.facts import extract_module_facts
@@ -124,7 +118,7 @@ def test_sw110_reports_the_transitive_path():
 
 
 def test_sw110_message_has_no_line_numbers():
-    # Line numbers would churn baseline fingerprints on unrelated edits.
+    # The finding carries its line; the message names only the call chain.
     for finding in graph_findings("taint_bad", select={"SW110"}):
         assert ":%d" % finding.line not in finding.message
 
@@ -207,7 +201,8 @@ def test_spotgraph_line_suppression():
 def test_advised_annotation_clears_the_finding(rule, tmp_path):
     # Each message names the comment that accepts the seam; writing that
     # comment on the finding's line must clear the finding.
-    dest = _copy_tree(tmp_path, "taint_bad")
+    dest = tmp_path / "taint_bad"
+    shutil.copytree(FIXTURES / "taint_bad", dest)
     before = analyze([dest], select={rule})
     assert before
     for finding in before:
@@ -223,49 +218,6 @@ def test_unknown_suppression_rule_becomes_sw009():
     findings = graph_findings("suppress", select={"SW009"})
     mentioned = {f.message.split("`")[1] for f in findings}
     assert mentioned == {"SW999", "SW777"}
-
-
-# ------------------------------------------------------------------ caching
-def _copy_tree(tmp_path, tree):
-    dest = tmp_path / tree
-    shutil.copytree(FIXTURES / tree, dest)
-    return dest
-
-
-def _cached_run(dest, cache):
-    stats: dict = {}
-    findings = analyze(
-        [dest], select=GRAPH_SELECT, cache_path=cache, stats=stats
-    )
-    return findings, stats["graph"]
-
-
-def test_cache_roundtrip_and_invalidation(tmp_path):
-    dest = _copy_tree(tmp_path, "taint_bad")
-    cache = tmp_path / "cache.json"
-
-    first, stats = _cached_run(dest, cache)
-    n_files = stats["analyzed"]
-    assert n_files == 5 and stats["cached"] == 0
-
-    second, stats = _cached_run(dest, cache)
-    assert stats == {"cached": n_files, "analyzed": 0}
-    # Cached facts must produce identical findings.
-    assert second == first
-    assert [f.rule for f in second if f.rule == "SW110"]
-
-    target = dest / "repro" / "core" / "engine.py"
-    target.write_text(target.read_text() + "\n# touched\n")
-    _, stats = _cached_run(dest, cache)
-    assert stats == {"cached": n_files - 1, "analyzed": 1}
-
-
-def test_cache_schema_mismatch_forces_reextraction(tmp_path):
-    dest = _copy_tree(tmp_path, "taint_bad")
-    cache = tmp_path / "cache.json"
-    cache.write_text(json.dumps({"schema": "something/9", "files": {}}))
-    _, stats = _cached_run(dest, cache)
-    assert stats["cached"] == 0 and stats["analyzed"] == 5
 
 
 def test_syntax_error_becomes_sw000(tmp_path):
@@ -288,120 +240,42 @@ def test_extract_module_facts_records_imports_and_functions():
     assert any(e.target == "repro.obs.util" for e in facts.imports)
 
 
-# ----------------------------------------------------------------- baseline
-def test_baseline_roundtrip_accepts_everything(tmp_path):
-    findings = graph_findings("taint_bad")
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, findings)
-    accepted = load_baseline(baseline_file)
-    new, baselined = split_findings(findings, accepted)
-    assert new == [] and len(baselined) == len(findings)
-
-
-def test_fingerprint_is_line_independent():
-    findings = graph_findings("taint_bad", select={"SW110"})
-    f = findings[0]
-    moved = type(f)(f.rule, f.path, f.line + 40, f.col, f.message)
-    assert fingerprint(moved) == fingerprint(f)
-
-
-def test_load_baseline_missing_file_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == set()
-
-
-def test_load_baseline_rejects_wrong_schema(tmp_path):
-    bad = tmp_path / "b.json"
-    bad.write_text(json.dumps({"schema": "other/1", "findings": []}))
-    with pytest.raises(ValueError):
-        load_baseline(bad)
-
-
-def test_committed_repo_baseline_is_empty():
-    # The graph rules' share of the one committed baseline is empty:
-    # intentional seams are annotated in place, never baselined.
-    committed = Path(__file__).parents[1] / "spotlint-baseline.json"
-    data = json.loads(committed.read_text())
-    assert data["schema"] == "spotlint-baseline/1"
-    assert not [f for f in data["findings"] if f["rule"] in GRAPH_RULES]
-    assert "allow-nondeterminism" in data["justification"]
-
-
 # ---------------------------------------------------------------------- CLI
-def _cli(tmp_path, *argv):
-    baseline = tmp_path / "empty-baseline.json"
-    return main([*argv, "--no-cache", "--baseline", str(baseline)])
-
-
-def test_cli_exits_nonzero_with_findings(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES / "layer_bad"), "--select", "SW101")
+def test_cli_exits_nonzero_with_findings(capsys):
+    code = main([str(FIXTURES / "layer_bad"), "--select", "SW101"])
     out = capsys.readouterr().out
     assert code == 1
     assert "SW101" in out and "bad.py:" in out
 
 
-def test_cli_exits_zero_on_clean_tree(tmp_path, capsys):
-    code = _cli(
-        tmp_path,
-        str(FIXTURES / "layer_clean"),
-        "--select",
-        ",".join(GRAPH_SELECT),
+def test_cli_exits_zero_on_clean_tree(capsys):
+    code = main(
+        [str(FIXTURES / "layer_clean"), "--select", ",".join(GRAPH_SELECT)]
     )
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
 
-def test_cli_rejects_unknown_rule_ids(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES / "layer_bad"), "--select", "SW999")
+def test_cli_rejects_unknown_rule_ids(capsys):
+    code = main([str(FIXTURES / "layer_bad"), "--select", "SW999"])
     assert code == 2
     assert "SW999" in capsys.readouterr().err
 
 
-def test_cli_json_format(tmp_path, capsys):
-    code = _cli(
-        tmp_path,
-        str(FIXTURES / "taint_bad"),
-        "--select",
-        "SW110",
-        "--format",
-        "json",
+def test_cli_json_format(capsys):
+    code = main(
+        [str(FIXTURES / "taint_bad"), "--select", "SW110", "--format", "json"]
     )
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"schema", "tool", "count", "findings"}
     assert payload["schema"] == "spotweb-findings/1"
     assert payload["tool"] == "spotlint"
     assert payload["count"] == 2
-    assert payload["baselined"] == 0
-    assert set(payload["cache"]) == {"graph"}
-
-
-def test_cli_update_baseline_then_clean(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    tree = str(FIXTURES / "purity_bad")
-    assert main([tree, "--no-cache", "--baseline", str(baseline),
-                 "--update-baseline"]) == 0
-    capsys.readouterr()
-    code = main([tree, "--no-cache", "--baseline", str(baseline)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "baselined" in out
-
-
-def test_cli_update_baseline_rejects_filters(tmp_path, capsys):
-    # A filtered --update-baseline would overwrite the baseline with only
-    # the selected subset, silently un-accepting all other findings.
-    code = _cli(
-        tmp_path,
-        str(FIXTURES / "taint_bad"),
-        "--select",
-        "SW110",
-        "--update-baseline",
-    )
-    assert code == 2
-    assert "--update-baseline" in capsys.readouterr().err
 
 
 def test_cli_layers_diagram(capsys):
-    assert main([str(FIXTURES / "layer_bad"), "--layers", "--no-cache"]) == 0
+    assert main([str(FIXTURES / "layer_bad"), "--layers"]) == 0
     out = capsys.readouterr().out
     assert "foundation" in out and "observed package dependencies" in out
 

@@ -1,5 +1,6 @@
 """Unit tests for every lint rule: one positive and one negative each,
-plus suppression comments, module-name scoping, and the CLI contract."""
+plus suppression comments, module-name scoping, the CLI contract and
+file discovery."""
 
 from __future__ import annotations
 
@@ -20,10 +21,6 @@ def lint_file(path, select=None, ignore=None):
     return analyze(
         [path], select=LINT_SELECT if select is None else select, ignore=ignore
     )
-
-
-def _cli(tmp_path, *argv):
-    return main([*argv, "--no-cache", "--baseline", str(tmp_path / "none.json")])
 
 
 # ---------------------------------------------------------------- rule table
@@ -207,8 +204,8 @@ def test_lint_source_respects_ignore():
 
 
 # --------------------------------------------------------------------- CLI
-def test_cli_exits_nonzero_with_findings(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES / "sw006_bad.py"), "--select", "SW006")
+def test_cli_exits_nonzero_with_findings(capsys):
+    code = main([str(FIXTURES / "sw006_bad.py"), "--select", "SW006"])
     out = capsys.readouterr().out
     assert code == 1
     assert "SW006" in out
@@ -216,14 +213,14 @@ def test_cli_exits_nonzero_with_findings(tmp_path, capsys):
     assert "sw006_bad.py:" in out
 
 
-def test_cli_exits_zero_on_clean_input(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES / "sw006_good.py"), "--select", "SW006")
+def test_cli_exits_zero_on_clean_input(capsys):
+    code = main([str(FIXTURES / "sw006_good.py"), "--select", "SW006"])
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
 
-def test_cli_rejects_unknown_rule_ids(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES / "sw006_bad.py"), "--select", "SW999")
+def test_cli_rejects_unknown_rule_ids(capsys):
+    code = main([str(FIXTURES / "sw006_bad.py"), "--select", "SW999"])
     assert code == 2
     assert "SW999" in capsys.readouterr().err
 
@@ -235,22 +232,9 @@ def test_cli_list_rules(capsys):
         assert rule_id in out
 
 
-def test_lint_paths_walks_directories():
-    findings = analyze([FIXTURES], select={"SW006"})
-    files = {Path(f.path).name for f in findings}
-    assert "sw006_bad.py" in files
-    assert "suppress_wrong.py" in files
-    assert "suppress_file.py" not in files
-
-
-def test_cli_format_json(tmp_path, capsys):
-    code = _cli(
-        tmp_path,
-        str(FIXTURES / "sw006_bad.py"),
-        "--select",
-        "SW006",
-        "--format",
-        "json",
+def test_cli_format_json(capsys):
+    code = main(
+        [str(FIXTURES / "sw006_bad.py"), "--select", "SW006", "--format", "json"]
     )
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
@@ -264,6 +248,14 @@ def test_cli_list_rules_includes_engine_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in ENGINE_RULES:
         assert rule_id in out
+
+
+def test_lint_paths_walks_directories():
+    findings = analyze([FIXTURES], select={"SW006"})
+    files = {Path(f.path).name for f in findings}
+    assert "sw006_bad.py" in files
+    assert "suppress_wrong.py" in files
+    assert "suppress_file.py" not in files
 
 
 # --------------------------------------------------- file-stream discipline

@@ -1,6 +1,5 @@
 """Tests for spotshape: the abstract domain, contract summaries, per-rule
-fixtures (positive + negative), suppressions, and the shape analyzer's
-share of the driver's two-pass cache, baseline workflow and CLI."""
+fixtures (positive + negative), suppressions and the CLI."""
 
 from __future__ import annotations
 
@@ -11,13 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.baseline import (
-    BASELINE_SCHEMA,
-    fingerprint,
-    load_baseline,
-    split_findings,
-    write_baseline,
-)
 from repro.devtools.check import ENGINE_RULES, analyze, main
 from repro.devtools.rules import ModuleContext, module_name_for
 from repro.devtools.shape.analyze import (
@@ -35,10 +27,9 @@ from repro.devtools.shape.domain import (
     scalar,
     unify_dim,
 )
-from repro.devtools.summaries import ContractTable, ModuleContracts
+from repro.devtools.summaries import ContractTable
 
 FIXTURES = Path(__file__).parent / "fixtures" / "shape"
-REPO = Path(__file__).resolve().parents[1]
 SHAPE_SELECT = set(SHAPE_RULES) | set(ENGINE_RULES)
 
 
@@ -136,24 +127,6 @@ def test_extract_summaries_reads_the_seam_contracts():
     assert scale.args == ("matrix", "weights")
     assert dict(scale.params)["weights"] == "(N,)"
     assert scale.ret == "(H,N)"
-
-
-def test_summary_roundtrip_and_digest_stability():
-    mod = summarize(parsed(FIXTURES / "contracts_seam.py"))
-    digest = ContractTable([mod]).digest()
-    assert digest == ContractTable([mod]).digest()
-    cached = json.loads(json.dumps(mod.to_dict()))
-    assert ModuleContracts.from_dict(cached) == mod
-
-
-def test_digest_changes_when_a_contract_changes(tmp_path):
-    seam = FIXTURES / "contracts_seam.py"
-    original = seam.read_text()
-    edited_path = tmp_path / "contracts_seam.py"
-    edited_path.write_text(original.replace('"(H,N)", "(N,)"', '"(H,K)", "(K,)"'))
-    d1 = ContractTable([summarize(parsed(seam))]).digest()
-    d2 = ContractTable([summarize(parsed(edited_path))]).digest()
-    assert d1 != d2
 
 
 # ---------------------------------------------------------------- rule table
@@ -282,115 +255,9 @@ def test_syntax_error_becomes_sw000(tmp_path):
     assert "SW000" in ENGINE_RULES and "SW009" in ENGINE_RULES
 
 
-# ------------------------------------------------------------------ caching
-def _copy_tree(tmp_path):
-    dest = tmp_path / "shape"
-    shutil.copytree(FIXTURES, dest)
-    return dest
-
-
-def _cached_run(dest, cache):
-    stats: dict = {}
-    findings = shape_findings([dest], cache_path=cache, stats=stats)
-    return findings, stats["shape"]
-
-
-def test_cache_roundtrip_and_file_invalidation(tmp_path):
-    dest = _copy_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-
-    first, stats = _cached_run(dest, cache)
-    n_files = stats["analyzed"]
-    assert n_files > 0 and stats["cached"] == 0
-
-    second, stats = _cached_run(dest, cache)
-    assert stats == {"cached": n_files, "analyzed": 0}
-    assert second == first
-
-    # Touching one non-contract file re-analyzes exactly that file.
-    target = dest / "sw202_bad.py"
-    target.write_text(target.read_text() + "\n# touched\n")
-    _, stats = _cached_run(dest, cache)
-    assert stats == {"cached": n_files - 1, "analyzed": 1}
-
-
-def test_contract_edit_invalidates_every_dependent(tmp_path):
-    # Pass B is keyed by the *global* summary digest: changing a contract
-    # in one file must re-analyze all files, not just the edited one.
-    dest = _copy_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    _, stats = _cached_run(dest, cache)
-    n_files = stats["analyzed"]
-
-    seam = dest / "contracts_seam.py"
-    seam.write_text(
-        seam.read_text().replace(
-            '@shapes("(N,) f8", "(N,)", ret="()")',
-            '@shapes("(N,) f4", "(N,)", ret="()")',
-        )
-    )
-    findings, stats = _cached_run(dest, cache)
-    assert stats == {"cached": 0, "analyzed": n_files}
-    # The flipped contract now clears the old f8-vs-float32 violation and
-    # instead rejects the float64 prices in the good pipeline.
-    messages = [f.message for f in findings if f.rule == "SW200"]
-    assert any("f4" in m for m in messages)
-
-
-def test_cache_schema_mismatch_forces_reanalysis(tmp_path):
-    dest = _copy_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    _, stats = _cached_run(dest, cache)
-    n_files = stats["analyzed"]
-    cache.write_text(json.dumps({"schema": "something/9", "files": {}}))
-    _, stats = _cached_run(dest, cache)
-    assert stats == {"cached": 0, "analyzed": n_files}
-
-
-# ----------------------------------------------------------------- baseline
-def test_baseline_roundtrip_accepts_everything(tmp_path):
-    findings = shape_findings()
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, findings)
-    accepted = load_baseline(baseline_file)
-    new, baselined = split_findings(findings, accepted)
-    assert new == [] and len(baselined) == len(findings)
-
-
-def test_fingerprint_is_line_independent():
-    finding = shape_findings(select={"SW202"})[0]
-    moved = type(finding)(
-        finding.rule, finding.path, finding.line + 40, finding.col,
-        finding.message,
-    )
-    assert fingerprint(moved) == fingerprint(finding)
-
-
-def test_load_baseline_rejects_wrong_schema(tmp_path):
-    bad = tmp_path / "b.json"
-    bad.write_text(json.dumps({"schema": "spotgraph-baseline/1", "findings": []}))
-    with pytest.raises(ValueError):
-        load_baseline(bad)
-
-
-def test_committed_repo_baseline_is_justified():
-    committed = REPO / "spotlint-baseline.json"
-    data = json.loads(committed.read_text())
-    assert data["schema"] == BASELINE_SCHEMA
-    assert data["justification"]
-    # Every accepted finding names a hot-path rule; SW200/SW201 proofs are
-    # real bugs and must be fixed, never grandfathered.
-    assert {f["rule"] for f in data["findings"]} <= {"SW202", "SW203", "SW204"}
-
-
 # ---------------------------------------------------------------------- CLI
-def _cli(tmp_path, *argv):
-    baseline = tmp_path / "empty-baseline.json"
-    return main([*argv, "--no-cache", "--baseline", str(baseline)])
-
-
-def test_cli_exits_nonzero_with_findings(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES), "--select", "SW202")
+def test_cli_exits_nonzero_with_findings(capsys):
+    code = main([str(FIXTURES), "--select", "SW202"])
     out = capsys.readouterr().out
     assert code == 1
     assert "SW202" in out and "sw202_bad.py:" in out
@@ -401,61 +268,40 @@ def test_cli_exits_zero_on_clean_tree(tmp_path, capsys):
     clean_dir.mkdir()
     shutil.copy(FIXTURES / "contracts_seam.py", clean_dir)
     shutil.copy(FIXTURES / "clean.py", clean_dir)
-    code = _cli(tmp_path, str(clean_dir), "--select", ",".join(SHAPE_SELECT))
+    code = main([str(clean_dir), "--select", ",".join(SHAPE_SELECT)])
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
 
-def test_cli_exclude_skips_the_bad_files(tmp_path, capsys):
-    code = _cli(
-        tmp_path,
-        str(FIXTURES),
-        "--exclude", str(FIXTURES / "repro"),
-        "--exclude", str(FIXTURES / "sw200_bad.py"),
-        "--exclude", str(FIXTURES / "sw201_bad.py"),
-        "--exclude", str(FIXTURES / "sw202_bad.py"),
-        "--select", ",".join(SHAPE_SELECT),
+def test_cli_exclude_skips_the_bad_files(capsys):
+    code = main(
+        [
+            str(FIXTURES),
+            "--exclude", str(FIXTURES / "repro"),
+            "--exclude", str(FIXTURES / "sw200_bad.py"),
+            "--exclude", str(FIXTURES / "sw201_bad.py"),
+            "--exclude", str(FIXTURES / "sw202_bad.py"),
+            "--select", ",".join(SHAPE_SELECT),
+        ]
     )
     capsys.readouterr()
     assert code == 0
 
 
-def test_cli_rejects_unknown_rule_ids(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES), "--select", "SW999")
+def test_cli_rejects_unknown_rule_ids(capsys):
+    code = main([str(FIXTURES), "--select", "SW999"])
     assert code == 2
     assert "SW999" in capsys.readouterr().err
 
 
-def test_cli_json_format(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES), "--select", "SW204", "--format", "json")
+def test_cli_json_format(capsys):
+    code = main([str(FIXTURES), "--select", "SW204", "--format", "json"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"schema", "tool", "count", "findings"}
     assert payload["schema"] == "spotweb-findings/1"
     assert payload["tool"] == "spotlint"
     assert payload["count"] == 2
-    assert payload["baselined"] == 0
-    assert set(payload["cache"]["shape"]) == {"cached", "analyzed"}
-
-
-def test_cli_update_baseline_then_clean(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    tree = str(FIXTURES)
-    assert main([tree, "--no-cache", "--baseline", str(baseline),
-                 "--update-baseline"]) == 0
-    capsys.readouterr()
-    code = main([tree, "--no-cache", "--baseline", str(baseline)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "baselined" in out
-
-
-def test_cli_update_baseline_rejects_filters(tmp_path, capsys):
-    # A filtered --update-baseline would overwrite the baseline with only
-    # the selected subset, silently un-accepting all other findings.
-    for flag in ("--select", "--ignore"):
-        code = _cli(tmp_path, str(FIXTURES), flag, "SW202", "--update-baseline")
-        assert code == 2
-        assert "--update-baseline" in capsys.readouterr().err
 
 
 def test_cli_list_rules(capsys):

@@ -177,7 +177,7 @@ def test_parse_unit_rejects_malformed_specs(bad):
     ],
 )
 def test_format_unit_roundtrips(text):
-    # The guarantee the summaries/cache layer relies on: formatting then
+    # The guarantee the contract summaries rely on: formatting then
     # re-parsing is the identity on the parsed form.
     parsed = parse_unit(text)
     assert parse_unit(format_unit(parsed)) == parsed

@@ -1,6 +1,6 @@
 """Tests for spotunits: the units domain, contract summaries, per-rule
-fixtures (positive + negative), suppressions, and the units analyzer's
-share of the driver's two-pass cache, baseline workflow and CLI."""
+fixtures (positive + negative), ``@field_units`` names, suppressions and
+the CLI."""
 
 from __future__ import annotations
 
@@ -12,12 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.baseline import (
-    fingerprint,
-    load_baseline,
-    split_findings,
-    write_baseline,
-)
 from repro.devtools.check import ENGINE_RULES, analyze, main
 from repro.devtools.rules import ModuleContext, module_name_for
 from repro.devtools.specs import parse_unit
@@ -123,24 +117,6 @@ def test_extract_unit_summaries_reads_the_seam_contracts():
     (tariff,) = mod.classes
     assert tariff.qualname == "Tariff"
     assert dict(tariff.fields)["penalty"] == "usd/(rps*hr)"
-
-
-def test_summary_roundtrip_and_digest_stability():
-    mod = summarize(parsed(SEAM))
-    digest = ContractTable([mod]).digest()
-    assert digest == ContractTable([mod]).digest()
-    cached = json.loads(json.dumps(mod.to_dict()))
-    assert ModuleContracts.from_dict(cached) == mod
-
-
-def test_digest_changes_when_a_contract_changes(tmp_path):
-    seam = FIXTURES / "contracts_seam.py"
-    original = seam.read_text()
-    edited_path = tmp_path / "contracts_seam.py"
-    edited_path.write_text(original.replace('ret="usd"', 'ret="usd/hr"'))
-    d1 = ContractTable([summarize(parsed(seam))]).digest()
-    d2 = ContractTable([summarize(parsed(edited_path))]).digest()
-    assert d1 != d2
 
 
 def test_table_resolves_reexport_chains():
@@ -276,6 +252,45 @@ def test_violation_inside_pytest_raises_is_expected(tmp_path):
     assert [f.rule for f in findings] == ["SW304"]
 
 
+# ------------------------------------------------------- @field_units names
+def test_sw301_names_a_field_the_class_never_defines():
+    # The probe pair: the misspelt declaration is the finding, and leaves
+    # the sum unknown; its correctly spelt twin proves the sum wrong.
+    findings = unit_findings([FIXTURES.parent / "units_fields"])
+    assert [f.rule for f in findings] == ["SW301", "SW300"]
+    assert "`warnng_seconds`" in findings[0].message
+    assert "`Misspelt`" in findings[0].message
+    assert findings[1].message.startswith("`Spelt.mixed` adds `s` and `req/s`")
+
+
+def test_field_units_names_a_base_or_the_class_body_defines_pass(tmp_path):
+    # Defined in a base, at class level, as a property: only `ghost` is
+    # missing.  `object` defines nothing, but any other base the analysis
+    # cannot see (a builtin) may define anything, so `Opaque` reports
+    # nothing.
+    (tmp_path / "base.py").write_text(
+        "class Base(object):\n"
+        "    def __init__(self):\n"
+        "        self.inherited = 1.0\n"
+    )
+    (tmp_path / "mod.py").write_text(
+        "from base import Base\n"
+        "from repro.devtools.contracts import field_units\n\n\n"
+        '@field_units(inherited="s", level="s", prop="s", ghost="s")\n'
+        "class Child(Base):\n"
+        "    level: float = 0.0\n\n"
+        "    @property\n"
+        "    def prop(self):\n"
+        "        return self.level\n\n\n"
+        '@field_units(ghost="s")\n'
+        "class Opaque(dict):\n"
+        "    pass\n"
+    )
+    findings = unit_findings([tmp_path])
+    assert [(f.rule, f.line) for f in findings] == [("SW301", 5)]
+    assert "`ghost`" in findings[0].message and "`Child`" in findings[0].message
+
+
 # ------------------------------------------------------------- suppressions
 def test_spotunits_line_suppression():
     # The interpreter proves the mix; the driver honours the comment.
@@ -299,112 +314,9 @@ def test_syntax_error_becomes_sw000(tmp_path):
     assert "SW000" in ENGINE_RULES and "SW009" in ENGINE_RULES
 
 
-# ------------------------------------------------------------------ caching
-def _copy_tree(tmp_path):
-    dest = tmp_path / "units"
-    shutil.copytree(FIXTURES, dest)
-    return dest
-
-
-def _cached_run(dest, cache):
-    stats: dict = {}
-    findings = unit_findings([dest], cache_path=cache, stats=stats)
-    return findings, stats["units"]
-
-
-def test_cache_roundtrip_and_file_invalidation(tmp_path):
-    dest = _copy_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-
-    first, stats = _cached_run(dest, cache)
-    n_files = stats["analyzed"]
-    assert n_files > 0 and stats["cached"] == 0
-
-    second, stats = _cached_run(dest, cache)
-    assert stats == {"cached": n_files, "analyzed": 0}
-    assert second == first
-
-    # Touching one non-contract file re-analyzes exactly that file.
-    target = dest / "sw304_bad.py"
-    target.write_text(target.read_text() + "\n# touched\n")
-    _, stats = _cached_run(dest, cache)
-    assert stats == {"cached": n_files - 1, "analyzed": 1}
-
-
-def test_contract_edit_invalidates_every_dependent(tmp_path):
-    # Pass B is keyed by the *global* unit-fact digest: changing a
-    # contract in one file must re-analyze all files, not just one.
-    dest = _copy_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    _, stats = _cached_run(dest, cache)
-    n_files = stats["analyzed"]
-
-    seam = dest / "contracts_seam.py"
-    seam.write_text(
-        seam.read_text().replace(
-            '@units("usd/(server*hr)", "server", "hr", ret="usd")',
-            '@units("usd/(server*hr)", "server", "hr", ret="usd/hr")',
-        )
-    )
-    findings, stats = _cached_run(dest, cache)
-    assert stats == {"cached": 0, "analyzed": n_files}
-    # The flipped return contract now breaks clean.py's `monthly`, which
-    # still declares ret="usd" while accrue_cost hands back usd/hr.
-    messages = [f.message for f in findings if f.rule == "SW301"]
-    assert any("monthly" in m for m in messages)
-
-
-def test_cache_schema_mismatch_forces_reanalysis(tmp_path):
-    dest = _copy_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    _, stats = _cached_run(dest, cache)
-    n_files = stats["analyzed"]
-    cache.write_text(json.dumps({"schema": "something/9", "files": {}}))
-    _, stats = _cached_run(dest, cache)
-    assert stats == {"cached": 0, "analyzed": n_files}
-
-
-# ----------------------------------------------------------------- baseline
-def test_baseline_roundtrip_accepts_everything(tmp_path):
-    findings = unit_findings()
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, findings)
-    accepted = load_baseline(baseline_file)
-    new, baselined = split_findings(findings, accepted)
-    assert new == [] and len(baselined) == len(findings)
-
-
-def test_fingerprint_is_line_independent():
-    finding = unit_findings(select={"SW303"})[0]
-    moved = type(finding)(
-        finding.rule, finding.path, finding.line + 40, finding.col,
-        finding.message,
-    )
-    assert fingerprint(moved) == fingerprint(finding)
-
-
-def test_bound_baseline_schema_rejects_other_tools(tmp_path):
-    # One baseline schema for every analyzer: a file written under one of
-    # the retired per-tool schemas is rejected, not half-read.
-    other = tmp_path / "b.json"
-    other.write_text(
-        json.dumps({"schema": "spotshape-baseline/1", "findings": []})
-    )
-    with pytest.raises(ValueError):
-        load_baseline(other)
-    write_baseline(tmp_path / "ok.json", unit_findings(select={"SW300"}))
-    assert len(load_baseline(tmp_path / "ok.json")) == 3
-    assert load_baseline(tmp_path / "missing.json") == set()
-
-
 # ---------------------------------------------------------------------- CLI
-def _cli(tmp_path, *argv):
-    baseline = tmp_path / "empty-baseline.json"
-    return main([*argv, "--no-cache", "--baseline", str(baseline)])
-
-
-def test_cli_exits_nonzero_with_findings(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES), "--select", "SW303")
+def test_cli_exits_nonzero_with_findings(capsys):
+    code = main([str(FIXTURES), "--select", "SW303"])
     out = capsys.readouterr().out
     assert code == 1
     assert "SW303" in out and "sw303_bad.py:" in out
@@ -415,72 +327,42 @@ def test_cli_exits_zero_on_clean_tree(tmp_path, capsys):
     clean_dir.mkdir()
     shutil.copy(FIXTURES / "contracts_seam.py", clean_dir)
     shutil.copy(FIXTURES / "clean.py", clean_dir)
-    code = _cli(tmp_path, str(clean_dir), "--select", ",".join(UNITS_SELECT))
+    code = main([str(clean_dir), "--select", ",".join(UNITS_SELECT)])
     assert code == 0
     assert "clean" in capsys.readouterr().out
 
 
-def test_cli_exclude_skips_the_bad_files(tmp_path, capsys):
-    code = _cli(
-        tmp_path,
-        str(FIXTURES),
-        *[
-            arg
-            for rule, bad, _, _ in UNIT_RULE_CASES
-            for arg in ("--exclude", str(FIXTURES / bad))
-        ],
-        "--select",
-        ",".join(UNITS_SELECT),
+def test_cli_exclude_skips_the_bad_files(capsys):
+    code = main(
+        [
+            str(FIXTURES),
+            *[
+                arg
+                for rule, bad, _, _ in UNIT_RULE_CASES
+                for arg in ("--exclude", str(FIXTURES / bad))
+            ],
+            "--select",
+            ",".join(UNITS_SELECT),
+        ]
     )
     capsys.readouterr()
     assert code == 0
 
 
-def test_cli_rejects_unknown_rule_ids(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES), "--select", "SW999")
+def test_cli_rejects_unknown_rule_ids(capsys):
+    code = main([str(FIXTURES), "--select", "SW999"])
     assert code == 2
     assert "SW999" in capsys.readouterr().err
 
 
-def test_cli_json_format(tmp_path, capsys):
-    code = _cli(tmp_path, str(FIXTURES), "--select", "SW302", "--format", "json")
+def test_cli_json_format(capsys):
+    code = main([str(FIXTURES), "--select", "SW302", "--format", "json"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"schema", "tool", "count", "findings"}
     assert payload["schema"] == "spotweb-findings/1"
     assert payload["tool"] == "spotlint"
     assert payload["count"] == 2
-    assert payload["baselined"] == 0
-    assert set(payload["cache"]["units"]) == {"cached", "analyzed"}
-
-
-def test_cli_update_baseline_then_clean(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    tree = str(FIXTURES)
-    assert main([tree, "--no-cache", "--baseline", str(baseline),
-                 "--update-baseline"]) == 0
-    capsys.readouterr()
-    code = main([tree, "--no-cache", "--baseline", str(baseline)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "baselined" in out
-
-
-def test_cli_update_baseline_rejects_filters(tmp_path, capsys):
-    # A filtered --update-baseline would overwrite the baseline with only
-    # the selected subset, silently un-accepting all other findings.
-    for flag in ("--select", "--ignore"):
-        code = _cli(tmp_path, str(FIXTURES), flag, "SW303", "--update-baseline")
-        assert code == 2
-        assert "--update-baseline" in capsys.readouterr().err
-
-
-def test_cli_unreadable_baseline_is_a_usage_error(tmp_path, capsys):
-    bad = tmp_path / "corrupt.json"
-    bad.write_text("{not json")
-    code = main([str(FIXTURES / "clean.py"), "--no-cache",
-                 "--baseline", str(bad)])
-    assert code == 2
-    assert "baseline" in capsys.readouterr().err
 
 
 def test_cli_list_rules(capsys):

@@ -197,18 +197,15 @@ def _fresh_interpreter(code: str, *paths: Path) -> str:
 #: what the benchmark's runs need.
 _E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 
-#: What no simulation run calls: the test oracles, the spline fit's FITPACK
-#: (until a fit), the metrics endpoint.  scipy.stats alone cost ~0.5 s and
-#: ~18 MB.
+#: What no simulation run calls: the optimizers only the test oracles use,
+#: the spline fit's FITPACK (until a fit), the metrics endpoint.
+#: scipy.stats alone cost ~0.5 s and ~18 MB.
 _NOT_IN_A_RUN = (
     "scipy.optimize",
     "scipy.interpolate",
     "scipy.special",
     "scipy.stats",
     "http.server",
-    "repro.solvers.lp",
-    "repro.solvers.reference",
-    "repro.solvers.active_set",
 )
 
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.solvers import QPProblem, check_kkt
-from repro.solvers.kkt import kkt_residuals
+from repro.solvers import QPProblem
+
+from oracles.kkt import check_kkt, kkt_residuals
 
 
 @pytest.fixture

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.solvers import SolverStatus
-from repro.solvers.lp import solve_lp
+
+from oracles.lp import solve_lp
 
 
 class TestHighsPath:

@@ -23,7 +23,6 @@ from repro.solvers import (
     StructuredADMMSolver,
     solve_qp,
 )
-from repro.solvers.kkt import kkt_residuals
 
 from conftest import (
     ReferenceADMMLoop,
@@ -32,6 +31,7 @@ from conftest import (
     random_feasible_qp,
     run_pair,
 )
+from oracles.kkt import kkt_residuals
 
 
 class TestQPProblem:

@@ -20,9 +20,9 @@ from repro.solvers import (
     SolverStatus,
     StructuredADMMSolver,
 )
-from repro.solvers.reference import solve_qp_reference
 
 from conftest import ReferenceADMMLoop, mpo_program, run_pair
+from oracles.reference import solve_qp_reference
 
 TIGHT = dict(eps_abs=1e-10, eps_rel=1e-10)
 
