@@ -12,7 +12,6 @@ the implied failure probabilities SpotWeb's optimizer would see.
 
 import numpy as np
 
-from repro.analysis import format_table, sparkline
 from repro.markets import (
     OnDemandBid,
     QuantileBid,
@@ -21,6 +20,7 @@ from repro.markets import (
     generate_price_matrix,
     revocations_from_bids,
 )
+from repro.textfmt import format_table, sparkline
 
 
 def main() -> None:

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import format_table, sparkline
 from repro.markets import default_catalog, fit_price_process
 from repro.markets.price_process import SpotPriceProcess
+from repro.textfmt import format_table, sparkline
 
 
 def main() -> None:

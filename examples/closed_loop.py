@@ -14,7 +14,6 @@ report, total spend, and the fleet-capacity timeline.
 
 import numpy as np
 
-from repro.analysis import format_table, sparkline
 from repro.core import CostModel, SpotWebController
 from repro.markets import default_catalog, generate_market_dataset
 from repro.predictors import (
@@ -23,6 +22,7 @@ from repro.predictors import (
     ReactivePricePredictor,
 )
 from repro.simulator import SpotWebSystem, SystemConfig
+from repro.textfmt import format_table, sparkline
 from repro.workloads import WorkloadTrace
 
 INTERVAL = 300.0  # 5-minute control intervals

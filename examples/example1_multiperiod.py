@@ -21,9 +21,9 @@ row of ``repro.experiments.claims``) and Fig. 6(b).
 
 import numpy as np
 
-from repro.analysis import format_table
 from repro.core import CostModel, MPOOptimizer
 from repro.markets.catalog import InstanceType, Market, PurchaseOption
+from repro.textfmt import format_table
 
 
 def main() -> None:

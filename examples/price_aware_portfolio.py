@@ -13,12 +13,12 @@ Prints the allocation trajectory of both policies and the cost gap.
 
 import numpy as np
 
-from repro.analysis import format_table
 from repro.experiments.fig5_price_awareness import (
     MARKET_NAMES,
     format_fig5,
     run_fig5,
 )
+from repro.textfmt import format_table
 
 
 def allocation_timeline(report, capacities, every: int = 6) -> list[list]:

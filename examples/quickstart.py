@@ -13,7 +13,6 @@ Builds the full pipeline in ~30 lines:
 then prints the cost/SLO report and the final portfolio.
 """
 
-from repro.analysis import format_table
 from repro.core import CostModel, SpotWebController
 from repro.core.policy import SpotWebPolicy
 from repro.markets import default_catalog, generate_market_dataset
@@ -23,6 +22,7 @@ from repro.predictors import (
     SplinePredictor,
 )
 from repro.simulator import CostSimulator
+from repro.textfmt import format_table
 from repro.workloads import wikipedia_like
 
 

@@ -13,7 +13,6 @@ provisioned capacity.
 
 import numpy as np
 
-from repro.analysis import format_table, sparkline
 from repro.core import CostModel, ReactiveFallback, SpotWebController
 from repro.core.policy import SpotWebPolicy
 from repro.markets import PurchaseOption, default_catalog, generate_market_dataset
@@ -23,6 +22,7 @@ from repro.predictors import (
     SplinePredictor,
 )
 from repro.simulator import CostSimulator
+from repro.textfmt import format_table, sparkline
 from repro.workloads import vod_like
 
 WEEKS = 2

@@ -17,7 +17,6 @@ headline is "up to 90% cheaper than on-demand, up to 50% cheaper than
 state-of-the-art transiency systems".
 """
 
-from repro.analysis import CostLedger, format_table
 from repro.baselines import (
     ConstantPortfolioPolicy,
     ExoSphereLoopPolicy,
@@ -33,7 +32,8 @@ from repro.predictors import (
     ReactiveFailurePredictor,
     SplinePredictor,
 )
-from repro.simulator import CostSimulator
+from repro.simulator import CostLedger, CostSimulator
+from repro.textfmt import format_table
 from repro.workloads import wikipedia_like
 
 WEEKS = 2

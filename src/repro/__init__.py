@@ -43,7 +43,6 @@ __all__ = [
     "loadbalancer",
     "simulator",
     "baselines",
-    "analysis",
     "experiments",
     "devtools",
     "obs",

@@ -27,6 +27,10 @@ from repro.markets.revocation import event_covariance
 
 __all__ = ["ExoSphereLoopPolicy"]
 
+#: Failure-probability rows kept for the covariance estimate: two weeks of
+#: hourly intervals, as SpotWeb's controller keeps.
+_HISTORY_WINDOW = 336
+
 
 class ExoSphereLoopPolicy:
     """SPO re-run per interval with reactive inputs."""
@@ -39,7 +43,6 @@ class ExoSphereLoopPolicy:
         constraints: AllocationConstraints | None = None,
         target_fn: TargetFn | None = None,
         covariance_refresh: int = 24,
-        history_window: int = 336,
     ) -> None:
         # ExoSphere's objective is risk-adjusted cost only: no SLA term.
         cost_model = CostModel(
@@ -52,7 +55,7 @@ class ExoSphereLoopPolicy:
         self.capacities = np.array([m.capacity_rps for m in markets])
         self.target_fn = target_fn or reactive_target()
         self.covariance_refresh = int(covariance_refresh)
-        self._failure_history: deque[np.ndarray] = deque(maxlen=history_window)
+        self._failure_history: deque[np.ndarray] = deque(maxlen=_HISTORY_WINDOW)
         self._covariance: np.ndarray | None = None
         self._fractions = np.zeros(len(markets))
         self._steps = 0

@@ -31,8 +31,7 @@ import time
 import numpy as np
 
 from repro.bench.report import SCHEMA_SIM
-from repro.experiments.fig7b_scalability import _replicated_markets
-from repro.markets import generate_market_dataset
+from repro.markets import generate_market_dataset, market_universe
 from repro.simulator import CostSimulator
 from repro.simulator.cluster import ClusterConfig, ClusterSimulation
 from repro.simulator.hybrid import HybridClusterSimulation, HybridConfig
@@ -229,7 +228,7 @@ def bench_sim(
     include_huge: bool = True,
 ) -> dict:
     """Benchmark simulator throughput; returns a ``SCHEMA_SIM`` dict."""
-    markets = _replicated_markets(num_markets)
+    markets = market_universe(num_markets)
     intervals = weeks * 7 * 24
     dataset = generate_market_dataset(markets, intervals=intervals, seed=seed)
     trace = wikipedia_like(weeks, seed=seed).scaled(peak_rps)

@@ -409,9 +409,9 @@ def _cmd_simulate(args) -> str:
     results identical to the serial run: every cell uses the same simulator
     seed, and the dataset/trace are rebuilt per process via ``shared_setup``.
     """
-    from repro.analysis import CostLedger
     from repro.experiments.table1 import POLICY_NAMES, _cost_cell
     from repro.parallel import pmap
+    from repro.simulator.runner import CostLedger
 
     names = args.policies or ["spotweb", "exosphere", "ondemand"]
     unknown = set(names) - set(POLICY_NAMES)

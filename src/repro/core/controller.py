@@ -38,6 +38,10 @@ from repro.units import MS_PER_SECOND
 
 __all__ = ["SpotWebController", "ControllerDecision"]
 
+#: Failure-probability rows kept for the covariance estimate: two weeks of
+#: hourly intervals.
+_HISTORY_WINDOW = 336
+
 logger = logging.getLogger(__name__)
 
 
@@ -79,10 +83,8 @@ class SpotWebController:
         planner: CapacityPlanner | None = None,
         interval_hours: float = 1.0,
         covariance_refresh: int = 24,
-        history_window: int = 336,
         fallback: ReactiveFallback | None = None,
         discretization: str = "ceil",
-        backend: str = "auto",
     ) -> None:
         if covariance_refresh < 1:
             raise ValueError("covariance_refresh must be >= 1")
@@ -100,10 +102,9 @@ class SpotWebController:
             cost_model=cost_model,
             constraints=constraints,
             interval_hours=interval_hours,
-            backend=backend,
         )
         self.covariance_refresh = int(covariance_refresh)
-        self._failure_history: deque[np.ndarray] = deque(maxlen=history_window)
+        self._failure_history: deque[np.ndarray] = deque(maxlen=_HISTORY_WINDOW)
         self._covariance: np.ndarray | None = None
         self._steps = 0
         self._current_fractions = np.zeros(len(self.markets))

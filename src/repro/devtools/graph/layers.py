@@ -10,7 +10,7 @@ The layer map is the repo's architecture, written down and enforced:
   domain package: solver code must never see the simulator;
 - the stack above them is a DAG: ``predictors``/``monitoring``/
   ``loadbalancer`` → ``core`` → ``simulator``/``baselines`` →
-  ``analysis`` → ``experiments``/``bench`` → ``cli``;
+  ``scenarios`` → ``experiments``/``bench`` → ``cli``;
 - **roots** (``cli``, ``experiments``, ``bench``, ``__main__``) are the
   only modules allowed to reach down into everything.
 
@@ -56,16 +56,13 @@ _MID = {
     "simulator": frozenset({"core", "loadbalancer", "markets", "monitoring",
                             "predictors", "solvers", "workloads"}),
     "baselines": frozenset({"core", "markets", "predictors", "workloads"}),
-    "analysis": frozenset({"core", "markets", "simulator", "workloads"}),
     # The scenario DSL composes markets/workloads/simulator into checked
-    # episodes — it sits beside analysis, below the roots.
+    # episodes, below the roots.
     "scenarios": frozenset({"baselines", "core", "loadbalancer", "markets",
                             "monitoring", "predictors", "simulator",
                             "solvers", "workloads"}),
 }
-_NON_ROOT = (
-    frozenset(_MID) | _LEAVES | frozenset({"analysis", "baselines"})
-)
+_NON_ROOT = frozenset(_MID) | _LEAVES
 
 #: package segment -> the repro segments it may import (foundation and the
 #: importer's own segment are always allowed and not listed).
@@ -82,7 +79,7 @@ LAYER_ALLOWED: dict[str, frozenset[str]] = {
 #: Display grouping for the ASCII diagram (top may import downward only).
 LAYER_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("roots", ("__main__", "cli", "bench", "experiments")),
-    ("reporting", ("analysis", "scenarios")),
+    ("scenarios", ("scenarios",)),
     ("simulation", ("simulator", "baselines")),
     ("control", ("core",)),
     ("components", ("loadbalancer", "monitoring", "predictors")),

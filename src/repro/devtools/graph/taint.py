@@ -60,7 +60,6 @@ __all__ = [
 #: function of (config, seed).  cli/experiments/bench drivers and the
 #: tracer (whose whole job is wall-clock) are intentionally outside.
 DETERMINISTIC_PREFIXES: tuple[str, ...] = (
-    "repro.analysis",
     "repro.baselines",
     "repro.bench.report",
     "repro.core",

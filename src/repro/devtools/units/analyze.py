@@ -45,7 +45,6 @@ from repro.devtools.summaries import (
     extract_contracts,
 )
 from repro.devtools.units.domain import (
-    DIMENSIONLESS,
     classify_mismatch,
     scale_ratio,
     unit_div,

@@ -40,15 +40,9 @@ __all__ = ["Fig6bResult", "run_fig6b", "format_fig6b"]
 
 @dataclass
 class Fig6bResult:
-    """savings[(num_markets, horizon)] = mean fractional saving vs ExoSphere.
-
-    ``raw_savings`` keeps the per-seed values behind each mean so callers
-    can attach bootstrap confidence intervals
-    (:func:`repro.analysis.bootstrap_mean_ci`).
-    """
+    """savings[(num_markets, horizon)] = mean fractional saving vs ExoSphere."""
 
     savings: dict[tuple[int, int], float] = field(default_factory=dict)
-    raw_savings: dict[tuple[int, int], list[float]] = field(default_factory=dict)
     market_counts: tuple[int, ...] = ()
     horizons: tuple[int, ...] = ()
     workload: str = "wikipedia"
@@ -122,7 +116,6 @@ def run_fig6b(
             per_config.setdefault((nm, h), []).append(value)
     for key, values in per_config.items():
         result.savings[key] = float(np.mean(values))
-        result.raw_savings[key] = [float(v) for v in values]
     return result
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core import CostModel, SpotWebController
 from repro.core.policy import SpotWebPolicy
 from repro.markets import default_catalog, generate_market_dataset

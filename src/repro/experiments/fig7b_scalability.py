@@ -12,8 +12,8 @@ with fresh prices/targets each interval, warm-started from the previous
 solution.  Two columns are reported per cell: the *cold-start* time (first
 optimize call — solver construction + first factorization + solve) and the
 steady-state warm re-solve time, so factorization cost and re-solve cost
-are visible separately.  ``backend`` selects the KKT path
-(:class:`repro.core.mpo.MPOOptimizer` backends: auto/structured/admm).
+are visible separately.  :func:`mpo_cells` is that protocol over a (markets,
+horizon, backend) grid; ``repro bench`` times its backends with it too.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import CostModel, MPOOptimizer
-from repro.markets import default_catalog, generate_market_dataset
+from repro.markets import generate_market_dataset, market_universe
 from repro.solvers.qp import lapack
+from repro.units import MS_PER_SECOND
 
-__all__ = ["Fig7bResult", "run_fig7b", "format_fig7b"]
+__all__ = ["Fig7bResult", "mpo_cells", "run_fig7b", "format_fig7b"]
 
 
 @dataclass
@@ -43,25 +44,100 @@ class Fig7bResult:
     cold: dict[tuple[int, int], float] = field(default_factory=dict)
     market_counts: tuple[int, ...] = ()
     horizons: tuple[int, ...] = ()
-    backend: str = "auto"
 
 
-def _replicated_markets(count: int) -> list:
-    """A market universe of arbitrary size built from the catalog.
+def _time_cell(
+    markets: list,
+    dataset,
+    covariance: np.ndarray,
+    horizon: int,
+    backend: str,
+    repeats: int,
+    seed: int,
+) -> dict:
+    """One cold solve, then ``repeats`` warm re-solves with fresh targets."""
+    rng = np.random.default_rng(seed)
+    optimizer = MPOOptimizer(
+        markets,
+        horizon=horizon,
+        cost_model=CostModel(churn_penalty=0.2),
+        backend=backend,
+    )
 
-    The catalog has 40 types; larger universes come from the (type x
-    availability-zone) cross product — exactly how market counts grow on
-    real clouds (``repro.markets.zones``).
+    def inputs(row: int, target: float):
+        return (
+            np.full(horizon, target),
+            np.tile(dataset.prices[row], (horizon, 1)),
+            np.tile(dataset.failure_probs[row], (horizon, 1)),
+            covariance,
+        )
+
+    lapack()  # scipy.linalg's import is no part of a cold solve
+    t0_s = time.perf_counter()
+    optimizer.optimize(*inputs(0, 10_000.0))
+    cold = time.perf_counter() - t0_s
+
+    samples = []
+    iterations = 0
+    iterate_s = 0.0
+    fractions = None
+    objective = float("nan")
+    for r in range(repeats):
+        target = 10_000.0 * float(rng.uniform(0.8, 1.2))
+        t0_s = time.perf_counter()
+        res = optimizer.optimize(
+            *inputs(r + 1, target), current_fractions=fractions
+        )
+        samples.append(time.perf_counter() - t0_s)
+        fractions = res.plan.first.fractions
+        objective = float(res.solver.objective)
+        iterations += res.solver.iterations
+        iterate_s += res.solver.solve_time
+    return {
+        "markets": len(markets),
+        "horizon": horizon,
+        "backend": backend,
+        "resolved_backend": optimizer.resolved_backend,
+        "variables": len(markets) * horizon,
+        "cold_ms": MS_PER_SECOND * cold,
+        "warm_median_ms": MS_PER_SECOND * float(np.median(samples)),
+        "warm_max_ms": MS_PER_SECOND * float(np.max(samples)),
+        # The warm solves' work and its unit cost, so a moved median shows
+        # whether an iteration got dearer or the iteration count grew.
+        "warm_iters_mean": iterations / repeats,
+        "warm_us_per_iter": 1e6 * iterate_s / max(iterations, 1),
+        "final_objective": objective,
+    }
+
+
+def mpo_cells(
+    *,
+    market_counts: tuple[int, ...],
+    horizons: tuple[int, ...],
+    backends: tuple[str, ...],
+    repeats: int,
+    seed: int,
+) -> list[dict]:
+    """Time every (markets, horizon, backend) cell of the grid.
+
+    Every backend of a (markets, horizon) point sees the identical target
+    stream, so their final objectives are directly comparable.
     """
-    from repro.markets.zones import expand_zones
-
-    catalog = default_catalog()
-    if count <= len(catalog):
-        return catalog.spot_markets(count)
-    zones = -(-count // len(catalog))  # ceil division
-    zone_names = tuple(chr(ord("a") + z) for z in range(zones))
-    expanded = expand_zones(catalog, zones=zone_names)
-    return [zm.market for zm in expanded[:count]]
+    cells = []
+    for nm in market_counts:
+        markets = market_universe(nm)
+        dataset = generate_market_dataset(
+            markets, intervals=repeats + 2, seed=seed
+        )
+        covariance = dataset.event_covariance()
+        for h in horizons:
+            for backend in backends:
+                cells.append(
+                    _time_cell(
+                        markets, dataset, covariance, h, backend, repeats, seed
+                    )
+                )
+    return cells
 
 
 def run_fig7b(
@@ -70,54 +146,22 @@ def run_fig7b(
     horizons: tuple[int, ...] = (2, 4, 6, 10),
     repeats: int = 5,
     seed: int = 0,
-    backend: str = "auto",
 ) -> Fig7bResult:
-    result = Fig7bResult(
-        market_counts=market_counts, horizons=horizons, backend=backend
+    result = Fig7bResult(market_counts=market_counts, horizons=horizons)
+    cells = mpo_cells(
+        market_counts=market_counts,
+        horizons=horizons,
+        backends=("auto",),
+        repeats=repeats,
+        seed=seed,
     )
-    rng = np.random.default_rng(seed)
-    for nm in market_counts:
-        markets = _replicated_markets(nm)
-        dataset = generate_market_dataset(
-            markets, intervals=repeats + 2, seed=seed
+    for cell in cells:
+        key = (cell["markets"], cell["horizon"])
+        result.cold[key] = cell["cold_ms"] / MS_PER_SECOND
+        result.times[key] = (
+            cell["warm_median_ms"] / MS_PER_SECOND,
+            cell["warm_max_ms"] / MS_PER_SECOND,
         )
-        covariance = dataset.event_covariance()
-        for h in horizons:
-            optimizer = MPOOptimizer(
-                markets,
-                horizon=h,
-                cost_model=CostModel(churn_penalty=0.2),
-                backend=backend,
-            )
-            # Cold start: builds and factorizes the solver, then solves.
-            # scipy.linalg's import is no part of it.
-            lapack()
-            t0_s = time.perf_counter()
-            optimizer.optimize(
-                np.full(h, 10_000.0),
-                np.tile(dataset.prices[0], (h, 1)),
-                np.tile(dataset.failure_probs[0], (h, 1)),
-                covariance,
-            )
-            result.cold[(nm, h)] = time.perf_counter() - t0_s
-            samples = []
-            fractions = None
-            for r in range(repeats):
-                target = 10_000.0 * float(rng.uniform(0.8, 1.2))
-                t0_s = time.perf_counter()
-                res = optimizer.optimize(
-                    np.full(h, target),
-                    np.tile(dataset.prices[r + 1], (h, 1)),
-                    np.tile(dataset.failure_probs[r + 1], (h, 1)),
-                    covariance,
-                    current_fractions=fractions,
-                )
-                samples.append(time.perf_counter() - t0_s)
-                fractions = res.plan.first.fractions
-            result.times[(nm, h)] = (
-                float(np.median(samples)),
-                float(np.max(samples)),
-            )
     return result
 
 
@@ -137,8 +181,5 @@ def format_fig7b(result: Fig7bResult) -> str:
     return format_table(
         headers,
         rows,
-        title=(
-            "Fig 7(b): cold-start vs median warm re-solve (ms) "
-            f"[backend={result.backend}]"
-        ),
+        title="Fig 7(b): cold-start vs median warm re-solve (ms)",
     )

@@ -69,13 +69,10 @@ class VanillaLoadBalancer:
         self._pending_removal: dict[int, float] = {}
 
     # ---------------------------------------------------------------- config
-    def add_backend(self, backend: Backend, weight: float | None = None) -> None:
-        """Register a backend; default weight is its capacity."""
+    def add_backend(self, backend: Backend) -> None:
+        """Register a backend, weighted by its capacity."""
         self.backends[backend.server_id] = backend
-        self.wrr.set_weight(
-            backend.server_id,
-            backend.capacity_rps if weight is None else weight,
-        )
+        self.wrr.set_weight(backend.server_id, backend.capacity_rps)
 
     def remove_backend(self, backend_id: int) -> None:
         self.backends.pop(backend_id, None)

@@ -56,7 +56,7 @@ from repro.markets.bidding import (
 )
 from repro.markets.calibration import CalibrationResult, fit_price_process
 from repro.markets.gcp import gcp_like_dataset
-from repro.markets.zones import ZoneMarket, expand_zones, generate_zone_dataset
+from repro.markets.zones import ZoneMarket, expand_zones, market_universe
 
 __all__ = [
     "InstanceType",
@@ -95,5 +95,5 @@ __all__ = [
     "gcp_like_dataset",
     "ZoneMarket",
     "expand_zones",
-    "generate_zone_dataset",
+    "market_universe",
 ]

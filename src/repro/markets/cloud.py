@@ -21,8 +21,6 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from repro.devtools.contracts import field_units, units
 from repro.markets.catalog import Market
 from repro.units import SECONDS_PER_HOUR

@@ -124,26 +124,6 @@ class MarketDataset:
         """
         return self._memo_covariance("event", window)
 
-    def slice_markets(self, indices: list[int]) -> "MarketDataset":
-        """Dataset restricted to a subset of market columns."""
-        return MarketDataset(
-            markets=[self.markets[i] for i in indices],
-            prices=self.prices[:, indices],
-            failure_probs=self.failure_probs[:, indices],
-            interval_seconds=self.interval_seconds,
-        )
-
-    def slice_time(self, start: int, stop: int) -> "MarketDataset":
-        """Dataset restricted to the interval range ``[start, stop)``."""
-        if not 0 <= start < stop <= self.num_intervals:
-            raise ValueError("invalid time slice")
-        return MarketDataset(
-            markets=self.markets,
-            prices=self.prices[start:stop],
-            failure_probs=self.failure_probs[start:stop],
-            interval_seconds=self.interval_seconds,
-        )
-
     def save(self, path: str | Path) -> None:
         """Persist to ``.npz`` (markets serialized by name/option)."""
         np.savez_compressed(

@@ -36,6 +36,10 @@ __all__ = [
 # interval); markets are assigned a bucket deterministically from the seed.
 _ADVISOR_BUCKETS = (0.01, 0.02, 0.05, 0.10, 0.15, 0.20)
 
+# Diagonal ridge that keeps both covariance estimates strictly positive
+# definite.
+_RIDGE = 1e-6
+
 
 class RevocationModel:
     """Per-market revocation probability series ``f_i(t)``.
@@ -98,9 +102,7 @@ class RevocationModel:
         return np.clip(f, 0.0, 0.95)
 
 
-def failure_covariance(
-    failure_probs: np.ndarray, *, regularization: float = 1e-6
-) -> np.ndarray:
+def failure_covariance(failure_probs: np.ndarray) -> np.ndarray:
     """Covariance matrix ``M`` of revocation dynamics (Eq. 5 input).
 
     Computed from the time series of per-market failure probabilities, with a
@@ -112,15 +114,13 @@ def failure_covariance(
         # Not enough history to estimate dynamics: fall back to a diagonal
         # proxy scaled by the (constant) probabilities themselves.
         diag = failure_probs[0] * (1.0 - failure_probs[0])
-        return np.diag(diag + regularization)
+        return np.diag(diag + _RIDGE)
     M = np.cov(failure_probs, rowvar=False)
     M = np.atleast_2d(M)
-    return M + regularization * np.eye(M.shape[0])
+    return M + _RIDGE * np.eye(M.shape[0])
 
 
-def event_covariance(
-    failure_probs: np.ndarray, *, regularization: float = 1e-6
-) -> np.ndarray:
+def event_covariance(failure_probs: np.ndarray) -> np.ndarray:
     """Covariance matrix of the revocation *events* themselves.
 
     The paper's ``M`` "captures pairwise covariance in revocation events ...
@@ -160,7 +160,7 @@ def event_covariance(
     M = 0.5 * (M + M.T)
     w, V = np.linalg.eigh(M)
     M = V @ np.diag(np.clip(w, 0.0, None)) @ V.T
-    return M + regularization * np.eye(n)
+    return M + _RIDGE * np.eye(n)
 
 
 class CorrelatedRevocationSampler:
@@ -223,8 +223,3 @@ class CorrelatedRevocationSampler:
                 markets=[int(i) for i in np.flatnonzero(events)],
             )
         return events
-
-    def sample_path(self, probabilities: np.ndarray) -> np.ndarray:
-        """Joint draws for a ``(T, N)`` probability matrix → ``(T, N)`` bool."""
-        probabilities = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
-        return np.stack([self.sample(row) for row in probabilities])

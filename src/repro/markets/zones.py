@@ -4,27 +4,22 @@ Real spot markets are priced per (instance type x availability zone): the
 paper's "36 markets" are us-east-1 types, but EC2's full universe — the
 "hundreds of cloud server configurations" of the abstract — comes from the
 type x AZ cross product.  This module expands a catalog into zone markets
-and generates zone-aware price matrices:
-
-- the *same type across zones* is strongly correlated (one capacity pool per
-  region, loosely partitioned), yet zones diverge during zone-local demand
-  crunches — which is exactly why diversifying across zones helps;
-- different types in the *same zone* keep the family correlation of
-  :func:`repro.markets.price_process.generate_price_matrix`.
+and builds market universes of any size from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from repro.markets.catalog import (
+    Catalog,
+    InstanceType,
+    Market,
+    PurchaseOption,
+    default_catalog,
+)
 
-from repro.markets.catalog import Catalog, InstanceType, Market, PurchaseOption
-from repro.markets.dataset import MarketDataset
-from repro.markets.price_process import SpotPriceProcess
-from repro.markets.revocation import RevocationModel
-
-__all__ = ["ZoneMarket", "expand_zones", "generate_zone_dataset"]
+__all__ = ["ZoneMarket", "expand_zones", "market_universe"]
 
 DEFAULT_ZONES = ("a", "b", "c")
 
@@ -76,90 +71,17 @@ def expand_zones(
     return [ZoneMarket(m, z) for m in base for z in zones]
 
 
-def generate_zone_dataset(
-    zone_markets: list[ZoneMarket],
-    intervals: int,
-    *,
-    seed: int = 0,
-    cross_zone_correlation: float = 0.8,
-    interval_seconds: float = 3600.0,
-) -> MarketDataset:
-    """Zone-aware price/failure matrices for a zone-market universe.
+def market_universe(count: int) -> list[Market]:
+    """A spot-market universe of ``count`` markets built from the catalog.
 
-    Each instance type gets one region-level shock stream; each zone mixes
-    it with a zone-local stream at weight ``cross_zone_correlation`` — so
-    the same type co-moves across zones but zone-local crunches still
-    happen.
+    The catalog has 40 types; larger universes come from the (type x
+    availability-zone) cross product, which is how market counts grow on
+    real clouds.  Fig. 7(b) and the benchmarks size their sweeps with it.
     """
-    if intervals < 1:
-        raise ValueError("intervals must be >= 1")
-    if not 0 <= cross_zone_correlation <= 1:
-        raise ValueError("cross_zone_correlation must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    n = len(zone_markets)
-    type_names = sorted({zm.instance.name for zm in zone_markets})
-    type_shocks = {t: rng.normal(size=intervals) for t in type_names}
-
-    def markov_path(p_enter: float, p_exit: float) -> np.ndarray:
-        path = np.zeros(intervals, dtype=np.bool_)
-        state = False
-        for t in range(intervals):
-            if state:
-                state = rng.random() >= p_exit
-            else:
-                state = rng.random() < p_enter
-            path[t] = state
-        return path
-    # One process parameterization per *type*: zones of a type draw from the
-    # same regional capacity pool, so their calm level and dynamics match —
-    # only the shock stream and regime timing are zone-local.
-    type_params = {
-        t: dict(
-            base_discount=float(rng.uniform(0.15, 0.35)),
-            reversion=float(rng.uniform(0.08, 0.25)),
-            volatility=float(rng.uniform(0.03, 0.12)),
-            p_enter_pressure=float(rng.uniform(0.004, 0.02)),
-            p_exit_pressure=float(rng.uniform(0.05, 0.2)),
-        )
-        for t in type_names
-    }
-    # Regional pressure regimes hit every zone of a type simultaneously;
-    # zone-local crunches happen on top, rarer by construction.
-    regional_pressure = {
-        t: markov_path(
-            type_params[t]["p_enter_pressure"], type_params[t]["p_exit_pressure"]
-        )
-        for t in type_names
-    }
-
-    prices = np.empty((intervals, n))
-    w = cross_zone_correlation
-    for j, zm in enumerate(zone_markets):
-        params = type_params[zm.instance.name]
-        proc = SpotPriceProcess(
-            ondemand_price=zm.instance.ondemand_price,
-            **params,
-        )
-        local = markov_path(
-            (1.0 - w) * params["p_enter_pressure"], params["p_exit_pressure"]
-        )
-        prices[:, j] = proc.sample(
-            intervals,
-            rng,
-            common_shocks=type_shocks[zm.instance.name],
-            common_weight=w,
-            pressure_path=regional_pressure[zm.instance.name] | local,
-        )
-
-    plain_markets = [zm.market for zm in zone_markets]
-    model = RevocationModel(plain_markets, seed=seed)
-    failure_probs = model.probabilities(prices)
-    # MarketDataset keys columns by Market objects; zone identity lives in
-    # the ZoneMarket list the caller keeps. Re-wrap so the column names stay
-    # unique per zone for downstream display.
-    return MarketDataset(
-        markets=plain_markets,
-        prices=prices,
-        failure_probs=failure_probs,
-        interval_seconds=interval_seconds,
-    )
+    catalog = default_catalog()
+    if count <= len(catalog):
+        return catalog.spot_markets(count)
+    zones = -(-count // len(catalog))  # ceil division
+    zone_names = tuple(chr(ord("a") + z) for z in range(zones))
+    expanded = expand_zones(catalog, zones=zone_names)
+    return [zm.market for zm in expanded[:count]]

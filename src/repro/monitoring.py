@@ -26,6 +26,10 @@ from repro.obs import get_metrics, get_tracer
 
 __all__ = ["MonitoringSnapshot", "MonitoringHub"]
 
+#: Past snapshots retained (for covariance estimation and debugging): two
+#: weeks of hourly intervals.
+_HISTORY = 336
+
 
 @dataclass(frozen=True)
 class MonitoringSnapshot:
@@ -53,12 +57,9 @@ class MonitoringHub:
     ----------
     markets:
         The market universe; fixes the vector layout.
-    history:
-        Number of past snapshots retained (for covariance estimation and
-        debugging).
     """
 
-    def __init__(self, markets: list[Market], *, history: int = 336) -> None:
+    def __init__(self, markets: list[Market]) -> None:
         if not markets:
             raise ValueError("need at least one market")
         self.markets = list(markets)
@@ -66,7 +67,7 @@ class MonitoringHub:
         self._prices: np.ndarray | None = None
         self._failure_probs: np.ndarray | None = None
         self._observed_rps: float = 0.0
-        self._snapshots: deque[MonitoringSnapshot] = deque(maxlen=history)
+        self._snapshots: deque[MonitoringSnapshot] = deque(maxlen=_HISTORY)
         self._warning_listeners: list[Callable[[int, float], None]] = []
 
     # ------------------------------------------------------------------ feeds

@@ -148,20 +148,6 @@ class LatencyDigest:
             cum += c
         return self.max
 
-    def merge(self, other: "LatencyDigest") -> None:
-        """Fold another digest (same geometry) into this one."""
-        if (
-            other.bin_width != self.bin_width
-            or other.num_bins != self.num_bins
-        ):
-            raise ValueError("digest geometries differ")
-        for idx, c in enumerate(other.counts):
-            self.counts[idx] += c
-        self.count += other.count
-        self.total += other.total
-        if other.max > self.max:
-            self.max = other.max
-
     def snapshot(self) -> dict:
         """JSON-ready summary (count, mean, p50/p95/p99, max)."""
         if self.count == 0:
@@ -181,7 +167,6 @@ class LatencyDigest:
     slo_threshold="s",
     target="frac",
     interval_seconds="s",
-    origin="s",
 )
 class SLOEngine:
     """Per-interval SLO compliance + multi-window burn-rate alerting.
@@ -212,9 +197,6 @@ class SLOEngine:
         short_window: int = 3,
         long_window: int = 10,
         burn_threshold: float = 10.0,
-        origin: float = 0.0,
-        digest_bin_width: float = 0.01,
-        digest_max_latency: float = 30.0,
     ) -> None:
         if not 0 < target < 1:
             raise ValueError("target must be in (0, 1)")
@@ -230,25 +212,16 @@ class SLOEngine:
         self.short_window = int(short_window)
         self.long_window = int(long_window)
         self.burn_threshold = float(burn_threshold)
-        self.origin = float(origin)
-        self._digest_bin_width = float(digest_bin_width)
-        self._digest_max_latency = float(digest_max_latency)
         self._interval = 0
         self._good = 0
         self._bad = 0
-        self._digest = self._new_digest()
+        self._digest = LatencyDigest()
         self._short: deque[float] = deque(maxlen=self.short_window)
         self._long: deque[float] = deque(maxlen=self.long_window)
         self.alert_firing = False
         self.alerts = 0
         #: closed-interval history: dicts with interval/compliance/burn.
         self.history: list[dict] = []
-
-    def _new_digest(self) -> LatencyDigest:
-        return LatencyDigest(
-            bin_width=self._digest_bin_width,
-            max_latency=self._digest_max_latency,
-        )
 
     # --------------------------------------------------------------- recording
     @units("s", "s")
@@ -304,7 +277,7 @@ class SLOEngine:
     # ---------------------------------------------------------------- rolling
     @units("s")
     def _roll(self, t: float) -> None:
-        idx = int((t - self.origin) / self.interval_seconds)
+        idx = int(t / self.interval_seconds)
         while self._interval < idx:
             self._close_interval()
 
@@ -312,7 +285,7 @@ class SLOEngine:
         total = self._good + self._bad
         compliance = (self._good / total) if total else 1.0
         burn = (1.0 - compliance) / (1.0 - self.target)
-        end_t = self.origin + (self._interval + 1) * self.interval_seconds
+        end_t = (self._interval + 1) * self.interval_seconds
         digest = self._digest.snapshot()
         entry = {
             "interval": self._interval,
@@ -347,7 +320,7 @@ class SLOEngine:
         self._interval += 1
         self._good = 0
         self._bad = 0
-        self._digest = self._new_digest()
+        self._digest = LatencyDigest()
 
     @units("s")
     def _evaluate_alert(self, t: float) -> None:

@@ -8,7 +8,7 @@ SpotWeb feeds its optimizer three prediction streams (Sec. 4.3, 5.2):
   Fig. 4(d)).  :class:`SplinePredictor` implements it;
   :class:`BaselinePredictor` is the same machinery without CI padding — the
   prior-art algorithm [Ali-Eldin et al. 2014] compared in Fig. 4(c).
-- **Price** — per-market AR(1)/EWMA forecasts; a reactive predictor matches
+- **Price** — per-market AR(1) forecasts; a reactive predictor matches
   the "assume tomorrow equals today" strawman, and an oracle wraps the true
   future for upper-bound studies (Fig. 6(a) uses the oracle).
 - **Failure probability** — reactive by design: the paper observes almost no
@@ -30,16 +30,10 @@ from repro.predictors.oracle import OraclePredictor, NoisyOraclePredictor
 from repro.predictors.price import (
     PricePredictor,
     ReactivePricePredictor,
-    EWMAPricePredictor,
     AR1PricePredictor,
     OraclePricePredictor,
 )
-from repro.predictors.failure import (
-    FailurePredictor,
-    ReactiveFailurePredictor,
-    EWMAFailurePredictor,
-    OracleFailurePredictor,
-)
+from repro.predictors.failure import FailurePredictor, ReactiveFailurePredictor
 from repro.predictors import metrics
 
 __all__ = [
@@ -54,12 +48,9 @@ __all__ = [
     "NoisyOraclePredictor",
     "PricePredictor",
     "ReactivePricePredictor",
-    "EWMAPricePredictor",
     "AR1PricePredictor",
     "OraclePricePredictor",
     "FailurePredictor",
     "ReactiveFailurePredictor",
-    "EWMAFailurePredictor",
-    "OracleFailurePredictor",
     "metrics",
 ]

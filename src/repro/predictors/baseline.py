@@ -18,10 +18,10 @@ __all__ = ["BaselinePredictor"]
 class BaselinePredictor(WorkloadPredictor):
     """Spline + AR(1) point predictor without CI-based padding."""
 
-    def __init__(self, intervals_per_day: int = 24, **kwargs) -> None:
+    def __init__(self, intervals_per_day: int = 24) -> None:
         # The inner predictor still tracks errors (used by its CI), but this
         # wrapper collapses bounds onto the mean: no padding.
-        self._inner = SplinePredictor(intervals_per_day, **kwargs)
+        self._inner = SplinePredictor(intervals_per_day)
 
     def observe(self, value: float) -> None:
         self._inner.observe(value)

@@ -14,23 +14,23 @@ from repro.predictors.base import PredictionResult, WorkloadPredictor
 
 __all__ = ["EWMAPredictor"]
 
+# Smoothing weight of the absolute error behind the confidence band.
+_BETA = 0.1
+
 
 class EWMAPredictor(WorkloadPredictor):
     """EWMA level forecast with an EWMA error band.
 
-    ``alpha`` smooths the level, ``beta`` smooths the absolute error used for
-    the confidence band (a Holt-style variance proxy).
+    ``alpha`` smooths the level; the absolute error behind the confidence
+    band (a Holt-style variance proxy) is smoothed with weight 0.1.
     """
 
-    def __init__(
-        self, *, alpha: float = 0.3, beta: float = 0.1, confidence: float = 0.99
-    ) -> None:
-        if not 0 < alpha <= 1 or not 0 < beta <= 1:
-            raise ValueError("alpha and beta must be in (0, 1]")
+    def __init__(self, *, alpha: float = 0.3, confidence: float = 0.99) -> None:
+        if not 0 < alpha <= 1:
+            raise ValueError("alpha must be in (0, 1]")
         if not 0 < confidence < 1:
             raise ValueError("confidence must be in (0, 1)")
         self.alpha = float(alpha)
-        self.beta = float(beta)
         self.confidence = float(confidence)
         self._level: float | None = None
         self._abs_err = 0.0
@@ -43,7 +43,7 @@ class EWMAPredictor(WorkloadPredictor):
             self._level = value
             return
         err = value - self._level
-        self._abs_err = (1 - self.beta) * self._abs_err + self.beta * abs(err)
+        self._abs_err = (1 - _BETA) * self._abs_err + _BETA * abs(err)
         self._level = (1 - self.alpha) * self._level + self.alpha * value
 
     def predict(self, horizon: int) -> PredictionResult:

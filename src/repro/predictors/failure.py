@@ -4,8 +4,7 @@ The paper: "for almost all markets, there is no, to very little dynamics, in
 the revocation probability.  The failure predictions in our experiments are
 thus done reactively, i.e., we assume that for the next time unit, the
 failure probability will be equal to the measured probability now."
-:class:`ReactiveFailurePredictor` is that deployed choice; the EWMA and
-oracle variants support ablations.
+:class:`ReactiveFailurePredictor` is that deployed choice.
 """
 
 from __future__ import annotations
@@ -14,12 +13,7 @@ import abc
 
 import numpy as np
 
-__all__ = [
-    "FailurePredictor",
-    "ReactiveFailurePredictor",
-    "EWMAFailurePredictor",
-    "OracleFailurePredictor",
-]
+__all__ = ["FailurePredictor", "ReactiveFailurePredictor"]
 
 
 class FailurePredictor(abc.ABC):
@@ -61,46 +55,3 @@ class ReactiveFailurePredictor(FailurePredictor):
             raise ValueError("horizon must be >= 1")
         return np.tile(self._last, (horizon, 1))
 
-
-class EWMAFailurePredictor(FailurePredictor):
-    """EWMA-smoothed failure probabilities held flat over the horizon."""
-
-    def __init__(self, num_markets: int, *, alpha: float = 0.3) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = float(alpha)
-        self._n = int(num_markets)
-        self._level: np.ndarray | None = None
-
-    def observe(self, probs: np.ndarray) -> None:
-        probs = _validate_probs(probs, self._n)
-        if self._level is None:
-            self._level = probs.copy()
-        else:
-            self._level = (1 - self.alpha) * self._level + self.alpha * probs
-
-    def predict(self, horizon: int) -> np.ndarray:
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        level = self._level if self._level is not None else np.zeros(self._n)
-        return np.tile(np.clip(level, 0.0, 1.0), (horizon, 1))
-
-
-class OracleFailurePredictor(FailurePredictor):
-    """Wraps the true failure-probability matrix for upper-bound studies."""
-
-    def __init__(self, prob_matrix: np.ndarray) -> None:
-        self._probs = np.atleast_2d(np.asarray(prob_matrix, dtype=np.float64))
-        self._cursor = 0
-
-    def observe(self, probs: np.ndarray) -> None:
-        self._cursor += 1
-
-    def predict(self, horizon: int) -> np.ndarray:
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        idx = np.minimum(
-            np.arange(self._cursor, self._cursor + horizon),
-            self._probs.shape[0] - 1,
-        )
-        return self._probs[idx]

@@ -16,6 +16,9 @@ from repro.workloads.trace import WorkloadTrace
 
 __all__ = ["OraclePredictor", "NoisyOraclePredictor"]
 
+# Floor of the noisy oracle's band, as a fraction of its mean.
+_MIN_BAND_FRACTION = 0.10
+
 
 class OraclePredictor(WorkloadPredictor):
     """Knows the full trace; predicts the truth, with zero-width bounds.
@@ -65,19 +68,15 @@ class NoisyOraclePredictor(WorkloadPredictor):
         *,
         seed: int = 0,
         confidence: float = 0.99,
-        min_band_fraction: float = 0.10,
     ) -> None:
         if relative_error < 0:
             raise ValueError("relative_error must be non-negative")
-        if min_band_fraction < 0:
-            raise ValueError("min_band_fraction must be non-negative")
         rates = trace.rates if isinstance(trace, WorkloadTrace) else np.asarray(trace)
         self._rates = np.asarray(rates, dtype=np.float64).ravel()
         if self._rates.size == 0:
             raise ValueError("oracle needs a non-empty trace")
         self.relative_error = float(relative_error)
         self.confidence = float(confidence)
-        self.min_band_fraction = float(min_band_fraction)
         self._seed = int(seed)
         self._cursor = 0
 
@@ -98,9 +97,7 @@ class NoisyOraclePredictor(WorkloadPredictor):
         # predictor's error, but never collapses below a floor — even a
         # perfect workload predictor must pad for revocations.
         z = ndtri(0.5 + self.confidence / 2.0)
-        band = np.maximum(
-            z * self.relative_error, self.min_band_fraction
-        ) * mean
+        band = np.maximum(z * self.relative_error, _MIN_BAND_FRACTION) * mean
         return PredictionResult(
             mean, np.clip(mean - band, 0.0, None), mean + band, self.confidence
         )

@@ -2,8 +2,8 @@
 
 The optimizer consumes an ``(H, N)`` matrix of predicted prices.  Providers
 with fixed discounts reduce to the reactive predictor; EC2-style markets
-benefit from the AR(1)/EWMA forms.  The oracle wraps the true price matrix
-for upper-bound experiments.
+benefit from the AR(1) form.  The oracle wraps the true price matrix for
+upper-bound experiments.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "PricePredictor",
     "ReactivePricePredictor",
-    "EWMAPricePredictor",
     "AR1PricePredictor",
     "OraclePricePredictor",
 ]
@@ -55,32 +54,6 @@ class ReactivePricePredictor(PricePredictor):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         return np.tile(self._last, (horizon, 1))
-
-
-class EWMAPricePredictor(PricePredictor):
-    """EWMA level per market, held flat over the horizon."""
-
-    def __init__(self, num_markets: int, *, alpha: float = 0.4) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = float(alpha)
-        self._level: np.ndarray | None = None
-        self._n = int(num_markets)
-
-    def observe(self, prices: np.ndarray) -> None:
-        prices = np.asarray(prices, dtype=np.float64).ravel()
-        if prices.size != self._n:
-            raise ValueError("price vector has wrong length")
-        if self._level is None:
-            self._level = prices.copy()
-        else:
-            self._level = (1 - self.alpha) * self._level + self.alpha * prices
-
-    def predict(self, horizon: int) -> np.ndarray:
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        level = self._level if self._level is not None else np.zeros(self._n)
-        return np.tile(level, (horizon, 1))
 
 
 class AR1PricePredictor(PricePredictor):

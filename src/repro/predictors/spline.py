@@ -33,6 +33,13 @@ __all__ = ["SplinePredictor"]
 
 logger = logging.getLogger(__name__)
 
+# Spline smoothing factor per observation (scaled by the window variance
+# for ``splrep``); larger = smoother seasonal shape.
+_SMOOTHING = 0.5
+# Recent per-horizon errors kept for the CI estimate: one week of hourly
+# intervals.
+_ERROR_MEMORY = 168
+
 
 class SplinePredictor(WorkloadPredictor):
     """Seasonal spline + AR(1) + empirical CI workload predictor.
@@ -49,11 +56,6 @@ class SplinePredictor(WorkloadPredictor):
     confidence:
         Confidence level; the upper bound of this interval is the
         over-provisioning target.
-    smoothing:
-        Spline smoothing factor per observation (passed to ``splrep`` scaled
-        by the window variance); larger = smoother seasonal shape.
-    error_memory:
-        Number of recent per-horizon errors kept for the CI estimate.
     """
 
     def __init__(
@@ -63,8 +65,6 @@ class SplinePredictor(WorkloadPredictor):
         window_days: int = 14,
         period_days: int = 7,
         confidence: float = 0.99,
-        smoothing: float = 0.5,
-        error_memory: int = 168,
         max_horizon: int = 24,
     ) -> None:
         if intervals_per_day < 1 or window_days < 1 or period_days < 1:
@@ -75,7 +75,6 @@ class SplinePredictor(WorkloadPredictor):
         self.window = int(window_days * intervals_per_day)
         self.period = int(period_days * intervals_per_day)
         self.confidence = float(confidence)
-        self.smoothing = float(smoothing)
         self.max_horizon = int(max_horizon)
         self._history: deque[float] = deque(maxlen=self.window)
         self._t = 0  # global interval counter
@@ -83,7 +82,7 @@ class SplinePredictor(WorkloadPredictor):
         # predicted mean).  Errors feed the per-horizon CI estimator.
         self._pending: list[tuple[int, int, float]] = []
         self._errors: list[deque[float]] = [
-            deque(maxlen=error_memory) for _ in range(self.max_horizon)
+            deque(maxlen=_ERROR_MEMORY) for _ in range(self.max_horizon)
         ]
         self._spline = None
         self._ar_coeff = 0.0
@@ -129,7 +128,7 @@ class SplinePredictor(WorkloadPredictor):
         if ux.size < 8:
             self._spline = None
             return
-        s = self.smoothing * ux.size * max(np.var(uy), 1e-9)
+        s = _SMOOTHING * ux.size * max(np.var(uy), 1e-9)
         # FITPACK (and scipy.optimize under it) loads on the first fit, not
         # with the simulation stack: runs with other predictors never use it.
         from scipy.interpolate import splrep

@@ -28,7 +28,6 @@ the two-tier fluid engine.
 """
 
 from repro.scenarios.check import (
-    check_journals,
     check_runs,
     format_check_report,
     load_run,
@@ -62,7 +61,6 @@ from repro.scenarios.suite import (
 )
 
 __all__ = [
-    "check_journals",
     "check_runs",
     "format_check_report",
     "load_run",

@@ -32,7 +32,6 @@ from repro.scenarios.suite import SCENARIOS, get_scenario
 __all__ = [
     "check_runs",
     "load_run",
-    "check_journals",
     "format_check_report",
 ]
 
@@ -90,11 +89,6 @@ def load_run(path: str | Path) -> ScenarioRun:
         seed=int(begin["attrs"].get("seed", 0)),
         records=tuple(records),
     )
-
-
-def check_journals(paths: list[str | Path]) -> list[Violation]:
-    """Load journal files and evaluate them as one suite."""
-    return check_runs([load_run(path) for path in paths])
 
 
 def format_check_report(

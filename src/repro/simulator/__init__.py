@@ -24,7 +24,7 @@ from repro.simulator.metrics import LatencyRecorder
 from repro.simulator.cluster import ClusterSimulation, ClusterConfig
 from repro.simulator.fluid import FluidEngine, FluidStep
 from repro.simulator.hybrid import HybridClusterSimulation, HybridConfig
-from repro.simulator.runner import CostSimulator, SimulationReport
+from repro.simulator.runner import CostLedger, CostSimulator, SimulationReport
 from repro.simulator.system import SpotWebSystem, SystemConfig, SystemReport
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "FluidStep",
     "HybridClusterSimulation",
     "HybridConfig",
+    "CostLedger",
     "CostSimulator",
     "SimulationReport",
     "SpotWebSystem",

@@ -10,7 +10,7 @@ vanilla HAProxy's drop cliff) all emerge from the queueing model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -142,7 +142,6 @@ class ClusterSimulation:
         capacity_rps: float,
         *,
         boot_seconds: float | None = None,
-        weight: float | None = None,
     ) -> SimServer:
         """Launch a server now; it joins the balancer immediately but only
         accepts traffic after booting."""
@@ -163,7 +162,7 @@ class ClusterSimulation:
         )
         self._next_id += 1
         self.servers[server.server_id] = server
-        self.balancer.add_backend(server, weight)
+        self.balancer.add_backend(server)
         ev = get_events()
         if ev.enabled:
             ev.emit(

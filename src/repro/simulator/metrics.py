@@ -54,15 +54,11 @@ class LatencyRecorder:
         *,
         keep_raw: bool = False,
         engine: SLOEngine | None = None,
-        digest_bin_width: float = 0.01,
-        digest_max_latency: float = 30.0,
     ) -> None:
         self.slo_threshold = float(slo_threshold)
         self.keep_raw = bool(keep_raw)
         self.engine = engine
-        self.digest = LatencyDigest(
-            bin_width=digest_bin_width, max_latency=digest_max_latency
-        )
+        self.digest = LatencyDigest()
         self.latencies: list[float] = []
         self.timestamps: list[float] = []
         self.dropped = 0

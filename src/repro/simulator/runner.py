@@ -45,6 +45,7 @@ from repro.workloads.trace import WorkloadTrace
 __all__ = [
     "ProvisioningPolicy",
     "CostSimulator",
+    "CostLedger",
     "SimulationReport",
     "interval_p99",
 ]
@@ -154,6 +155,50 @@ class SimulationReport:
         if self.p99_est_s is not None:
             out["p99_est_max_s"] = self.p99_est_max_s
         return out
+
+
+@dataclass
+class CostLedger:
+    """Collects :class:`SimulationReport` objects and compares them.
+
+    The comparison convention matches the paper: "savings" of run A versus
+    run B is ``1 - cost(A) / cost(B)``, with SLA penalties included in cost.
+    """
+
+    reports: dict[str, SimulationReport] = field(default_factory=dict)
+
+    def add(self, report: SimulationReport) -> None:
+        if report.name in self.reports:
+            raise KeyError(f"duplicate report name {report.name!r}")
+        self.reports[report.name] = report
+
+    def savings(self, name: str, baseline: str) -> float:
+        """Fractional savings of ``name`` relative to ``baseline``."""
+        return self.reports[name].savings_vs(self.reports[baseline])
+
+    def rows(self, *, baseline: str | None = None) -> list[list]:
+        """Summary rows (optionally with a savings column) for reports."""
+        out = []
+        base = self.reports[baseline] if baseline else None
+        for name, rep in self.reports.items():
+            row = [
+                name,
+                rep.total_cost,
+                rep.provisioning_cost,
+                rep.sla_penalty_cost,
+                100 * rep.unserved_fraction,
+            ]
+            if base is not None:
+                row.append(100 * rep.savings_vs(base))
+            out.append(row)
+        return out
+
+    @staticmethod
+    def headers(*, baseline: bool = False) -> list[str]:
+        h = ["policy", "total_$", "provision_$", "sla_$", "unserved_%"]
+        if baseline:
+            h.append("savings_%")
+        return h
 
 
 @field_units(

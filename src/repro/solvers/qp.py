@@ -53,9 +53,10 @@ from repro.solvers.result import SolverResult, SolverStatus
 
 __all__ = ["QPProblem", "ADMMCore", "ADMMSolver", "solve_qp", "lapack"]
 
-# Default algorithm parameters (OSQP defaults, tightened tolerances).
+# Algorithm parameters (OSQP defaults, tightened tolerances).  SIGMA, the
+# x-regularizer of the KKT matrix, is fixed; the others are defaults.
 _DEFAULT_RHO = 0.1
-_DEFAULT_SIGMA = 1e-6
+_SIGMA = 1e-6
 _DEFAULT_ALPHA = 1.6
 _DEFAULT_EPS_ABS = 1e-6
 _DEFAULT_EPS_REL = 1e-6
@@ -214,25 +215,21 @@ class ADMMCore:
         m: int,
         *,
         rho: float = _DEFAULT_RHO,
-        sigma: float = _DEFAULT_SIGMA,
         alpha: float = _DEFAULT_ALPHA,
         eps_abs: float = _DEFAULT_EPS_ABS,
         eps_rel: float = _DEFAULT_EPS_REL,
         max_iter: int = _DEFAULT_MAX_ITER,
-        adaptive_rho: bool = True,
     ) -> None:
-        if rho <= 0 or sigma <= 0:
-            raise ValueError("rho and sigma must be positive")
+        if rho <= 0:
+            raise ValueError("rho must be positive")
         if not 0 < alpha < 2:
             raise ValueError("relaxation alpha must lie in (0, 2)")
         self.n = int(n)
         self.m = int(m)
-        self.sigma = float(sigma)
         self.alpha = float(alpha)
         self.eps_abs = float(eps_abs)
         self.eps_rel = float(eps_rel)
         self.max_iter = int(max_iter)
-        self.adaptive_rho = bool(adaptive_rho)
         self._rho0 = self._rho = float(rho)
 
     def _init_core(self) -> None:
@@ -385,7 +382,7 @@ class ADMMCore:
         # on every call, at about the cost of the arithmetic at these sizes.
         alpha = np.array(self.alpha)
         rho = np.array(self._rho)
-        scales[0, :n] = self.sigma
+        scales[0, :n] = _SIGMA
         scales[0, n:] = rho
         scales[1] = 1.0 - self.alpha
         max_iter = self.max_iter
@@ -451,10 +448,9 @@ class ADMMCore:
                     break
                 x_prev[:] = x
                 y_prev[:] = y
-                if self.adaptive_rho:
-                    self._maybe_retune_rho(r_prim, eps_prim, r_dual, eps_dual)
-                    rho[...] = self._rho
-                    scales[0, n:] = rho
+                self._maybe_retune_rho(r_prim, eps_prim, r_dual, eps_dual)
+                rho[...] = self._rho
+                scales[0, n:] = rho
 
         iterate_span.tag(iterations=it).__exit__(None, None, None)
         elapsed = time.perf_counter() - start_s  # spotlint: allow-nondeterminism
@@ -601,7 +597,7 @@ class ADMMSolver(ADMMCore):
     def _factorize(self) -> None:
         cho_factor, self._potrs, _, _ = lapack()
         n = self.P.shape[0]
-        kkt = self.P + self.sigma * np.eye(n) + self._rho * (self._AT @ self.A)
+        kkt = self.P + _SIGMA * np.eye(n) + self._rho * (self._AT @ self.A)
         self._chol, _ = cho_factor(kkt, lower=True, check_finite=False)
 
     def _solve_kkt_in_place(self, rhs: np.ndarray) -> np.ndarray:
@@ -619,14 +615,7 @@ class ADMMSolver(ADMMCore):
         return float(0.5 * x @ self.P_orig @ x)
 
 
-def solve_qp(
-    problem: QPProblem,
-    *,
-    warm_x: np.ndarray | None = None,
-    **solver_kwargs,
-) -> SolverResult:
+def solve_qp(problem: QPProblem, **solver_kwargs) -> SolverResult:
     """One-shot convenience wrapper around :class:`ADMMSolver`."""
     solver = ADMMSolver(problem.P, problem.A, **solver_kwargs)
-    if warm_x is not None:
-        solver.warm_start(warm_x)
     return solver.solve(problem.q, problem.l, problem.u)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.devtools.contracts import freeze_arrays
-from repro.solvers.qp import ADMMCore, _RUIZ_ITERS, _solved_in_place, lapack
+from repro.solvers.qp import ADMMCore, _RUIZ_ITERS, _SIGMA, _solved_in_place, lapack
 
 __all__ = ["MPOStructure", "BlockTridiagFactor", "StructuredADMMSolver"]
 
@@ -232,7 +232,7 @@ class StructuredADMMSolver(ADMMCore):
         churn_diag = self._churn * self._coeffs[:, None] * d**2  # (H, N)
         self._base = scaled_risk
         idx = np.arange(N)
-        self._base[:, idx, idx] += churn_diag + self.sigma
+        self._base[:, idx, idx] += churn_diag + _SIGMA
         self._box_diag = (e_box * d) ** 2  # (H, N)
         self._sum_vec = e_sum[:, None] * d  # (H, N)
         self._offdiag = (

@@ -5,9 +5,6 @@ trace summaries print figure-shaped output instead.  This module is a
 **foundation layer** — it may be imported from anywhere in ``repro``
 (including :mod:`repro.obs`, which must not depend on the reporting
 stack) and itself imports nothing above numpy.
-
-:mod:`repro.analysis` re-exports the table, histogram and chart helpers
-as part of the reporting-layer API.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ __all__ = [
     "format_chain",
     "format_histogram",
     "sparkline",
-    "timeseries_plot",
 ]
 
 _TICKS = "▁▂▃▄▅▆▇█"
@@ -142,33 +138,3 @@ def sparkline(values: np.ndarray, *, width: int | None = None) -> str:
     idx = ((values - lo) / (hi - lo) * (len(_TICKS) - 1)).round().astype(np.int64)
     return "".join(_TICKS[i] for i in idx)
 
-
-def timeseries_plot(
-    values: np.ndarray,
-    *,
-    height: int = 10,
-    width: int = 72,
-    label: str = "",
-) -> str:
-    """A character-grid plot of one series (rows = value bins)."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if values.size == 0:
-        return label
-    if height < 2 or width < 2:
-        raise ValueError("height and width must be >= 2")
-    if values.size > width:
-        edges = np.floor(np.linspace(0, values.size, width + 1)).astype(np.int64)
-        values = np.array(
-            [values[a:b].mean() for a, b in zip(edges[:-1], edges[1:]) if b > a]
-        )
-    lo, hi = float(values.min()), float(values.max())
-    span = hi - lo if hi > lo else 1.0
-    rows = []
-    levels = ((values - lo) / span * (height - 1)).round().astype(np.int64)
-    for row in range(height - 1, -1, -1):
-        line = "".join("*" if lv >= row else " " for lv in levels)
-        edge = hi if row == height - 1 else (lo if row == 0 else None)
-        prefix = f"{edge:10.1f} |" if edge is not None else " " * 10 + " |"
-        rows.append(prefix + line)
-    header = [label] if label else []
-    return "\n".join(header + rows)

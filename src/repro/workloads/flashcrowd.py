@@ -18,6 +18,10 @@ from repro.workloads.trace import WorkloadTrace
 
 __all__ = ["compose_flash_crowds", "ramp_trace"]
 
+# Each spike's ramp and hold lengths in intervals, drawn inclusively.
+_RAMP_RANGE = (1, 3)
+_HOLD_RANGE = (1, 4)
+
 
 def compose_flash_crowds(
     trace: WorkloadTrace,
@@ -25,14 +29,12 @@ def compose_flash_crowds(
     count: int,
     seed: int,
     magnitude_range: tuple[float, float] = (1.5, 3.0),
-    ramp_range: tuple[int, int] = (1, 3),
-    hold_range: tuple[int, int] = (1, 4),
     decay_range: tuple[float, float] = (0.3, 0.7),
 ) -> WorkloadTrace:
     """Superimpose ``count`` randomized flash crowds on a trace.
 
     Spike start times are drawn uniformly over the horizon and each
-    spike's magnitude/ramp/hold/decay is drawn from the given ranges,
+    spike's magnitude/ramp/hold/decay is drawn from its range,
     all from one ``seed``-keyed generator — rerunning with the same
     arguments reproduces the exact spike schedule.  Returns a new trace;
     the input is untouched.
@@ -54,10 +56,10 @@ def compose_flash_crowds(
                 start=int(rng.integers(0, n)),
                 magnitude=float(rng.uniform(lo_m, hi_m)),
                 ramp_intervals=int(
-                    rng.integers(ramp_range[0], ramp_range[1] + 1)
+                    rng.integers(_RAMP_RANGE[0], _RAMP_RANGE[1] + 1)
                 ),
                 hold_intervals=int(
-                    rng.integers(hold_range[0], hold_range[1] + 1)
+                    rng.integers(_HOLD_RANGE[0], _HOLD_RANGE[1] + 1)
                 ),
                 decay=float(rng.uniform(lo_d, hi_d)),
             )

@@ -31,14 +31,12 @@ def load_csv_trace(
     value_column: str | int = -1,
     interval_seconds: float = 3600.0,
     name: str | None = None,
-    has_header: bool | None = None,
 ) -> WorkloadTrace:
     """Load a request-rate trace from a CSV file.
 
     ``value_column`` selects the rate column by header name or index
-    (default: the last column).  ``has_header`` is auto-detected when left
-    ``None`` (a header is assumed when the first row's value cell does not
-    parse as a number).
+    (default: the last column).  With an index, a header row is assumed
+    when the first row's value cell does not parse as a number.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -46,12 +44,6 @@ def load_csv_trace(
     if not rows:
         raise ValueError(f"{path} contains no data")
 
-    def cell(row: list[str]) -> str:
-        if isinstance(value_column, int):
-            return row[value_column]
-        raise KeyError  # named column resolved below
-
-    header: list[str] | None = None
     if isinstance(value_column, str):
         header = rows[0]
         if value_column not in header:
@@ -60,16 +52,11 @@ def load_csv_trace(
         data_rows = rows[1:]
     else:
         idx = value_column
-        if has_header is None:
-            try:
-                float(rows[0][idx])
-                data_rows = rows
-            except (ValueError, IndexError):
-                data_rows = rows[1:]
-        elif has_header:
-            data_rows = rows[1:]
-        else:
+        try:
+            float(rows[0][idx])
             data_rows = rows
+        except (ValueError, IndexError):
+            data_rows = rows[1:]
 
     values = []
     for row in data_rows:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.workloads.trace import WorkloadTrace
 
 __all__ = ["SpikeSpec", "inject_spikes"]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,16 +56,6 @@ class WorkloadTrace:
         return WorkloadTrace(
             self.rates[start:stop], self.interval_seconds, self.name
         )
-
-    def resample(self, factor: int) -> "WorkloadTrace":
-        """Coarsen by an integer factor (mean-aggregate)."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        n = (len(self) // factor) * factor
-        if n == 0:
-            raise ValueError("trace too short for this factor")
-        rates = self.rates[:n].reshape(-1, factor).mean(axis=1)
-        return WorkloadTrace(rates, self.interval_seconds * factor, self.name)
 
     def scaled(self, peak_rps: float) -> "WorkloadTrace":
         """Rescale so the trace peak equals ``peak_rps``."""

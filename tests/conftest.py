@@ -139,7 +139,7 @@ class ReferenceADMMLoop:
 
     def solve(self, q, l, u):
         from repro.solvers import SolverResult, SolverStatus
-        from repro.solvers.qp import _CHECK_EVERY
+        from repro.solvers.qp import _CHECK_EVERY, _SIGMA
 
         q = np.asarray(q, dtype=np.float64).ravel()
         l = np.asarray(l, dtype=np.float64).ravel()
@@ -148,7 +148,7 @@ class ReferenceADMMLoop:
         ls = self._E * l
         us = self._E * u
         x, z, y = self._x, np.clip(self._z, ls, us), self._y
-        sigma, alpha = self.sigma, self.alpha
+        sigma, alpha = _SIGMA, self.alpha
         status = SolverStatus.MAX_ITERATIONS
         r_prim = r_dual = float("inf")
         x_prev_check, y_prev_check = x.copy(), y.copy()
@@ -189,8 +189,7 @@ class ReferenceADMMLoop:
                     status = certificate
                     break
                 x_prev_check, y_prev_check = x.copy(), y.copy()
-                if self.adaptive_rho:
-                    self._maybe_retune_rho(r_prim, eps_prim, r_dual, eps_dual)
+                self._maybe_retune_rho(r_prim, eps_prim, r_dual, eps_dual)
 
         self._x, self._z, self._y = x, z, y
         x_out = self._D * x

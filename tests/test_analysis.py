@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis import CostLedger, format_histogram, format_table
-from repro.simulator.runner import SimulationReport
+from repro.simulator.runner import CostLedger, SimulationReport
+from repro.textfmt import format_histogram, format_table
 
 
 def make_report(name, prov, sla=0.0):
@@ -62,8 +62,8 @@ class TestCostLedger:
         ledger.add(make_report("a", 100.0))
         ledger.add(make_report("b", 50.0))
         assert ledger.savings("b", "a") == pytest.approx(0.5)
-        assert "a" in ledger
-        assert ledger["b"].total_cost == 50.0
+        assert list(ledger.reports) == ["a", "b"]
+        assert ledger.reports["b"].total_cost == 50.0
 
     def test_duplicate_rejected(self):
         ledger = CostLedger()

@@ -1,9 +1,8 @@
 """Unit tests for ASCII rendering helpers."""
 
 import numpy as np
-import pytest
 
-from repro.analysis import sparkline, timeseries_plot
+from repro.textfmt import sparkline
 
 
 class TestSparkline:
@@ -23,28 +22,3 @@ class TestSparkline:
     def test_empty(self):
         assert sparkline(np.array([])) == ""
 
-
-class TestTimeseriesPlot:
-    def test_dimensions(self):
-        out = timeseries_plot(np.sin(np.linspace(0, 6, 50)), height=6, width=50)
-        lines = out.splitlines()
-        assert len(lines) == 6
-        assert all("|" in ln for ln in lines)
-
-    def test_label_header(self):
-        out = timeseries_plot(np.arange(5.0), label="demand")
-        assert out.splitlines()[0] == "demand"
-
-    def test_peak_marked_on_top_row(self):
-        vals = np.zeros(20)
-        vals[10] = 100.0
-        out = timeseries_plot(vals, height=5, width=20)
-        top = out.splitlines()[0]
-        assert "*" in top
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            timeseries_plot(np.arange(5.0), height=1)
-
-    def test_empty(self):
-        assert timeseries_plot(np.array([]), label="x") == "x"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AllocationConstraints, CostModel, SpotWebController
+from repro.core import CostModel, SpotWebController
 from repro.core.policy import SpotWebPolicy
 from repro.predictors import (
     ReactiveFailurePredictor,

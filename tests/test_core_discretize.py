@@ -28,6 +28,35 @@ class TestRefineCounts:
             assert refined @ caps >= target - 1e-6
             assert refined @ prices <= naive @ prices + 1e-9
 
+    def test_costs_more_than_ceil_when_ceil_falls_short(self):
+        # Hypothesis's shrunk counterexample to "never costs more than
+        # ceil" (seed=450, target=1770.0 in the property below): a plan for
+        # a twentieth of the target, where ceil's one server (1,769.7
+        # req/s) falls short of 1,770 req/s and covering the target takes
+        # two.
+        fractions = np.array([0.04473365])
+        caps = np.array([1769.74673513])
+        prices = np.array([1.39079023])
+        naive = allocation_to_counts(fractions, 1770.0, caps)
+        refined = refine_counts(fractions, 1770.0, caps, prices)
+        assert naive @ caps < 1770.0
+        np.testing.assert_array_equal(naive, [1])
+        np.testing.assert_array_equal(refined, [2])
+
+    def test_costs_more_than_ceil_when_greedy_cover_overshoots(self):
+        # A covering ceil can be cheaper too.  From the floor (0, 2) the
+        # greedy cover adds three of the cheaper-per-req/s servers, and the
+        # trim can drop none: 5.493 $/h against ceil's 5.282.
+        fractions = np.array([0.0926, 0.7009])
+        caps = np.array([228.5, 259.5])
+        prices = np.array([0.845, 1.479])
+        naive = allocation_to_counts(fractions, 994.7, caps)
+        refined = refine_counts(fractions, 994.7, caps, prices)
+        assert naive @ caps >= 994.7
+        np.testing.assert_array_equal(naive, [1, 3])
+        np.testing.assert_array_equal(refined, [3, 2])
+        assert refined @ prices > naive @ prices
+
     def test_zero_target(self):
         counts = refine_counts(np.array([1.0]), 0.0, np.array([10.0]), np.ones(1))
         assert counts[0] == 0
@@ -81,6 +110,12 @@ def test_refine_always_covers_and_is_minimal_ish(seed, target):
     for j in range(n):
         if counts[j] > 0:
             assert deployed - caps[j] < target
+    # Where ceil covers the target too, never dearer than ceil by a whole
+    # server of the dearest market.  Not "never dearer": see the two
+    # test_costs_more_than_ceil_* cases.
+    naive_ceil = allocation_to_counts(fractions, target, caps)
+    if naive_ceil @ caps >= target - 1e-6:
+        assert counts @ prices < naive_ceil @ prices + prices.max()
 
 
 class TestControllerIntegration:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ReactiveFallback
-from repro.markets import PurchaseOption, default_catalog
+from repro.markets import PurchaseOption
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.markets import Catalog, InstanceType, Market, PurchaseOption, default_catalog
+from repro.markets import Catalog, InstanceType, PurchaseOption
 from repro.markets.catalog import REQUESTS_PER_VCPU
 
 

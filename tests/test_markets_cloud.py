@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.markets import TransientCloud, VMState, default_catalog
+from repro.markets import TransientCloud, VMState
 from repro.markets.catalog import PurchaseOption
 
 

@@ -42,22 +42,6 @@ class TestValidation:
             MarketDataset(small_markets, np.ones((5, 6)), 2 * np.ones((5, 6)))
 
 
-class TestSlicing:
-    def test_slice_markets(self, small_dataset):
-        sub = small_dataset.slice_markets([0, 2])
-        assert sub.num_markets == 2
-        np.testing.assert_array_equal(sub.prices, small_dataset.prices[:, [0, 2]])
-
-    def test_slice_time(self, small_dataset):
-        sub = small_dataset.slice_time(10, 20)
-        assert sub.num_intervals == 10
-        np.testing.assert_array_equal(sub.prices, small_dataset.prices[10:20])
-
-    def test_slice_time_validation(self, small_dataset):
-        with pytest.raises(ValueError):
-            small_dataset.slice_time(20, 10)
-
-
 class TestRoundTrip:
     def test_save_load(self, small_dataset, tmp_path):
         path = tmp_path / "ds.npz"

@@ -137,12 +137,6 @@ class TestCorrelatedRevocationSampler:
         out = sampler.sample(np.array([0.1, 0.1, 0.1]))
         assert out.shape == (3,)
 
-    def test_sample_path_shape(self):
-        sampler = CorrelatedRevocationSampler(np.eye(3), seed=4)
-        path = sampler.sample_path(np.full((10, 3), 0.1))
-        assert path.shape == (10, 3)
-        assert path.dtype == bool
-
     def test_ndtri_is_norm_ppf_on_the_clipped_domain(self):
         """The sampler's thresholds (and the predictors' CI z) come from
         ``repro.normal.ndtri``, which returns ``norm.ppf``'s bits."""
@@ -328,7 +322,7 @@ _COLD_CLOCKS = {
     ),
     "fig7b": (
         "from repro.experiments.fig7b_scalability import run_fig7b",
-        'run_fig7b(market_counts=(9,), horizons=(2,), repeats=1, backend="structured")',
+        'run_fig7b(market_counts=(9,), horizons=(2,), repeats=1)',
     ),
     "parallel_speedup": (
         "from repro.bench.sim import check_parallel_speedup",

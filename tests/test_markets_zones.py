@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.markets.zones import ZoneMarket, expand_zones, generate_zone_dataset
+from repro.markets.zones import expand_zones, market_universe
 
 
 class TestExpandZones:
@@ -29,50 +29,19 @@ class TestExpandZones:
 
 
 class TestZoneDataset:
-    @pytest.fixture(scope="class")
-    def zone_setup(self, catalog):
-        markets = expand_zones(catalog, zones=("a", "b", "c"), types=4)
-        dataset = generate_zone_dataset(
-            markets, 24 * 21, seed=0, cross_zone_correlation=0.9
-        )
-        return markets, dataset
-
-    def test_shape(self, zone_setup):
-        markets, dataset = zone_setup
-        assert dataset.prices.shape == (24 * 21, 12)
-
-    def test_same_type_across_zones_correlated(self, zone_setup):
-        markets, dataset = zone_setup
-        # Columns 0..2 are the same type in zones a, b, c.
-        assert markets[0].instance.name == markets[1].instance.name
-        r = np.corrcoef(
-            np.log(dataset.prices[:, 0]), np.log(dataset.prices[:, 1])
-        )[0, 1]
-        assert r > 0.15
-
-    def test_zones_still_diverge(self, zone_setup):
-        markets, dataset = zone_setup
-        # Prices are not identical across zones (zone-local shocks).
-        assert not np.allclose(dataset.prices[:, 0], dataset.prices[:, 1])
-
     def test_hundreds_of_markets_universe(self, catalog):
         markets = expand_zones(catalog, zones=("a", "b", "c"))
         assert len(markets) == 120  # the paper's "hundreds" scale
 
-    def test_validation(self, catalog):
-        markets = expand_zones(catalog, zones=("a",), types=2)
-        with pytest.raises(ValueError):
-            generate_zone_dataset(markets, 0)
-        with pytest.raises(ValueError):
-            generate_zone_dataset(markets, 5, cross_zone_correlation=1.5)
-
 
 class TestZoneMarketsInOptimizer:
-    def test_optimizer_runs_on_zone_universe(self, catalog):
+    def test_optimizer_runs_on_zone_universe(self):
         from repro.core import MPOOptimizer
+        from repro.markets import generate_market_dataset
 
-        zone_markets = expand_zones(catalog, zones=("a", "b"), types=5)
-        dataset = generate_zone_dataset(zone_markets, 10, seed=1)
+        markets = market_universe(50)
+        assert len(markets) == 50 and all(m.revocable for m in markets)
+        dataset = generate_market_dataset(markets, intervals=10, seed=1)
         opt = MPOOptimizer(dataset.markets, horizon=2)
         res = opt.optimize(
             np.array([5000.0, 5000.0]),
@@ -81,4 +50,4 @@ class TestZoneMarketsInOptimizer:
             dataset.event_covariance(),
         )
         assert res.solver.status.ok
-        assert res.plan.fractions.shape == (2, 10)
+        assert res.plan.fractions.shape == (2, 50)

@@ -5,7 +5,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs.events import EventLog, get_events, load_events
+from repro.obs.events import EventLog, get_events
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.live import MetricsServer, PromFileWriter, TelemetryBus
 from repro.obs.metrics import MetricsRegistry

@@ -50,26 +50,6 @@ class TestLatencyDigest:
         digest.add(3.0)
         assert digest.mean() == 2.0
 
-    def test_merge(self):
-        a = LatencyDigest(bin_width=0.1, max_latency=5.0)
-        b = LatencyDigest(bin_width=0.1, max_latency=5.0)
-        combined = LatencyDigest(bin_width=0.1, max_latency=5.0)
-        for i in range(50):
-            a.add(i / 25.0)
-            combined.add(i / 25.0)
-        for i in range(50):
-            b.add(2.0 + i / 25.0)
-            combined.add(2.0 + i / 25.0)
-        a.merge(b)
-        assert a.counts == combined.counts
-        assert a.percentile(95) == combined.percentile(95)
-
-    def test_merge_geometry_mismatch_rejected(self):
-        a = LatencyDigest(bin_width=0.1, max_latency=5.0)
-        b = LatencyDigest(bin_width=0.2, max_latency=5.0)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_snapshot_keys(self):
         digest = LatencyDigest()
         assert digest.snapshot()["count"] == 0
@@ -194,24 +174,22 @@ class TestDigestMassWithLiveBus:
     """`add_masses`/`merge` percentiles on the streaming telemetry path."""
 
     def test_add_masses_then_merge_matches_scalar_adds(self):
-        # One digest fed fluid-tier mass, one fed per-request samples,
-        # merged; the reference sees the same population via add() only.
-        mass = LatencyDigest(bin_width=0.1, max_latency=5.0)
-        mass.add_masses(
+        # One digest fed fluid-tier mass and then per-request samples; the
+        # reference sees the same population via add() only.
+        mixed = LatencyDigest(bin_width=0.1, max_latency=5.0)
+        mixed.add_masses(
             np.array([0.35, 1.25, 2.45]), np.array([10.0, 5.0, 1.0])
         )
-        scalar = LatencyDigest(bin_width=0.1, max_latency=5.0)
         reference = LatencyDigest(bin_width=0.1, max_latency=5.0)
         for latency, weight in ((0.35, 10), (1.25, 5), (2.45, 1)):
             for _ in range(weight):
                 reference.add(latency)
         for latency in (0.15, 0.95, 3.05):
-            scalar.add(latency)
+            mixed.add(latency)
             reference.add(latency)
-        mass.merge(scalar)
-        assert mass.count == reference.count
+        assert mixed.count == reference.count
         for p in (50, 95, 99):
-            assert mass.percentile(p) == reference.percentile(p)
+            assert mixed.percentile(p) == reference.percentile(p)
 
     def test_record_mass_streams_digest_percentiles(self, global_log):
         """The fluid mass path feeds the same digest the bus publishes.

@@ -144,10 +144,9 @@ class TestNoopOverhead:
         disabled per-call cost over many calls, and bound their product.
         """
         from repro.core import CostModel, MPOOptimizer
-        from repro.experiments.fig7b_scalability import _replicated_markets
-        from repro.markets import generate_market_dataset
+        from repro.markets import generate_market_dataset, market_universe
 
-        markets = _replicated_markets(48)
+        markets = market_universe(48)
         dataset = generate_market_dataset(markets, intervals=3, seed=0)
         covariance = dataset.event_covariance()
         optimizer = MPOOptimizer(

@@ -5,9 +5,6 @@ import pytest
 
 from repro.predictors import (
     AR1PricePredictor,
-    EWMAFailurePredictor,
-    EWMAPricePredictor,
-    OracleFailurePredictor,
     OraclePricePredictor,
     ReactiveFailurePredictor,
     ReactivePricePredictor,
@@ -29,17 +26,6 @@ class TestReactivePrice:
             p.predict(0)
         with pytest.raises(ValueError):
             ReactivePricePredictor(0)
-
-
-class TestEWMAPrice:
-    def test_smooths(self):
-        p = EWMAPricePredictor(1, alpha=0.5)
-        p.observe([1.0])
-        p.observe([3.0])
-        assert p.predict(1)[0, 0] == pytest.approx(2.0)
-
-    def test_cold_start(self):
-        assert EWMAPricePredictor(2).predict(1).shape == (1, 2)
 
 
 class TestAR1Price:
@@ -95,18 +81,6 @@ class TestFailurePredictors:
         p = ReactiveFailurePredictor(2)
         with pytest.raises(ValueError):
             p.observe([0.5, 1.5])
-
-    def test_ewma(self):
-        p = EWMAFailurePredictor(1, alpha=0.5)
-        p.observe([0.0])
-        p.observe([0.2])
-        assert p.predict(1)[0, 0] == pytest.approx(0.1)
-
-    def test_oracle(self):
-        probs = np.array([[0.1], [0.3], [0.5]])
-        p = OracleFailurePredictor(probs)
-        p.observe(probs[0])
-        np.testing.assert_array_equal(p.predict(2), [[0.3], [0.5]])
 
     def test_observe_many(self):
         p = ReactiveFailurePredictor(2)

@@ -9,7 +9,6 @@ from repro.scenarios import (
     CappedPolicy,
     PortfolioSpec,
     SCENARIOS,
-    check_journals,
     check_runs,
     engines_for,
     format_check_report,
@@ -106,14 +105,14 @@ class TestRunnerAndOracle:
         assert loaded.records == run.records
 
     def test_violating_fixtures_fail_oracle(self):
-        violations = check_journals(VIOLATING)
+        runs = [load_run(p) for p in VIOLATING]
+        violations = check_runs(runs)
         scenarios = {v.scenario for v in violations}
         invariants = {v.invariant for v in violations}
         assert any("storm_az" in s for s in scenarios)
         assert any("price_war" in s for s in scenarios)
         assert {"slo_floor", "cost_ceiling"} <= invariants
-        report_runs = [load_run(p) for p in VIOLATING]
-        report = format_check_report(report_runs, violations)
+        report = format_check_report(runs, violations)
         assert "FAIL" in report
 
     def test_load_run_rejects_anonymous_journal(self, tmp_path):

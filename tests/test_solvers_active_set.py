@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.solvers import QPProblem, SolverStatus, solve_qp
+from repro.solvers import SolverStatus, solve_qp
 
 from conftest import random_feasible_qp
 from oracles.active_set import solve_qp_active_set

@@ -31,12 +31,6 @@ class TestWorkloadTrace:
         with pytest.raises(ValueError):
             trace.window(5, 2)
 
-    def test_resample(self):
-        trace = WorkloadTrace(np.array([1.0, 3.0, 5.0, 7.0]), 3600.0)
-        coarse = trace.resample(2)
-        np.testing.assert_array_equal(coarse.rates, [2.0, 6.0])
-        assert coarse.interval_seconds == 7200.0
-
     def test_scaled(self):
         trace = WorkloadTrace(np.array([1.0, 2.0, 4.0]))
         scaled = trace.scaled(100.0)
@@ -123,23 +117,6 @@ class TestSpikes:
             SpikeSpec(start=0, magnitude=0.5)
         with pytest.raises(ValueError):
             SpikeSpec(start=0, magnitude=2.0, decay=1.5)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    rates=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=100),
-    factor=st.integers(1, 5),
-)
-def test_resample_preserves_total_volume(rates, factor):
-    """Mean-aggregation keeps the request volume of the kept prefix."""
-    trace = WorkloadTrace(np.asarray(rates))
-    if len(rates) // factor == 0:
-        return
-    coarse = trace.resample(factor)
-    kept = len(coarse) * factor
-    vol_orig = trace.rates[:kept].sum() * trace.interval_seconds
-    vol_coarse = coarse.rates.sum() * coarse.interval_seconds
-    assert vol_coarse == pytest.approx(vol_orig, rel=1e-9, abs=1e-6)
 
 
 @settings(max_examples=30, deadline=None)
